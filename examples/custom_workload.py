@@ -10,7 +10,7 @@ Usage:
     python examples/custom_workload.py
 """
 
-from repro import GPUConfig, WorkloadSpec, baseline_config, run_workload, softwalker_config
+from repro import GPUConfig, Runner, WorkloadSpec, baseline_config, softwalker_config
 from repro.analysis.report import format_table
 
 # A hash-join probe phase: one side streamed, the other side probed at
@@ -29,7 +29,7 @@ HASH_JOIN = WorkloadSpec(
 
 
 def sweep() -> list[list]:
-    base = run_workload(baseline_config(), HASH_JOIN, scale=0.5)
+    base = Runner().run(baseline_config(), HASH_JOIN, scale=0.5)
     rows = [["baseline (32 PTWs)", base.cycles, "1.00x", f"{base.queueing_fraction:.0%}"]]
 
     candidates: dict[str, GPUConfig] = {
@@ -39,7 +39,7 @@ def sweep() -> list[list]:
         "SoftWalker hybrid": softwalker_config(hybrid=True),
     }
     for label, config in candidates.items():
-        result = run_workload(config, HASH_JOIN, scale=0.5)
+        result = Runner().run(config, HASH_JOIN, scale=0.5)
         rows.append(
             [
                 label,

@@ -12,7 +12,7 @@ Usage:
 
 import sys
 
-from repro import baseline_config, run_workload, softwalker_config
+from repro import Runner, baseline_config, softwalker_config
 from repro.analysis.energy import energy_report, translation_energy_per_walk
 from repro.analysis.report import format_table
 from repro.harness.experiments import scaled_ptw_config
@@ -28,11 +28,11 @@ def main() -> None:
         "512 PTWs": scaled_ptw_config(512),
         "SoftWalker": softwalker_config(),
     }
-    base = run_workload(baseline_config(), benchmark, scale=scale)
+    base = Runner().run(baseline_config(), benchmark, scale=scale)
 
     rows = []
     for label, config in configs.items():
-        result = run_workload(config, benchmark, scale=scale)
+        result = Runner().run(config, benchmark, scale=scale)
         report = energy_report(result, config)
         rows.append(
             [

@@ -14,10 +14,10 @@ Usage:
 import sys
 
 from repro import (
+    Runner,
     baseline_config,
     ideal_config,
     nha_config,
-    run_workload,
     softwalker_config,
 )
 from repro.analysis.report import format_table
@@ -37,10 +37,10 @@ def main() -> None:
 
     rows = []
     for kernel in GRAPH_KERNELS:
-        base = run_workload(baseline_config(), kernel, scale=scale)
+        base = Runner().run(baseline_config(), kernel, scale=scale)
         row = [kernel, f"{base.l2_tlb_mpki:.1f}", f"{base.queueing_fraction:.0%}"]
         for config in configs.values():
-            result = run_workload(config, kernel, scale=scale)
+            result = Runner().run(config, kernel, scale=scale)
             row.append(f"{result.speedup_over(base):.2f}x")
         rows.append(row)
 

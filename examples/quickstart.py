@@ -12,7 +12,7 @@ Usage:
 
 import sys
 
-from repro import baseline_config, run_workload, softwalker_config
+from repro import Runner, baseline_config, softwalker_config
 
 
 def main() -> None:
@@ -20,8 +20,8 @@ def main() -> None:
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.5
 
     print(f"Simulating '{benchmark}' (trace scale {scale}) ...")
-    base = run_workload(baseline_config(), benchmark, scale=scale)
-    soft = run_workload(softwalker_config(), benchmark, scale=scale)
+    base = Runner().run(baseline_config(), benchmark, scale=scale)
+    soft = Runner().run(softwalker_config(), benchmark, scale=scale)
 
     print(f"\nbaseline:   {base.cycles:>10,} cycles")
     print(f"SoftWalker: {soft.cycles:>10,} cycles")

@@ -21,7 +21,7 @@ Usage:
 import sys
 from pathlib import Path
 
-from repro import Observability, run_workload, softwalker_config
+from repro import Observability, Runner, softwalker_config
 from repro.obs import WALK_COMPONENTS, validate_chrome_trace
 
 
@@ -32,7 +32,7 @@ def main() -> None:
 
     obs = Observability.full(interval=1000)
     print(f"Simulating '{benchmark}' (scale {scale}) with tracing on ...")
-    result = run_workload(softwalker_config(), benchmark, scale=scale, obs=obs)
+    result = Runner().run(softwalker_config(), benchmark, scale=scale, obs=obs)
 
     # 1. Export (validated first: an unloadable trace helps nobody).
     validate_chrome_trace(obs.trace.chrome_trace())

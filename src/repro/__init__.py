@@ -4,9 +4,10 @@ A trace-driven GPU virtual-memory simulator reproducing *SoftWalker:
 Supporting Software Page Table Walk for Irregular GPU Applications*
 (MICRO 2025).  Public entry points:
 
->>> from repro import baseline_config, softwalker_config, run_workload
->>> base = run_workload(baseline_config(), "gups", scale=0.2)
->>> soft = run_workload(softwalker_config(), "gups", scale=0.2)
+>>> from repro import Runner, baseline_config, softwalker_config
+>>> runner = Runner()
+>>> base = runner.run(baseline_config(), "gups", scale=0.2)
+>>> soft = runner.run(softwalker_config(), "gups", scale=0.2)
 >>> soft.speedup_over(base) > 1
 True
 """
@@ -32,7 +33,6 @@ from repro.harness.runner import (
     Runner,
     build_workload,
     default_runner,
-    run_workload,
     speedups,
 )
 from repro.harness.store import ResultStore
@@ -102,7 +102,6 @@ __all__ = [
     "default_runner",
     "make_point",
     "matrix_points",
-    "run_workload",
     "speedups",
     "SupervisedReport",
     "SupervisionPolicy",

@@ -19,7 +19,6 @@ here would close a cycle back into ``repro.config``.
 from repro.arch.registry import (
     ALL_REGISTRIES,
     DISTRIBUTOR_POLICIES,
-    EVENT_ENGINES,
     PAGE_TABLE_KINDS,
     PLUGINS_ENV,
     PWB_POLICIES,
@@ -43,7 +42,6 @@ _MACHINE_EXPORTS = (
 __all__ = [
     "ALL_REGISTRIES",
     "DISTRIBUTOR_POLICIES",
-    "EVENT_ENGINES",
     "PAGE_TABLE_KINDS",
     "PLUGINS_ENV",
     "PWB_POLICIES",

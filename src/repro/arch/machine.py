@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.arch.registry import EVENT_ENGINES, PAGE_TABLE_KINDS, WALK_BACKENDS
+from repro.arch.registry import PAGE_TABLE_KINDS, WALK_BACKENDS
 from repro.config import GPUConfig
 
 
@@ -76,11 +76,6 @@ class MachineSpec:
     def distributor_policy(self) -> str:
         return self.config.softwalker.distributor_policy
 
-    @property
-    def engine_name(self) -> str:
-        """Event-engine registry name; defaults to the heap engine."""
-        return self.config.event_engine or "heap"
-
     def components(self) -> dict[str, str]:
         """Resolved component names (the ``repro components`` view)."""
         return {
@@ -88,7 +83,6 @@ class MachineSpec:
             "page_table_kind": self.page_table_kind,
             "pwb_policy": self.pwb_policy,
             "distributor_policy": self.distributor_policy,
-            "event_engine": self.engine_name,
         }
 
     # ------------------------------------------------------------------
@@ -181,6 +175,7 @@ class MachineBuilder:
         from repro.gpu.translation import TranslationService
         from repro.obs import NULL_OBS
         from repro.ptw.walker import PteMemoryPort
+        from repro.sim.engine import Engine
         from repro.sim.stats import StatsRegistry
         from repro.tlb.pwc import PageWalkCache
 
@@ -189,7 +184,7 @@ class MachineBuilder:
             raise ValueError("workload was generated for a different page-table setup")
         obs = obs if obs is not None else NULL_OBS
 
-        engine = EVENT_ENGINES.create(self.spec.engine_name)
+        engine = Engine()
         if obs.profile_engine:
             engine.enable_profiling()
         stats = StatsRegistry(obs)

@@ -189,19 +189,12 @@ DISTRIBUTOR_POLICIES: ComponentRegistry = ComponentRegistry("distributor policy"
 #: traverse the table, and whether the PWC applies).
 PAGE_TABLE_KINDS: ComponentRegistry = ComponentRegistry("page table kind")
 
-#: Event engines: ``factory()`` returning a fresh
-#: :class:`~repro.sim.engine.Engine` (or drop-in subclass).  Engine
-#: choice is a host-side execution strategy — results are bit-identical
-#: across engines, so the name is excluded from config fingerprints.
-EVENT_ENGINES: ComponentRegistry = ComponentRegistry("event engine")
-
 ALL_REGISTRIES: dict[str, ComponentRegistry] = {
     "walk_backend": WALK_BACKENDS,
     "replacement_policy": REPLACEMENT_POLICIES,
     "pwb_policy": PWB_POLICIES,
     "distributor_policy": DISTRIBUTOR_POLICIES,
     "page_table_kind": PAGE_TABLE_KINDS,
-    "event_engine": EVENT_ENGINES,
 }
 
 
@@ -340,20 +333,6 @@ PAGE_TABLE_KINDS.register("radix", _build_radix_plan)
 PAGE_TABLE_KINDS.register("hashed", _build_hashed_plan)
 
 
-def _build_heap_engine():
-    from repro.sim.engine import Engine
-
-    return Engine()
-
-
-def _build_batched_engine():
-    from repro.sim.batched import BatchedEngine
-
-    return BatchedEngine()
-
-
-EVENT_ENGINES.register("heap", _build_heap_engine)
-EVENT_ENGINES.register("batched", _build_batched_engine)
 
 
 # ----------------------------------------------------------------------

@@ -127,14 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument("--scale", type=float, default=1.0)
-    run_parser.add_argument(
-        "--engine",
-        default=None,
-        help=(
-            "event engine (see repro.arch.EVENT_ENGINES): 'heap' or "
-            "'batched'; results are bit-identical either way"
-        ),
-    )
 
     compare_parser = sub.add_parser("compare", help="compare techniques")
     compare_parser.add_argument("benchmark", choices=ALL_ABBRS)
@@ -397,12 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_THRESHOLD,
         help="relative slowdown tolerated before a cell regresses",
     )
-    bench_parser.add_argument(
-        "--engine",
-        default=None,
-        help="event engine for every cell ('heap' or 'batched'); "
-        "cell labels and fingerprints are unaffected",
-    )
 
     report_parser = sub.add_parser(
         "report",
@@ -491,12 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--collapsed",
         metavar="PATH",
         help="write a collapsed-stack flamegraph file (flamegraph.pl/speedscope)",
-    )
-    profile_parser.add_argument(
-        "--engine",
-        default=None,
-        help="event engine ('heap' or 'batched'); batch-dispatched sites "
-        "are labelled '[batched xN]' in the report",
     )
 
     serve_parser = sub.add_parser(
@@ -701,13 +681,9 @@ def cmd_configs() -> int:
     return 0
 
 
-def cmd_run(
-    benchmark: str, config_name: str, scale: float, engine: str | None = None
-) -> int:
+def cmd_run(benchmark: str, config_name: str, scale: float) -> int:
     try:
         config = resolve_config_arg(config_name)
-        if engine is not None:
-            config = config.derive(event_engine=engine)
     except (KeyError, OSError, ValueError) as failure:
         print(f"error: {_error_text(failure)}", file=sys.stderr)
         return 2
@@ -1190,7 +1166,6 @@ def cmd_bench(
     compare: str | None,
     against: str | None,
     threshold: float,
-    engine: str | None = None,
 ) -> int:
     if against and not compare:
         print("error: --against requires --compare OLD", file=sys.stderr)
@@ -1205,12 +1180,7 @@ def cmd_bench(
     configs: dict[str, GPUConfig] = {}
     for token in config_names:
         try:
-            config = resolve_config_arg(token)
-            if engine is not None:
-                # Same cell labels either way: the engine choice is
-                # fingerprint-neutral, so reports stay comparable.
-                config = config.derive(event_engine=engine)
-            configs[token] = config
+            configs[token] = resolve_config_arg(token)
         except (KeyError, OSError, ValueError) as failure:
             print(f"error: {_error_text(failure)}", file=sys.stderr)
             return 2
@@ -1424,7 +1394,6 @@ def cmd_profile(
     top: int,
     interval: int,
     collapsed: str | None,
-    engine: str | None = None,
 ) -> int:
     import time as _time
 
@@ -1440,8 +1409,6 @@ def cmd_profile(
         return 2
     try:
         config = resolve_config_arg(config_name)
-        if engine is not None:
-            config = config.derive(event_engine=engine)
     except (KeyError, OSError, ValueError) as failure:
         print(f"error: {_error_text(failure)}", file=sys.stderr)
         return 2
@@ -1457,10 +1424,9 @@ def cmd_profile(
     wall = _time.perf_counter() - started
     rows_raw = sim.engine.profile_report()
     total = sum(seconds for _site, _calls, seconds in rows_raw) or 1.0
-    batched = sim.engine.batch_counts()
     rows = [
         [
-            f"{site} [batched x{batched[site]}]" if site in batched else site,
+            site,
             f"{calls:,}",
             f"{seconds * 1000:.1f}ms",
             f"{seconds / total:.1%}",
@@ -1835,7 +1801,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "configs":
         return cmd_configs()
     if args.command == "run":
-        return cmd_run(args.benchmark, args.config, args.scale, args.engine)
+        return cmd_run(args.benchmark, args.config, args.scale)
     if args.command == "compare":
         return cmd_compare(args.benchmark, args.scale)
     if args.command == "figure":
@@ -1899,7 +1865,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.compare,
             args.against,
             args.threshold,
-            args.engine,
         )
     if args.command == "report":
         return cmd_report(
@@ -1923,7 +1888,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.top,
             args.interval,
             args.collapsed,
-            args.engine,
         )
     if args.command == "serve":
         return cmd_serve(

@@ -17,7 +17,6 @@ from typing import Any, Callable, ClassVar, Iterator, Mapping
 
 from repro.arch.registry import (
     DISTRIBUTOR_POLICIES,
-    EVENT_ENGINES,
     PAGE_TABLE_KINDS,
     PWB_POLICIES,
     WALK_BACKENDS,
@@ -308,19 +307,9 @@ class GPUConfig:
     #: bit-identical.
     walk_backend: str | None = None
 
-    #: Event-engine registry name (``repro.arch.EVENT_ENGINES``): how the
-    #: host executes the event queue (``"heap"`` per-event dispatch,
-    #: ``"batched"`` same-cycle batch dispatch).  Results are
-    #: bit-identical across engines, so this knob is *excluded* from
-    #: :func:`config_fingerprint` — runs under either engine dedupe to
-    #: the same store entry.  None means the builder's default ("heap").
-    event_engine: str | None = None
-
     def __post_init__(self) -> None:
         if self.walk_backend is not None:
             WALK_BACKENDS.validate(self.walk_backend)
-        if self.event_engine is not None:
-            EVENT_ENGINES.validate(self.event_engine)
 
     def derive(self, **overrides: Any) -> "GPUConfig":
         """Return a copy with top-level fields replaced."""
@@ -352,16 +341,13 @@ class GPUConfig:
     def to_dict(self) -> dict:
         """Lossless JSON-safe dict; ``from_dict`` inverts it exactly.
 
-        ``walk_backend`` and ``event_engine`` are omitted when None (the
-        default) so the serialized shape of every config that predates
-        either field is unchanged — the golden-fingerprint tests pin
-        this.
+        ``walk_backend`` is omitted when None (the default) so the
+        serialized shape of every config that predates the field is
+        unchanged — the golden-fingerprint tests pin this.
         """
         data = asdict(self)
         if self.walk_backend is None:
             del data["walk_backend"]
-        if self.event_engine is None:
-            del data["event_engine"]
         return data
 
     @classmethod
@@ -455,15 +441,8 @@ def config_fingerprint(config: GPUConfig) -> dict:
     :meth:`GPUConfig.to_dict`, so a named variant and an equivalent
     inline config dict produce the *same* fingerprint (and therefore
     hit the same store entry).
-
-    ``event_engine`` is stripped: engine choice is a host-side
-    execution strategy with bit-identical results (pinned by the golden
-    fingerprints), so a batched run must dedupe against — and be served
-    from — a heap run's cached result.
     """
-    data = config.to_dict()
-    data.pop("event_engine", None)
-    return data
+    return config.to_dict()
 
 
 @dataclass(frozen=True)

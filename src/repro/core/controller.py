@@ -20,7 +20,7 @@ from repro.gpu.sm import SM
 from repro.pagetable.radix import RadixPageTable
 from repro.ptw.request import WalkRequest
 from repro.ptw.walker import PteMemoryPort, WalkOutcome
-from repro.sim.engine import Engine, batch_dispatch
+from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 from repro.tlb.pwc import PageWalkCache
 
@@ -75,7 +75,6 @@ class SoftWalkerController:
         self._in_transit.append(request)
         self.engine.schedule_at(arrival, self._arrive, request)
 
-    @batch_dispatch("_arrive_batch")
     def _arrive(self, request: WalkRequest) -> None:
         self._in_transit.remove(request)
         request.communication += self.communication_latency
@@ -97,18 +96,6 @@ class SoftWalkerController:
                 occupied=self.softpwb.occupied,
             )
         self._maybe_launch()
-
-    def _arrive_batch(self, batch: list[tuple[WalkRequest]]) -> None:
-        """Batch form of :meth:`_arrive` for same-cycle arrivals.
-
-        Must stay exactly equivalent to calling :meth:`_arrive` once per
-        request in order — including the per-request launch attempt,
-        which interleaves walk starts with arrivals just as the
-        per-event engine would.
-        """
-        arrive = self._arrive
-        for (request,) in batch:
-            arrive(request)
 
     # ------------------------------------------------------------------
     # PW-warp walk execution
@@ -267,7 +254,6 @@ class SoftWalkerController:
         request.execution += done - when
         return done
 
-    @batch_dispatch("_finish_batch")
     def _finish(self, slot_index: int, request: WalkRequest, outcome: WalkOutcome) -> None:
         self.softpwb.complete(slot_index)
         self._active_walks -= 1
@@ -275,26 +261,6 @@ class SoftWalkerController:
             raise RuntimeError("SoftWalkerController.on_complete not wired")
         self.on_complete(self.sm.sm_id, request, outcome)
         self._maybe_launch()
-
-    def _finish_batch(
-        self, batch: list[tuple[int, WalkRequest, WalkOutcome]]
-    ) -> None:
-        """Batch form of :meth:`_finish` for same-cycle FL2T returns.
-
-        Must stay exactly equivalent to the per-event sequence: each
-        completion frees its SoftPWB slot and may launch the next walk
-        before the following completion lands.
-        """
-        softpwb_complete = self.softpwb.complete
-        sm_id = self.sm.sm_id
-        for slot_index, request, outcome in batch:
-            softpwb_complete(slot_index)
-            self._active_walks -= 1
-            on_complete = self.on_complete
-            if on_complete is None:
-                raise RuntimeError("SoftWalkerController.on_complete not wired")
-            on_complete(sm_id, request, outcome)
-            self._maybe_launch()
 
     @property
     def active_walks(self) -> int:

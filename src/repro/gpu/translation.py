@@ -22,7 +22,7 @@ from repro.pagetable.radix import PageFault
 from repro.pagetable.space import AddressSpace
 from repro.ptw.request import WalkRequest
 from repro.ptw.walker import WalkOutcome
-from repro.sim.engine import Engine, batch_dispatch
+from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 from repro.tlb.mshr import MSHRFile, MSHRResult
 from repro.tlb.pwc import PageWalkCache
@@ -252,7 +252,6 @@ class TranslationService:
     # ------------------------------------------------------------------
     # L2 TLB
     # ------------------------------------------------------------------
-    @batch_dispatch("_l2_lookup_batch")
     def _l2_lookup(self, sm_id: int, vpn: int, is_retry: bool = False) -> None:
         now = self.engine.now
         lookup_done = now + self.config.l2_tlb.latency
@@ -290,17 +289,6 @@ class TranslationService:
                 trace.counter(
                     "l2tlb", "l2tlb.backpressure", now, depth=len(self._backpressure)
                 )
-
-    def _l2_lookup_batch(self, batch: list[tuple[int, int]]) -> None:
-        """Batch form of :meth:`_l2_lookup` for same-cycle L2 probes.
-
-        Must stay exactly equivalent to calling :meth:`_l2_lookup` once
-        per ``(sm_id, vpn)`` pair in order; the win is amortising the
-        event-engine dispatch, not changing the per-probe logic.
-        """
-        l2_lookup = self._l2_lookup
-        for args in batch:
-            l2_lookup(*args)
 
     def _launch_walk(self, vpn: int, enqueue_time: int, sm_id: int = -1) -> None:
         start_level, node_base = self.pwc.probe(vpn)

@@ -17,7 +17,6 @@ from repro.harness.runner import (
     clear_cache,
     default_runner,
     default_scale,
-    run_workload,
     speedups,
 )
 from repro.harness.store import ResultStore, default_store_path
@@ -46,7 +45,6 @@ __all__ = [
     "pool_context",
     "run_point_supervised",
     "run_sweep",
-    "run_workload",
     "speedups",
     "SupervisedReport",
     "SupervisionPolicy",

@@ -7,11 +7,9 @@ cycles ratios over the same work.
 The one front door is :class:`Runner`: it owns the trace scale, the
 parallel worker count, the two-tier result cache (an in-memory LRU over
 the persistent on-disk :class:`~repro.harness.store.ResultStore`), and
-per-run observability.  The last historical module-level helper
-(:func:`run_workload`) survives as a deprecation shim delegating to a
-process-wide default instance; the ``run_cached`` / ``run_matrix``
-shims completed their deprecation cycle and now raise ImportError
-naming the :class:`Runner` replacement.
+per-run observability.  The historical module-level helpers completed
+their deprecation cycle and now raise ImportError naming the
+:class:`Runner` method that replaced each (see ``_RETIRED_SHIMS``).
 
 Environment knobs (all read by the default instance):
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence
 
@@ -151,9 +148,8 @@ def _cache_capacity() -> int:
 class Runner:
     """Facade over simulation execution: scale, caching, parallelism.
 
-    One object owns everything ``run_workload`` / ``run_cached`` /
-    ``run_matrix`` used to split between free functions and module
-    globals:
+    One object owns everything the retired module-level helpers used
+    to split between free functions and module globals:
 
     * ``scale`` — default trace scale (None defers to ``REPRO_SCALE``).
     * ``jobs`` — default sweep parallelism (None defers to
@@ -449,40 +445,11 @@ def default_runner() -> Runner:
 cache_metrics = default_runner().metrics
 
 
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.harness.runner.{name}() is deprecated; use the Runner "
-        f"facade (repro.harness.runner.default_runner()) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_workload(
-    config: GPUConfig,
-    benchmark: str | WorkloadSpec,
-    *,
-    scale: float | None = None,
-    footprint_scale: float = 1.0,
-    seed: int | None = None,
-    obs: Observability | None = None,
-) -> SimulationResult:
-    """Deprecated shim for :meth:`Runner.run` on the default instance."""
-    _deprecated("run_workload")
-    return default_runner().run(
-        config,
-        benchmark,
-        scale=scale,
-        footprint_scale=footprint_scale,
-        seed=seed,
-        obs=obs,
-    )
-
-
 #: Shims that completed their deprecation cycle -> the Runner method
 #: that replaced each.  Importing one now fails loudly with the
 #: migration target instead of silently warning.
 _RETIRED_SHIMS = {
+    "run_workload": "default_runner().run(...) (or Runner.run)",
     "run_cached": "default_runner().run_cached(...) (or Runner.run_cached)",
     "run_matrix": "default_runner().run_matrix(...) (or Runner.run_matrix)",
 }

@@ -15,10 +15,10 @@ here:
 
 Usage::
 
-    from repro import Observability, baseline_config, run_workload
+    from repro import Observability, Runner, baseline_config
 
     obs = Observability.full()
-    result = run_workload(baseline_config(), "gups", scale=0.1, obs=obs)
+    result = Runner().run(baseline_config(), "gups", scale=0.1, obs=obs)
     obs.trace.write_chrome("trace.json")
     obs.metrics.write_json("metrics.json")
 

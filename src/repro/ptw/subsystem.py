@@ -24,7 +24,7 @@ from repro.config import PTWConfig
 from repro.pagetable.radix import RadixPageTable
 from repro.ptw.request import WalkRequest
 from repro.ptw.walker import PteMemoryPort, WalkOutcome, execute_walk
-from repro.sim.engine import Engine, batch_dispatch
+from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 from repro.tlb.pwc import PageWalkCache
 
@@ -279,7 +279,6 @@ class HardwareWalkBackend:
         """Pick the next queued walk according to the PWB policy."""
         return self._pwb_policy.dequeue(self)
 
-    @batch_dispatch("_finish_batch")
     def _finish(self, request: WalkRequest, outcome: WalkOutcome) -> None:
         self._free_walkers += 1
         self._busy.remove(request)
@@ -289,23 +288,3 @@ class HardwareWalkBackend:
         self.on_complete(request, outcome)
         while self._queue and self._free_walkers > 0:
             self._start(self._dequeue())
-
-    def _finish_batch(self, batch: list[tuple[WalkRequest, WalkOutcome]]) -> None:
-        """Batch form of :meth:`_finish` for same-cycle completions.
-
-        Must stay exactly equivalent to calling :meth:`_finish` once per
-        ``(request, outcome)`` pair in order; the only change is hoisting
-        loop-invariant lookups out of the per-event body.
-        """
-        busy = self._busy
-        queue = self._queue
-        for request, outcome in batch:
-            self._free_walkers += 1
-            busy.remove(request)
-            self._last_sm = request.requester_sm
-            on_complete = self.on_complete
-            if on_complete is None:
-                raise RuntimeError("HardwareWalkBackend.on_complete not wired")
-            on_complete(request, outcome)
-            while queue and self._free_walkers > 0:
-                self._start(self._dequeue())

@@ -1,14 +1,11 @@
 """Discrete-event simulation core: engine, clock, and statistics."""
 
-from repro.sim.batched import BatchedEngine
-from repro.sim.engine import Engine, SimulationError, batch_dispatch
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.stats import Counter, Histogram, LatencyTracker, StatsRegistry
 
 __all__ = [
-    "BatchedEngine",
     "Engine",
     "SimulationError",
-    "batch_dispatch",
     "Counter",
     "Histogram",
     "LatencyTracker",

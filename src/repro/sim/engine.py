@@ -37,29 +37,6 @@ class SimulationError(RuntimeError):
     """Raised when the engine is used incorrectly (e.g. scheduling in the past)."""
 
 
-def batch_dispatch(handler_name: str):
-    """Opt a bound-method event callback into batched dispatch.
-
-    Engines that understand the marker (``repro.sim.batched``) group
-    adjacent same-cycle events aimed at the *same bound method* and call
-    ``getattr(instance, handler_name)(args_list)`` once instead of N
-    per-event calls.  The handler must be observably equivalent to::
-
-        for args in args_list:
-            method(*args)
-
-    including the order of side effects — the heap engine ignores the
-    marker entirely and golden fingerprints pin the equivalence, so a
-    handler that reorders work shows up as fingerprint drift.
-    """
-
-    def mark(fn):
-        fn.__batch_handler__ = handler_name
-        return fn
-
-    return mark
-
-
 class Engine:
     """A discrete-event simulator with a cycle-granularity clock.
 
@@ -267,15 +244,6 @@ class Engine:
             name: {"calls": cell[0], "seconds": cell[1]}
             for name, cell in self._profile.items()
         }
-
-    def batch_counts(self) -> dict[str, int]:
-        """site -> events delivered through a batch handler.
-
-        The heap engine never batches, so this is always empty here;
-        :class:`repro.sim.batched.BatchedEngine` overrides it.  The
-        profile CLI uses it to label sites ``[batched xN]``.
-        """
-        return {}
 
     # ------------------------------------------------------------------
     # Introspection

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import PTWConfig, baseline_config
-from repro.harness.runner import run_workload
+from repro.harness.runner import Runner
 from repro.workloads.base import WorkloadSpec
 
 
@@ -31,15 +31,15 @@ class TestPWBScheduling:
         config = baseline_config().derive(num_sms=4).with_ptw(
             num_walkers=4, pwb_policy="sm_batch"
         )
-        result = run_workload(config, tiny_spec(), scale=1.0)
+        result = Runner().run(config, tiny_spec(), scale=1.0)
         assert result.walks_completed > 0
         assert result.stats.counters.get("ptw.sm_batched") > 0
 
     def test_scheduling_does_not_change_walk_count(self):
         fcfs = baseline_config().derive(num_sms=4).with_ptw(num_walkers=4)
         batch = fcfs.with_ptw(pwb_policy="sm_batch")
-        a = run_workload(fcfs, tiny_spec(), scale=1.0)
-        b = run_workload(batch, tiny_spec(), scale=1.0)
+        a = Runner().run(fcfs, tiny_spec(), scale=1.0)
+        b = Runner().run(batch, tiny_spec(), scale=1.0)
         # Scheduling reorders work; it cannot manufacture or drop walks
         # (demand misses are workload properties, modulo TLB timing).
         assert b.walks_completed == pytest.approx(a.walks_completed, rel=0.2)
@@ -55,21 +55,21 @@ class TestSIMTLockstep:
         )
 
     def test_lockstep_walks_complete(self):
-        result = run_workload(self.make(True), tiny_spec(), scale=1.0)
+        result = Runner().run(self.make(True), tiny_spec(), scale=1.0)
         assert result.walks_completed > 0
         assert result.stats.counters.get("softwalker.lockstep_walks") > 0
 
     def test_lockstep_is_slower_than_independent_threads(self):
         spec = tiny_spec()
-        independent = run_workload(self.make(False), spec, scale=1.0)
-        lockstep = run_workload(self.make(True), spec, scale=1.0)
+        independent = Runner().run(self.make(False), spec, scale=1.0)
+        lockstep = Runner().run(self.make(True), spec, scale=1.0)
         # Divergence serialises the warp: the paper's independent-thread
         # design must not lose to lockstep.
         assert independent.cycles <= lockstep.cycles * 1.02
 
     def test_lockstep_matches_translations(self):
         spec = tiny_spec()
-        independent = run_workload(self.make(False), spec, scale=1.0)
-        lockstep = run_workload(self.make(True), spec, scale=1.0)
+        independent = Runner().run(self.make(False), spec, scale=1.0)
+        lockstep = Runner().run(self.make(True), spec, scale=1.0)
         assert lockstep.walks_completed > 0
         assert independent.walks_completed > 0

@@ -182,7 +182,6 @@ class TestMachineSpec:
             "page_table_kind": "radix",
             "pwb_policy": "fcfs",
             "distributor_policy": "round_robin",
-            "event_engine": "heap",
         }
 
     def test_dict_round_trip(self):

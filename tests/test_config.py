@@ -149,10 +149,13 @@ class TestConfigRegistryErrors:
             assert GPUConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_rejects_unknown_keys(self):
-        data = baseline_config().to_dict()
-        data["num_smz"] = 4
-        with pytest.raises((TypeError, ValueError), match="num_smz"):
-            GPUConfig.from_dict(data)
+        # The second key is a retired field: a stale spec must fail up
+        # front rather than be accepted and ignored.
+        for key, value in (("num_smz", 4), ("event_engine", "heap")):
+            data = baseline_config().to_dict()
+            data[key] = value
+            with pytest.raises((TypeError, ValueError), match=key):
+                GPUConfig.from_dict(data)
 
     def test_walk_backend_field_is_validated(self):
         with pytest.raises(ValueError, match="unknown walk backend"):

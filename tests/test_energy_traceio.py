@@ -9,7 +9,7 @@ from repro.analysis.energy import (
     translation_energy_per_walk,
 )
 from repro.config import baseline_config, softwalker_config
-from repro.harness.runner import build_workload, run_workload
+from repro.harness.runner import Runner, build_workload
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.trace_io import load_trace, save_trace
 from repro.gpu.gpu import GPUSimulator
@@ -39,7 +39,7 @@ class TestEnergyModel:
 
     def test_report_components_and_total(self):
         config = baseline_config().derive(num_sms=4)
-        result = run_workload(config, tiny_spec(), scale=1.0)
+        result = Runner().run(config, tiny_spec(), scale=1.0)
         report = energy_report(result, config)
         assert report.total_nj > 0
         for name in ("l1_tlb", "l2_tlb", "l2_tlb_mshr", "pwb", "pte_memory"):
@@ -52,8 +52,8 @@ class TestEnergyModel:
         big = small.with_l2_tlb(mshr_entries=1024).with_ptw(
             num_walkers=256, pwb_entries=512
         )
-        r_small = run_workload(small, spec, scale=1.0)
-        r_big = run_workload(big, spec, scale=1.0)
+        r_small = Runner().run(small, spec, scale=1.0)
+        r_big = Runner().run(big, spec, scale=1.0)
         e_small = energy_report(r_small, small)
         e_big = energy_report(r_big, big)
         per_walk_small = e_small.components["l2_tlb_mshr"] / max(1, r_small.walks_completed)
@@ -64,8 +64,8 @@ class TestEnergyModel:
         spec = tiny_spec()
         base_cfg = baseline_config().derive(num_sms=4)
         soft_cfg = base_cfg.with_ptw(num_walkers=0).with_softwalker(enabled=True)
-        base = energy_report(run_workload(base_cfg, spec, scale=1.0), base_cfg)
-        soft = energy_report(run_workload(soft_cfg, spec, scale=1.0), soft_cfg)
+        base = energy_report(Runner().run(base_cfg, spec, scale=1.0), base_cfg)
+        soft = energy_report(Runner().run(soft_cfg, spec, scale=1.0), soft_cfg)
         assert soft.components["pw_warp_pipeline"] > 0
         assert base.components["pw_warp_pipeline"] == 0
         assert soft.components["pwb"] == 0  # no hardware PWB searches

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.config import DEFAULT_CONFIGS
+from repro.gpu.gpu import GPUSimulator
+from repro.harness.runner import build_workload
 from repro.sim.engine import Engine, SimulationError
 
 
@@ -279,3 +282,27 @@ def test_profiling_off_returns_empty_report():
     engine.run()
     assert not engine.profiling
     assert engine.profile_report() == []
+
+
+@pytest.mark.parametrize("config_name", ["baseline", "softwalker"])
+def test_single_stepping_matches_run(config_name):
+    """Stepping a whole simulation to the end lands on the same clock,
+    event count and fingerprint as one ``run()``."""
+    config = DEFAULT_CONFIGS.get(config_name)
+
+    def make_sim():
+        return GPUSimulator(
+            config, build_workload("gups", config, scale=0.05, seed=7)
+        )
+
+    reference = make_sim()
+    ref_result = reference.run()
+
+    stepped = make_sim()
+    stepped.start()
+    engine = stepped.engine
+    while engine.real_pending:
+        engine.step()
+    assert engine.now == reference.engine.now
+    assert engine.events_processed == reference.engine.events_processed
+    assert stepped.partial_result().fingerprint() == ref_result.fingerprint()

@@ -5,11 +5,11 @@ import pytest
 from repro.config import baseline_config, softwalker_config
 from repro.harness import experiments
 from repro.harness.runner import (
+    Runner,
     build_workload,
     clear_cache,
     default_runner,
     default_scale,
-    run_workload,
     speedups,
 )
 
@@ -31,8 +31,8 @@ class TestRunner:
         with pytest.raises(ValueError):
             default_scale()
 
-    def test_run_workload_by_abbr(self):
-        result = run_workload(baseline_config(), "gemm", scale=TINY)
+    def test_run_by_abbr(self):
+        result = Runner().run(baseline_config(), "gemm", scale=TINY)
         assert result.cycles > 0
         assert result.workload == "gemm"
 
@@ -190,7 +190,7 @@ class TestEnvTraceExport:
         from repro.obs import validate_chrome_trace
 
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
-        run_workload(baseline_config(), "gups", scale=TINY)
+        Runner().run(baseline_config(), "gups", scale=TINY)
         trace_path = tmp_path / "gups-0.trace.json"
         metrics_path = tmp_path / "gups-0.metrics.json"
         assert trace_path.exists() and metrics_path.exists()
@@ -203,6 +203,6 @@ class TestEnvTraceExport:
 
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
         obs = Observability.tracing()
-        run_workload(baseline_config(), "gups", scale=TINY, obs=obs)
+        Runner().run(baseline_config(), "gups", scale=TINY, obs=obs)
         assert obs.trace.num_events > 0
         assert list(tmp_path.iterdir()) == []  # no files: caller owns export

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import baseline_config
-from repro.harness.runner import run_workload
+from repro.harness.runner import Runner
 from repro.workloads.base import WorkloadSpec
 
 
@@ -35,7 +35,7 @@ class TestInTLBEndToEnd:
     def test_failures_monotone_in_capacity(self):
         spec = pressure_spec()
         failures = [
-            run_workload(sw_config(capacity), spec, scale=1.0).mshr_failures
+            Runner().run(sw_config(capacity), spec, scale=1.0).mshr_failures
             for capacity in (0, 64, 512)
         ]
         assert failures[0] > 0
@@ -44,8 +44,8 @@ class TestInTLBEndToEnd:
 
     def test_capacity_buys_performance_under_pressure(self):
         spec = pressure_spec()
-        without = run_workload(sw_config(0), spec, scale=1.0)
-        with_intlb = run_workload(sw_config(512), spec, scale=1.0)
+        without = Runner().run(sw_config(0), spec, scale=1.0)
+        with_intlb = Runner().run(sw_config(512), spec, scale=1.0)
         assert with_intlb.speedup_over(without) > 1.0
 
     def test_pending_entries_displace_valid_translations(self):
@@ -54,8 +54,8 @@ class TestInTLBEndToEnd:
         # (The *net* hit-rate change is second-order at this scale: fewer
         # failure-retry misses partially offset the lost capacity.)
         spec = pressure_spec()
-        without = run_workload(sw_config(0), spec, scale=1.0)
-        with_intlb = run_workload(sw_config(1024), spec, scale=1.0)
+        without = Runner().run(sw_config(0), spec, scale=1.0)
+        with_intlb = Runner().run(sw_config(1024), spec, scale=1.0)
         assert with_intlb.stats.counters.get("l2tlb.pending_allocated") > 0
 
         def demand_hit_rate(result):
@@ -68,7 +68,7 @@ class TestInTLBEndToEnd:
 
     def test_in_tlb_unused_when_mshrs_suffice(self):
         config = sw_config(1024, l2_mshr=4096)
-        result = run_workload(config, pressure_spec(), scale=1.0)
+        result = Runner().run(config, pressure_spec(), scale=1.0)
         assert result.stats.counters.get("l2tlb.pending_allocated") == 0
         assert result.mshr_failures == 0
 
@@ -87,6 +87,6 @@ class TestHybridOnRegular:
         )
         small = baseline_config().derive(num_sms=4)
         hybrid = small.with_softwalker(enabled=True, hybrid=True)
-        base = run_workload(small, spec, scale=1.0)
-        hyb = run_workload(hybrid, spec, scale=1.0)
+        base = Runner().run(small, spec, scale=1.0)
+        hyb = Runner().run(hybrid, spec, scale=1.0)
         assert hyb.speedup_over(base) > 0.9, "hybrid must not hurt regulars"

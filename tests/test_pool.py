@@ -13,7 +13,7 @@ from repro.harness.pool import (
     matrix_points,
     run_sweep,
 )
-from repro.harness.runner import Runner, run_workload
+from repro.harness.runner import Runner
 from repro.harness.store import fingerprint_digest
 from repro.workloads.catalog import get_spec
 
@@ -142,9 +142,9 @@ class TestRunnerFacade:
         assert set(results) == {("a", "gups"), ("b", "gups")}
         assert results[("a", "gups")] is results[("b", "gups")]
 
-    def test_module_helpers_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            run_workload(baseline_config(), "gups", scale=TINY)
+    def test_run_workload_module_shim_retired(self):
+        with pytest.raises(ImportError, match=r"Runner\.run\)"):
+            from repro.harness.runner import run_workload  # noqa: F401
 
     def test_run_cached_module_shim_retired(self):
         with pytest.raises(ImportError, match="Runner.run_cached"):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import avatar_config, baseline_config
 from repro.gpu.gpu import GPUSimulator
-from repro.harness.runner import run_workload
 from repro.sim.stats import StatsRegistry
 from repro.tlb.speculation import MISPREDICT_PENALTY, ContiguityPredictor
 from repro.workloads.base import TraceWorkload, WorkloadSpec

@@ -8,7 +8,7 @@ model against the radix walker.
 
 from repro.config import baseline_config
 from repro.core.isa import Opcode, PageWalkProgram
-from repro.harness.runner import run_workload
+from repro.harness.runner import Runner
 from repro.pagetable.address import AddressLayout
 from repro.pagetable.allocator import FrameAllocator
 from repro.pagetable.radix import RadixPageTable
@@ -20,7 +20,7 @@ class TestWalkLatencyWindow:
         """Mean per-walk page-table access time sits in the 150-800
         cycle window around the paper's validated 250-450 range (our L2
         cache behaviour differs from the A2000's, hence the slack)."""
-        result = run_workload(baseline_config().derive(num_sms=8), "dc", scale=0.5)
+        result = Runner().run(baseline_config().derive(num_sms=8), "dc", scale=0.5)
         assert result.walks_completed > 50
         assert 150 <= result.walk_access <= 800
 
@@ -28,7 +28,7 @@ class TestWalkLatencyWindow:
         # An 8-SM GPU generates ~1/6 of the full machine's pressure, so
         # the queueing share lands below the 46-SM figure (~0.95, which
         # the Figure 7 bench asserts); it must still dominate.
-        result = run_workload(baseline_config().derive(num_sms=8), "dc", scale=0.5)
+        result = Runner().run(baseline_config().derive(num_sms=8), "dc", scale=0.5)
         assert result.queueing_fraction > 0.6
 
 

@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
 """Bench smoke check (the CI gate for the performance regression guard).
 
-Enforces five invariants of the benchmarking layer:
+Enforces four invariants of the benchmarking layer:
 
-1. The committed ``BENCH_baseline.json`` and ``BENCH_engine_batched.json``
-   are structurally sound: schema version matches, the matrix covers at
-   least 3 configs x 3 benchmarks, and every cell carries at least 3
-   timed repeats.  The batched artifact additionally covers the
-   baseline's matrix cell for cell with bit-identical fingerprints and
-   compares regression-free against it.
+1. The committed ``BENCH_baseline.json`` is structurally sound: schema
+   version matches, the matrix covers at least 3 configs x 3
+   benchmarks, and every cell carries at least 3 timed repeats.
 2. Two fresh quick benches of the same matrix compare clean (no
    regression verdicts on an unchanged tree) and record bit-identical
    result fingerprints cell for cell.
@@ -75,36 +72,6 @@ def check_committed_report(name: str) -> BenchReport:
         f"benchmarks, {len(report.cells)} cells, all >=3 repeats"
     )
     return report
-
-
-def check_batched_artifact(baseline: BenchReport) -> None:
-    """Invariant 1b: the batched-engine artifact covers the baseline's
-    matrix cell for cell with bit-identical fingerprints, and the
-    stored comparison verdict is regression-free."""
-    batched = check_committed_report("BENCH_engine_batched.json")
-    for cell in baseline.cells:
-        twin = batched.cell(cell.config, cell.benchmark)
-        if twin is None:
-            raise SystemExit(
-                f"FAIL: BENCH_engine_batched.json misses cell "
-                f"{cell.config}/{cell.benchmark}"
-            )
-        if twin.fingerprint != cell.fingerprint:
-            raise SystemExit(
-                f"FAIL: batched engine drifted on "
-                f"{cell.config}/{cell.benchmark} — engines must be "
-                f"bit-identical"
-            )
-    comparison = compare_reports(baseline, batched)
-    if not comparison.passed:
-        raise SystemExit(
-            "FAIL: BENCH_engine_batched.json regresses the committed "
-            f"baseline\n{comparison.render()}"
-        )
-    print(
-        f"ok: BENCH_engine_batched.json matches the baseline matrix, "
-        f"zero fingerprint drift ({comparison.summary()})"
-    )
 
 
 def check_reproducible_compare(scale: float) -> BenchReport:
@@ -200,8 +167,7 @@ def main() -> int:
     parser.add_argument("--scale", type=float, default=0.02)
     args = parser.parse_args()
 
-    baseline = check_committed_report("BENCH_baseline.json")
-    check_batched_artifact(baseline)
+    check_committed_report("BENCH_baseline.json")
     plain = check_reproducible_compare(args.scale)
     check_slowdown_flagged(args.scale, plain)
     check_instrumented_fingerprint()

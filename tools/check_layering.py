@@ -17,10 +17,10 @@ Hard rules, beyond the per-package allow-list:
   level, so plugins can import it with zero machinery behind it (its
   built-in factories import implementations lazily, at create() time).
 * ``repro.arch`` as a whole sees only ``repro.config`` at import time.
-  In particular it must not import ``repro.sim``: machine assembly
-  reaches event engines exclusively through the ``EVENT_ENGINES``
-  registry, so the engine implementation is pluggable rather than
-  hard-wired into the specs.
+  In particular it must not import ``repro.sim`` at module level:
+  ``MachineBuilder.build`` constructs the event engine through a
+  function-local import, so importing the specs never pulls in the
+  simulation kernel.
 
 Usage:
     python tools/check_layering.py [--graph] [--root src/repro]
@@ -86,12 +86,12 @@ ALLOWED: dict[str, set[str]] = {
 TOP_LAYERS = {"harness", "explore", "service", "cli"}
 MODEL_LAYERS = set(ALLOWED) - TOP_LAYERS - {"__init__", "__main__"}
 
-#: Edges that must stay registry-mediated: the importing package
-#: resolves these targets through a ``repro.arch.registry`` registry
-#: (``EVENT_ENGINES`` for arch -> sim), never by importing the
-#: implementation at module level.  Defense in depth against someone
-#: "fixing" the allow-list instead of using the registry.
-REGISTRY_MEDIATED: dict[str, set[str]] = {"arch": {"sim"}}
+#: Edges that may only be taken by function-local imports: the
+#: importing package reaches these targets inside the function that
+#: needs them (``MachineBuilder.build`` constructing the engine for
+#: arch -> sim), never at module level.  Defense in depth against
+#: someone "fixing" the allow-list instead of keeping the import local.
+LOCAL_IMPORT_ONLY: dict[str, set[str]] = {"arch": {"sim"}}
 
 
 def package_of(path: str, root: str) -> str:
@@ -174,11 +174,11 @@ def check(root: str) -> tuple[list[str], dict[str, set[str]]]:
                         f"{rel}:{lineno}: model layer {package!r} reaches up "
                         f"into orchestration layer repro.{target}"
                     )
-                if target in REGISTRY_MEDIATED.get(package, ()):
+                if target in LOCAL_IMPORT_ONLY.get(package, ()):
                     violations.append(
-                        f"{rel}:{lineno}: layer {package!r} must reach "
-                        f"repro.{target} through its arch registry "
-                        f"(e.g. EVENT_ENGINES), not a module-level import"
+                        f"{rel}:{lineno}: layer {package!r} must import "
+                        f"repro.{target} inside the function that needs it "
+                        f"(e.g. MachineBuilder.build), not at module level"
                     )
     return violations, graph
 
