@@ -13,6 +13,7 @@ the built-in three in Figure 26 and adopts round-robin.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Callable
 
@@ -26,7 +27,9 @@ class SelectionPolicy:
     """Picks which available SM receives the next walk request.
 
     Subclasses implement :meth:`select`; ``available`` is the non-empty
-    list of SM ids with SoftPWB room, in ascending order, and
+    list of SM ids with SoftPWB room, in ascending order — the
+    distributor's own live list, so policies read it and never mutate
+    it — and
     ``distributor`` grants access to cursor-free machine state (core
     count, idleness probe).  Policies own any selection state they need
     (cursor, RNG) so a checkpointed machine deep-copies them along with
@@ -50,10 +53,11 @@ class RoundRobinSelection(SelectionPolicy):
         self._cursor = 0
 
     def select(self, available: list[int], distributor: "RequestDistributor") -> int:
-        num_sms = distributor.num_sms
-        cursor = self._cursor
-        sm = min(available, key=lambda s: (s - cursor) % num_sms)
-        self._cursor = (sm + 1) % num_sms
+        # The first SM at or after the cursor, wrapping to the lowest:
+        # the minimum of ``(sm - cursor) % num_sms`` over ``available``.
+        index = bisect_left(available, self._cursor)
+        sm = available[index] if index < len(available) else available[0]
+        self._cursor = (sm + 1) % distributor.num_sms
         return sm
 
 
@@ -116,6 +120,9 @@ class RequestDistributor:
         #: request's enqueue time when the backend wires no clock.
         self._clock = clock
         self._counters = [0] * num_sms
+        #: Ascending SM ids whose counter is below capacity; updated only
+        #: when a counter reaches or leaves capacity.
+        self._available = list(range(num_sms)) if capacity_per_sm > 0 else []
         self._overflow: deque[WalkRequest] = deque()
         #: Wired by the backend: delivers a request to one SM's controller.
         self.dispatch: Callable[[int, WalkRequest], None] | None = None
@@ -123,14 +130,10 @@ class RequestDistributor:
     # ------------------------------------------------------------------
     # Selection (Figure 11, steps 1-3)
     # ------------------------------------------------------------------
-    def _available(self) -> list[int]:
-        return [sm for sm in range(self.num_sms) if self._counters[sm] < self.capacity]
-
     def _select(self) -> int | None:
-        available = self._available()
-        if not available:
+        if not self._available:
             return None
-        return self.selection.select(available, self)
+        return self.selection.select(self._available, self)
 
     def _now(self, request: WalkRequest) -> int:
         return self._clock() if self._clock is not None else request.enqueue_time
@@ -159,6 +162,8 @@ class RequestDistributor:
         if self.dispatch is None:
             raise RuntimeError("RequestDistributor.dispatch not wired")
         self._counters[sm] += 1
+        if self._counters[sm] == self.capacity:
+            del self._available[bisect_left(self._available, sm)]
         self.stats.counters.add("distributor.dispatched")
         if self._trace.enabled:
             self._trace.instant(
@@ -178,6 +183,8 @@ class RequestDistributor:
         if self._counters[sm] <= 0:
             raise ValueError(f"counter underflow for SM {sm}")
         self._counters[sm] -= 1
+        if self._counters[sm] == self.capacity - 1:
+            insort(self._available, sm)
         if self._overflow:
             target = self._select()
             if target is not None:

@@ -9,6 +9,7 @@ bitmap — invalid (no request), valid (ready), processing (walk running).
 from __future__ import annotations
 
 import enum
+import heapq
 
 from repro.ptw.request import WalkRequest
 
@@ -25,7 +26,12 @@ class SlotState(enum.Enum):
 
 
 class SoftPWB:
-    """Fixed-capacity request buffer with a 2-bit status per slot."""
+    """Fixed-capacity request buffer with a 2-bit status per slot.
+
+    Free and valid slot indices live in two min-heaps, so filling a slot
+    and launching a walk both take the lowest-numbered eligible slot —
+    the order a scan of the status bitmap would find — in O(log n).
+    """
 
     def __init__(self, entries: int) -> None:
         if entries < 1:
@@ -33,28 +39,32 @@ class SoftPWB:
         self.capacity = entries
         self._slots: list[WalkRequest | None] = [None] * entries
         self._states: list[SlotState] = [SlotState.INVALID] * entries
+        #: Min-heaps of INVALID and VALID slot indices.
+        self._free: list[int] = list(range(entries))
+        self._valid: list[int] = []
 
     # ------------------------------------------------------------------
     # Controller-side operations (Figure 11, steps 4-6)
     # ------------------------------------------------------------------
     def insert(self, request: WalkRequest) -> int | None:
-        """Fill an invalid slot with a request; returns its index."""
-        for index, state in enumerate(self._states):
-            if state is SlotState.INVALID:
-                self._slots[index] = request
-                self._states[index] = SlotState.VALID
-                return index
-        return None
+        """Fill the lowest invalid slot with a request; returns its index."""
+        if not self._free:
+            return None
+        index = heapq.heappop(self._free)
+        self._slots[index] = request
+        self._states[index] = SlotState.VALID
+        heapq.heappush(self._valid, index)
+        return index
 
     def take_valid(self) -> tuple[int, WalkRequest] | None:
-        """Pick a valid entry and mark it processing (walk launch)."""
-        for index, state in enumerate(self._states):
-            if state is SlotState.VALID:
-                self._states[index] = SlotState.PROCESSING
-                request = self._slots[index]
-                assert request is not None
-                return index, request
-        return None
+        """Pick the lowest valid entry and mark it processing (walk launch)."""
+        if not self._valid:
+            return None
+        index = heapq.heappop(self._valid)
+        self._states[index] = SlotState.PROCESSING
+        request = self._slots[index]
+        assert request is not None
+        return index, request
 
     def complete(self, index: int) -> None:
         """Walk finished: slot returns to invalid."""
@@ -62,6 +72,7 @@ class SoftPWB:
             raise ValueError(f"slot {index} is not processing")
         self._states[index] = SlotState.INVALID
         self._slots[index] = None
+        heapq.heappush(self._free, index)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -70,15 +81,19 @@ class SoftPWB:
         return self._states[index]
 
     def count(self, state: SlotState) -> int:
-        return sum(1 for s in self._states if s is state)
+        if state is SlotState.INVALID:
+            return len(self._free)
+        if state is SlotState.VALID:
+            return len(self._valid)
+        return self.capacity - len(self._free) - len(self._valid)
 
     @property
     def occupied(self) -> int:
-        return self.capacity - self.count(SlotState.INVALID)
+        return self.capacity - len(self._free)
 
     @property
     def has_space(self) -> bool:
-        return self.count(SlotState.INVALID) > 0
+        return bool(self._free)
 
     def requests(self) -> list[WalkRequest]:
         """Every buffered request (valid or processing), slot order."""

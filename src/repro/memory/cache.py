@@ -11,9 +11,9 @@ cache behaviour.
 ``access`` is the single hottest component method in ``repro profile``
 runs, so the hot path hoists everything it can: the per-instance
 counter-name strings are precomputed, counters are bumped through the
-raw :meth:`~repro.sim.stats.Counter.live` mapping, and the victim way
-is resolved back to its tag through a per-set ``_tag_of`` array instead
-of a reverse scan over the tag->way dict.
+raw :meth:`~repro.sim.stats.Counter.live` mapping, each resident line
+carries its own way, and the victim way is resolved back to its tag
+through a per-set ``_tag_of`` array instead of a reverse dict scan.
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ import heapq
 
 from repro.config import CacheConfig
 from repro.memory.dram import DRAM
-from repro.memory.replacement import make_policy
+from repro.memory.replacement import policy_factory
 from repro.sim.stats import StatsRegistry
 
 
 class _Line:
-    """One resident cache line: per-sector fill times."""
+    """One resident cache line: its way and per-sector fill times."""
 
-    __slots__ = ("tag", "sector_ready")
+    __slots__ = ("tag", "way", "sector_ready")
 
-    def __init__(self, tag: int) -> None:
+    def __init__(self, tag: int, way: int) -> None:
         self.tag = tag
+        self.way = way
         #: sector index -> cycle at which its data is (or will be) valid.
         self.sector_ready: dict[int, int] = {}
 
@@ -60,10 +61,8 @@ class SectoredCache:
         self.name = name
         self._num_sets = config.num_sets
         self._sets: list[dict[int, _Line]] = [{} for _ in range(self._num_sets)]
-        self._policies = [
-            make_policy(replacement_policy) for _ in range(self._num_sets)
-        ]
-        self._way_of: list[dict[int, int]] = [{} for _ in range(self._num_sets)]
+        new_policy = policy_factory(replacement_policy)
+        self._policies = [new_policy() for _ in range(self._num_sets)]
         #: way -> resident tag per set (None when free): victim
         #: resolution without a reverse dict scan.
         self._tag_of: list[list[int | None]] = [
@@ -72,6 +71,8 @@ class SectoredCache:
         self._free_ways: list[list[int]] = [
             list(range(config.associativity)) for _ in range(self._num_sets)
         ]
+        #: Victim candidates of a full set: every way, in way order.
+        self._all_ways = list(range(config.associativity))
         self._tick = 0
         #: Min-heap of outstanding miss completion times (MSHR occupancy).
         self._outstanding: list[int] = []
@@ -115,8 +116,7 @@ class SectoredCache:
 
         line = cache_set.get(tag)
         if line is not None:
-            way = self._way_of[set_index][tag]
-            self._policies[set_index].touch(way, self._tick)
+            self._policies[set_index].touch(line.way, self._tick)
             ready = line.sector_ready.get(sector)
             if ready is not None:
                 if ready > lookup_done:
@@ -161,15 +161,12 @@ class SectoredCache:
             # Free list empty: every way is resident, so candidates are
             # all ways in way order (built-in policies are
             # candidate-order-independent — ticks are unique).
-            way = policy.victim(list(range(self.config.associativity)))
-            victim_tag = tag_of[way]
-            del cache_set[victim_tag]
-            del self._way_of[set_index][victim_tag]
+            way = policy.victim(self._all_ways)
+            del cache_set[tag_of[way]]
             policy.forget(way)
             self._counts[self._c_evictions] += 1
-        line = _Line(tag)
+        line = _Line(tag, way)
         cache_set[tag] = line
-        self._way_of[set_index][tag] = way
         tag_of[way] = tag
         policy.touch(way, self._tick)
         return line

@@ -8,6 +8,7 @@ one per set — so the hot update path stays cheap.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
 
 
 class ReplacementPolicy(ABC):
@@ -22,7 +23,8 @@ class ReplacementPolicy(ABC):
         """Choose which of ``candidate_ways`` to evict.
 
         Callers pass candidates in ascending way order; on a tie the
-        first (lowest-numbered) minimal way wins.
+        first (lowest-numbered) minimal way wins.  The list may be shared
+        by the caller across calls, so policies must not mutate it.
         """
 
     @abstractmethod
@@ -89,15 +91,22 @@ class FIFOPolicy(ReplacementPolicy):
         self._inserted.pop(way, None)
 
 
-def make_policy(name: str) -> ReplacementPolicy:
-    """Build the named policy via the component registry.
+def policy_factory(name: str) -> Callable[[], ReplacementPolicy]:
+    """Resolve the named policy's factory via the component registry.
 
-    Plugin-registered policies (``repro.arch.REPLACEMENT_POLICIES``)
-    are selectable here by the same names.
+    Components that hold one policy per set resolve the factory once
+    and call it per set.  Plugin-registered policies
+    (``repro.arch.REPLACEMENT_POLICIES``) are selectable here by the
+    same names.
     """
     from repro.arch.registry import REPLACEMENT_POLICIES
 
     try:
-        return REPLACEMENT_POLICIES.create(name)
+        return REPLACEMENT_POLICIES.factory(name)
     except KeyError as miss:
         raise ValueError(str(miss)) from None
+
+
+def make_policy(name: str) -> ReplacementPolicy:
+    """Build one instance of the named policy (see :func:`policy_factory`)."""
+    return policy_factory(name)()

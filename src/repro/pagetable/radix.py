@@ -9,7 +9,7 @@ the paper's methodology describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.pagetable.address import RADIX_BITS_PER_LEVEL, AddressLayout
 from repro.pagetable.allocator import FrameAllocator
@@ -28,8 +28,7 @@ class PageFault(Exception):
         self.level = level
 
 
-@dataclass(frozen=True)
-class WalkStep:
+class WalkStep(NamedTuple):
     """One PTE read during a page walk."""
 
     level: int
@@ -52,9 +51,6 @@ class _Node:
         self.children: dict[int, _Node] = {}
         self.leaves: dict[int, int] = {}
 
-    def pte_address(self, index: int) -> int:
-        return self.phys_base + index * PTE_BYTES
-
 
 class RadixPageTable:
     """A multi-level radix page table backed by physical frames.
@@ -66,6 +62,17 @@ class RadixPageTable:
 
     def __init__(self, layout: AddressLayout, pt_allocator: FrameAllocator) -> None:
         self.layout = layout
+        #: ``(level, shift, mask)`` per level, root first: radix indexing
+        #: inlined on the walk path, where ``layout.level_index`` would
+        #: re-check the level on every PTE.
+        self._radix = tuple(
+            (
+                level,
+                RADIX_BITS_PER_LEVEL * (level - 1),
+                (1 << layout.level_bits(level)) - 1,
+            )
+            for level in range(layout.levels, 0, -1)
+        )
         self._allocator = pt_allocator
         self._frame_cursor: int | None = None
         self._frame_used = 0
@@ -91,14 +98,14 @@ class RadixPageTable:
         if vpn > self.layout.max_vpn():
             raise ValueError(f"vpn {vpn:#x} exceeds {self.layout.vpn_bits}-bit space")
         node = self._root
-        for level in range(self.layout.levels, 1, -1):
-            index = self.layout.level_index(vpn, level)
+        for _level, shift, mask in self._radix[:-1]:
+            index = (vpn >> shift) & mask
             child = node.children.get(index)
             if child is None:
                 child = self._new_node()
                 node.children[index] = child
             node = child
-        leaf_index = self.layout.level_index(vpn, 1)
+        leaf_index = vpn & self._radix[-1][2]
         if leaf_index not in node.leaves:
             self._mapped_pages += 1
         node.leaves[leaf_index] = pfn
@@ -109,13 +116,12 @@ class RadixPageTable:
     def translate(self, vpn: int) -> int:
         """Return the PFN for ``vpn`` or raise :class:`PageFault`."""
         node = self._root
-        for level in range(self.layout.levels, 1, -1):
-            index = self.layout.level_index(vpn, level)
-            child = node.children.get(index)
+        for level, shift, mask in self._radix[:-1]:
+            child = node.children.get((vpn >> shift) & mask)
             if child is None:
                 raise PageFault(vpn, level)
             node = child
-        leaf_index = self.layout.level_index(vpn, 1)
+        leaf_index = vpn & self._radix[-1][2]
         if leaf_index not in node.leaves:
             raise PageFault(vpn, 1)
         return node.leaves[leaf_index]
@@ -133,13 +139,10 @@ class RadixPageTable:
         Intermediate nodes stay allocated, exactly like a real driver
         clearing one PTE.  Returns False when the page was not mapped.
         """
-        node = self._root
-        for level in range(self.layout.levels, 1, -1):
-            child = node.children.get(self.layout.level_index(vpn, level))
-            if child is None:
-                return False
-            node = child
-        leaf_index = self.layout.level_index(vpn, 1)
+        node = self._node_at(vpn, 1)
+        if node is None:
+            return False
+        leaf_index = vpn & self._radix[-1][2]
         if leaf_index not in node.leaves:
             return False
         del node.leaves[leaf_index]
@@ -155,9 +158,10 @@ class RadixPageTable:
                 root.  The walk reads one PTE at each level from
                 ``start_level`` down to 1, stopping early on a fault.
         """
+        levels = self.layout.levels
         if start_level is None:
-            start_level = self.layout.levels
-        if not 1 <= start_level <= self.layout.levels:
+            start_level = levels
+        if not 1 <= start_level <= levels:
             raise ValueError(f"start level {start_level} outside table")
 
         node = self._node_at(vpn, start_level)
@@ -165,37 +169,38 @@ class RadixPageTable:
         if node is None:
             # The upper path is unmapped; report a fault at the entry level.
             steps.append(
-                WalkStep(start_level, self._root.pte_address(0), 0, False, valid=False)
+                WalkStep(start_level, self._root.phys_base, 0, False, valid=False)
             )
             return steps
 
-        for level in range(start_level, 1, -1):
-            index = self.layout.level_index(vpn, level)
+        for level, shift, mask in self._radix[levels - start_level : -1]:
+            index = (vpn >> shift) & mask
+            address = node.phys_base + index * PTE_BYTES
             child = node.children.get(index)
             if child is None:
-                steps.append(WalkStep(level, node.pte_address(index), 0, False, valid=False))
+                steps.append(WalkStep(level, address, 0, False, valid=False))
                 return steps
-            steps.append(WalkStep(level, node.pte_address(index), child.phys_base, False))
+            steps.append(WalkStep(level, address, child.phys_base, False))
             node = child
 
-        leaf_index = self.layout.level_index(vpn, 1)
+        leaf_index = vpn & self._radix[-1][2]
+        address = node.phys_base + leaf_index * PTE_BYTES
         pfn = node.leaves.get(leaf_index)
         if pfn is None:
-            steps.append(WalkStep(1, node.pte_address(leaf_index), 0, True, valid=False))
+            steps.append(WalkStep(1, address, 0, True, valid=False))
         else:
-            steps.append(WalkStep(1, node.pte_address(leaf_index), pfn, True))
+            steps.append(WalkStep(1, address, pfn, True))
         return steps
 
     def node_base(self, vpn: int, level: int) -> int | None:
         """Physical base of the table node serving ``vpn`` at ``level``."""
-        node = self._node_at(vpn, level)
+        node = self._node_at(vpn, min(level, self.layout.levels))
         return node.phys_base if node is not None else None
 
     def _node_at(self, vpn: int, level: int) -> _Node | None:
         node = self._root
-        for lvl in range(self.layout.levels, level, -1):
-            index = self.layout.level_index(vpn, lvl)
-            node = node.children.get(index)
+        for _level, shift, mask in self._radix[: self.layout.levels - level]:
+            node = node.children.get((vpn >> shift) & mask)
             if node is None:
                 return None
         return node

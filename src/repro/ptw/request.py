@@ -5,13 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(eq=False)
 class WalkRequest:
     """One outstanding page table walk.
 
     Created by the L2 TLB controller on a tracked miss, after the Page
     Walk Cache probe decided the starting level (the Request Distributor
     "consults the PWC before dispatching page walk requests").
+
+    Equality is identity: two live walks of the same VPN are still two
+    walks, and ``list.remove`` on an owner's request list must take out
+    the object that finished, not the first field-equal one.
     """
 
     vpn: int

@@ -10,14 +10,13 @@ the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.pagetable.radix import RadixPageTable
 from repro.tlb.pwc import PageWalkCache
 
 
-@dataclass(frozen=True)
-class WalkOutcome:
+class WalkOutcome(NamedTuple):
     """Result of traversing the radix table for one VPN."""
 
     pfn: int | None

@@ -93,11 +93,7 @@ class CoalescedTLB(TLB):
         waiters: list[Any] = []
         slot = self._map.get(vpn)
         if slot is not None and self._pend[slot]:
-            waiters = self._waiters[slot]
-            self._waiters[slot] = None
-            self._pend[slot] = 0
-            self._pending_count -= 1
-            counts[self._c_pending_resolved] += 1
+            waiters = self._resolve_pending(slot)
             self._evict_slot(slot)
 
         offset = vpn % self.span

@@ -10,7 +10,7 @@ a cold probe simply starts at the root level.
 from __future__ import annotations
 
 from repro.memory.replacement import make_policy
-from repro.pagetable.address import AddressLayout
+from repro.pagetable.address import RADIX_BITS_PER_LEVEL, AddressLayout
 from repro.sim.stats import StatsRegistry
 
 
@@ -52,6 +52,14 @@ class PageWalkCache:
         #: the reverse scan over ``_way_of``.
         self._key_of: list[tuple[int, int] | None] = [None] * entries
         self._free = list(range(entries))
+        self._all_ways = list(range(entries))
+        #: ``(level, shift)`` per probed level, deepest first:
+        #: the table tag is ``vpn >> shift`` (``AddressLayout.table_tag``
+        #: without its level check).
+        self._probe_levels = [
+            (level, RADIX_BITS_PER_LEVEL * level)
+            for level in range(min_level, layout.levels)
+        ]
         self._tick = 0
         self._counts = stats.counters.live()
         self._c_probes = f"{name}.probes"
@@ -69,10 +77,9 @@ class PageWalkCache:
         self._tick += 1
         counts = self._counts
         counts[self._c_probes] += 1
-        table_tag = self.layout.table_tag
         entries = self._entries
-        for level in range(self.min_level, self.layout.levels):
-            key = (level, table_tag(vpn, level))
+        for level, shift in self._probe_levels:
+            key = (level, vpn >> shift)
             base = entries.get(key)
             if base is not None:
                 self._policy.touch(self._way_of[key], self._tick)
@@ -86,7 +93,7 @@ class PageWalkCache:
         if self.capacity == 0 or level >= self.layout.levels or level < self.min_level:
             return
         self._tick += 1
-        key = (level, self.layout.table_tag(vpn, level))
+        key = (level, vpn >> (RADIX_BITS_PER_LEVEL * level))
         if key in self._entries:
             self._entries[key] = node_base
             self._policy.touch(self._way_of[key], self._tick)
@@ -97,7 +104,7 @@ class PageWalkCache:
             # Free list empty means every way is occupied: candidates
             # are simply all ways, in way order (the built-in policies
             # are candidate-order-independent — ticks are unique).
-            way = self._policy.victim(list(range(self.capacity)))
+            way = self._policy.victim(self._all_ways)
             victim_key = self._key_of[way]
             del self._entries[victim_key]
             del self._way_of[victim_key]

@@ -23,7 +23,9 @@ parallel arrays* indexed by ``slot = set_index * ways + way``:
   bit (a ``bytearray``), and parked-waiter list (``None`` when not
   pending).
 
-Victim candidates are produced in way order (``0..ways-1``), not dict
+A per-set count of pending ways lets a set with none hand the policy
+one shared all-ways list instead of building a candidate list.  Victim
+candidates are produced in way order (``0..ways-1``), not dict
 insertion order.  The built-in LRU/FIFO policies are order-independent
 (their per-way ticks are unique, so the minimum is unique); plugin
 replacement policies now see a *defined* candidate order, which the
@@ -35,7 +37,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config import TLBConfig
-from repro.memory.replacement import make_policy
+from repro.memory.replacement import policy_factory
 from repro.sim.stats import StatsRegistry
 
 
@@ -69,9 +71,11 @@ class TLB:
         self._free_ways: list[list[int]] = [
             list(range(self._ways)) for _ in range(self._num_sets)
         ]
-        self._policies = [
-            make_policy(replacement_policy) for _ in range(self._num_sets)
-        ]
+        #: Victim candidates of a set with no pending way.
+        self._all_ways = list(range(self._ways))
+        self._set_pending = [0] * self._num_sets
+        new_policy = policy_factory(replacement_policy)
+        self._policies = [new_policy() for _ in range(self._num_sets)]
         self._tick = 0
         self._pending_count = 0
         # Hot-path accessors: the raw counter mapping plus precomputed
@@ -136,11 +140,7 @@ class TLB:
         if slot is not None:
             waiters: list[Any] = []
             if self._pend[slot]:
-                waiters = self._waiters[slot]
-                self._waiters[slot] = None
-                self._pend[slot] = 0
-                self._pending_count -= 1
-                self._counts[self._c_pending_resolved] += 1
+                waiters = self._resolve_pending(slot)
             self._pfn[slot] = pfn
             set_index, way = divmod(slot, self._ways)
             self._policies[set_index].touch(way, self._tick)
@@ -177,15 +177,27 @@ class TLB:
         if slot is not None:
             # A valid entry exists; caller should have hit.  Replace it.
             self._evict_slot(slot)
-        slot = self._take_slot(self.set_index(vpn))
+        set_index = self.set_index(vpn)
+        slot = self._take_slot(set_index)
         if slot is None:
             return False
         self._install(slot, vpn, 0)
         self._pend[slot] = 1
         self._waiters[slot] = [waiter]
         self._pending_count += 1
+        self._set_pending[set_index] += 1
         self._counts[self._c_pending_allocated] += 1
         return True
+
+    def _resolve_pending(self, slot: int) -> list[Any]:
+        """Clear ``slot``'s pending bit; returns the waiters parked on it."""
+        waiters = self._waiters[slot]
+        self._waiters[slot] = None
+        self._pend[slot] = 0
+        self._pending_count -= 1
+        self._set_pending[slot // self._ways] -= 1
+        self._counts[self._c_pending_resolved] += 1
+        return waiters
 
     def merge_pending(self, vpn: int, waiter: Any) -> bool:
         """Park another waiter on an existing pending entry."""
@@ -220,10 +232,14 @@ class TLB:
         base = set_index * self._ways
         if free:
             return base + free.pop()
-        pend = self._pend
-        candidates = [way for way in range(self._ways) if not pend[base + way]]
-        if not candidates:
+        pending = self._set_pending[set_index]
+        if pending == 0:
+            candidates = self._all_ways
+        elif pending == self._ways:
             return None
+        else:
+            pend = self._pend
+            candidates = [way for way in self._all_ways if not pend[base + way]]
         way = self._policies[set_index].victim(candidates)
         self._evict_slot(base + way)
         return base + free.pop()

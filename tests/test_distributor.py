@@ -1,9 +1,11 @@
 """Unit tests for the Request Distributor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DistributorPolicy
-from repro.core.distributor import RequestDistributor
+from repro.core.distributor import RequestDistributor, RoundRobinSelection
 from repro.ptw.request import WalkRequest
 from repro.sim.stats import StatsRegistry
 
@@ -43,6 +45,22 @@ class TestRoundRobin:
         assert dist.counter(0) == 1 and dist.in_flight == 1
         dist.complete(0)
         assert dist.counter(0) == 0
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.integers(min_value=0, max_value=45), min_size=1))
+    def test_bisect_pick_matches_modular_min(self, subset):
+        # 46 SMs, every cursor: the first available SM at or after the
+        # cursor, wrapping, is the one closest to it modulo 46.
+        num_sms = 46
+        available = sorted(subset)
+        dist, _ = make_distributor(num_sms=num_sms)
+        for cursor in range(num_sms):
+            policy = RoundRobinSelection()
+            policy._cursor = cursor
+            expected = min(available, key=lambda s: (s - cursor) % num_sms)
+            assert policy.select(available, dist) == expected
+            assert policy._cursor == (expected + 1) % num_sms
 
 
 class TestOverflow:

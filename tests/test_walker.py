@@ -8,7 +8,7 @@ from repro.pagetable.allocator import FrameAllocator
 from repro.pagetable.radix import RadixPageTable
 from repro.ptw.request import WalkRequest
 from repro.ptw.subsystem import NHA_SPAN_PTES, HardwareWalkBackend
-from repro.ptw.walker import PteMemoryPort, execute_walk
+from repro.ptw.walker import PteMemoryPort, WalkOutcome, execute_walk
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 from repro.tlb.pwc import PageWalkCache
@@ -156,6 +156,29 @@ class TestHardwareWalkBackend:
             backend.submit(walk_request(vpn))
         engine.run()
         assert all(req.queueing == 0 for req, _ in done)
+
+    def test_field_equal_walks_are_distinct_owners(self):
+        # Two walks of one VPN started in the same cycle carry equal
+        # fields.  When the second completes first, it must release
+        # itself, not its twin, or the audit holds a finished walk.
+        _engine, backend, _, _ = make_backend(num_walkers=2, ports=2)
+        first, second = walk_request(5), walk_request(5)
+        backend.submit(first)
+        backend.submit(second)
+        assert vars(first) == vars(second)
+        outcome = WalkOutcome(
+            pfn=6,
+            finish_time=400,
+            access_cycles=400,
+            levels_accessed=4,
+            faulted=False,
+            fault_level=0,
+            leaf_pte_address=None,
+        )
+        backend._finish(second, outcome)
+        live = backend.live_requests()
+        assert len(live) == 1
+        assert live[0] is first
 
 
 class TestNHACoalescing:
