@@ -39,56 +39,15 @@ from repro.arch.registry import WALK_BACKENDS
 DELAY = float(os.environ.get("REPRO_MOLASSES_DELAY", "0.002"))
 
 
-class MolassesWalkBackend:
-    """Delegates everything to the config's natural backend, slowly."""
-
-    def __init__(self, ctx):
-        # Resolve the backend this config would select with the
-        # override removed, and build it through the registry so the
-        # wrapper composes with hardware, softwalker, and hybrid alike.
-        inner_name = MachineSpec(
-            config=ctx.config.derive(walk_backend=None)
-        ).backend_name
-        self._inner = WALK_BACKENDS.create(inner_name, ctx)
-
-    def submit(self, request):
-        time.sleep(DELAY)
-        self._inner.submit(request)
-
-    # ``on_complete`` is assigned by the TranslationService after
-    # construction; forward it to the wrapped backend, which is the one
-    # that actually finishes walks.
-    @property
-    def on_complete(self):
-        return self._inner.on_complete
-
-    @on_complete.setter
-    def on_complete(self, callback):
-        self._inner.on_complete = callback
-
-    # Optional protocol members delegate so audits and metrics see the
-    # real backend's state.
-    @property
-    def in_flight(self):
-        return getattr(self._inner, "in_flight", 0)
-
-    def live_requests(self):
-        inner = getattr(self._inner, "live_requests", None)
-        return inner() if inner is not None else []
-
-    def register_metrics(self, metrics):
-        register = getattr(self._inner, "register_metrics", None)
-        if register is not None:
-            register(metrics)
-
-
 class _SleepyBackend:
-    """Hijack-mode wrapper: the original backend plus a per-walk sleep.
+    """The wrapped backend plus a per-walk sleep.
 
-    Unlike :class:`MolassesWalkBackend` it wraps a *captured factory*
-    rather than re-resolving through the registry — the registry slot
-    it occupies is the one being replaced, so resolving by name again
-    would recurse.
+    Only ``submit`` differs; ``on_complete`` (assigned by the
+    TranslationService after construction) goes to the wrapped backend,
+    which is the one that actually finishes walks, and every other
+    attribute — ``in_flight``, ``live_requests``, ``register_metrics``,
+    a hybrid backend's ``has_free_walker`` — is read from it, so audits,
+    metrics and composite backends see the real backend's state.
     """
 
     def __init__(self, inner):
@@ -106,24 +65,23 @@ class _SleepyBackend:
     def on_complete(self, callback):
         self._inner.on_complete = callback
 
-    @property
-    def in_flight(self):
-        return getattr(self._inner, "in_flight", 0)
-
-    def live_requests(self):
-        inner = getattr(self._inner, "live_requests", None)
-        return inner() if inner is not None else []
-
-    def register_metrics(self, metrics):
-        register = getattr(self._inner, "register_metrics", None)
-        if register is not None:
-            register(metrics)
+    def __getattr__(self, name):
+        # Only reached for names this class does not define.
+        if name == "_inner":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
 
 
 @WALK_BACKENDS.decorator("molasses", replace_existing=True)
 def build_molasses_backend(ctx):
-    """Factory the registry calls; ``ctx`` is a BackendContext."""
-    return MolassesWalkBackend(ctx)
+    """Factory the registry calls; ``ctx`` is a BackendContext.
+
+    Resolves the backend this config would select with the override
+    removed and builds it through the registry, so the wrapper composes
+    with hardware, softwalker, and hybrid alike.
+    """
+    inner_name = MachineSpec(config=ctx.config.derive(walk_backend=None)).backend_name
+    return _SleepyBackend(WALK_BACKENDS.create(inner_name, ctx))
 
 
 if os.environ.get("REPRO_MOLASSES_HIJACK"):
@@ -133,6 +91,8 @@ if os.environ.get("REPRO_MOLASSES_HIJACK"):
         except KeyError:
             continue
 
+        # Wrap the captured factory: resolving by name again would
+        # recurse into the slot being replaced.
         def _make_sleepy(original):
             def factory(ctx):
                 return _SleepyBackend(original(ctx))

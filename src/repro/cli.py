@@ -486,7 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", metavar="PATH", help="unix socket path (default: REPRO_SOCKET)"
     )
     serve_parser.add_argument(
-        "--max-inflight", type=int, default=None, help="concurrent worker processes"
+        "--max-inflight",
+        type=int,
+        default=None,
+        help="local worker hosts to fork (0 = pure scheduler for remote workers)",
     )
     serve_parser.add_argument(
         "--max-depth", type=int, default=None, help="queued-job admission bound"
@@ -1740,7 +1743,6 @@ def cmd_jobs(socket_path: str | None, stats: bool) -> int:
                             f"/{len(workers)} connected",
                         ],
                         ["active leases", len(fleet.get("leases") or [])],
-                        ["remote inflight", fleet.get("remote_inflight", 0)],
                         ["crash requeues", fleet.get("crash_requeues", 0)],
                         ["dead letters", fleet.get("dead_letters", 0)],
                     ]

@@ -544,7 +544,7 @@ class ServiceConfig:
 
     Architectural knobs live in :class:`GPUConfig`; these are the
     *operational* ones — where the daemon listens, how much work it
-    admits before pushing back, how many worker processes run at once,
+    admits before pushing back, how many local worker hosts it forks,
     and how patiently it drains on shutdown.  See docs/service.md.
     """
 
@@ -558,9 +558,9 @@ class ServiceConfig:
     state_path: str | None = None
     #: Queued jobs (all clients) before submits get a 429 reply.
     max_depth: int = 16
-    #: Concurrent *local* worker processes (the in-flight slot bound);
-    #: 0 disables local execution entirely — a pure scheduler whose jobs
-    #: are all pulled by remote worker hosts.
+    #: Local worker hosts the daemon forks on its unix socket (each runs
+    #: one job at a time); 0 disables local execution entirely — a pure
+    #: scheduler whose jobs are all pulled by remote worker hosts.
     max_inflight: int = 2
     #: Queued jobs one client may hold before its submits get a 429.
     max_client_depth: int = 8
@@ -594,7 +594,8 @@ class ServiceConfig:
     attempt_budget: int = 3
     #: First crash requeue waits this many seconds, doubling per crash.
     requeue_backoff: float = 0.5
-    #: Seconds an idle worker host waits between queue polls.
+    #: Seconds the scheduler holds an idle worker host's long poll when
+    #: the host names no hold of its own (``repro worker --poll-interval``).
     worker_poll_interval: float = 0.5
     #: Result-store size budget in bytes (oldest entries evicted past
     #: it); None leaves the store unbounded.

@@ -198,9 +198,9 @@ class JobQueue:
         }
         self._depth = 0
         self._per_client: dict[str, int] = {}
-        #: Jobs currently dispatched to workers (ids), bounded by
-        #: ``max_inflight`` — the scheduler marks these in and out.
-        self.inflight: set[str] = set()
+        #: Leased jobs: job id -> worker id.  The scheduler records each
+        #: lease grant here and drops the entry when the lease ends.
+        self.inflight: dict[str, str] = {}
         #: Exponentially weighted mean job runtime, for Retry-After.
         self._runtime_ema: float | None = None
         #: Lifetime telemetry.
@@ -371,15 +371,6 @@ class JobQueue:
             if soonest is None or job.not_before < soonest:
                 soonest = job.not_before
         return soonest
-
-    def has_slot(self) -> bool:
-        return len(self.inflight) < self.max_inflight
-
-    def mark_running(self, job: Job) -> None:
-        self.inflight.add(job.id)
-
-    def mark_finished(self, job: Job) -> None:
-        self.inflight.discard(job.id)
 
     # ------------------------------------------------------------------
     # Persistence (drain / resume)

@@ -1,7 +1,7 @@
-"""Job scheduler: dedupe, dispatch, streaming, drain/resume.
+"""Job scheduler: dedupe, leased dispatch, streaming, drain/resume.
 
 The scheduler sits between the :class:`~repro.service.queue.JobQueue`
-and the fork-based worker processes:
+and the worker hosts (:mod:`repro.service.worker`) that execute jobs:
 
 * **Dedupe** — a submission whose
   :meth:`~repro.service.protocol.JobSpec.key` matches a queued, running,
@@ -9,29 +9,32 @@ and the fork-based worker processes:
   get the same result payload, byte-identical by construction).  Keys
   are exactly the sweep engine's persistent-store keys, so a submission
   whose result already sits in the :class:`~repro.harness.store.ResultStore`
-  completes instantly from disk without ever occupying a worker slot.
-* **Dispatch** — admitted jobs run in worker processes forked from the
-  same :func:`~repro.harness.pool.pool_context` the sweep engine uses,
-  each driven by :func:`~repro.harness.pool.run_point_supervised` so
-  wall-clock timeouts, retry with backoff, and graceful degradation all
-  come from the supervised runner rather than being reimplemented here.
-* **Streaming** — workers send heartbeat frames (cycle, events, warps
-  remaining, sampled gauges from the
-  :class:`~repro.obs.MetricsSampler`) over a pipe after every
-  supervised slice; the scheduler fans them out to per-job subscriber
-  queues, keeping a bounded history for late subscribers.
-* **Drain / resume** — :meth:`Scheduler.drain` stops dispatching, gives
-  in-flight jobs a grace period, pushes the stragglers back onto the
+  completes instantly from disk without ever reaching a worker.
+* **Dispatch** — every job runs on a worker host: the daemon's own
+  local hosts (``repro serve --max-inflight N`` forks N of them) and
+  any remote ``repro worker`` hosts all pull work the same way, with a
+  ``worker_poll`` *long poll* that :meth:`Scheduler.poll` holds until a
+  job becomes eligible or the hold elapses.  Each host forks
+  :func:`_job_worker` per job, driven by
+  :func:`~repro.harness.pool.run_point_supervised`, so wall-clock
+  timeouts, retry with backoff, and graceful degradation all come from
+  the supervised runner rather than being reimplemented here.
+* **Streaming** — hosts forward the job's heartbeat frames (cycle,
+  events, warps remaining, sampled gauges from the
+  :class:`~repro.obs.MetricsSampler`) with their lease heartbeats; the
+  scheduler fans them out to per-job subscriber queues, keeping a
+  bounded history for late subscribers.
+* **Leases** — every dispatch is covered by a
+  :class:`~repro.service.lease.Lease`; a host that dies or partitions
+  simply stops refreshing it, the reaper notices the expiry, and the
+  job is requeued with exponential backoff.  A job whose crashes exhaust
+  ``attempt_budget`` is *dead-lettered* (state ``dead``) instead of
+  retried forever — the poison-job quarantine.
+* **Drain / resume** — :meth:`Scheduler.drain` stops dispatching
+  (held polls return empty and the server answers them 503), gives
+  leased jobs a grace period, pushes the stragglers back onto the
   queue, and :meth:`Scheduler.save_state` persists everything still
   queued so a restarted daemon resumes exactly where this one stopped.
-* **Fleet dispatch** — remote worker hosts (:mod:`repro.service.worker`)
-  pull jobs over the TCP transport with ``worker_poll`` and stream
-  heartbeats home.  Every dispatch — local fork or remote pull — is
-  covered by a :class:`~repro.service.lease.Lease`; a worker that dies
-  or partitions simply stops refreshing it, the reaper notices the
-  expiry, and the job is requeued with exponential backoff.  A job
-  whose crashes exhaust ``attempt_budget`` is *dead-lettered* (state
-  ``dead``) instead of retried forever — the poison-job quarantine.
 """
 
 from __future__ import annotations
@@ -44,11 +47,11 @@ import signal
 import tempfile
 import time
 import uuid
-from typing import Any
+from typing import Any, Callable
 
 from repro.config import DEFAULT_CONFIGS, ConfigRegistry, ServiceConfig
 from repro.gpu.gpu import SimulationResult
-from repro.harness.pool import pool_context, run_point_supervised
+from repro.harness.pool import run_point_supervised
 from repro.harness.store import ResultStore
 from repro.harness.supervised import SupervisionPolicy
 from repro.service.lease import LeaseHeld, LeaseManager, describe_leases
@@ -61,9 +64,11 @@ logger = logging.getLogger(__name__)
 #: supervised slice cadence can be far finer than anyone wants to read).
 HEARTBEAT_MIN_INTERVAL = 0.05
 
-#: Extra wall-clock slack the scheduler's hard watchdog allows on top of
-#: the supervised runner's own (timeout * attempts) budget before it
-#: terminates a silent worker outright.
+#: Extra wall-clock slack a worker host's watchdog allows on top of the
+#: supervised runner's own (timeout * attempts) budget before it kills a
+#: silent job process outright; also how long a draining daemon waits
+#: for its local hosts after each stop signal, and the longest clients
+#: wait at start-up for those hosts' first polls.
 HARD_KILL_SLACK = 10.0
 
 #: Chaos hook: a worker whose job carries this seed exits hard before
@@ -77,16 +82,16 @@ STORE_CLAIM_TTL = 60.0
 
 
 def _job_worker(spec_payload: dict, policy_payload: dict, sample_interval: int, conn) -> None:
-    """Worker-process entry: run one job, stream events over ``conn``.
+    """Job-process entry: run one job, stream events over ``conn``.
 
-    Runs in a forked child.  Every outbound message is a dict with a
-    ``type`` of ``heartbeat``, ``result``, or ``error``; the pipe closes
-    after the terminal message, so the parent treats EOF-without-
-    terminal as a worker death.
+    Runs in a child forked by a worker host.  Every outbound message is
+    a dict with a ``type`` of ``heartbeat``, ``result``, or ``error``;
+    the pipe closes after the terminal message, so the host treats
+    EOF-without-terminal as a job-process death.
     """
-    # The fork inherits the daemon's asyncio signal handlers, under which
-    # SIGTERM only pokes the (inherited) wakeup fd instead of killing us —
-    # which would make the scheduler's terminate() during drain a no-op.
+    # The fork inherits the host's finish-then-exit SIGTERM handler, which
+    # would make the host's terminate() (and a drain's group SIGTERM) a
+    # no-op for the job.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     chaos_seed = os.environ.get(CHAOS_EXIT_ENV)
@@ -154,14 +159,6 @@ def _job_worker(spec_payload: dict, policy_payload: dict, sample_interval: int, 
             pass
 
 
-def _recv(conn) -> dict | None:
-    """Blocking pipe read (run in an executor thread); None on EOF."""
-    try:
-        return conn.recv()
-    except (EOFError, OSError):
-        return None
-
-
 class Scheduler:
     """Owns the job table, the queue, the workers, and the store."""
 
@@ -191,23 +188,18 @@ class Scheduler:
         self._by_key: dict[str, Job] = {}
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
         self._done: dict[str, asyncio.Event] = {}
-        self._procs: dict[str, Any] = {}
-        self._run_tasks: dict[str, asyncio.Task] = {}
-        self._requeue_on_death: set[str] = set()
-        self._dispatcher: asyncio.Task | None = None
+        #: One future per held ``worker_poll``; resolved when a job may
+        #: have become eligible (submit, requeue, backoff expiry, drain).
+        self._pollers: set[asyncio.Future] = set()
         self._reaper: asyncio.Task | None = None
-        self._wake: asyncio.Event | None = None
         self.draining = False
         self.started_at = time.time()
         #: Simulations actually executed by workers (cache/dedupe hits
         #: never increment this — the currency of the dedupe tests).
         self.simulations = 0
-        #: Remote worker hosts by id -> registration/health record.
+        #: Worker hosts (local and remote) by id -> registration/health
+        #: record.
         self.workers: dict[str, dict] = {}
-        #: Jobs currently leased to remote workers (job id -> worker id).
-        #: Disjoint from the local fork pool: remote dispatch does not
-        #: consume ``max_inflight`` slots.
-        self.remote: dict[str, str] = {}
         #: Jobs dead-lettered after exhausting their attempt budget.
         self.dead_letters = 0
         #: Crash requeues performed (lease expiry, worker death).
@@ -217,9 +209,7 @@ class Scheduler:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Attach to the running event loop and begin dispatching."""
-        self._wake = asyncio.Event()
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        """Attach to the running event loop and start the lease reaper."""
         self._reaper = asyncio.create_task(self._reap_loop())
         orphans = self.leases.load()
         if orphans:
@@ -233,75 +223,46 @@ class Scheduler:
             )
 
     def _kick(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
+        """Wake every held poll: a job may have become eligible."""
+        for waiter in self._pollers:
+            if not waiter.done():
+                waiter.set_result(None)
 
     async def drain(self, grace: float | None = None) -> None:
-        """Stop dispatching; finish or re-queue in-flight jobs.
+        """Stop dispatching; finish or re-queue leased jobs.
 
-        In-flight jobs get ``grace`` seconds (default: the service
-        config's ``drain_grace``) to finish naturally; stragglers are
-        terminated and pushed back onto the queue in the ``queued``
-        state, so :meth:`save_state` persists them for the next daemon.
+        Held polls return empty at once.  Leased jobs get ``grace``
+        seconds (default: the service config's ``drain_grace``) to
+        finish naturally; stragglers have their leases released and go
+        back onto the queue in the ``queued`` state, so
+        :meth:`save_state` persists them for the next daemon (their
+        hosts get a 409 when they next heartbeat or report).
         """
         self.draining = True
+        self._kick()
         if grace is None:
             grace = self.config.drain_grace
-        for task_name in ("_dispatcher", "_reaper"):
-            task = getattr(self, task_name)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, task_name, None)
-        running = [task for task in self._run_tasks.values() if not task.done()]
-        if running:
-            done, pending = await asyncio.wait(running, timeout=grace)
-            if pending:
-                pending_ids = [
-                    job_id
-                    for job_id, task in self._run_tasks.items()
-                    if task in pending
-                ]
-                logger.warning(
-                    "drain grace expired; re-queueing %d in-flight job(s): %s",
-                    len(pending_ids),
-                    ", ".join(pending_ids),
-                )
-                self._requeue_on_death.update(pending_ids)
-                for job_id in pending_ids:
-                    proc = self._procs.get(job_id)
-                    if proc is not None and proc.is_alive():
-                        proc.terminate()
-                _done, pending = await asyncio.wait(
-                    pending, timeout=HARD_KILL_SLACK
-                )
-                if pending:
-                    # A worker ignored SIGTERM; SIGKILL cannot be ignored,
-                    # and the resulting pipe EOF unblocks the reader task.
-                    for job_id in pending_ids:
-                        proc = self._procs.get(job_id)
-                        if proc is not None and proc.is_alive():
-                            proc.kill()
-                    await asyncio.wait(pending, timeout=HARD_KILL_SLACK)
-        # Remote in-flight jobs get the same grace to report home, then
-        # are requeued for the next daemon (their workers will get a 409
-        # when they eventually try to complete a released lease).
-        if self.remote:
+        if self._reaper is not None:
+            self._reaper.cancel()
+            try:
+                await self._reaper
+            except asyncio.CancelledError:
+                pass
+            self._reaper = None
+        inflight = self.queue.inflight
+        if inflight:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + grace
-            while self.remote and loop.time() < deadline:
+            while inflight and loop.time() < deadline:
                 await asyncio.sleep(0.05)
-            for job_id in list(self.remote):
-                worker = self.remote.pop(job_id)
+            for job_id in list(inflight):
+                worker = inflight.pop(job_id)
                 self.leases.release_job(job_id)
                 job = self.jobs.get(job_id)
                 if job is None:
                     continue
                 logger.warning(
-                    "drain grace expired; re-queueing remote job %s (worker %s)",
+                    "drain grace expired; re-queueing job %s (worker %s)",
                     job_id,
                     worker,
                 )
@@ -376,147 +337,8 @@ class Scheduler:
         self._done[job.id] = event
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Completion: the one crash / requeue / dead-letter path
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        assert self._wake is not None
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            while not self.draining and self.queue.has_slot():
-                job = self.queue.pop()
-                if job is None:
-                    break
-                # Reserve the worker slot synchronously: _run_job only
-                # starts once this loop yields, so marking there would
-                # let a burst (resume, freed slot with a backlog) blow
-                # straight through max_inflight.
-                self.queue.mark_running(job)
-                task = asyncio.create_task(self._run_job(job))
-                self._run_tasks[job.id] = task
-                task.add_done_callback(
-                    lambda _t, job_id=job.id: self._run_tasks.pop(job_id, None)
-                )
-
-    def _policy_payload(self) -> dict:
-        return {
-            "slice_events": self.config.slice_events,
-            "wall_clock_limit": self.config.job_timeout,
-            "max_retries": self.config.max_retries,
-            "backoff_base": self.config.backoff_base,
-            "degrade": True,
-        }
-
-    def _hard_budget(self) -> float | None:
-        """Max seconds of worker silence before the hard kill.
-
-        The supervised runner inside the worker already enforces the
-        per-attempt wall clock; this outer watchdog only catches a
-        worker that stopped talking entirely (crashed interpreter,
-        pipe wedged).
-        """
-        if self.config.job_timeout is None:
-            return None
-        attempts = self.config.max_retries + 1
-        backoff = sum(
-            self.config.backoff_base * (2**k) for k in range(self.config.max_retries)
-        )
-        return self.config.job_timeout * attempts + backoff + HARD_KILL_SLACK
-
-    async def _run_job(self, job: Job) -> None:
-        """Run one dispatched job (its slot is already reserved by the
-        dispatch loop via ``mark_running``)."""
-        loop = asyncio.get_running_loop()
-        job.state = "running"
-        job.started_at = time.time()
-        job.dispatches += 1
-        job.worker = f"local-{os.getpid()}"
-        try:
-            lease = self.leases.grant(
-                job.id, job.worker, attempt=job.attempts + 1
-            )
-        except LeaseHeld as held:
-            # Should be unreachable for local dispatch (the job came off
-            # the queue, so nothing holds it) — but never run a job two
-            # owners believe is theirs.
-            logger.error("local dispatch of %s refused: %s", job.id, held)
-            job.state = "queued"
-            job.started_at = None
-            self.queue.mark_finished(job)
-            self.queue.push(job)
-            return
-        self._publish(
-            job,
-            {
-                "event": "started",
-                "dispatch": job.dispatches,
-                "worker": job.worker,
-                "attempt": lease.attempt,
-            },
-        )
-
-        ctx = pool_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_job_worker,
-            args=(
-                job.spec.to_dict(),
-                self._policy_payload(),
-                self.config.sample_interval,
-                child_conn,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._procs[job.id] = proc
-        budget = self._hard_budget()
-
-        result: dict | None = None
-        report: dict | None = None
-        error: str | None = None
-        crashed = False
-        try:
-            while True:
-                try:
-                    msg = await asyncio.wait_for(
-                        loop.run_in_executor(None, _recv, parent_conn), timeout=budget
-                    )
-                except asyncio.TimeoutError:
-                    error = (
-                        f"no worker message for {budget:.0f}s; "
-                        "terminated by the scheduler watchdog"
-                    )
-                    crashed = True
-                    proc.terminate()
-                    break
-                if msg is None:  # EOF without a terminal frame
-                    if result is None and error is None:
-                        error = "worker process died without reporting a result"
-                        crashed = True
-                    break
-                kind = msg.get("type")
-                if kind == "heartbeat":
-                    self.leases.refresh(lease.token)
-                    event = {"event": "progress", **{
-                        k: v for k, v in msg.items() if k != "type"
-                    }}
-                    self._publish(job, event)
-                elif kind == "result":
-                    result = msg["result"]
-                    report = msg.get("report")
-                elif kind == "error":
-                    # A worker-reported in-job exception is deterministic
-                    # — rerunning it fails identically — so it fails fast
-                    # instead of burning the crash-retry budget.
-                    error = msg.get("error", "unknown worker error")
-        finally:
-            parent_conn.close()
-            await loop.run_in_executor(None, proc.join)
-            self._procs.pop(job.id, None)
-            self.queue.mark_finished(job)
-            self._finish(job, result=result, report=report, error=error, crash=crashed)
-
     def _finish(
         self,
         job: Job,
@@ -527,23 +349,7 @@ class Scheduler:
         crash: bool = False,
     ) -> None:
         self.leases.release_job(job.id)
-        self.remote.pop(job.id, None)
-        if job.id in self._requeue_on_death and result is None:
-            # Drained mid-flight: back onto the queue for the next daemon.
-            self._requeue_on_death.discard(job.id)
-            job.state = "queued"
-            job.started_at = None
-            job.worker = None
-            self.queue.push(job)
-            # "requeued" is a stream-terminal event: the server turns it
-            # into a 503 drain notice, and waiters unblock now instead
-            # of hanging until the socket closes under them.
-            self._publish(job, {"event": "requeued"})
-            done = self._done.get(job.id)
-            if done is not None:
-                done.set()
-            return
-        self._requeue_on_death.discard(job.id)
+        self.queue.inflight.pop(job.id, None)
         if result is None and crash and not self.draining:
             # The worker died (kill -9, watchdog, lease expiry) rather
             # than reporting a failure: the job itself may be fine, so it
@@ -591,7 +397,6 @@ class Scheduler:
             done = self._done.get(job.id)
             if done is not None:
                 done.set()
-            self._kick()
             return
         job.finished_at = time.time()
         if result is not None:
@@ -613,7 +418,6 @@ class Scheduler:
         done = self._done.get(job.id)
         if done is not None:
             done.set()
-        self._kick()
 
     def _persist_result(self, job: Job, result: dict) -> None:
         """Write one finished result to the shared store, under a claim.
@@ -643,7 +447,7 @@ class Scheduler:
             logger.warning("could not persist result for %s: %s", job.id, defect)
 
     def _kick_after(self, delay: float) -> None:
-        """Re-run the dispatcher once a backoff window has passed."""
+        """Wake held polls once a backoff window has passed."""
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
@@ -651,7 +455,7 @@ class Scheduler:
         loop.call_later(max(0.0, delay) + 0.01, self._kick)
 
     # ------------------------------------------------------------------
-    # Fleet (remote worker hosts)
+    # Dispatch: worker hosts (local and remote) pull leased jobs
     # ------------------------------------------------------------------
     def register_worker(self, worker: str, info: dict | None = None) -> dict:
         """Record a worker host; returns the knobs it should run with."""
@@ -670,12 +474,20 @@ class Scheduler:
             "sample_interval": self.config.sample_interval,
         }
 
+    def _policy_payload(self) -> dict:
+        return {
+            "slice_events": self.config.slice_events,
+            "wall_clock_limit": self.config.job_timeout,
+            "max_retries": self.config.max_retries,
+            "backoff_base": self.config.backoff_base,
+            "degrade": True,
+        }
+
     def next_job_for(self, worker: str) -> dict | None:
-        """Lease the next eligible queued job to a remote worker host.
+        """Lease the next eligible queued job to a worker host.
 
         Returns the full dispatch payload (spec, policy, lease token) or
-        None when nothing is eligible.  Remote dispatch does not consume
-        local ``max_inflight`` slots — those bound the fork pool only.
+        None when nothing is eligible.
         """
         if self.draining:
             return None
@@ -688,14 +500,14 @@ class Scheduler:
         try:
             lease = self.leases.grant(job.id, worker, attempt=job.attempts + 1)
         except LeaseHeld as held:
-            logger.error("remote dispatch of %s refused: %s", job.id, held)
+            logger.error("dispatch of %s refused: %s", job.id, held)
             self.queue.push(job)
             return None
         job.state = "running"
         job.started_at = time.time()
         job.dispatches += 1
         job.worker = worker
-        self.remote[job.id] = worker
+        self.queue.inflight[job.id] = worker
         self._publish(
             job,
             {
@@ -715,10 +527,34 @@ class Scheduler:
             "sample_interval": self.config.sample_interval,
         }
 
+    async def poll(
+        self, worker: str, hold: float, *, gone: Callable[[], bool] | None = None
+    ) -> dict | None:
+        """Long poll: lease the next eligible job to ``worker``, waiting
+        up to ``hold`` seconds for one.  None when the hold elapses with
+        nothing eligible, a drain begins, or ``gone()`` reports that the
+        worker hung up meanwhile."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + hold
+        while not self.draining and not (gone is not None and gone()):
+            payload = self.next_job_for(worker)
+            if payload is not None:
+                return payload
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                break
+            waiter = loop.create_future()
+            self._pollers.add(waiter)
+            try:
+                await asyncio.wait([waiter], timeout=remaining)
+            finally:
+                self._pollers.discard(waiter)
+        return None
+
     def worker_heartbeat(
         self, worker: str, job_id: str, token: str, progress: dict | None = None
     ) -> bool:
-        """Refresh a remote lease; False means the token is stale (the
+        """Refresh a lease; False means the token is stale (the
         job was re-leased or completed elsewhere — abandon the attempt)."""
         record = self.workers.get(worker)
         if record is not None:
@@ -746,7 +582,7 @@ class Scheduler:
         error: str | None = None,
         crash: bool = False,
     ) -> bool:
-        """Accept a remote terminal report; False if the lease is stale."""
+        """Accept a host's terminal report; False if the lease is stale."""
         record = self.workers.get(worker)
         if record is not None:
             record["last_seen"] = time.time()
@@ -793,10 +629,6 @@ class Scheduler:
         crash-handled.  Split from the loop so tests drive it directly."""
         count = 0
         for lease in self.leases.expired():
-            if lease.job_id in self._run_tasks:
-                # Local dispatch: the pipe-EOF/watchdog path owns crash
-                # detection there; this lease is bookkeeping only.
-                continue
             job = self.jobs.get(lease.job_id)
             if not self.leases.sweep(lease):
                 continue
@@ -813,8 +645,6 @@ class Scheduler:
                 ),
                 crash=True,
             )
-        if self.queue.depth > 0 and not self.draining:
-            self._kick()
         return count
 
     # ------------------------------------------------------------------
@@ -872,7 +702,6 @@ class Scheduler:
                     worker: dict(record) for worker, record in self.workers.items()
                 },
                 "leases": describe_leases(self.leases.active()),
-                "remote_inflight": len(self.remote),
                 "dead_letters": self.dead_letters,
                 "crash_requeues": self.crash_requeues,
                 "leases_granted": self.leases.granted,

@@ -6,18 +6,26 @@ clients on other machines can reach it — speaks the newline-delimited-
 JSON protocol of :mod:`repro.service.protocol`, and delegates
 everything stateful to a :class:`~repro.service.scheduler.Scheduler`.
 
-Worker hosts hold one persistent connection for their poll/heartbeat/
-done traffic; the connection remembers which worker registered on it,
-and when it drops the scheduler fast-expires that worker's leases so
-its jobs requeue on the next reaper tick instead of after a full TTL.
+Jobs run on worker hosts (:mod:`repro.service.worker`).  Once the
+socket is listening the daemon forks ``max_inflight`` local hosts,
+each in a process group of its own, and they take work over the unix
+socket exactly as remote hosts do over TCP.  Clients are answered once
+every local host has polled, so a job admitted right after start-up is
+taken at once.  Worker hosts hold one persistent connection for their
+poll/heartbeat/done traffic; the connection remembers which worker
+registered on it, and when it drops the scheduler fast-expires that
+worker's leases so its jobs requeue on the next reaper tick instead of
+after a full TTL.
 
 Shutdown is a *drain*, never a drop: SIGTERM (or a ``drain`` frame)
-flips the daemon into draining mode — new submissions get a 503 with a
-``retry_after`` hint — then in-flight jobs get the configured grace to
-finish, stragglers are pushed back onto the queue, queued work is
-persisted to the state file, and the process exits 0.  A daemon started
-on the same state file resumes the persisted queue before accepting its
-first connection.
+flips the daemon into draining mode — new submissions and held polls
+get a 503 with a ``retry_after`` hint — then leased jobs get the
+configured grace to finish, stragglers are pushed back onto the queue,
+the local hosts are stopped (SIGTERM to each host's process group, so
+its job process goes too, then SIGKILL after ``HARD_KILL_SLACK``) and
+reaped, queued work is persisted to the state file, and the process
+exits 0.  A daemon started on the same state file resumes the persisted
+queue before accepting its first connection.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from typing import Any
 
 from repro.config import DEFAULT_CONFIGS, ConfigRegistry, ServiceConfig
 from repro.gpu.gpu import SimulationResult
+from repro.harness.pool import pool_context
 from repro.harness.store import ResultStore, default_store_path, fingerprint_digest
 from repro.service.protocol import (
     ACCEPTED,
@@ -52,9 +61,12 @@ from repro.service.protocol import (
     parse_tcp_address,
 )
 from repro.service.queue import AdmissionRefused, Job
-from repro.service.scheduler import Scheduler
+from repro.service.scheduler import HARD_KILL_SLACK, Scheduler
+from repro.service.worker import run_worker
 
 logger = logging.getLogger(__name__)
+
+WORKER_OPS = ("worker_register", "worker_poll", "worker_heartbeat", "worker_done")
 
 
 class ServiceServer:
@@ -85,6 +97,12 @@ class ServiceServer:
         self._stopped: asyncio.Event | None = None
         self._shutdown_task: asyncio.Task | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        #: The local worker host processes this daemon forked.
+        self._hosts: list[Any] = []
+        #: Workers seen polling before clients were let in; clients wait
+        #: on ``_hosts_ready`` until every local host has polled.
+        self._polled: set[str] = set()
+        self._hosts_ready: asyncio.Event | None = None
 
     @property
     def draining(self) -> bool:
@@ -135,6 +153,8 @@ class ServiceServer:
                 loop.add_signal_handler(sig, self._signal_shutdown)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
+        self._hosts_ready = asyncio.Event()
+        self._start_hosts()
         logger.info(
             "serving on %s (max_depth=%d, max_inflight=%d%s)",
             self.config.socket_path,
@@ -142,6 +162,57 @@ class ServiceServer:
             self.config.max_inflight,
             f", store={self.scheduler.store.path}" if self.scheduler.store else "",
         )
+
+    def _start_hosts(self) -> None:
+        """Fork ``max_inflight`` local worker hosts on the unix socket."""
+        ctx = pool_context()
+        for _ in range(self.config.max_inflight):
+            host = ctx.Process(
+                target=run_worker, args=(self.config.socket_path,), name="repro-host"
+            )
+            host.start()
+            # Its own process group, so a stop signal reaches the job
+            # process it forks too, and a terminal's ^C reaches only us.
+            try:
+                os.setpgid(host.pid, host.pid)
+            except OSError:  # pragma: no cover - the host already exited
+                pass
+            self._hosts.append(host)
+        assert self._hosts_ready is not None
+        if self._hosts:
+            # A local host that never polls must not shut clients out.
+            asyncio.get_running_loop().call_later(
+                HARD_KILL_SLACK, self._hosts_ready.set
+            )
+        else:
+            self._hosts_ready.set()
+
+    def _host_polled(self, worker: str) -> None:
+        """Let clients in once every local host has polled."""
+        if self._hosts_ready is None or self._hosts_ready.is_set():
+            return
+        self._polled.add(worker)
+        if len(self._polled) >= len(self._hosts):
+            self._hosts_ready.set()
+
+    async def _stop_hosts(self) -> None:
+        """Stop and reap the local hosts: SIGTERM each host's process
+        group, then SIGKILL whatever outlives ``HARD_KILL_SLACK``."""
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGKILL):
+            alive = [host for host in self._hosts if host.is_alive()]
+            if not alive:
+                break
+            for host in alive:
+                try:
+                    os.killpg(host.pid, sig)
+                except ProcessLookupError:
+                    pass
+            deadline = loop.time() + HARD_KILL_SLACK
+            # is_alive() reaps a host that has exited.
+            while any(host.is_alive() for host in alive) and loop.time() < deadline:
+                await asyncio.sleep(0.05)
+        self._hosts.clear()
 
     def _signal_shutdown(self) -> None:
         if self._shutdown_task is None or self._shutdown_task.done():
@@ -160,6 +231,7 @@ class ServiceServer:
             return
         logger.info("draining: refusing new submissions")
         await self.scheduler.drain()
+        await self._stop_hosts()
         persisted = self.scheduler.save_state()
         logger.info("drained; %d job(s) persisted for resume", persisted)
         for listener in (self._server, self._tcp_server):
@@ -190,7 +262,7 @@ class ServiceServer:
             task.add_done_callback(self._conn_tasks.discard)
         # Which worker host registered on this connection (if any); a
         # drop of the connection fast-expires that worker's leases.
-        ctx: dict[str, Any] = {"worker": None}
+        ctx: dict[str, Any] = {"worker": None, "reader": reader}
         try:
             while True:
                 try:
@@ -246,6 +318,11 @@ class ServiceServer:
         ctx: dict[str, Any] | None = None,
     ) -> None:
         op = frame.get("op")
+        if op in WORKER_OPS:
+            await self._op_worker(op, frame, writer, ctx)
+            return
+        if self._hosts_ready is not None:
+            await self._hosts_ready.wait()
         if op == "ping":
             await self._send(
                 writer,
@@ -277,8 +354,6 @@ class ServiceServer:
                 ok_frame(draining=True, retry_after=self.scheduler.queue.retry_after()),
             )
             self._signal_shutdown()
-        elif op in ("worker_register", "worker_poll", "worker_heartbeat", "worker_done"):
-            await self._op_worker(op, frame, writer, ctx)
         else:
             await self._send(
                 writer, error_frame(BAD_REQUEST, f"unknown op {op!r}")
@@ -310,7 +385,17 @@ class ServiceServer:
             await self._send(writer, ok_frame(worker=worker, **knobs))
             return
         if op == "worker_poll":
-            if self.draining:
+            self._host_polled(worker)
+            hold = frame.get("hold")
+            if not isinstance(hold, (int, float)) or hold < 0:
+                hold = self.config.worker_poll_interval
+            # A host sends nothing while its poll is held, so EOF on the
+            # reader means it died: lease it nothing.
+            gone = ctx["reader"].at_eof if ctx is not None else None
+            payload = await self.scheduler.poll(worker, float(hold), gone=gone)
+            if payload is not None:
+                await self._send(writer, ok_frame(**{"job": payload["job_id"], **payload}))
+            elif self.draining:
                 await self._send(
                     writer,
                     error_frame(
@@ -319,17 +404,8 @@ class ServiceServer:
                         retry_after=self.scheduler.queue.retry_after(),
                     ),
                 )
-                return
-            payload = self.scheduler.next_job_for(worker)
-            if payload is None:
-                await self._send(
-                    writer,
-                    ok_frame(
-                        job=None, retry_after=self.config.worker_poll_interval
-                    ),
-                )
             else:
-                await self._send(writer, ok_frame(**{"job": payload["job_id"], **payload}))
+                await self._send(writer, ok_frame(job=None))
             return
         job_id = frame.get("job")
         token = frame.get("token")

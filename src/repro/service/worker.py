@@ -1,11 +1,14 @@
-"""Worker host: one process of the fleet, pulling jobs from a scheduler.
+"""Worker host: the one process that executes scheduler jobs.
 
-``repro worker --connect host:port`` runs one :class:`WorkerHost`.  It
-holds a single persistent connection to the scheduler, registers under
-a unique worker id, then loops: poll for a job, fork the same
-``_job_worker`` the scheduler's local pool uses, stream lease
-heartbeats home while the fork grinds, and report the terminal result
-(or the crash) with the lease token.
+Every job runs on a :class:`WorkerHost`: ``repro serve --max-inflight N``
+forks N of them on its unix socket, and ``repro worker --connect
+host:port`` runs more on other machines; both kinds are identical.  A
+host holds a single persistent connection to the scheduler, registers
+under a unique worker id, then loops: long-poll for a job, fork
+:func:`repro.service.scheduler._job_worker` to run it, forward the
+job's progress heartbeats home as lease heartbeats while the fork
+grinds, and report the terminal result (or the crash) with the lease
+token.
 
 Crash safety is the scheduler's job, not ours — a worker host may be
 ``kill -9``-ed at any instant.  The dropped connection (or, under a
@@ -47,7 +50,8 @@ from repro.service.protocol import (
     encode_frame,
     parse_tcp_address,
 )
-from repro.service.scheduler import HARD_KILL_SLACK, _job_worker
+from repro.service import scheduler as scheduler_module
+from repro.service.scheduler import HARD_KILL_SLACK
 
 logger = logging.getLogger(__name__)
 
@@ -195,11 +199,15 @@ class WorkerHost:
     def run(self, *, max_jobs: int | None = None, install_signals: bool = True) -> int:
         """The worker-host main loop; returns a process exit code."""
         if install_signals:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
+            try:
+                # A host forked from the running daemon inherits its
+                # asyncio signal wakeup fd; left in place, a signal sent
+                # to this host would also reach the daemon and drain it.
+                signal.set_wakeup_fd(-1)
+                for sig in (signal.SIGTERM, signal.SIGINT):
                     signal.signal(sig, self.request_stop)
-                except ValueError:  # not the main thread (tests)
-                    pass
+            except ValueError:  # not the main thread (tests)
+                pass
         try:
             self.register()
         except (OSError, ServiceError) as defect:
@@ -211,7 +219,11 @@ class WorkerHost:
             if max_jobs is not None and processed >= max_jobs:
                 break
             try:
-                reply = self._send({"op": "worker_poll", "worker": self.id})
+                # A long poll: the scheduler holds it up to ``hold``
+                # seconds until a job becomes eligible.
+                reply = self._send(
+                    {"op": "worker_poll", "worker": self.id, "hold": self.poll_interval}
+                )
             except Backpressure:
                 # A drain never un-drains: the first 503 sends us home.
                 logger.info("scheduler is draining; worker %s exiting", self.id)
@@ -227,9 +239,6 @@ class WorkerHost:
                 continue
             poll_failures = 0
             if reply.get("job") is None:
-                time.sleep(
-                    float(reply.get("retry_after") or self.poll_interval or 0.5)
-                )
                 continue
             self._run_dispatch(reply)
             processed += 1
@@ -248,8 +257,13 @@ class WorkerHost:
     # One dispatch
     # ------------------------------------------------------------------
     def _hard_budget(self, policy: dict) -> float | None:
-        """Silence budget before the host kills its fork (mirrors the
-        scheduler's local watchdog maths)."""
+        """Max seconds of job-process silence before the host kills it.
+
+        The supervised runner inside the job process already enforces
+        the per-attempt wall clock; this outer watchdog only catches a
+        job process that stopped talking entirely (crashed interpreter,
+        pipe wedged).
+        """
         limit = policy.get("wall_clock_limit")
         if limit is None:
             return None
@@ -274,7 +288,9 @@ class WorkerHost:
         ctx = pool_context()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_job_worker,
+            # Looked up at dispatch time so a wrapper installed on the
+            # scheduler module (tracing, profiling) reaches every job.
+            target=scheduler_module._job_worker,
             args=(spec, policy, sample_interval, child_conn),
             daemon=True,
         )
@@ -302,7 +318,9 @@ class WorkerHost:
                     crashed = True
                     proc.terminate()
                     break
-                if now - last_heartbeat >= heartbeat_every:
+                # Every job heartbeat goes home at once (progress
+                # streaming); the timer only covers a silent job.
+                if progress is not None or now - last_heartbeat >= heartbeat_every:
                     last_heartbeat = now
                     if not self._heartbeat(job_id, token, progress):
                         abandoned = True

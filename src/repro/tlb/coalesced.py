@@ -113,8 +113,12 @@ class CoalescedTLB(TLB):
         set_index = self.set_index(key)
         slot = self._map.get(key)
         if slot is not None and not self._pend[slot]:
+            if self._pfn[slot] == base_pfn:
+                mask |= self._waiters[slot]
+            # else: the old valid bits were relative to another base PFN
+            # and would now translate wrongly, so they are dropped.
             self._pfn[slot] = base_pfn
-            self._waiters[slot] = mask | self._waiters[slot]
+            self._waiters[slot] = mask
             self._policies[set_index].touch(slot - set_index * self._ways, self._tick)
             return waiters
         slot = self._take_slot(set_index)

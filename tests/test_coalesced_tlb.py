@@ -37,6 +37,17 @@ class TestCoalescing:
         assert tlb.occupancy() == 1
         assert tlb.coverage() == 4
 
+    def test_refill_with_another_base_drops_the_stale_pages(self):
+        # 238 and 239 share a block but are not contiguous: each fill
+        # implies a different base PFN, so only the latest page stays.
+        mapping = {238: 0, 239: 0}
+        tlb = make_tlb(mapping=mapping)
+        tlb.fill(238, 0)
+        tlb.fill(239, 0)
+        assert tlb.lookup(238) is None
+        assert tlb.lookup(239) == 0
+        assert tlb.coverage() == 1
+
     def test_non_contiguous_neighbours_excluded(self):
         mapping = {0: 100, 1: 777, 2: 102, 3: 888}
         tlb = make_tlb(mapping=mapping)

@@ -14,6 +14,8 @@ Regenerate (only when behavior is *intentionally* changed)::
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from repro.config import DEFAULT_CONFIGS
 from repro.harness.runner import Runner
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+REPO = Path(__file__).resolve().parent.parent
 
 #: Small but non-trivial: dc is the paper's most walk-bound benchmark,
 #: spmv the classic irregular sparse kernel.
@@ -69,6 +72,39 @@ def test_every_golden_file_is_covered() -> None:
     expected = {golden_path(c, b).name for c, b in CASES}
     actual = {p.name for p in GOLDEN_DIR.glob("*.json")} - FOREIGN_GOLDENS
     assert actual == expected
+
+
+def test_molasses_hijack_keeps_the_hybrid_golden() -> None:
+    """The slow-backend example in hijack mode wraps every standard walk
+    backend — hybrid's hardware half included — and may only cost host
+    time: the hybrid run must match its golden fingerprint.  Runs in a
+    child so the hijacked registry never leaks into other tests."""
+    script = f"""
+import json, sys
+from repro.arch import load_plugins
+load_plugins()
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+import repro_plugin_slow_backend as plugin
+from test_golden_fingerprints import compute_fingerprint
+walks = []
+submit = plugin._SleepyBackend.submit
+plugin._SleepyBackend.submit = lambda self, r: (walks.append(r), submit(self, r))
+print(json.dumps({{"fingerprint": compute_fingerprint("hybrid", "dc"), "walks": len(walks)}}))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_STORE"}
+    env.update(
+        PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])),
+        REPRO_PLUGINS=str(REPO / "examples" / "plugins" / "slow_backend.py"),
+        REPRO_MOLASSES_HIJACK="1",
+        REPRO_MOLASSES_DELAY="0",
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+    outcome = json.loads(child.stdout.splitlines()[-1])
+    assert outcome["walks"] > 0  # the wrapper really sat in the walk path
+    assert outcome["fingerprint"] == json.loads(golden_path("hybrid", "dc").read_text())
 
 
 def _regenerate() -> None:

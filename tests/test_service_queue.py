@@ -162,14 +162,14 @@ class TestJobQueue:
         queue.record_runtime(8.0)  # EMA stays at 8 on a steady diet
         assert queue.retry_after() == pytest.approx(8.0, rel=0.01)
 
-    def test_inflight_slots(self):
-        queue = JobQueue(max_inflight=1)
-        job = make_job("a")
-        assert queue.has_slot()
-        queue.mark_running(job)
-        assert not queue.has_slot()
-        queue.mark_finished(job)
-        assert queue.has_slot()
+    def test_leased_jobs_count_toward_the_retry_hint(self):
+        queue = JobQueue(max_depth=10, max_inflight=1)
+        queue.record_runtime(4.0)
+        queue.push(make_job("a"))
+        assert queue.retry_after() == pytest.approx(4.0, rel=0.01)
+        queue.inflight["b"] = "w-1"  # a job leased to a worker host
+        assert queue.info()["inflight"] == 1
+        assert queue.retry_after() == pytest.approx(8.0, rel=0.01)
 
     def test_pop_empty_returns_none(self):
         assert JobQueue().pop() is None
@@ -229,10 +229,9 @@ class TestJobQueue:
         assert queue.next_eligible_at(now=1000.0) is None  # one is ready
 
     def test_zero_inflight_slots_allowed(self):
-        """``max_inflight=0`` is the remote-only scheduler: admission
-        still works, local dispatch never does."""
+        """``max_inflight=0`` is the remote-only scheduler (no local
+        worker hosts): admission still works."""
         queue = JobQueue(max_inflight=0)
-        assert not queue.has_slot()
         queue.admit("anyone")
         with pytest.raises(ValueError):
             JobQueue(max_inflight=-1)

@@ -1,9 +1,10 @@
-"""Unit tests for the Scheduler's dispatch bookkeeping.
+"""Unit tests for the Scheduler's leased dispatch bookkeeping.
 
-These run the real dispatch loop in-process with a stubbed-out
-``_run_job`` body, so they can assert scheduling invariants (the
-in-flight bound, drain-time waiter notification, fleet lease
-lifecycle) without forking worker processes.
+These drive the scheduler in-process, with coroutines standing in for
+worker hosts (``poll`` -> ``worker_done``), so they can assert
+scheduling invariants (one job per host, the long poll, drain-time
+waiter notification, fleet lease lifecycle) without forking worker
+processes.
 """
 
 import asyncio
@@ -21,66 +22,159 @@ def make_scheduler(**overrides) -> Scheduler:
 
 
 class TestInflightBound:
-    def test_burst_never_exceeds_max_inflight(self, monkeypatch):
-        """Queueing far more jobs than worker slots must never run more
-        than ``max_inflight`` concurrently.  The slot reservation has to
-        happen synchronously inside the dispatch loop — if it waited for
-        the run task to start, a burst (resume, freed slot with a
-        backlog) would dispatch the whole queue at once."""
+    def test_burst_never_exceeds_max_inflight(self):
+        """A host holds one lease at a time, so a burst of queued jobs
+        never runs wider than the number of hosts polling."""
 
         async def scenario():
             sched = make_scheduler(max_inflight=2)
-            current = 0
-            peak = 0
-
-            async def fake_run(job):
-                nonlocal current, peak
-                current += 1
-                peak = max(peak, current)
-                await asyncio.sleep(0.02)
-                current -= 1
-                sched.queue.mark_finished(job)
-                sched._finish(job, result={"stub": True}, report=None, error=None)
-
-            monkeypatch.setattr(sched, "_run_job", fake_run)
             sched.start()
             jobs = [
                 sched.submit(JobSpec(benchmark="gups", seed=seed))[0]
                 for seed in range(8)
             ]
-            await asyncio.gather(*(sched.wait(job.id) for job in jobs))
+            peak = 0
+
+            async def host(worker):
+                nonlocal peak
+                while not all(job.done for job in jobs):
+                    payload = await sched.poll(worker, 0.05)
+                    if payload is None:
+                        continue
+                    peak = max(peak, len(sched.queue.inflight))
+                    await asyncio.sleep(0.02)
+                    assert sched.worker_done(
+                        worker, payload["job_id"], payload["token"],
+                        result={"stub": True},
+                    )
+
+            await asyncio.gather(host("w-1"), host("w-2"))
             assert all(job.state == "done" for job in jobs)
             await sched.drain(grace=0.1)
             return peak
 
         peak = asyncio.run(scenario())
-        assert peak == 2  # both slots used, never a third
+        assert peak == 2  # both hosts busy, never a third lease
 
-    def test_inflight_reserved_before_run_task_starts(self, monkeypatch):
-        """The reservation is visible to ``has_slot`` before any run
-        task has had a chance to execute."""
+    def test_inflight_reserved_before_run_task_starts(self):
+        """The lease is recorded the moment the poll grants it, before
+        the host has run anything."""
 
         async def scenario():
             sched = make_scheduler(max_inflight=1)
-            started = asyncio.Event()
-
-            async def fake_run(job):
-                started.set()
-                await asyncio.sleep(3600)  # parked; never finishes
-
-            monkeypatch.setattr(sched, "_run_job", fake_run)
             sched.start()
             for seed in range(4):
                 sched.submit(JobSpec(benchmark="gups", seed=seed))
-            await asyncio.wait_for(started.wait(), timeout=5.0)
-            # One job dispatched (slot taken), three still queued.
-            assert len(sched.queue.inflight) == 1
+            payload = await sched.poll("w-1", 1.0)
+            # One job leased, three still queued.
+            assert sched.queue.inflight == {payload["job_id"]: "w-1"}
             assert sched.queue.depth == 3
-            assert not sched.queue.has_slot()
-            for task in sched._run_tasks.values():
-                task.cancel()
-            if sched._dispatcher is not None:
-                sched._dispatcher.cancel()
+            await sched.drain(grace=0.0)
+
+        asyncio.run(scenario())
+
+
+class TestLongPoll:
+    def test_held_poll_returns_the_job_as_soon_as_it_is_submitted(self):
+        async def scenario():
+            sched = make_scheduler()
+            sched.start()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            held = asyncio.create_task(sched.poll("w-1", 30.0))
+            await asyncio.sleep(0.05)
+            assert not held.done()  # nothing queued: the poll is held
+            job, _ = sched.submit(JobSpec(benchmark="gups", seed=1))
+            payload = await asyncio.wait_for(held, timeout=5.0)
+            assert payload["job_id"] == job.id
+            assert loop.time() - started < 5.0
+            await sched.drain(grace=0.0)
+
+        asyncio.run(scenario())
+
+    def test_held_poll_returns_empty_after_the_hold(self):
+        async def scenario():
+            sched = make_scheduler()
+            sched.start()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            assert await sched.poll("w-1", 0.2) is None
+            assert 0.15 < loop.time() - started < 5.0
+            await sched.drain(grace=0.0)
+
+        asyncio.run(scenario())
+
+    def test_held_poll_wakes_when_a_backoff_expires(self):
+        async def scenario():
+            sched = make_scheduler(
+                lease_ttl=0.05, requeue_backoff=0.2, attempt_budget=3
+            )
+            sched.start()
+            job, _ = sched.submit(JobSpec(benchmark="gups", seed=2))
+            assert (await sched.poll("w-1", 0.0))["job_id"] == job.id
+            await asyncio.sleep(0.08)
+            sched.reap()  # crash requeue with a 0.2s backoff
+            assert job.state == "queued"
+            payload = await asyncio.wait_for(sched.poll("w-2", 30.0), timeout=5.0)
+            assert payload["job_id"] == job.id
+            assert payload["attempt"] == 2
+            await sched.drain(grace=0.0)
+
+        asyncio.run(scenario())
+
+    @staticmethod
+    async def held_poll(tmp_path, worker="w-1"):
+        """A live in-process daemon plus one raw worker connection whose
+        ``worker_poll`` is being held; returns (server, reader, writer)."""
+        from repro.service.protocol import decode_frame, encode_frame
+        from repro.service.server import ServiceServer
+
+        config = ServiceConfig(
+            socket_path=str(tmp_path / "svc.sock"), max_inflight=0, drain_grace=0.0
+        )
+        server = ServiceServer(config, store=tmp_path / "store")
+        await server.start()
+        reader, writer = await asyncio.open_unix_connection(config.socket_path)
+        writer.write(encode_frame({"op": "worker_register", "worker": worker}))
+        await writer.drain()
+        assert decode_frame(await reader.readline())["ok"]
+        writer.write(encode_frame({"op": "worker_poll", "worker": worker, "hold": 30.0}))
+        await writer.drain()
+        await asyncio.sleep(0.1)
+        return server, reader, writer
+
+    def test_held_poll_gets_503_on_drain(self, tmp_path):
+        """Through the daemon: a held ``worker_poll`` is answered with a
+        503 the moment a drain begins, not after its hold."""
+        from repro.service.protocol import decode_frame
+
+        async def scenario():
+            server, reader, writer = await self.held_poll(tmp_path)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            shutdown = asyncio.create_task(server.shutdown())
+            reply = decode_frame(await asyncio.wait_for(reader.readline(), 5.0))
+            assert reply["ok"] is False and reply["code"] == 503
+            assert loop.time() - started < 5.0
+            writer.close()
+            await shutdown
+
+        asyncio.run(scenario())
+
+    def test_held_poll_of_a_dead_worker_leases_nothing(self, tmp_path):
+        """A worker that hangs up while its poll is held must not be
+        leased the next job (that would cost the job a crash attempt)."""
+
+        async def scenario():
+            server, _reader, writer = await self.held_poll(tmp_path)
+            writer.close()
+            await asyncio.sleep(0.1)  # the daemon sees the EOF
+            job, _ = server.scheduler.submit(JobSpec(benchmark="gups", seed=3))
+            await asyncio.sleep(0.1)
+            payload = await server.scheduler.poll("w-2", 1.0)
+            assert payload is not None and payload["job_id"] == job.id
+            assert payload["attempt"] == 1 and job.attempts == 0
+            await server.shutdown()
 
         asyncio.run(scenario())
 
@@ -94,7 +188,6 @@ class TestDrainNotifiesWaiters:
         async def scenario():
             sched = make_scheduler()
             sched.start()
-            sched.draining = True  # dispatcher will not pick the job up
             job, _ = sched.submit(JobSpec(benchmark="gups", seed=1))
             waiter = asyncio.create_task(sched.wait(job.id))
             await asyncio.sleep(0)  # let the waiter block on the event
@@ -108,30 +201,25 @@ class TestDrainNotifiesWaiters:
 
         asyncio.run(scenario())
 
-    def test_drain_does_not_double_publish_requeued(self, monkeypatch):
-        """A job requeued by the in-flight path is already notified;
-        the end-of-drain sweep must not publish a second terminal."""
+    def test_drain_does_not_double_publish_requeued(self):
+        """A leased job requeued when the drain grace expires is already
+        notified; the end-of-drain sweep must not publish a second
+        terminal, and the host's late report is refused."""
 
         async def scenario():
             sched = make_scheduler(max_inflight=1)
-
-            async def fake_run(job):
-                await asyncio.sleep(3600)
-
-            monkeypatch.setattr(sched, "_run_job", fake_run)
             sched.start()
             job, _ = sched.submit(JobSpec(benchmark="gups", seed=2))
-            await asyncio.sleep(0.05)  # let it dispatch
-            # Simulate the in-flight requeue path having already settled it.
-            sched._requeue_on_death.add(job.id)
-            sched._run_tasks.pop(job.id, None).cancel()
-            sched.queue.mark_finished(job)
-            sched._finish(job, result=None, report=None, error=None)
+            payload = await sched.poll("w-1", 1.0)
             await sched.drain(grace=0.1)
             requeues = [
                 e for e in job.events if e.get("event") == "requeued"
             ]
             assert len(requeues) == 1
+            assert job.state == "queued" and sched.queue.inflight == {}
+            assert not sched.worker_done(
+                "w-1", job.id, payload["token"], result={"stub": True}
+            )
 
         asyncio.run(scenario())
 
@@ -145,7 +233,7 @@ class TestFleetDispatch:
 
     def make(self, **overrides) -> Scheduler:
         defaults = dict(
-            max_inflight=0,  # remote-only: no local fork dispatch
+            max_inflight=0,  # remote-only: no local worker hosts
             max_depth=32,
             max_client_depth=32,
             lease_ttl=0.05,
@@ -165,7 +253,7 @@ class TestFleetDispatch:
             assert payload["job_id"] == job.id
             assert payload["attempt"] == 1
             assert job.state == "running" and job.worker == "w-1"
-            assert sched.remote == {job.id: "w-1"}
+            assert sched.queue.inflight == {job.id: "w-1"}
             assert sched.leases.holder(job.id).token == payload["token"]
             # Nothing else is eligible; a second poll comes back empty.
             assert sched.next_job_for("w-2") is None
@@ -293,7 +381,7 @@ class TestFleetDispatch:
             assert accepted is True
             assert job.state == "done" and job.result == {"cycles": 42}
             assert sched.simulations == 1
-            assert sched.remote == {}
+            assert sched.queue.inflight == {}
             assert sched.leases.holder(job.id) is None
             assert sched.workers["w-1"]["jobs_completed"] == 1
             await sched.drain(grace=0.0)
@@ -321,7 +409,7 @@ class TestFleetDispatch:
             sched.next_job_for("w-1")
             fleet = sched.stats()["fleet"]
             assert "w-1" in fleet["workers"]
-            assert fleet["remote_inflight"] == 1
+            assert sched.stats()["queue"]["inflight"] == 1
             assert fleet["leases"][0]["job"] == job.id
             assert fleet["leases_granted"] == 1
             await sched.drain(grace=0.0)
