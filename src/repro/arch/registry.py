@@ -172,8 +172,9 @@ class ComponentRegistry(Generic[T]):
 #: /``register_metrics`` (see docs/architecture.md for the contract).
 WALK_BACKENDS: ComponentRegistry = ComponentRegistry("walk backend")
 
-#: TLB / cache replacement policies: ``factory()`` returning a
-#: :class:`~repro.memory.replacement.ReplacementPolicy`.
+#: TLB / cache / PWC replacement policies: ``factory(num_sets, ways)``
+#: returning one :class:`~repro.memory.replacement.ReplacementPolicy`
+#: for a whole component, built once per component.
 REPLACEMENT_POLICIES: ComponentRegistry = ComponentRegistry("replacement policy")
 
 #: PWB dequeue policies: ``factory()`` returning a
@@ -254,16 +255,16 @@ WALK_BACKENDS.register("softwalker", _build_softwalker_backend)
 WALK_BACKENDS.register("hybrid", _build_hybrid_backend)
 
 
-def _build_lru_policy():
+def _build_lru_policy(num_sets, ways):
     from repro.memory.replacement import LRUPolicy
 
-    return LRUPolicy()
+    return LRUPolicy(num_sets, ways)
 
 
-def _build_fifo_policy():
+def _build_fifo_policy(num_sets, ways):
     from repro.memory.replacement import FIFOPolicy
 
-    return FIFOPolicy()
+    return FIFOPolicy(num_sets, ways)
 
 
 REPLACEMENT_POLICIES.register("lru", _build_lru_policy)

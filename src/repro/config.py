@@ -235,6 +235,15 @@ class SoftWalkerConfig(SerializableConfig):
             raise ValueError("SoftPWB must hold at least one entry per PW thread")
 
 
+#: Built-in walk backends that need hardware walkers, with the refusal
+#: for a config that names one and has none (the machine builder
+#: raises the same messages for a derived backend).
+_WALKER_BACKENDS = {
+    "hardware": "no walk backend: zero PTWs and SoftWalker disabled",
+    "hybrid": "hybrid mode needs hardware walkers",
+}
+
+
 @dataclass(frozen=True)
 class GPUConfig:
     """Top-level GPU configuration (Table 3 defaults)."""
@@ -310,6 +319,8 @@ class GPUConfig:
     def __post_init__(self) -> None:
         if self.walk_backend is not None:
             WALK_BACKENDS.validate(self.walk_backend)
+            if self.ptw.num_walkers == 0 and self.walk_backend in _WALKER_BACKENDS:
+                raise ValueError(_WALKER_BACKENDS[self.walk_backend])
 
     def derive(self, **overrides: Any) -> "GPUConfig":
         """Return a copy with top-level fields replaced."""

@@ -1,19 +1,33 @@
 """Sectored set-associative cache with miss merging.
 
-Models the GPU L2 data cache: 128B lines split into 32B sectors, LRU
-replacement, and an MSHR file that merges accesses to a sector that is
-already being fetched.  Timing is timestamp-based: ``access`` returns
-the cycle at which the requested sector is available, issuing a DRAM
-access for misses.  Page-table entries are cached here (and only here,
+Models the GPU L2 data cache (and, over it, each SM's L1D): 128B lines
+split into 32B sectors, a replacement policy (LRU by default), and an
+MSHR file that merges accesses to a sector that is already being
+fetched.  Timing is timestamp-based: ``access`` returns the cycle at
+which the requested sector is available, issuing a next-level access
+for misses.  Page-table entries are cached in the L2 (and only there,
 following the paper's footnote 2), so page-walk cost is priced by real
 cache behaviour.
 
-``access`` is the single hottest component method in ``repro profile``
-runs, so the hot path hoists everything it can: the per-instance
-counter-name strings are precomputed, counters are bumped through the
-raw :meth:`~repro.sim.stats.Counter.live` mapping, each resident line
-carries its own way, and the victim way is resolved back to its tag
-through a per-set ``_tag_of`` array instead of a reverse dict scan.
+State layout
+============
+Every PTE read and every user-warp load goes through ``access``, so the
+state is flat per-cache arrays indexed by ``slot = set_index * ways +
+way`` rather than per-line objects:
+
+* ``_slot_of`` — line address -> slot; the one hash on the hot path.
+* ``_line_of`` — slot -> resident line address, to drop a victim's
+  mapping without a reverse scan.
+* ``_ready`` — the cycle at which each sector's data is (or will be)
+  valid, at ``slot * sectors + sector``; ``-1`` means absent.
+* ``_filled`` — resident lines per set.  Caches never invalidate, so a
+  set fills its ways in order and a full set is one compare away.
+* ``_outstanding`` — min-heap of miss completion cycles (MSHR
+  occupancy), drained inline in ``access``.
+
+Hits, merges and misses are visible only through the counters, bumped
+through the raw :meth:`~repro.sim.stats.Counter.live` mapping under
+precomputed names.
 """
 
 from __future__ import annotations
@@ -22,34 +36,19 @@ import heapq
 
 from repro.config import CacheConfig
 from repro.memory.dram import DRAM
-from repro.memory.replacement import policy_factory
+from repro.memory.replacement import make_policy
 from repro.sim.stats import StatsRegistry
 
 
-class _Line:
-    """One resident cache line: its way and per-sector fill times."""
-
-    __slots__ = ("tag", "way", "sector_ready")
-
-    def __init__(self, tag: int, way: int) -> None:
-        self.tag = tag
-        self.way = way
-        #: sector index -> cycle at which its data is (or will be) valid.
-        self.sector_ready: dict[int, int] = {}
-
-
 class SectoredCache:
-    """Set-associative sectored cache in front of a next-level port.
-
-    ``next_level`` needs one method, ``access(address, start) -> completion``
-    — DRAM provides it directly, and an L2 cache can be adapted behind the
-    same interface so the class also serves as the per-SM L1D.
-    """
+    """Set-associative sectored cache in front of a next level: DRAM,
+    or the L2 under an L1D (both answer ``access(address, start)`` with
+    a completion cycle)."""
 
     def __init__(
         self,
         config: CacheConfig,
-        next_level: DRAM,
+        next_level: DRAM | SectoredCache,
         stats: StatsRegistry,
         *,
         name: str = "l2d",
@@ -59,22 +58,25 @@ class SectoredCache:
         self.next_level = next_level
         self.stats = stats
         self.name = name
-        self._num_sets = config.num_sets
-        self._sets: list[dict[int, _Line]] = [{} for _ in range(self._num_sets)]
-        new_policy = policy_factory(replacement_policy)
-        self._policies = [new_policy() for _ in range(self._num_sets)]
-        #: way -> resident tag per set (None when free): victim
-        #: resolution without a reverse dict scan.
-        self._tag_of: list[list[int | None]] = [
-            [None] * config.associativity for _ in range(self._num_sets)
-        ]
-        self._free_ways: list[list[int]] = [
-            list(range(config.associativity)) for _ in range(self._num_sets)
-        ]
+        num_sets = config.num_sets
+        ways = config.associativity
+        sectors = config.line_bytes // config.sector_bytes
+        self._num_sets = num_sets
+        self._ways = ways
+        self._sectors = sectors
+        self._line_bytes = config.line_bytes
+        self._sector_bytes = config.sector_bytes
+        self._latency = config.latency
+        self._mshr_entries = config.mshr_entries
+        self._policy = make_policy(replacement_policy, num_sets, ways)
+        self._slot_of: dict[int, int] = {}
+        self._line_of = [-1] * (num_sets * ways)
+        self._ready = [-1] * (num_sets * ways * sectors)
+        self._absent_line = [-1] * sectors
+        self._filled = [0] * num_sets
         #: Victim candidates of a full set: every way, in way order.
-        self._all_ways = list(range(config.associativity))
+        self._all_ways = list(range(ways))
         self._tick = 0
-        #: Min-heap of outstanding miss completion times (MSHR occupancy).
         self._outstanding: list[int] = []
         self._counts = stats.counters.live()
         self._c_accesses = f"{name}.accesses"
@@ -85,97 +87,77 @@ class SectoredCache:
         self._c_mshr_full = f"{name}.mshr_full"
         self._c_evictions = f"{name}.evictions"
 
-    # ------------------------------------------------------------------
-    # Address helpers
-    # ------------------------------------------------------------------
-    def _split(self, address: int) -> tuple[int, int, int]:
-        line_addr = address // self.config.line_bytes
-        sector = (address % self.config.line_bytes) // self.config.sector_bytes
-        return line_addr % self._num_sets, line_addr // self._num_sets, sector
+    def access(self, address: int, now: int) -> int:
+        """Read one sector; returns the cycle its data is available.
 
-    # ------------------------------------------------------------------
-    # Access path
-    # ------------------------------------------------------------------
-    def access(self, address: int, now: int) -> tuple[int, bool]:
-        """Read one sector.  Returns ``(completion_cycle, was_hit)``.
-
-        A "hit" means the sector was already resident or being fetched
-        (miss-merge); a miss allocates and fetches from DRAM.
+        A resident sector is a hit, or a merge when its fetch is still
+        in flight; an absent sector of a resident line is a sector miss;
+        anything else is a miss that allocates a way.  Both kinds of
+        miss fetch the sector from the next level.
         """
-        config = self.config
-        line_bytes = config.line_bytes
-        line_addr = address // line_bytes
-        set_index = line_addr % self._num_sets
-        tag = line_addr // self._num_sets
-        sector = (address % line_bytes) // config.sector_bytes
+        line_addr = address // self._line_bytes
+        sector = (address % self._line_bytes) // self._sector_bytes
         self._tick += 1
-        lookup_done = now + config.latency
-        cache_set = self._sets[set_index]
+        lookup_done = now + self._latency
         counts = self._counts
         counts[self._c_accesses] += 1
-
-        line = cache_set.get(tag)
-        if line is not None:
-            self._policies[set_index].touch(line.way, self._tick)
-            ready = line.sector_ready.get(sector)
-            if ready is not None:
-                if ready > lookup_done:
+        ready = self._ready
+        slot = self._slot_of.get(line_addr)
+        if slot is not None:
+            self._policy.touch(slot, self._tick)
+            cell = slot * self._sectors + sector
+            done = ready[cell]
+            if done >= 0:
+                if done > lookup_done:
                     counts[self._c_merges] += 1
-                    return ready, True
+                    return done
                 counts[self._c_hits] += 1
-                return lookup_done, True
-            # Line resident but sector absent: sector miss.
-            completion = self._fetch(address, lookup_done)
-            line.sector_ready[sector] = completion
+                return lookup_done
             counts[self._c_sector_misses] += 1
-            return completion, False
+        else:
+            # Line miss: the set's next unfilled way, or the policy's
+            # victim once the set is full.
+            set_index = line_addr % self._num_sets
+            ways = self._ways
+            policy = self._policy
+            filled = self._filled[set_index]
+            if filled < ways:
+                self._filled[set_index] = filled + 1
+                slot = set_index * ways + filled
+            else:
+                slot = set_index * ways + policy.victim(set_index, self._all_ways)
+                del self._slot_of[self._line_of[slot]]
+                policy.forget(slot)
+                first = slot * self._sectors
+                ready[first : first + self._sectors] = self._absent_line
+                counts[self._c_evictions] += 1
+            self._slot_of[line_addr] = slot
+            self._line_of[slot] = line_addr
+            policy.touch(slot, self._tick)
+            cell = slot * self._sectors + sector
+            counts[self._c_misses] += 1
 
-        # Full line miss: allocate a way.
-        line = self._allocate(set_index, tag)
-        completion = self._fetch(address, lookup_done)
-        line.sector_ready[sector] = completion
-        counts[self._c_misses] += 1
-        return completion, False
-
-    def _fetch(self, address: int, start: int) -> int:
-        """Send a sector fetch to DRAM, respecting MSHR capacity."""
+        # Fetch the sector, holding an MSHR until it completes.
         outstanding = self._outstanding
-        while outstanding and outstanding[0] <= start:
+        while outstanding and outstanding[0] <= lookup_done:
             heapq.heappop(outstanding)
-        if len(outstanding) >= self.config.mshr_entries:
-            # All MSHRs busy: the request stalls until one frees up.
-            self._counts[self._c_mshr_full] += 1
-            start = max(start, heapq.heappop(outstanding))
+        start = lookup_done
+        if len(outstanding) >= self._mshr_entries:
+            # All MSHRs busy: the request stalls until the first frees
+            # up (every one left completes after ``lookup_done``).
+            counts[self._c_mshr_full] += 1
+            start = heapq.heappop(outstanding)
         completion = self.next_level.access(address, start)
         heapq.heappush(outstanding, completion)
+        ready[cell] = completion
         return completion
-
-    def _allocate(self, set_index: int, tag: int) -> _Line:
-        cache_set = self._sets[set_index]
-        policy = self._policies[set_index]
-        free = self._free_ways[set_index]
-        tag_of = self._tag_of[set_index]
-        if free:
-            way = free.pop()
-        else:
-            # Free list empty: every way is resident, so candidates are
-            # all ways in way order (built-in policies are
-            # candidate-order-independent — ticks are unique).
-            way = policy.victim(self._all_ways)
-            del cache_set[tag_of[way]]
-            policy.forget(way)
-            self._counts[self._c_evictions] += 1
-        line = _Line(tag, way)
-        cache_set[tag] = line
-        tag_of[way] = tag
-        policy.touch(way, self._tick)
-        return line
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def miss_rate(self) -> float:
-        """Fraction of accesses that went to DRAM (full or sector misses)."""
+        """Fraction of accesses that went to the next level (full or
+        sector misses)."""
         accesses = self.stats.counters.get(self._c_accesses)
         if accesses == 0:
             return 0.0
@@ -185,4 +167,4 @@ class SectoredCache:
         return misses / accesses
 
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._slot_of)

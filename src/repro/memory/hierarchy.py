@@ -17,19 +17,6 @@ from repro.memory.dram import DRAM
 from repro.sim.stats import StatsRegistry
 
 
-class _CachePort:
-    """Adapts a cache's ``(completion, hit)`` access to a next-level port."""
-
-    __slots__ = ("_cache",)
-
-    def __init__(self, cache: SectoredCache) -> None:
-        self._cache = cache
-
-    def access(self, address: int, start: int) -> int:
-        completion, _hit = self._cache.access(address, start)
-        return completion
-
-
 class MemorySystem:
     """The GPU's data-side memory hierarchy."""
 
@@ -38,23 +25,21 @@ class MemorySystem:
         self.stats = stats
         self.dram = DRAM(config.dram, stats)
         self.l2 = SectoredCache(config.l2d, self.dram, stats, name="l2d")
-        l2_port = _CachePort(self.l2)
         self.l1s = [
-            SectoredCache(config.l1d, l2_port, stats, name="l1d")
+            SectoredCache(config.l1d, self.l2, stats, name="l1d")
             for _ in range(config.num_sms)
         ]
+        self._counts = stats.counters.live()
 
     def data_access(self, sm_id: int, address: int, now: int) -> int:
         """A user warp's global load/store; returns completion cycle."""
-        self.stats.counters.add("mem.data_accesses")
-        completion, _hit = self.l1s[sm_id].access(address, now)
-        return completion
+        self._counts["mem.data_accesses"] += 1
+        return self.l1s[sm_id].access(address, now)
 
     def pte_access(self, address: int, now: int) -> int:
         """A page-walker PTE read (L2 + DRAM only); returns completion cycle."""
-        self.stats.counters.add("mem.pte_accesses")
-        completion, _hit = self.l2.access(address, now)
-        return completion
+        self._counts["mem.pte_accesses"] += 1
+        return self.l2.access(address, now)
 
     def l2_miss_rate(self) -> float:
         return self.l2.miss_rate()

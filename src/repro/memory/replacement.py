@@ -1,26 +1,31 @@
-"""Replacement policies shared by caches and TLBs.
+"""Replacement policies shared by caches, TLBs and the PWC.
 
-Each policy manages recency metadata for one set and answers "which way
-do I evict?".  Policies are deliberately tiny objects — a cache holds
-one per set — so the hot update path stays cheap.
+A component holds *one* policy for all of its sets.  The policy keeps
+flat per-slot state, where ``slot = set_index * ways + way``, and
+answers "which way of this set do I evict?".  Building one object per
+component (not per set) keeps machine build cheap, and the hot update
+path is a single list store.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
 
 
 class ReplacementPolicy(ABC):
-    """Victim selection within one set."""
+    """Victim selection over every set of one component.
+
+    Built by its registry factory as ``factory(num_sets, ways)``, once
+    per component.
+    """
 
     @abstractmethod
-    def touch(self, way: int, tick: int) -> None:
-        """Record a use of ``way`` at logical time ``tick``."""
+    def touch(self, slot: int, tick: int) -> None:
+        """Record a use of ``slot`` at logical time ``tick``."""
 
     @abstractmethod
-    def victim(self, candidate_ways: list[int]) -> int:
-        """Choose which of ``candidate_ways`` to evict.
+    def victim(self, set_index: int, candidate_ways: list[int]) -> int:
+        """Choose which of ``set_index``'s ``candidate_ways`` to evict.
 
         Callers pass candidates in ascending way order; on a tie the
         first (lowest-numbered) minimal way wins.  The list may be shared
@@ -28,85 +33,76 @@ class ReplacementPolicy(ABC):
         """
 
     @abstractmethod
-    def forget(self, way: int) -> None:
-        """Drop metadata for an invalidated way."""
+    def forget(self, slot: int) -> None:
+        """Drop metadata for an evicted or invalidated slot."""
 
 
-class LRUPolicy(ReplacementPolicy):
+class _SlotRanks(ReplacementPolicy):
+    """Evicts the candidate with the lowest per-slot rank (-1 = empty)."""
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        self._ways = ways
+        self._rank = [-1] * (num_sets * ways)
+
+    def victim(self, set_index: int, candidate_ways: list[int]) -> int:
+        if not candidate_ways:
+            raise ValueError("no candidate ways to evict")
+        rank = self._rank
+        base = set_index * self._ways
+        if len(candidate_ways) == self._ways:
+            # Every way is a candidate: the set's ranks are one slice,
+            # and list.index keeps the first-wins tie-break.
+            ranks = rank[base : base + self._ways]
+            return ranks.index(min(ranks))
+        # Explicit loop instead of min(key=lambda ...): strict < keeps
+        # min()'s first-wins tie-break without a call per candidate.
+        best = candidate_ways[0]
+        best_rank = rank[base + best]
+        for way in candidate_ways[1:]:
+            way_rank = rank[base + way]
+            if way_rank < best_rank:
+                best = way
+                best_rank = way_rank
+        return best
+
+    def forget(self, slot: int) -> None:
+        self._rank[slot] = -1
+
+
+class LRUPolicy(_SlotRanks):
     """Least-recently-used via last-touch timestamps."""
 
-    def __init__(self) -> None:
-        self._last_use: dict[int, int] = {}
-
-    def touch(self, way: int, tick: int) -> None:
-        self._last_use[way] = tick
-
-    def victim(self, candidate_ways: list[int]) -> int:
-        # Explicit loop instead of min(key=lambda ...): victim search is
-        # on the TLB/cache eviction hot path and the lambda call per
-        # candidate dominated it.  Strict < keeps min()'s first-wins
-        # tie-break.
-        if not candidate_ways:
-            raise ValueError("no candidate ways to evict")
-        last = self._last_use
-        best = candidate_ways[0]
-        best_tick = last.get(best, -1)
-        for way in candidate_ways[1:]:
-            tick = last.get(way, -1)
-            if tick < best_tick:
-                best = way
-                best_tick = tick
-        return best
-
-    def forget(self, way: int) -> None:
-        self._last_use.pop(way, None)
+    def touch(self, slot: int, tick: int) -> None:
+        self._rank[slot] = tick
 
 
-class FIFOPolicy(ReplacementPolicy):
-    """First-in-first-out: eviction order follows insertion order."""
+class FIFOPolicy(_SlotRanks):
+    """First-in-first-out: eviction order follows insertion order.
 
-    def __init__(self) -> None:
-        self._inserted: dict[int, int] = {}
-        self._tick = 0
+    One insertion counter serves the whole component: victims are only
+    ever compared within a set, where the counter preserves order.
+    """
 
-    def touch(self, way: int, tick: int) -> None:
-        if way not in self._inserted:
-            self._inserted[way] = self._tick
-            self._tick += 1
+    def __init__(self, num_sets: int, ways: int) -> None:
+        super().__init__(num_sets, ways)
+        self._inserted = 0
 
-    def victim(self, candidate_ways: list[int]) -> int:
-        if not candidate_ways:
-            raise ValueError("no candidate ways to evict")
-        inserted = self._inserted
-        best = candidate_ways[0]
-        best_tick = inserted.get(best, -1)
-        for way in candidate_ways[1:]:
-            tick = inserted.get(way, -1)
-            if tick < best_tick:
-                best = way
-                best_tick = tick
-        return best
-
-    def forget(self, way: int) -> None:
-        self._inserted.pop(way, None)
+    def touch(self, slot: int, tick: int) -> None:
+        if self._rank[slot] < 0:
+            self._rank[slot] = self._inserted
+            self._inserted += 1
 
 
-def policy_factory(name: str) -> Callable[[], ReplacementPolicy]:
-    """Resolve the named policy's factory via the component registry.
+def make_policy(name: str, num_sets: int, ways: int) -> ReplacementPolicy:
+    """Build the named policy for a ``num_sets`` x ``ways`` component.
 
-    Components that hold one policy per set resolve the factory once
-    and call it per set.  Plugin-registered policies
-    (``repro.arch.REPLACEMENT_POLICIES``) are selectable here by the
-    same names.
+    Plugin-registered policies (``repro.arch.REPLACEMENT_POLICIES``) are
+    selectable here by the same names.
     """
     from repro.arch.registry import REPLACEMENT_POLICIES
 
     try:
-        return REPLACEMENT_POLICIES.factory(name)
+        factory = REPLACEMENT_POLICIES.factory(name)
     except KeyError as miss:
         raise ValueError(str(miss)) from None
-
-
-def make_policy(name: str) -> ReplacementPolicy:
-    """Build one instance of the named policy (see :func:`policy_factory`)."""
-    return policy_factory(name)()
+    return factory(num_sets, ways)

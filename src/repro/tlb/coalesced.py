@@ -74,8 +74,7 @@ class CoalescedTLB(TLB):
             and not self._pend[slot]
             and (self._waiters[slot] >> offset) & 1
         ):
-            set_index, way = divmod(slot, self._ways)
-            self._policies[set_index].touch(way, self._tick)
+            self._policy.touch(slot, self._tick)
             counts[self._c_hits] += 1
             return self._pfn[slot] + offset
         counts[self._c_misses] += 1
@@ -119,7 +118,7 @@ class CoalescedTLB(TLB):
             # and would now translate wrongly, so they are dropped.
             self._pfn[slot] = base_pfn
             self._waiters[slot] = mask
-            self._policies[set_index].touch(slot - set_index * self._ways, self._tick)
+            self._policy.touch(slot, self._tick)
             return waiters
         slot = self._take_slot(set_index)
         if slot is None:

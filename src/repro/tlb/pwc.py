@@ -45,13 +45,14 @@ class PageWalkCache:
         self.stats = stats
         self.name = name
         self.min_level = min_level
-        self._entries: dict[tuple[int, int], int] = {}
-        self._policy = make_policy(replacement_policy)
+        #: ``(level, table tag)`` -> way; the PWC is one set, so a way
+        #: is also its policy slot.  Entries are replaced, never
+        #: dropped, so ways fill in order.
         self._way_of: dict[tuple[int, int], int] = {}
-        #: way -> key (None when free): resolves a victim way without
-        #: the reverse scan over ``_way_of``.
+        #: way -> cached node base, and way -> key (to drop a victim).
+        self._base: list[int] = [0] * entries
         self._key_of: list[tuple[int, int] | None] = [None] * entries
-        self._free = list(range(entries))
+        self._policy = make_policy(replacement_policy, 1, entries)
         self._all_ways = list(range(entries))
         #: ``(level, shift)`` per probed level, deepest first:
         #: the table tag is ``vpn >> shift`` (``AddressLayout.table_tag``
@@ -77,14 +78,13 @@ class PageWalkCache:
         self._tick += 1
         counts = self._counts
         counts[self._c_probes] += 1
-        entries = self._entries
+        way_of = self._way_of
         for level, shift in self._probe_levels:
-            key = (level, vpn >> shift)
-            base = entries.get(key)
-            if base is not None:
-                self._policy.touch(self._way_of[key], self._tick)
+            way = way_of.get((level, vpn >> shift))
+            if way is not None:
+                self._policy.touch(way, self._tick)
                 counts[self._c_hits] += 1
-                return level, base
+                return level, self._base[way]
         counts[self._c_root_fallbacks] += 1
         return self.layout.levels, self.root_base
 
@@ -94,23 +94,20 @@ class PageWalkCache:
             return
         self._tick += 1
         key = (level, vpn >> (RADIX_BITS_PER_LEVEL * level))
-        if key in self._entries:
-            self._entries[key] = node_base
-            self._policy.touch(self._way_of[key], self._tick)
+        way = self._way_of.get(key)
+        if way is not None:
+            self._base[way] = node_base
+            self._policy.touch(way, self._tick)
             return
-        if self._free:
-            way = self._free.pop()
-        else:
-            # Free list empty means every way is occupied: candidates
-            # are simply all ways, in way order (the built-in policies
-            # are candidate-order-independent — ticks are unique).
-            way = self._policy.victim(self._all_ways)
-            victim_key = self._key_of[way]
-            del self._entries[victim_key]
-            del self._way_of[victim_key]
+        way = len(self._way_of)
+        if way == self.capacity:
+            # Every way is occupied: candidates are simply all ways, in
+            # way order.
+            way = self._policy.victim(0, self._all_ways)
+            del self._way_of[self._key_of[way]]
             self._policy.forget(way)
             self._counts[self._c_evictions] += 1
-        self._entries[key] = node_base
+        self._base[way] = node_base
         self._way_of[key] = way
         self._key_of[way] = key
         self._policy.touch(way, self._tick)
@@ -124,7 +121,7 @@ class PageWalkCache:
 
     @property
     def occupancy(self) -> int:
-        return len(self._entries)
+        return len(self._way_of)
 
     def register_metrics(self, metrics) -> None:
         """Expose PWC effectiveness as sampled gauges."""

@@ -9,27 +9,28 @@ must never be silently dropped, because waiters are parked on it.
 
 State layout
 ============
-The TLB used to keep one ``dict[vpn, TLBEntry]`` per set plus a
-parallel ``dict[vpn, way]``; ``repro profile`` showed the per-set dict
-scans (victim candidate collection, reverse way->vpn lookup) as the
-hottest component code in the simulator.  The state is now *flattened
-parallel arrays* indexed by ``slot = set_index * ways + way``:
+The state is flat parallel arrays indexed by ``slot = set_index * ways
++ way``:
 
 * ``_map`` — one dict mapping key (vpn, or a block key in the
   coalesced subclass) to its slot; the only hashing on the hot path.
-* ``_key_of`` — slot -> key (``-1`` when the way is empty), killing the
-  reverse scan when a victim way must be resolved back to its key.
+* ``_key_of`` — slot -> key (``-1`` when the way is empty): resolves a
+  victim slot back to its key, and finds a free way with one
+  ``list.index`` over the set.
 * ``_pfn`` / ``_pend`` / ``_waiters`` — per-slot translation, pending
   bit (a ``bytearray``), and parked-waiter list (``None`` when not
   pending).
+* ``_policy`` — one replacement policy for the whole TLB, holding its
+  recency state per slot.
 
-A per-set count of pending ways lets a set with none hand the policy
-one shared all-ways list instead of building a candidate list.  Victim
-candidates are produced in way order (``0..ways-1``), not dict
-insertion order.  The built-in LRU/FIFO policies are order-independent
-(their per-way ticks are unique, so the minimum is unique); plugin
-replacement policies now see a *defined* candidate order, which the
-registry documents as part of the policy contract.
+Per-set counts of occupied and pending ways answer "is there a free
+way?" and "may every way be a victim?" without a scan, so a full set
+with no pending way hands the policy one shared all-ways list.  Victim
+candidates are produced in way order (``0..ways-1``).  The built-in
+LRU/FIFO policies are order-independent (their per-slot ranks are
+unique within a set, so the minimum is unique); plugin replacement
+policies see a *defined* candidate order, which the registry documents
+as part of the policy contract.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config import TLBConfig
-from repro.memory.replacement import policy_factory
+from repro.memory.replacement import make_policy
 from repro.sim.stats import StatsRegistry
 
 
@@ -68,14 +69,12 @@ class TLB:
         #: Waiter list of a pending way (None otherwise); the coalesced
         #: subclass reuses the cell for a valid block's page bitmask.
         self._waiters: list[Any] = [None] * num_slots
-        self._free_ways: list[list[int]] = [
-            list(range(self._ways)) for _ in range(self._num_sets)
-        ]
         #: Victim candidates of a set with no pending way.
         self._all_ways = list(range(self._ways))
+        #: Occupied (valid or pending) ways, and pending ways, per set.
+        self._set_used = [0] * self._num_sets
         self._set_pending = [0] * self._num_sets
-        new_policy = policy_factory(replacement_policy)
-        self._policies = [new_policy() for _ in range(self._num_sets)]
+        self._policy = make_policy(replacement_policy, self._num_sets, self._ways)
         self._tick = 0
         self._pending_count = 0
         # Hot-path accessors: the raw counter mapping plus precomputed
@@ -109,8 +108,7 @@ class TLB:
         if slot is None or self._pend[slot]:
             counts[self._c_misses] += 1
             return None
-        set_index, way = divmod(slot, self._ways)
-        self._policies[set_index].touch(way, self._tick)
+        self._policy.touch(slot, self._tick)
         counts[self._c_hits] += 1
         return self._pfn[slot]
 
@@ -142,8 +140,7 @@ class TLB:
             if self._pend[slot]:
                 waiters = self._resolve_pending(slot)
             self._pfn[slot] = pfn
-            set_index, way = divmod(slot, self._ways)
-            self._policies[set_index].touch(way, self._tick)
+            self._policy.touch(slot, self._tick)
             return waiters
 
         slot = self._take_slot(self.set_index(vpn))
@@ -228,10 +225,9 @@ class TLB:
     def _take_slot(self, set_index: int) -> int | None:
         """Claim a free or victim slot in ``set_index``; None when every
         way is a pending MSHR slot."""
-        free = self._free_ways[set_index]
         base = set_index * self._ways
-        if free:
-            return base + free.pop()
+        if self._set_used[set_index] < self._ways:
+            return self._key_of.index(-1, base, base + self._ways)
         pending = self._set_pending[set_index]
         if pending == 0:
             candidates = self._all_ways
@@ -240,24 +236,23 @@ class TLB:
         else:
             pend = self._pend
             candidates = [way for way in self._all_ways if not pend[base + way]]
-        way = self._policies[set_index].victim(candidates)
-        self._evict_slot(base + way)
-        return base + free.pop()
+        slot = base + self._policy.victim(set_index, candidates)
+        self._evict_slot(slot)
+        return slot
 
     def _install(self, slot: int, key: int, pfn: int) -> None:
         self._map[key] = slot
         self._key_of[slot] = key
         self._pfn[slot] = pfn
-        set_index, way = divmod(slot, self._ways)
-        self._policies[set_index].touch(way, self._tick)
+        self._set_used[slot // self._ways] += 1
+        self._policy.touch(slot, self._tick)
 
     def _evict_slot(self, slot: int) -> None:
         del self._map[self._key_of[slot]]
         self._key_of[slot] = -1
         self._waiters[slot] = None
-        set_index, way = divmod(slot, self._ways)
-        self._policies[set_index].forget(way)
-        self._free_ways[set_index].append(way)
+        self._set_used[slot // self._ways] -= 1
+        self._policy.forget(slot)
         self._counts[self._c_evictions] += 1
 
     # ------------------------------------------------------------------

@@ -160,3 +160,22 @@ class TestConfigRegistryErrors:
     def test_walk_backend_field_is_validated(self):
         with pytest.raises(ValueError, match="unknown walk backend"):
             baseline_config().derive(walk_backend="sotfwalker")
+
+    @pytest.mark.parametrize(
+        "backend,message",
+        [
+            ("hardware", "zero PTWs"),
+            ("hybrid", "hybrid mode needs hardware walkers"),
+        ],
+    )
+    def test_walker_backend_without_walkers_is_refused(self, backend, message):
+        # Accepted, such a config would run until the machine drains
+        # with warps unfinished.
+        with pytest.raises(ValueError, match=message):
+            baseline_config().derive(walk_backend=backend).with_ptw(num_walkers=0)
+        data = baseline_config().derive(walk_backend=backend).to_dict()
+        data["ptw"]["num_walkers"] = 0
+        with pytest.raises(ValueError, match=message):
+            GPUConfig.from_dict(data)
+        # The software-only backend needs no hardware walkers.
+        softwalker_config().derive(walk_backend="softwalker")

@@ -1,10 +1,11 @@
 """Golden-fingerprint regression tests.
 
 Pins :meth:`SimulationResult.fingerprint` for the three headline
-configurations (baseline, softwalker, hybrid) on two small workloads
-against stored golden files.  The machine is deterministic in its
-inputs, so any drift here means a refactor changed simulated behavior —
-the registry-driven assembly (``repro.arch``) is contractually
+configurations (baseline, softwalker, hybrid) on two small workloads,
+plus baseline/gemm at a scale that evicts from the L2, against stored
+golden files.  The machine is deterministic in its inputs, so any
+drift here means a refactor changed simulated behavior — the
+registry-driven assembly (``repro.arch``) is contractually
 event-for-event identical to the hand-wired construction these goldens
 were recorded under.
 
@@ -35,7 +36,13 @@ CASES = [
     (config, bench)
     for config in ("baseline", "softwalker", "hybrid")
     for bench in ("dc", "spmv")
-]
+] + [("baseline", "gemm")]
+
+#: Cases pinned at a larger scale.  The walk-bound cases above evict
+#: nothing from either data cache; baseline/gemm at 0.5 streams enough
+#: lines through the L2 to evict thousands of them, which pins the
+#: data-side victim path.
+SCALES = {("baseline", "gemm"): 0.5}
 
 
 def golden_path(config_name: str, benchmark: str) -> Path:
@@ -44,7 +51,10 @@ def golden_path(config_name: str, benchmark: str) -> Path:
 
 def compute_fingerprint(config_name: str, benchmark: str) -> dict:
     result = Runner().run(
-        DEFAULT_CONFIGS.get(config_name), benchmark, scale=SCALE, seed=SEED
+        DEFAULT_CONFIGS.get(config_name),
+        benchmark,
+        scale=SCALES.get((config_name, benchmark), SCALE),
+        seed=SEED,
     )
     # Round-trip through JSON so tuples normalise to lists exactly as
     # they do in the stored golden files.

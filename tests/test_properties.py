@@ -258,6 +258,7 @@ class TestSerialisationRoundTrips:
 @st.composite
 def gpu_configs(draw):
     """Randomized *valid* GPUConfig instances across the knob space."""
+    walk_backend = draw(st.sampled_from([None, "hardware", "softwalker", "hybrid"]))
     config = baseline_config().derive(
         num_sms=draw(st.integers(min_value=1, max_value=64)),
         max_warps_per_sm=draw(st.integers(min_value=1, max_value=64)),
@@ -266,12 +267,12 @@ def gpu_configs(draw):
         hw_in_tlb_mshr=draw(st.booleans()),
         tlb_coalescing_span=draw(st.sampled_from([1, 2, 4])),
         tlb_speculation=draw(st.booleans()),
-        walk_backend=draw(
-            st.sampled_from([None, "hardware", "softwalker", "hybrid"])
-        ),
+        walk_backend=walk_backend,
     )
+    # An explicit hardware or hybrid backend needs at least one walker.
+    min_walkers = 1 if walk_backend in ("hardware", "hybrid") else 0
     config = config.with_ptw(
-        num_walkers=draw(st.integers(min_value=0, max_value=128)),
+        num_walkers=draw(st.integers(min_value=min_walkers, max_value=128)),
         pwb_entries=draw(st.integers(min_value=1, max_value=256)),
         pwb_ports=draw(st.integers(min_value=1, max_value=4)),
         pwc_entries=draw(st.integers(min_value=0, max_value=64)),
