@@ -6,16 +6,17 @@ submitted walk — **without touching simulated time**.  The simulation
 it produces is bit-identical to the unwrapped backend's (same
 fingerprint, same cycle count); only the host is slower.
 
-That makes it the perfect test fixture for the performance regression
-guard: ``repro bench --compare`` must flag a molasses run as a
-regression while the fingerprint column proves the simulation itself
-never changed.  The bench-smoke CI job does exactly that.
+That makes it the test fixture for host-speed regression checks: a
+molasses run must be flagged as slower while its fingerprint proves the
+simulation itself never changed.  perfbench's self-check
+(``perfbench/test_selfcheck.py``) and ``tools/report_smoke.py`` both
+load it.
 
 Activate::
 
     REPRO_PLUGINS=examples/plugins/slow_backend.py \\
         REPRO_MOLASSES_DELAY=0.002 \\
-        python -m repro bench --configs @molasses.json --benchmarks gups
+        python -m repro run gups --config @molasses.json --scale 0.05
 
 with a config dict naming it, e.g. ``{"walk_backend": "molasses"}``,
 or in Python ``baseline_config().derive(walk_backend="molasses")``.

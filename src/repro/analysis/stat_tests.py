@@ -3,8 +3,8 @@
 Simulator comparisons are only meaningful with variance-aware
 aggregation over seed replicates: a design that "wins" on one seed may
 lose on the next.  This module supplies the pure-python statistical
-primitives the :mod:`repro.analysis.experiment` layer (and the bench
-regression guard) build verdicts from:
+primitives the :mod:`repro.analysis.experiment` layer builds verdicts
+from:
 
 * :func:`mann_whitney_u` — the non-parametric two-sided rank test for
   "did this metric's distribution shift between two configurations?".
@@ -22,9 +22,9 @@ regression guard) build verdicts from:
   all-equal samples are marked *degenerate* (no information, excluded
   from the correction family).
 * :func:`relative_verdict` — the shared threshold verdict ("regression"
-  / "improvement" / "ok") that :func:`repro.obs.bench.compare_reports`
-  and the ``repro report --against`` snapshot diff both call, so every
-  front end agrees on what a regression *is*.
+  / "improvement" / "ok") that the ``repro report --against`` snapshot
+  diff and ``repro explore`` both call, so every front end agrees on
+  what a regression *is*.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def bootstrap_ci(
 
 
 # ----------------------------------------------------------------------
-# Shared threshold verdict (bench guard + snapshot diff agree here)
+# Shared threshold verdict (snapshot diff + explore agree here)
 # ----------------------------------------------------------------------
 def relative_verdict(
     old: float,
@@ -273,8 +273,8 @@ def relative_verdict(
     """Classify a metric movement as regression / improvement / ok.
 
     The single definition of "regression" every front end shares:
-    ``repro bench --compare/--against`` and ``repro report --against``
-    both call this, so their verdicts can never drift apart.  ``new``
+    ``repro report --against`` and ``repro explore`` both call this, so
+    their verdicts can never drift apart.  ``new``
     must exceed ``old`` by more than ``tolerance`` (relatively) to
     regress, or undercut it by the symmetric factor to improve; values
     where both sides sit under ``floor`` are too small to judge and

@@ -50,19 +50,12 @@ class MachineSpec:
     def backend_name(self) -> str:
         """The walk-backend registry name this spec selects.
 
-        An explicit ``config.walk_backend`` wins; otherwise the name is
-        derived from the SoftWalker knobs exactly as the historical
-        if/else chain did.
+        :attr:`GPUConfig.backend_name` derives it; a backend that needs
+        hardware walkers the config lacks is refused here too, for
+        configs built in code rather than through ``from_dict``.
         """
-        explicit = self.config.walk_backend
-        if explicit is not None:
-            return explicit
-        sw = self.config.softwalker
-        if sw.enabled:
-            return "hybrid" if sw.hybrid else "softwalker"
-        if self.config.ptw.num_walkers == 0:
-            raise ValueError("no walk backend: zero PTWs and SoftWalker disabled")
-        return "hardware"
+        self.config.check_walkers()
+        return self.config.backend_name
 
     @property
     def page_table_kind(self) -> str:
@@ -185,8 +178,6 @@ class MachineBuilder:
         obs = obs if obs is not None else NULL_OBS
 
         engine = Engine()
-        if obs.profile_engine:
-            engine.enable_profiling()
         stats = StatsRegistry(obs)
         space = workload.space
         memory = self._build_memory(config, stats)

@@ -17,14 +17,12 @@ Commands:
 * ``metrics`` — sample time-series gauges during a run, export JSON.
 * ``chaos`` — run under a seeded fault plan with invariant auditing.
 * ``checkpoint`` — prove checkpoint/resume is bit-identical on a run.
-* ``bench`` — measure host throughput over a config x benchmark matrix,
-  write/compare ``BENCH_*.json`` reports (the perf regression guard).
 * ``report`` — statistical experiment report over a result store:
   per-cell medians with bootstrap CIs, geomean speedup vs a baseline,
   BH-corrected significance, markdown + HTML output, and an
   ``--against OLD`` snapshot diff that exits 1 on regressions.
-* ``profile`` — engine self-profile of one run: ranked callback sites,
-  component wall-clock shares, optional collapsed-stack flamegraph.
+* ``profile`` — one run under ``cProfile``: self time per ``repro``
+  package and the hottest functions, optionally the raw ``pstats`` dump.
 * ``serve`` — run the simulation-as-a-service daemon on a unix socket
   (and, with ``--tcp``, a fleet transport for remote workers/clients).
 * ``worker`` — run fleet worker host(s) pulling leased jobs from a
@@ -36,6 +34,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -58,14 +57,7 @@ from repro.harness.pool import SweepPoint, matrix_points
 from repro.harness.runner import Runner, default_runner
 from repro.harness.store import fingerprint_digest
 from repro.obs import Observability, validate_chrome_trace
-from repro.obs.bench import (
-    DEFAULT_THRESHOLD,
-    BenchError,
-    BenchHarness,
-    BenchReport,
-    compare_reports,
-)
-from repro.obs.profile import component_shares, write_collapsed
+from repro.obs.profile import REPRO_ROOT, package_of, package_self_times
 from repro.workloads.catalog import ALL_ABBRS, CATALOG, get_spec
 
 #: Named configurations selectable from the command line — the shared
@@ -344,52 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", help="also persist the snapshot here"
     )
 
-    bench_parser = sub.add_parser(
-        "bench",
-        help="measure host throughput over a config x benchmark matrix",
-    )
-    bench_parser.add_argument(
-        "--configs",
-        default="baseline,softwalker,hybrid",
-        help=(
-            "comma-separated configuration names (see `repro configs`); "
-            "a @file.json token loads an inline config dict"
-        ),
-    )
-    bench_parser.add_argument(
-        "--benchmarks",
-        default="dc,spmv,gups",
-        help="comma-separated benchmark abbreviations",
-    )
-    bench_parser.add_argument("--scale", type=float, default=0.05)
-    bench_parser.add_argument(
-        "--repeats", type=int, default=3, help="timed repeats per cell"
-    )
-    bench_parser.add_argument(
-        "--warmup", type=int, default=1, help="untimed warmup runs per cell"
-    )
-    bench_parser.add_argument("--seed", type=int, default=7)
-    bench_parser.add_argument(
-        "--out", metavar="PATH", help="write the report JSON here"
-    )
-    bench_parser.add_argument(
-        "--compare",
-        metavar="OLD",
-        help="diff this run (or --against NEW) against stored report OLD; "
-        "exits 1 on regression",
-    )
-    bench_parser.add_argument(
-        "--against",
-        metavar="NEW",
-        help="with --compare: diff two stored reports without running",
-    )
-    bench_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="relative slowdown tolerated before a cell regresses",
-    )
-
     report_parser = sub.add_parser(
         "report",
         help="statistical experiment report over a result store",
@@ -441,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     report_parser.add_argument(
-        "--compare",
-        metavar="OLD",
-        help="alias for --against (repro bench vocabulary)",
-    )
-    report_parser.add_argument(
         "--threshold",
         type=float,
         default=DEFAULT_DIFF_TOLERANCE,
@@ -454,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_parser = sub.add_parser(
         "profile",
-        help="engine self-profile: ranked callback sites and flamegraph",
+        help="one run under cProfile: self time per package and function",
     )
     profile_parser.add_argument("benchmark", choices=ALL_ABBRS)
     profile_parser.add_argument(
@@ -468,15 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--scale", type=float, default=0.1)
     profile_parser.add_argument("--seed", type=int, default=7)
     profile_parser.add_argument(
-        "--top", type=int, default=15, help="callback sites to print"
+        "--top", type=int, default=15, help="functions to print"
     )
     profile_parser.add_argument(
-        "--interval", type=int, default=1000, help="gauge sample interval in cycles"
-    )
-    profile_parser.add_argument(
-        "--collapsed",
-        metavar="PATH",
-        help="write a collapsed-stack flamegraph file (flamegraph.pl/speedscope)",
+        "--out", metavar="PATH", help="write the raw pstats dump here"
     )
 
     serve_parser = sub.add_parser(
@@ -1158,89 +1094,6 @@ def cmd_checkpoint(
     return 0 if identical else 1
 
 
-def cmd_bench(
-    config_names: Sequence[str],
-    benchmark_names: Sequence[str],
-    scale: float,
-    repeats: int,
-    warmup: int,
-    seed: int,
-    out: str | None,
-    compare: str | None,
-    against: str | None,
-    threshold: float,
-) -> int:
-    if against and not compare:
-        print("error: --against requires --compare OLD", file=sys.stderr)
-        return 2
-    unknown = [name for name in benchmark_names if name not in ALL_ABBRS]
-    if unknown:
-        print(
-            f"error: unknown benchmark(s) {', '.join(unknown)} — see `repro list`",
-            file=sys.stderr,
-        )
-        return 2
-    configs: dict[str, GPUConfig] = {}
-    for token in config_names:
-        try:
-            configs[token] = resolve_config_arg(token)
-        except (KeyError, OSError, ValueError) as failure:
-            print(f"error: {_error_text(failure)}", file=sys.stderr)
-            return 2
-
-    try:
-        if against:
-            # Pure file-vs-file diff; nothing runs.
-            new_report = BenchReport.load(against)
-        else:
-            harness = BenchHarness(
-                configs,
-                benchmark_names,
-                scale=scale,
-                repeats=repeats,
-                warmup=warmup,
-                seed=seed,
-            )
-
-            def progress(label: str, benchmark: str, done: int, total: int) -> None:
-                print(f"[{done}/{total}] {label}/{benchmark}")
-
-            new_report = harness.run(progress=progress)
-            print(
-                format_table(
-                    ["config", "benchmark", "median", "events/s", "cycles/s", "spread"],
-                    new_report.rows(),
-                    title=(
-                        f"bench: {len(configs)} configs x "
-                        f"{len(benchmark_names)} benchmarks, scale={scale}, "
-                        f"{repeats} repeats"
-                    ),
-                )
-            )
-            if out:
-                path = new_report.save(out)
-                print(f"\nwrote {path}")
-        if not compare:
-            return 0
-        old_report = BenchReport.load(compare)
-        comparison = compare_reports(old_report, new_report, threshold=threshold)
-    except BenchError as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return 2
-    except OSError as failure:
-        print(f"error: {failure}", file=sys.stderr)
-        return 2
-    print(
-        format_table(
-            ["config", "benchmark", "verdict", "old", "new", "ratio", "tol", "note"],
-            comparison.rows(),
-            title=f"compare vs {compare}",
-        )
-    )
-    print(f"\n{comparison.summary()}")
-    return 0 if comparison.passed else 1
-
-
 def _load_resultset(
     store: str | None, files: Sequence[str] | None, *, what: str
 ) -> ResultSet:
@@ -1271,16 +1124,8 @@ def cmd_report(
     out: str | None,
     html_out: str | None,
     against: str | None,
-    compare: str | None,
     threshold: float,
 ) -> int:
-    if against and compare and against != compare:
-        print(
-            "error: --against and --compare are aliases; pass one OLD store",
-            file=sys.stderr,
-        )
-        return 2
-    old_source = against or compare
     metrics = (
         [name.strip() for name in metrics_csv.split(",") if name.strip()]
         if metrics_csv
@@ -1292,8 +1137,8 @@ def cmd_report(
             resultset, baseline=baseline, metrics=metrics, alpha=alpha
         )
         diff = None
-        if old_source:
-            old_set = _load_resultset(old_source, None, what="--against")
+        if against:
+            old_set = _load_resultset(against, None, what="--against")
             diff = diff_resultsets(
                 old_set,
                 resultset,
@@ -1376,7 +1221,7 @@ def cmd_report(
         format_table(
             ["cell", "metric", "old", "new", "ratio", "q (BH)", "verdict", "note"],
             rows,
-            title=f"snapshot diff vs {old_source}",
+            title=f"snapshot diff vs {against}",
         )
     )
     print(f"\n{diff.summary()}")
@@ -1395,75 +1240,60 @@ def cmd_profile(
     scale: float,
     seed: int,
     top: int,
-    interval: int,
-    collapsed: str | None,
+    out: str | None,
 ) -> int:
-    import time as _time
-
-    from repro.gpu.gpu import GPUSimulator
-    from repro.harness.runner import build_workload
-    from repro.obs import MetricsRegistry
+    import cProfile
+    import pstats
 
     if top < 1:
         print("error: --top must be >= 1", file=sys.stderr)
-        return 2
-    if interval < 1:
-        print("error: --interval must be >= 1 cycle", file=sys.stderr)
         return 2
     try:
         config = resolve_config_arg(config_name)
     except (KeyError, OSError, ValueError) as failure:
         print(f"error: {_error_text(failure)}", file=sys.stderr)
         return 2
-    obs = Observability(
-        metrics=MetricsRegistry(),
-        sample_interval=interval,
-        profile_engine=True,
+    profiler = cProfile.Profile()
+    result = profiler.runcall(
+        Runner().run, config, benchmark, scale=scale, seed=seed
     )
-    workload = build_workload(benchmark, config, scale=scale, seed=seed)
-    sim = GPUSimulator(config, workload, obs=obs)
-    started = _time.perf_counter()
-    result = sim.run()
-    wall = _time.perf_counter() - started
-    rows_raw = sim.engine.profile_report()
-    total = sum(seconds for _site, _calls, seconds in rows_raw) or 1.0
-    rows = [
-        [
-            site,
-            f"{calls:,}",
-            f"{seconds * 1000:.1f}ms",
-            f"{seconds / total:.1%}",
-        ]
-        for site, calls, seconds in rows_raw[:top]
-    ]
+    stats = pstats.Stats(profiler)
+    by_package = package_self_times(stats)
+    total = sum(by_package.values()) or 1.0
     print(
         format_table(
-            ["callback site", "calls", "self time", "share"],
-            rows,
+            ["package", "self s", "share"],
+            [
+                [package, f"{seconds:.3f}", f"{seconds / total:.1%}"]
+                for package, seconds in by_package.items()
+            ],
             title=(
                 f"profile: {benchmark} under {config_name} — "
-                f"{sim.engine.events_processed:,} events in {wall:.2f}s "
-                f"({sim.engine.events_processed / wall:,.0f} ev/s)"
+                f"{result.perf['events']:,} events, {result.cycles:,} cycles, "
+                f"{total:.2f}s self time under cProfile"
             ),
         )
     )
-    shares = component_shares(rows_raw)
+    hottest = sorted(stats.stats.items(), key=lambda item: item[1][2], reverse=True)
+    rows = []
+    for (filename, line, name), (_prim, calls, tottime, cumtime, _) in hottest[:top]:
+        if package_of(filename) == "other":
+            site = pstats.func_std_string((filename, line, name))
+        else:
+            where = os.path.relpath(os.path.realpath(filename), REPRO_ROOT)
+            site = f"{where}:{line}({name})"
+        rows.append([site, f"{calls:,}", f"{tottime:.3f}", f"{cumtime:.3f}"])
     print(
         "\n"
         + format_table(
-            ["component", "wall-clock share"],
-            [[name, f"{share:.1%}"] for name, share in shares.items()],
-            title="component shares",
+            ["function", "calls", "self s", "cumulative s"],
+            rows,
+            title=f"top {top} functions by self time",
         )
     )
-    print(
-        f"\ncycles: {result.cycles:,} "
-        f"({result.cycles / wall:,.0f} simulated cycles/s); "
-        f"{obs.metrics.samples_taken} gauge samples every {interval} cycles"
-    )
-    if collapsed:
-        path = write_collapsed(collapsed, rows_raw)
-        print(f"wrote {path} — feed to flamegraph.pl or speedscope")
+    if out:
+        stats.dump_stats(out)
+        print(f"\nwrote {out} (load it with pstats.Stats)")
     return 0
 
 
@@ -1855,19 +1685,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_checkpoint(
             args.benchmark, args.config, args.scale, args.events, args.out
         )
-    if args.command == "bench":
-        return cmd_bench(
-            [name.strip() for name in args.configs.split(",") if name.strip()],
-            [name.strip() for name in args.benchmarks.split(",") if name.strip()],
-            args.scale,
-            args.repeats,
-            args.warmup,
-            args.seed,
-            args.out,
-            args.compare,
-            args.against,
-            args.threshold,
-        )
     if args.command == "report":
         return cmd_report(
             args.store,
@@ -1878,7 +1695,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.out,
             args.html,
             args.against,
-            args.compare,
             args.threshold,
         )
     if args.command == "profile":
@@ -1888,8 +1704,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.scale,
             args.seed,
             args.top,
-            args.interval,
-            args.collapsed,
+            args.out,
         )
     if args.command == "serve":
         return cmd_serve(

@@ -236,8 +236,7 @@ class SoftWalkerConfig(SerializableConfig):
 
 
 #: Built-in walk backends that need hardware walkers, with the refusal
-#: for a config that names one and has none (the machine builder
-#: raises the same messages for a derived backend).
+#: for a config that selects one and has none.
 _WALKER_BACKENDS = {
     "hardware": "no walk backend: zero PTWs and SoftWalker disabled",
     "hybrid": "hybrid mode needs hardware walkers",
@@ -319,8 +318,32 @@ class GPUConfig:
     def __post_init__(self) -> None:
         if self.walk_backend is not None:
             WALK_BACKENDS.validate(self.walk_backend)
-            if self.ptw.num_walkers == 0 and self.walk_backend in _WALKER_BACKENDS:
-                raise ValueError(_WALKER_BACKENDS[self.walk_backend])
+            self.check_walkers()
+
+    @property
+    def backend_name(self) -> str:
+        """The walk-backend registry name this config selects.
+
+        An explicit ``walk_backend`` wins; otherwise the name is derived
+        from the SoftWalker knobs.
+        """
+        if self.walk_backend is not None:
+            return self.walk_backend
+        if self.softwalker.enabled:
+            return "hybrid" if self.softwalker.hybrid else "softwalker"
+        return "hardware"
+
+    def check_walkers(self) -> None:
+        """Refuse a backend that needs hardware walkers when there are none.
+
+        Runs at construction for an explicit ``walk_backend`` and in
+        :meth:`from_dict` for every config.  A derived backend is not
+        checked at construction, so builder chains such as
+        ``.with_ptw(num_walkers=0).with_softwalker(enabled=True)`` may
+        pass through a walkerless hardware state on the way.
+        """
+        if self.ptw.num_walkers == 0 and self.backend_name in _WALKER_BACKENDS:
+            raise ValueError(_WALKER_BACKENDS[self.backend_name])
 
     def derive(self, **overrides: Any) -> "GPUConfig":
         """Return a copy with top-level fields replaced."""
@@ -366,7 +389,9 @@ class GPUConfig:
         """Rebuild a config from :meth:`to_dict` output (or any subset).
 
         Missing fields take their defaults; unknown fields raise with a
-        did-you-mean hint; nested sections accept plain mappings.
+        did-you-mean hint; nested sections accept plain mappings.  A
+        config whose walk backend needs hardware walkers it does not
+        have is refused here, before anything is built or queued.
         """
         if not isinstance(data, Mapping):
             raise ValueError(
@@ -377,7 +402,9 @@ class GPUConfig:
             value = converted.get(key)
             if isinstance(value, Mapping):
                 converted[key] = sub_cls.from_dict(value)
-        return _dataclass_from_dict(cls, converted)
+        config = _dataclass_from_dict(cls, converted)
+        config.check_walkers()
+        return config
 
 
 GPUConfig._NESTED = {

@@ -49,8 +49,8 @@ class SimulationResult:
     #: execution gave up before every warp finished).
     complete: bool = True
     #: Host-side performance metadata (wall seconds, events/sec, peak
-    #: RSS — see :func:`repro.obs.bench.perf_metadata`), attached by the
-    #: harness after the run.  Deliberately excluded from
+    #: RSS — see :func:`repro.harness.runner.perf_metadata`), attached
+    #: by the harness after the run.  Deliberately excluded from
     #: :meth:`fingerprint` — two bit-identical simulations on hosts of
     #: different speeds must still compare equal — and omitted from
     #: :meth:`to_dict` when None, so pre-existing store entries and

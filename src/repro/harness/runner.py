@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence
@@ -45,7 +46,6 @@ from repro.harness.pool import (
 )
 from repro.harness.store import ResultStore, default_store_path
 from repro.obs import MetricsRegistry, Observability
-from repro.obs.bench import perf_metadata
 from repro.workloads.base import TraceWorkload, WorkloadSpec
 from repro.workloads.catalog import get_spec
 
@@ -53,6 +53,40 @@ _SCALE_ENV = "REPRO_SCALE"
 _TRACE_ENV = "REPRO_TRACE"
 _CACHE_ENV = "REPRO_CACHE_ENTRIES"
 _DEFAULT_CACHE_ENTRIES = 128
+
+
+def peak_rss_kb() -> int:
+    """Peak resident set size of this process in KiB (0 if unknown).
+
+    Monotone over the process lifetime: the value is the RSS high-water
+    mark so far, not the peak of the last run alone.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-unix
+        return 0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB; macOS reports bytes.
+    if sys.platform == "darwin":  # pragma: no cover - linux CI
+        rss //= 1024
+    return int(rss)
+
+
+def perf_metadata(*, wall_seconds: float, events: int, cycles: int) -> dict:
+    """The ``SimulationResult.perf`` payload for one finished run.
+
+    Host-side only — deliberately excluded from result fingerprints, so
+    two bit-identical simulations on hosts of different speeds still
+    compare equal.
+    """
+    wall = max(0.0, float(wall_seconds))
+    return {
+        "wall_seconds": wall,
+        "events": int(events),
+        "events_per_sec": (events / wall) if wall > 0 else 0.0,
+        "cycles_per_sec": (cycles / wall) if wall > 0 else 0.0,
+        "peak_rss_kb": peak_rss_kb(),
+    }
 
 
 def default_scale() -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.gpu.gpu import GPUSimulator, SimulationResult, SimulationTruncated
-from repro.obs.bench import perf_metadata
+from repro.harness.runner import perf_metadata
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.invariants import InvariantChecker

@@ -30,28 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchCell,
-    BenchComparison,
-    BenchError,
-    BenchHarness,
-    BenchReport,
-    CellVerdict,
-    compare_reports,
-    perf_metadata,
-)
 from repro.obs.metrics import (
     NULL_METRICS,
     MetricsRegistry,
     MetricsSampler,
     NullMetricsRegistry,
-)
-from repro.obs.profile import (
-    collapsed_stacks,
-    component_shares,
-    site_component,
-    write_collapsed,
 )
 from repro.obs.schema import TraceSchemaError, validate_chrome_trace
 from repro.obs.trace import (
@@ -70,21 +53,19 @@ DEFAULT_SAMPLE_INTERVAL = 1000
 class Observability:
     """The observability bundle threaded through one simulation.
 
-    The default instance is fully disabled (null trace, null metrics,
-    no engine profiling); use the class methods to switch pieces on.
+    The default instance is fully disabled (null trace, null metrics);
+    use the class methods to switch pieces on.
     """
 
     trace: TraceRecorder | NullTraceRecorder = field(default=NULL_TRACE)
     metrics: MetricsRegistry | NullMetricsRegistry = field(default=NULL_METRICS)
     #: Cycles between gauge samples when metrics are enabled.
     sample_interval: int = DEFAULT_SAMPLE_INTERVAL
-    #: Accumulate wall-clock per engine callback site (self-profiling).
-    profile_engine: bool = False
 
     @property
     def enabled(self) -> bool:
         """True when any instrument is live."""
-        return self.trace.enabled or self.metrics.enabled or self.profile_engine
+        return self.trace.enabled or self.metrics.enabled
 
     # ------------------------------------------------------------------
     # Constructors
@@ -113,18 +94,11 @@ class Observability:
 NULL_OBS = Observability()
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "DEFAULT_SAMPLE_INTERVAL",
     "NULL_METRICS",
     "NULL_OBS",
     "NULL_TRACE",
     "WALK_COMPONENTS",
-    "BenchCell",
-    "BenchComparison",
-    "BenchError",
-    "BenchHarness",
-    "BenchReport",
-    "CellVerdict",
     "MetricsRegistry",
     "MetricsSampler",
     "NullMetricsRegistry",
@@ -132,12 +106,6 @@ __all__ = [
     "Observability",
     "TraceRecorder",
     "TraceSchemaError",
-    "collapsed_stacks",
-    "compare_reports",
-    "component_shares",
-    "perf_metadata",
     "read_jsonl",
-    "site_component",
     "validate_chrome_trace",
-    "write_collapsed",
 ]

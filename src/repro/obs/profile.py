@@ -1,88 +1,40 @@
-"""Engine self-profile analysis: ranked sites, component shares, flamegraphs.
+"""Self time per ``repro`` package, from a stdlib ``cProfile`` run.
 
-The engine accumulates wall-clock per callback site when profiling is on
-(:meth:`repro.sim.engine.Engine.enable_profiling`); this module turns
-that raw ``(qualname, calls, seconds)`` table into the views ``repro
-profile`` prints:
-
-* :func:`component_shares` — wall-clock fraction per component, where a
-  component is the class part of the callback qualname (``L2TLB.lookup``
-  -> ``L2TLB``); the "where does simulator time go" headline.
-* :func:`collapsed_stacks` — the semicolon-delimited collapsed-stack
-  format every flamegraph tool consumes (``flamegraph.pl``, speedscope,
-  inferno): one ``root;component;site <microseconds>`` line per site.
-
-Everything here is pure arithmetic over profile rows — stdlib only, in
-keeping with the obs layer's zero-import rule.
+``repro profile`` bills each function's ``tottime`` (time in the
+function itself, callees excluded) to the ``repro.*`` subpackage its
+source file lives in — the same grouping perfbench's ``--trace 1``
+table prints.  Stdlib only, in keeping with the obs layer's zero-import
+rule.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Sequence
+import os
+import pstats
 
-#: One profile row: (callback qualname, calls, wall seconds) — exactly
-#: what :meth:`~repro.sim.engine.Engine.profile_report` returns.
-ProfileRow = tuple[str, int, float]
+#: Directory of the ``repro`` package (this module lives in ``repro/obs``).
+REPRO_ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 
 
-def site_component(site: str) -> str:
-    """The component a callback site belongs to (qualname class part).
+def package_of(filename: str) -> str:
+    """The ``repro`` subpackage (or top-level module) owning ``filename``.
 
-    ``L2TLB.lookup`` -> ``L2TLB``; ``MetricsSampler._tick`` ->
-    ``MetricsSampler``; a bare function or lambda repr maps to itself.
+    ``.../repro/memory/cache.py`` -> ``memory``; ``.../repro/cli.py`` ->
+    ``cli``; anything outside the package (stdlib, builtins) -> ``other``.
     """
-    head, sep, _tail = site.partition(".")
-    return head if sep else site
+    path = os.path.realpath(filename)
+    if not path.startswith(REPRO_ROOT + os.sep):
+        return "other"
+    parts = path[len(REPRO_ROOT) + 1 :].split(os.sep)
+    if len(parts) > 1:
+        return parts[0]
+    return "repro" if parts[0] == "__init__.py" else parts[0].removesuffix(".py")
 
 
-def component_shares(rows: Iterable[ProfileRow]) -> dict[str, float]:
-    """Wall-clock fraction per component, descending (sums to 1.0)."""
+def package_self_times(stats: pstats.Stats) -> dict[str, float]:
+    """Self seconds per package, largest first."""
     totals: dict[str, float] = {}
-    grand = 0.0
-    for site, _calls, seconds in rows:
-        component = site_component(site)
-        totals[component] = totals.get(component, 0.0) + seconds
-        grand += seconds
-    if grand <= 0:
-        return {name: 0.0 for name in totals}
-    return dict(
-        sorted(
-            ((name, seconds / grand) for name, seconds in totals.items()),
-            key=lambda item: item[1],
-            reverse=True,
-        )
-    )
-
-
-def collapsed_stacks(
-    rows: Iterable[ProfileRow], *, root: str = "repro"
-) -> list[str]:
-    """Collapsed-stack lines: ``root;component;site <microseconds>``.
-
-    Weights are integer microseconds (flamegraph tools require integer
-    sample counts); sites that round to zero are dropped.  Semicolons
-    inside a site (impossible for qualnames, but cheap to guard) are
-    replaced so they cannot split a frame.
-    """
-    lines = []
-    for site, _calls, seconds in rows:
-        usec = round(seconds * 1_000_000)
-        if usec <= 0:
-            continue
-        safe = site.replace(";", ":")
-        lines.append(f"{root};{site_component(safe)};{safe} {usec}")
-    return lines
-
-
-def write_collapsed(
-    path: str | Path, rows: Sequence[ProfileRow], *, root: str = "repro"
-) -> Path:
-    """Write the collapsed-stack file; returns its path."""
-    target = Path(path)
-    if target.parent != Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        "\n".join(collapsed_stacks(rows, root=root)) + "\n", encoding="utf-8"
-    )
-    return target
+    for (filename, _line, _name), row in stats.stats.items():
+        package = package_of(filename)
+        totals[package] = totals.get(package, 0.0) + row[2]
+    return dict(sorted(totals.items(), key=lambda item: item[1], reverse=True))

@@ -16,9 +16,6 @@ provide them:
   as the metrics sampler.  They fire interleaved with real work but are
   dropped once only daemons remain, so instrumentation can never extend
   a simulation's final cycle count.
-* **Callback profiling** (``enable_profiling``) — accumulates wall-clock
-  time per callback site, turning the engine into its own profiler for
-  finding simulator hot spots.
 * **Audit hook** (``attach_audit``) — a callback invoked every N
   processed events, used by the resilience layer's invariant checker.
   Unlike daemons it is event-indexed rather than time-indexed, so audits
@@ -29,7 +26,6 @@ provide them:
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Any, Callable
 
 
@@ -55,8 +51,6 @@ class Engine:
         #: True when the last ``run`` stopped at ``max_events`` with real
         #: work still queued (the safety valve fired).
         self.truncated: bool = False
-        #: qualname -> [calls, wall seconds]; None when profiling is off.
-        self._profile: dict[str, list] | None = None
         #: Audit hook state; None when no auditor is attached.
         self._audit: Callable[[], None] | None = None
         self._audit_every: int = 0
@@ -117,7 +111,6 @@ class Engine:
         """
         self.truncated = False
         processed = 0
-        profile = self._profile
         while self._queue:
             if max_events is not None and processed >= max_events:
                 # Checked at loop top so ``max_events=0`` processes
@@ -137,26 +130,7 @@ class Engine:
             if daemon:
                 self._daemons_pending -= 1
             self.now = when
-            if profile is not None:
-                # Resolve the site key before the timer starts (name
-                # lookup must not bill the callback) and touch the dict
-                # once on the hot path, so profiled runs distort the
-                # numbers as little as possible.
-                key = getattr(callback, "__qualname__", None)
-                if key is None:
-                    key = repr(callback)
-                started = time.perf_counter()
-                callback(*args)
-                elapsed = time.perf_counter() - started
-                try:
-                    cell = profile[key]
-                except KeyError:
-                    profile[key] = [1, elapsed]
-                else:
-                    cell[0] += 1
-                    cell[1] += elapsed
-            else:
-                callback(*args)
+            callback(*args)
             processed += 1
             self._events_processed += 1
             audit = self._audit
@@ -209,41 +183,6 @@ class Engine:
     @property
     def auditing(self) -> bool:
         return self._audit is not None
-
-    # ------------------------------------------------------------------
-    # Self-profiling
-    # ------------------------------------------------------------------
-    def enable_profiling(self) -> None:
-        """Start accumulating wall-clock time per callback site."""
-        if self._profile is None:
-            self._profile = {}
-
-    @property
-    def profiling(self) -> bool:
-        return self._profile is not None
-
-    def profile_report(self, top: int | None = None) -> list[tuple[str, int, float]]:
-        """(callback qualname, calls, wall seconds), hottest first."""
-        if self._profile is None:
-            return []
-        rows = [
-            (name, cell[0], cell[1]) for name, cell in self._profile.items()
-        ]
-        rows.sort(key=lambda row: row[2], reverse=True)
-        return rows[:top] if top is not None else rows
-
-    def profile_to_dict(self) -> dict:
-        """JSON-safe profile export: ``{site: {"calls", "seconds"}}``.
-
-        The wire form ``repro profile`` and the bench tooling persist;
-        empty when profiling was never enabled.
-        """
-        if self._profile is None:
-            return {}
-        return {
-            name: {"calls": cell[0], "seconds": cell[1]}
-            for name, cell in self._profile.items()
-        }
 
     # ------------------------------------------------------------------
     # Introspection

@@ -126,6 +126,20 @@ class TestObservabilityCommands:
         assert "l2tlb.hit_rate" in loaded["series"]
 
 
+    def test_profile_prints_package_table_and_writes_pstats(
+        self, tmp_path, capsys
+    ):
+        import pstats
+
+        out = tmp_path / "gups.prof"
+        assert main(["profile", "gups", "--scale", "0.02", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        table = printed.split("top 15 functions")[0]
+        package_rows = {line.split()[0] for line in table.splitlines()[1:] if line}
+        assert {"memory", "tlb"} <= package_rows
+        assert pstats.Stats(str(out)).total_calls > 0
+
+
 class TestResilienceCommands:
     def test_chaos_parser_defaults(self):
         args = build_parser().parse_args(["chaos", "gups"])

@@ -179,3 +179,20 @@ class TestConfigRegistryErrors:
             GPUConfig.from_dict(data)
         # The software-only backend needs no hardware walkers.
         softwalker_config().derive(walk_backend="softwalker")
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (baseline_config().with_ptw(num_walkers=0), "no walk backend"),
+            (
+                softwalker_config(hybrid=True).with_ptw(num_walkers=0),
+                "hybrid mode needs hardware walkers",
+            ),
+        ],
+        ids=["hardware", "hybrid"],
+    )
+    def test_derived_backend_without_walkers_is_refused(self, config, message):
+        # Accepted, such a config failed only at machine build: on a
+        # service worker, after a crash attempt.
+        with pytest.raises(ValueError, match=message):
+            GPUConfig.from_dict(config.to_dict())

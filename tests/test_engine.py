@@ -257,33 +257,6 @@ def test_audit_exception_leaves_engine_resumable():
     assert seen == [0, 1, 2, 3]
 
 
-def test_profiling_accumulates_per_callback_site():
-    engine = Engine()
-    engine.enable_profiling()
-    assert engine.profiling
-
-    def work():
-        pass
-
-    for delay in range(5):
-        engine.schedule(delay, work)
-    engine.run()
-    report = engine.profile_report()
-    assert len(report) == 1
-    name, calls, seconds = report[0]
-    assert "work" in name
-    assert calls == 5
-    assert seconds >= 0.0
-
-
-def test_profiling_off_returns_empty_report():
-    engine = Engine()
-    engine.schedule(0, lambda: None)
-    engine.run()
-    assert not engine.profiling
-    assert engine.profile_report() == []
-
-
 @pytest.mark.parametrize("config_name", ["baseline", "softwalker"])
 def test_single_stepping_matches_run(config_name):
     """Stepping a whole simulation to the end lands on the same clock,

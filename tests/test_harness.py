@@ -10,6 +10,7 @@ from repro.harness.runner import (
     clear_cache,
     default_runner,
     default_scale,
+    perf_metadata,
     speedups,
 )
 
@@ -69,6 +70,32 @@ class TestRunner:
         config = baseline_config().with_page_size(PAGE_SIZE_2M)
         workload = build_workload("gups", config, scale=TINY)
         assert workload.page_size == PAGE_SIZE_2M
+
+
+class TestPerfMetadata:
+    def test_keys_and_throughput_arithmetic(self):
+        perf = perf_metadata(wall_seconds=2.0, events=1000, cycles=4000)
+        assert set(perf) == {
+            "wall_seconds",
+            "events",
+            "events_per_sec",
+            "cycles_per_sec",
+            "peak_rss_kb",
+        }
+        assert perf["events_per_sec"] == pytest.approx(500.0)
+        assert perf["cycles_per_sec"] == pytest.approx(2000.0)
+        assert perf["peak_rss_kb"] >= 0
+
+    def test_zero_wall_guard(self):
+        perf = perf_metadata(wall_seconds=0.0, events=10, cycles=10)
+        assert perf["events_per_sec"] == 0.0
+        assert perf["cycles_per_sec"] == 0.0
+
+    def test_negative_wall_is_clamped(self):
+        # A fake clock running backwards must not produce negative time.
+        perf = perf_metadata(wall_seconds=-1, events=1, cycles=1)
+        assert perf["wall_seconds"] == 0.0
+        assert perf["events_per_sec"] == 0.0
 
 
 class TestExperimentTable:

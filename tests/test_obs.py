@@ -348,17 +348,6 @@ class TestSimulatorIntegration:
         _run(softwalker_config(), obs=second)
         assert first.metrics.to_dict() == second.metrics.to_dict()
 
-    def test_engine_profiling_collects_callback_sites(self):
-        obs = Observability(profile_engine=True)
-        workload = build_workload("gups", baseline_config(), scale=TINY)
-        simulator = GPUSimulator(baseline_config(), workload, obs=obs)
-        simulator.run()
-        report = simulator.engine.profile_report(top=5)
-        assert report
-        name, calls, seconds = report[0]
-        assert calls > 0 and seconds >= 0.0
-        assert isinstance(name, str)
-
 
 # ----------------------------------------------------------------------
 # Truncation surfacing (satellite: the silent max_events valve)

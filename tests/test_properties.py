@@ -269,8 +269,14 @@ def gpu_configs(draw):
         tlb_speculation=draw(st.booleans()),
         walk_backend=walk_backend,
     )
-    # An explicit hardware or hybrid backend needs at least one walker.
-    min_walkers = 1 if walk_backend in ("hardware", "hybrid") else 0
+    sw_enabled = draw(st.booleans())
+    sw_hybrid = draw(st.booleans())
+    # A hardware or hybrid backend, explicit or derived from the
+    # SoftWalker knobs, needs at least one walker.
+    backend = walk_backend or (
+        ("hybrid" if sw_hybrid else "softwalker") if sw_enabled else "hardware"
+    )
+    min_walkers = 1 if backend in ("hardware", "hybrid") else 0
     config = config.with_ptw(
         num_walkers=draw(st.integers(min_value=min_walkers, max_value=128)),
         pwb_entries=draw(st.integers(min_value=1, max_value=256)),
@@ -283,8 +289,8 @@ def gpu_configs(draw):
     )
     pw_threads = draw(st.sampled_from([1, 8, 32]))
     config = config.with_softwalker(
-        enabled=draw(st.booleans()),
-        hybrid=draw(st.booleans()),
+        enabled=sw_enabled,
+        hybrid=sw_hybrid,
         pw_threads_per_sm=pw_threads,
         softpwb_entries=draw(st.integers(min_value=pw_threads, max_value=256)),
         in_tlb_mshr_entries=draw(st.sampled_from([0, 256, 1024])),

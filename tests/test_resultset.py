@@ -403,37 +403,6 @@ class TestReportCLI:
         assert "regression" in captured.out
         assert "baseline/gups" in captured.err  # regressed cells are named
 
-    def test_compare_is_an_against_alias(self, stores):
-        from repro.cli import main
-
-        old, new = stores
-        code = main(
-            [
-                "report",
-                "--store", str(new),
-                "--compare", str(old),
-                "--metrics", "wall_seconds",
-                "--alpha", "0.1",
-            ]
-        )
-        assert code == 1
-
-    def test_conflicting_against_and_compare_error(self, stores):
-        from repro.cli import main
-
-        old, new = stores
-        assert (
-            main(
-                [
-                    "report",
-                    "--store", str(new),
-                    "--against", str(old),
-                    "--compare", str(new),
-                ]
-            )
-            == 2
-        )
-
     def test_unknown_metric_errors(self, stores):
         from repro.cli import main
 

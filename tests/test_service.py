@@ -23,6 +23,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.config import baseline_config
 from repro.service import Backpressure, JobSpec, ServiceClient, ServiceError
 
 #: Scale small enough that one gups run takes about a second.
@@ -87,7 +88,15 @@ class TestBasicOps:
             with pytest.raises(ServiceError) as unknown_config:
                 client.submit({"benchmark": "gups", "config": "warp-drive"})
             assert unknown_config.value.code == 400
-            # The daemon survived all three and still answers.
+            # Refused at submit, not on a worker after a crash attempt.
+            walkerless = baseline_config().with_ptw(num_walkers=0).to_dict()
+            with pytest.raises(ServiceError) as unbuildable:
+                client._roundtrip(
+                    {"op": "submit", "benchmark": "gups", "config": walkerless}
+                )
+            assert unbuildable.value.code == 400
+            assert "no walk backend" in str(unbuildable.value)
+            # The daemon survived all four and still answers.
             assert client.ping()["ok"]
 
     def test_jobs_listing(self, tmp_path):
