@@ -241,8 +241,8 @@ class MachineBuilder:
         warps = []
         page_size = config.page_table.page_size
         warp_id = 0
-        for sm_id, sm_traces in enumerate(machine.workload.traces):
-            for trace in sm_traces:
+        for sm_id, sm_programs in enumerate(machine.workload.programs):
+            for program in sm_programs:
                 warps.append(
                     Warp(
                         warp_id,
@@ -251,14 +251,14 @@ class MachineBuilder:
                         machine.translation,
                         machine.memory,
                         page_size,
-                        trace,
+                        program,
                         on_warp_done,
                     )
                 )
                 warp_id += 1
                 machine.stats.counters.add(
                     "gpu.mem_instructions",
-                    sum(1 for inst in trace if inst[0] == "m"),
+                    sum(1 for _compute, vpns, _offsets in program if vpns is not None),
                 )
         return warps
 

@@ -3,16 +3,24 @@
 A warp's trace alternates compute blocks and memory instructions.  A
 memory instruction carries the warp's already-coalesced set of unique
 virtual cache lines (up to 32 — one per lane under full divergence).
-The warp groups lines by page, requests one translation per unique page
-(this is what generates translation pressure), then performs the data
-accesses and blocks until every lane completes — the baseline GPU's
-behaviour that page-walk scheduling work (ref [85]) tries to soften.
+The warp requests one translation per unique page (this is what
+generates translation pressure), then performs the data accesses and
+blocks until every lane completes — the baseline GPU's behaviour that
+page-walk scheduling work (ref [85]) tries to soften.
+
+Warps do not run line-space traces directly.  :func:`compile_trace`
+turns a trace, once, into a :data:`Program`: one step per memory
+instruction carrying the compute cycles issued before it and the
+instruction's page groups — the VPNs in the order
+:func:`group_by_page` yields them, each with its lines' byte offsets
+within the page — plus a final compute-only step for trailing compute.
+The event loop then only issues and translates; it never regroups.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 #: Cache-line size in bytes and its log2 (virtual lines are VA // 128).
 LINE_BYTES = 128
@@ -23,6 +31,12 @@ COMPUTE = "c"
 MEMORY = "m"
 
 Instruction = tuple  # ("c", cycles) | ("m", (vline, ...))
+
+#: A compiled warp program: a list of ``(compute, vpns, offsets)`` steps.
+#: ``compute`` cycles issue first; then one memory instruction touches
+#: page ``vpns[i]`` at byte offsets ``offsets[i]``.  ``vpns`` is None
+#: for trailing compute.
+Program = list
 
 
 def coalesce_lines(virtual_addresses: Iterable[int]) -> tuple[int, ...]:
@@ -38,8 +52,34 @@ def group_by_page(vlines: Sequence[int], lines_per_page: int) -> dict[int, list[
     return groups
 
 
+def compile_trace(trace: Iterable[Instruction], lines_per_page: int) -> Program:
+    """Compile a line-space warp trace into the program a :class:`Warp` runs.
+
+    Consecutive compute blocks fold into the next step (or the trailing
+    step); each memory instruction keeps its pages, lines and
+    duplicates exactly as :func:`group_by_page` splits them.
+    """
+    line_mask = lines_per_page - 1
+    program: Program = []
+    compute = 0
+    for kind, payload in trace:
+        if kind == COMPUTE:
+            compute += payload
+            continue
+        groups = group_by_page(payload, lines_per_page)
+        offsets = tuple(
+            tuple((vline & line_mask) << LINE_SHIFT for vline in lines)
+            for lines in groups.values()
+        )
+        program.append((compute, tuple(groups), offsets))
+        compute = 0
+    if compute:
+        program.append((compute, None, None))
+    return program
+
+
 class Warp:
-    """One warp executing a pre-generated trace on an SM."""
+    """One warp executing a compiled program on an SM."""
 
     __slots__ = (
         "warp_id",
@@ -48,8 +88,7 @@ class Warp:
         "translation",
         "memory",
         "page_shift",
-        "lines_per_page",
-        "instructions",
+        "program",
         "on_done",
         "_ip",
         "_pending_pages",
@@ -67,7 +106,7 @@ class Warp:
         translation,
         memory,
         page_size: int,
-        instructions: list[Instruction],
+        program: Program,
         on_done: Callable[["Warp"], None],
     ) -> None:
         self.warp_id = warp_id
@@ -76,8 +115,7 @@ class Warp:
         self.translation = translation
         self.memory = memory
         self.page_shift = page_size.bit_length() - 1
-        self.lines_per_page = page_size // LINE_BYTES
-        self.instructions = instructions
+        self.program = program
         self.on_done = on_done
         self._ip = 0
         self._pending_pages = 0
@@ -94,52 +132,45 @@ class Warp:
     # Execution loop
     # ------------------------------------------------------------------
     def _advance(self) -> None:
-        now = self.engine.now
-        # Fold consecutive compute blocks into one issue burst.
-        compute_cycles = 0
-        while self._ip < len(self.instructions) and self.instructions[self._ip][0] == COMPUTE:
-            compute_cycles += self.instructions[self._ip][1]
-            self._ip += 1
-        if compute_cycles:
-            ready = self.sm.issue(compute_cycles, now)
-            self.engine.schedule_at(ready, self._advance)
+        if self._ip == len(self.program):
+            self._finish(self.engine.now)
             return
-        if self._ip >= len(self.instructions):
+        compute = self.program[self._ip][0]
+        if compute:
+            ready = self.sm.issue(compute, self.engine.now)
+            self.engine.schedule_at(ready, self._execute_memory)
+            return
+        self._execute_memory()
+
+    def _execute_memory(self) -> None:
+        now = self.engine.now
+        _compute, vpns, offsets = self.program[self._ip]
+        self._ip += 1
+        if vpns is None:
             self._finish(now)
             return
-        _kind, vlines = self.instructions[self._ip]
-        self._ip += 1
-        self._execute_memory(vlines, now)
-
-    def _execute_memory(self, vlines: Sequence[int], now: int) -> None:
         issue_done = self.sm.issue(1, now)
         self._issue_time = issue_done
         self._mem_done = issue_done
         self._mem_first = None
-        groups = group_by_page(vlines, self.lines_per_page)
         # Guard against synchronous callbacks (TLB hits) completing the
-        # group count before every request is issued.
-        self._pending_pages = len(groups) + 1
+        # page count before every request is issued.
+        self._pending_pages = len(vpns) + 1
         sm_id = self.sm.sm_id
-        for vpn, lines in groups.items():
+        request = self.translation.request
+        on_translated = self._on_translated
+        for vpn, page_offsets in zip(vpns, offsets):
             # A partial (not a closure) so in-flight callbacks parked in
             # MSHR files and the event queue survive checkpoint copies.
-            self.translation.request(
-                sm_id, vpn, issue_done, partial(self._on_translated, tuple(lines))
-            )
+            request(sm_id, vpn, issue_done, partial(on_translated, page_offsets))
         self._page_done(issue_done)
 
-    def _on_translated(self, lines: tuple[int, ...], time: int, pfn: int) -> None:
-        done = time
-        frame_base = pfn << self.page_shift
-        line_mask = self.lines_per_page - 1
-        sm_id = self.sm.sm_id
-        for vline in lines:
-            address = frame_base | ((vline & line_mask) << LINE_SHIFT)
-            completion = self.memory.data_access(sm_id, address, time)
-            if completion > done:
-                done = completion
-        self._page_done(done)
+    def _on_translated(self, offsets: tuple[int, ...], time: int, pfn: int) -> None:
+        self._page_done(
+            self.memory.data_access_page(
+                self.sm.sm_id, pfn << self.page_shift, offsets, time
+            )
+        )
 
     def _page_done(self, done: int) -> None:
         if done > self._mem_done:

@@ -31,10 +31,24 @@ class MemorySystem:
         ]
         self._counts = stats.counters.live()
 
-    def data_access(self, sm_id: int, address: int, now: int) -> int:
-        """A user warp's global load/store; returns completion cycle."""
-        self._counts["mem.data_accesses"] += 1
-        return self.l1s[sm_id].access(address, now)
+    def data_access_page(
+        self, sm_id: int, frame_base: int, offsets: tuple[int, ...], now: int
+    ) -> int:
+        """One user-warp memory instruction's loads to one translated page.
+
+        Reads ``frame_base | offset`` through SM ``sm_id``'s L1D for each
+        byte offset, in order, all at ``now``; returns the latest
+        completion cycle (``now`` at the earliest).  Counts one data
+        access per offset.
+        """
+        self._counts["mem.data_accesses"] += len(offsets)
+        access = self.l1s[sm_id].access
+        done = now
+        for offset in offsets:
+            completion = access(frame_base | offset, now)
+            if completion > done:
+                done = completion
+        return done
 
     def pte_access(self, address: int, now: int) -> int:
         """A page-walker PTE read (L2 + DRAM only); returns completion cycle."""

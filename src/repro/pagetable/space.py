@@ -9,11 +9,13 @@ radix page table (and, when FS-HPT is modelled, the hashed mirror).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.config import PageTableConfig
 from repro.pagetable.address import AddressLayout
 from repro.pagetable.allocator import PhysicalMemoryMap
 from repro.pagetable.hashed import HashedPageTable
-from repro.pagetable.radix import RadixPageTable
+from repro.pagetable.radix import PageFault, RadixPageTable
 
 
 class AddressSpace:
@@ -41,12 +43,24 @@ class AddressSpace:
         """Map ``vpn`` if needed; returns its PFN."""
         try:
             return self.radix.translate(vpn)
-        except Exception:
-            pfn = self.memory.data_region.allocate()
-            self.radix.map(vpn, pfn)
-            if self.hashed is not None:
-                self.hashed.map(vpn, pfn)
-            return pfn
+        except PageFault:
+            return self._map_new(vpn)
+
+    def map_fresh(self, vpns: Iterable[int]) -> None:
+        """Map pages known to be unmapped, in order (driver-style prefill).
+
+        Unlike :meth:`ensure_mapped` there is no translate probe: a page
+        listed twice, or already mapped, gets a second frame.
+        """
+        for vpn in vpns:
+            self._map_new(vpn)
+
+    def _map_new(self, vpn: int) -> int:
+        pfn = self.memory.data_region.allocate()
+        self.radix.map(vpn, pfn)
+        if self.hashed is not None:
+            self.hashed.map(vpn, pfn)
+        return pfn
 
     def map_range(self, first_vpn: int, num_pages: int) -> None:
         """Eagerly map a contiguous virtual range (driver-style prefill)."""

@@ -31,7 +31,7 @@ from repro.tlb.tlb import TLB
 #: Keys >= this are block entries; raw VPNs (< 2^33) stay below it.
 _BLOCK_KEY_BASE = 1 << 40
 
-#: vpn -> pfn probe; raises/returns None for unmapped neighbours.
+#: vpn -> pfn probe; returns None for unmapped neighbours.
 TranslateFn = Callable[[int], int | None]
 
 
@@ -102,7 +102,7 @@ class CoalescedTLB(TLB):
         for other in range(self.span):
             if other == offset:
                 continue
-            neighbour_pfn = self._probe_neighbour(base_vpn + other)
+            neighbour_pfn = self._translate(base_vpn + other)
             if neighbour_pfn is not None and neighbour_pfn == base_pfn + other:
                 mask |= 1 << other
         if mask != 1 << offset:
@@ -127,12 +127,6 @@ class CoalescedTLB(TLB):
         self._install(slot, key, base_pfn)
         self._waiters[slot] = mask
         return waiters
-
-    def _probe_neighbour(self, vpn: int) -> int | None:
-        try:
-            return self._translate(vpn)
-        except Exception:
-            return None
 
     def invalidate(self, vpn: int) -> bool:
         """Shootdown: clear the page's bit; drop the entry when empty."""

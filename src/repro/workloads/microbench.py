@@ -45,19 +45,16 @@ class MicrobenchWorkload(TraceWorkload):
         super().__init__(spec, config, **kwargs)
 
     def _generate(self):  # type: ignore[override]
-        traces = super()._generate()
         # Keep exactly `concurrency` warps, interleaved across SMs so
         # pressure spreads like the paper's one-warp-per-block launch.
         num_sms = self.config.num_sms
-        for sm_id, sm_traces in enumerate(traces):
-            kept = [
+        for sm_id, sm_traces in enumerate(super()._generate()):
+            yield [
                 trace
                 for warp_index, trace in enumerate(sm_traces)
                 if warp_index * num_sms + sm_id < self.concurrency
             ]
-            traces[sm_id] = kept
-        return traces
 
     @property
     def active_warps(self) -> int:
-        return sum(len(sm_traces) for sm_traces in self.traces)
+        return sum(len(sm_programs) for sm_programs in self.programs)

@@ -64,18 +64,14 @@ class ReplayWorkload(TraceWorkload):
         super().__init__(spec, config)
 
     def _generate(self):  # type: ignore[override]
-        traces = []
         for sm in self._loaded_traces:
-            sm_traces = []
-            for warp in sm:
-                sm_traces.append(
-                    [
-                        ("m", tuple(payload)) if kind == "m" else ("c", payload)
-                        for kind, payload in warp
-                    ]
-                )
-            traces.append(sm_traces)
-        return traces
+            yield [
+                [
+                    ("m", tuple(payload)) if kind == "m" else ("c", payload)
+                    for kind, payload in warp
+                ]
+                for warp in sm
+            ]
 
 
 def load_trace(path: str | Path, config: GPUConfig) -> ReplayWorkload:

@@ -63,6 +63,17 @@ class TestCoalescing:
         assert tlb.lookup(1) == 101
         assert tlb.lookup(0) is None
 
+    def test_probe_errors_propagate(self):
+        # The probe contract is "None when unmapped"; anything it raises
+        # is a bug in the probe and must not read as an unmapped page.
+        def broken(vpn):
+            raise KeyError(vpn)
+
+        tlb = make_tlb()
+        tlb._translate = broken
+        with pytest.raises(KeyError):
+            tlb.fill(0, 100)
+
     def test_blocks_are_aligned(self):
         mapping = {vpn: 200 + vpn for vpn in range(8)}
         tlb = make_tlb(mapping=mapping)

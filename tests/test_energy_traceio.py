@@ -1,5 +1,7 @@
 """Tests for the energy model and trace serialisation."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.energy import (
@@ -94,6 +96,26 @@ class TestTraceIO:
         b = GPUSimulator(config, load_trace(path, config)).run()
         assert a.cycles == b.cycles
         assert a.walks_completed == b.walks_completed
+
+    def test_replay_reproduces_the_fingerprint(self, tmp_path):
+        config = softwalker_config().derive(num_sms=4)
+        original = build_workload(tiny_spec(), config, scale=1.0)
+        expected = GPUSimulator(config, original).run().fingerprint()
+        path = save_trace(original, tmp_path / "trace.json")
+        replayed = GPUSimulator(config, load_trace(path, config)).run()
+        assert replayed.fingerprint() == expected
+
+    def test_trace_saved_before_compiled_programs_still_replays(self, tmp_path):
+        # Saved by the simulator before warps ran compiled programs; the
+        # on-disk format (version 1) is unchanged.
+        fixture = Path(__file__).parent / "fixtures" / "trace_v1_energy_test.json"
+        config = baseline_config().derive(num_sms=4)
+        original = build_workload(tiny_spec(), config, scale=1.0)
+        resaved = save_trace(original, tmp_path / "trace.json")
+        assert resaved.read_text() == fixture.read_text()
+        replayed = GPUSimulator(config, load_trace(fixture, config)).run()
+        expected = GPUSimulator(config, original).run()
+        assert replayed.fingerprint() == expected.fingerprint()
 
     def test_sm_count_mismatch_rejected(self, tmp_path):
         config = baseline_config().derive(num_sms=4)

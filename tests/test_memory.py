@@ -157,12 +157,13 @@ class TestMemorySystem:
 
     def test_data_accesses_go_through_l1(self):
         system = MemorySystem(GPUConfig(num_sms=2), StatsRegistry())
-        system.data_access(0, 0x1234, now=0)
-        assert system.stats.counters.get("l1d.accesses") == 1
+        system.data_access_page(0, 0x10000, (0x80, 0x100, 0x80), now=0)
+        assert system.stats.counters.get("l1d.accesses") == 3
+        assert system.stats.counters.get("mem.data_accesses") == 3
 
     def test_l1_miss_falls_through_to_l2(self):
         system = MemorySystem(GPUConfig(num_sms=2), StatsRegistry())
-        done = system.data_access(0, 0x40000, now=0)
+        done = system.data_access_page(0, 0x40000, (0,), now=0)
         # L1 lookup + L2 lookup + DRAM
         config = GPUConfig()
         expected = config.l1d.latency + config.l2d.latency + config.dram.latency
@@ -170,8 +171,8 @@ class TestMemorySystem:
 
     def test_l1s_are_private_per_sm(self):
         system = MemorySystem(GPUConfig(num_sms=2), StatsRegistry())
-        t = system.data_access(0, 0x40000, now=0)
+        t = system.data_access_page(0, 0x40000, (0,), now=0)
         # Second SM misses its own L1 but hits the shared L2.
-        t2 = system.data_access(1, 0x40000, now=t)
+        t2 = system.data_access_page(1, 0x40000, (0,), now=t)
         config = GPUConfig()
         assert t2 == t + config.l1d.latency + config.l2d.latency

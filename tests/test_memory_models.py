@@ -335,7 +335,23 @@ class MemorySystemMachine(RuleBasedStateMachine):
         now = self._now(data)
         self.model_mem["mem.data_accesses"] += 1
         expected = self.model_l1s[sm].access(address, now)
-        assert self.real.data_access(sm, address, now) == expected
+        assert self.real.data_access_page(sm, address, (0,), now) == expected
+
+    @rule(
+        data=st.data(),
+        frame=st.integers(min_value=0, max_value=3),
+        offsets=st.lists(st.integers(min_value=0, max_value=7), max_size=5),
+    )
+    def data_access_page(self, data, frame, offsets):
+        # One instruction's lines within one 1KB frame, repeats allowed.
+        sm = data.draw(st.integers(min_value=0, max_value=len(self.model_l1s) - 1))
+        now = self._now(data)
+        offsets = tuple(offset * 128 for offset in offsets)
+        expected = now
+        for offset in offsets:
+            self.model_mem["mem.data_accesses"] += 1
+            expected = max(expected, self.model_l1s[sm].access((frame << 10) | offset, now))
+        assert self.real.data_access_page(sm, frame << 10, offsets, now) == expected
 
     @rule(data=st.data(), address=addresses)
     def pte_access(self, data, address):

@@ -182,3 +182,22 @@ class TestAddressSpace:
         space.map_range(100, 10)
         assert space.mapped_pages == 10
         assert space.footprint_bytes == 10 * 64 * 1024
+
+    def test_non_fault_error_propagates_before_allocating(self):
+        space = AddressSpace(PageTableConfig(), with_hashed_table=True)
+        with pytest.raises(TypeError):
+            space.ensure_mapped("7")  # type: ignore[arg-type]
+        assert space.memory.data_region.allocated == 0
+        assert space.mapped_pages == 0
+
+    def test_map_fresh_matches_ensure_mapped(self):
+        vpns = [3, 70_000, 5, 1 << 20]
+        fresh = AddressSpace(PageTableConfig(), with_hashed_table=True)
+        fresh.map_fresh(vpns)
+        probed = AddressSpace(PageTableConfig(), with_hashed_table=True)
+        for vpn in vpns:
+            probed.ensure_mapped(vpn)
+        assert fresh.mapped_pages == probed.mapped_pages == len(vpns)
+        for vpn in vpns:
+            assert fresh.translate(vpn) == probed.translate(vpn)
+            assert fresh.hashed.lookup(vpn).pfn == fresh.translate(vpn)

@@ -1,10 +1,15 @@
 """Unit tests for warp execution, coalescing, and SM issue accounting."""
 
-import pytest
+import typing
+from functools import partial
 
-from repro.config import PAGE_SIZE_64K
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import PAGE_SIZE_2M, PAGE_SIZE_64K
 from repro.gpu.sm import SM
-from repro.gpu.warp import Warp, coalesce_lines, group_by_page
+from repro.gpu.warp import Warp, coalesce_lines, compile_trace, group_by_page
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 
@@ -30,6 +35,12 @@ class InstantMemory:
         self.accesses.append((sm_id, address, now))
         return now + self.latency
 
+    def data_access_page(self, sm_id, frame_base, offsets, now):
+        done = now
+        for offset in offsets:
+            done = max(done, self.data_access(sm_id, frame_base | offset, now))
+        return done
+
 
 class TestCoalescing:
     def test_coalesce_lines_dedups_lanes(self):
@@ -48,8 +59,9 @@ def run_warp(instructions, translation=None, memory=None):
     translation = translation or InstantTranslation()
     memory = memory or InstantMemory()
     finished = []
+    program = compile_trace(instructions, PAGE_SIZE_64K // 128)
     warp = Warp(
-        0, sm, engine, translation, memory, PAGE_SIZE_64K, instructions,
+        0, sm, engine, translation, memory, PAGE_SIZE_64K, program,
         finished.append,
     )
     warp.start()
@@ -114,6 +126,177 @@ class TestIntraWarpSpread:
             [("m", (0, 1))], memory=InstantMemory(latency=0)
         )
         assert sm.stats.histogram("warp.mem_spread").maximum == 0
+
+
+class TestAnnotations:
+    def test_warp_type_hints_resolve(self):
+        hints = typing.get_type_hints(Warp.__init__)
+        assert "on_done" in hints
+
+
+class TestCompileTrace:
+    def test_folds_compute_and_keeps_page_order(self):
+        trace = [("c", 3), ("c", 4), ("m", (513, 1, 514, 1)), ("m", ()), ("c", 2)]
+        assert compile_trace(trace, 512) == [
+            (7, (1, 0), ((1 << 7, 2 << 7), (1 << 7, 1 << 7))),
+            (0, (), ()),
+            (2, None, None),
+        ]
+
+    def test_zero_compute_tail_is_dropped(self):
+        assert compile_trace([("m", (0,)), ("c", 0)], 512) == [(0, (0,), ((0,),))]
+
+
+# ----------------------------------------------------------------------
+# Differential test: compiled programs against per-line execution
+# ----------------------------------------------------------------------
+class ReferenceWarp:
+    """Line-space warp: regroups every memory instruction by page and
+    makes one ``data_access`` per line (the pre-compilation model)."""
+
+    def __init__(self, sm, engine, translation, memory, page_size, instructions, on_done):
+        self.sm = sm
+        self.engine = engine
+        self.translation = translation
+        self.memory = memory
+        self.page_shift = page_size.bit_length() - 1
+        self.lines_per_page = page_size // 128
+        self.instructions = instructions
+        self.on_done = on_done
+        self._ip = 0
+        self.finished_at = None
+
+    def start(self):
+        self.sm.active_warps += 1
+        self.engine.schedule(0, self._advance)
+
+    def _advance(self):
+        now = self.engine.now
+        compute_cycles = 0
+        while self._ip < len(self.instructions) and self.instructions[self._ip][0] == "c":
+            compute_cycles += self.instructions[self._ip][1]
+            self._ip += 1
+        if compute_cycles:
+            self.engine.schedule_at(self.sm.issue(compute_cycles, now), self._advance)
+            return
+        if self._ip >= len(self.instructions):
+            self.finished_at = now
+            self.sm.active_warps -= 1
+            self.on_done(self)
+            return
+        vlines = self.instructions[self._ip][1]
+        self._ip += 1
+        issue_done = self.sm.issue(1, now)
+        self._issue_time = self._mem_done = issue_done
+        self._mem_first = None
+        groups = group_by_page(vlines, self.lines_per_page)
+        self._pending_pages = len(groups) + 1
+        for vpn, lines in groups.items():
+            self.translation.request(
+                self.sm.sm_id, vpn, issue_done, partial(self._on_translated, tuple(lines))
+            )
+        self._page_done(issue_done)
+
+    def _on_translated(self, lines, time, pfn):
+        done = time
+        frame_base = pfn << self.page_shift
+        for vline in lines:
+            address = frame_base | ((vline & (self.lines_per_page - 1)) << 7)
+            done = max(done, self.memory.data_access(self.sm.sm_id, address, time))
+        self._page_done(done)
+
+    def _page_done(self, done):
+        self._mem_done = max(self._mem_done, done)
+        if done > self._issue_time and (self._mem_first is None or done < self._mem_first):
+            self._mem_first = done
+        self._pending_pages -= 1
+        if self._pending_pages == 0:
+            self.sm.record_memory_wait(self._mem_done - self._issue_time)
+            if self._mem_first is not None:
+                self.sm.stats.histogram("warp.mem_spread").record(
+                    self._mem_done - self._mem_first
+                )
+            self.engine.schedule_at(max(self.engine.now, self._mem_done), self._advance)
+
+
+class UnevenTranslation(InstantTranslation):
+    """Per-VPN latency; every third VPN answers synchronously (a TLB hit),
+    the rest through the event queue."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+
+    def request(self, sm_id, vpn, now, callback):
+        self.requests.append((sm_id, vpn, now))
+        pfn = vpn * 7 + 3
+        if vpn % 3 == 0:
+            callback(now + 5, pfn)
+        else:
+            done = now + 20 + (vpn * 37) % 200
+            self.engine.schedule_at(done, callback, done, pfn)
+
+
+class UnevenMemory(InstantMemory):
+    def data_access(self, sm_id, address, now):
+        self.accesses.append((sm_id, address, now))
+        return now + 30 + (address >> 7) % 11 * 9
+
+
+def line_traces(lines_per_page):
+    """Line-space traces: unsorted lines with repeats, empty memory
+    instructions, zero, consecutive and trailing compute blocks."""
+    line = st.integers(min_value=0, max_value=4 * lines_per_page - 1)
+    instruction = st.one_of(
+        st.tuples(st.just("c"), st.integers(min_value=0, max_value=25)),
+        st.tuples(st.just("m"), st.lists(line, max_size=10).map(tuple)),
+    )
+    return st.lists(instruction, max_size=12)
+
+
+def _simulate(warp_factory, traces, page_size):
+    engine = Engine()
+    sm = SM(0, StatsRegistry())
+    translation = UnevenTranslation(engine)
+    memory = UnevenMemory()
+    finished = []
+    warps = [
+        warp_factory(sm, engine, translation, memory, page_size, trace, finished.append)
+        for trace in traces
+    ]
+    for warp in warps:
+        warp.start()
+    engine.run()
+    spread = sm.stats.histogram("warp.mem_spread")
+    return {
+        "requests": translation.requests,
+        "accesses": memory.accesses,
+        "finished": [(warps.index(w), w.finished_at) for w in finished],
+        "now": engine.now,
+        "issued": (sm.user_issued, sm.memory_wait, sm.active_warps),
+        "spread": (spread.count, spread.total, spread.maximum),
+    }
+
+
+class TestCompiledWarpMatchesReference:
+    @given(data=st.data(), page_size=st.sampled_from([PAGE_SIZE_64K, PAGE_SIZE_2M]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_requests_accesses_and_timing(self, data, page_size):
+        lines_per_page = page_size // 128
+        traces = data.draw(
+            st.lists(line_traces(lines_per_page), min_size=1, max_size=3)
+        )
+
+        def reference(sm, engine, translation, memory, size, trace, on_done):
+            return ReferenceWarp(sm, engine, translation, memory, size, trace, on_done)
+
+        def compiled(sm, engine, translation, memory, size, trace, on_done):
+            program = compile_trace(trace, lines_per_page)
+            return Warp(0, sm, engine, translation, memory, size, program, on_done)
+
+        assert _simulate(compiled, traces, page_size) == _simulate(
+            reference, traces, page_size
+        )
 
 
 class TestSMIssueAccounting:

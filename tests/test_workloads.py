@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PAGE_SIZE_2M, baseline_config
+from repro.gpu.warp import compile_trace
 from repro.workloads.base import IRREGULAR, REGULAR, TraceWorkload, WorkloadSpec
 from repro.workloads.catalog import (
     ALL_ABBRS,
@@ -156,6 +157,49 @@ class TestTraceWorkload:
         base = TraceWorkload(self.spec(), config)
         wide = TraceWorkload(self.spec(), config, footprint_scale=4.0)
         assert wide.footprint_lines == 4 * base.footprint_lines
+
+
+class TestCompiledPrograms:
+    @pytest.mark.parametrize("page_size", [64 * 1024, PAGE_SIZE_2M])
+    @pytest.mark.parametrize("abbr", ALL_ABBRS)
+    def test_programs_compile_the_trace_view(self, abbr, page_size):
+        config = baseline_config().derive(num_sms=3).with_page_size(page_size)
+        workload = TraceWorkload(get_spec(abbr), config, scale=0.25)
+        lines_per_page = page_size // 128
+        traces = workload.traces
+        assert [
+            [compile_trace(trace, lines_per_page) for trace in sm] for sm in traces
+        ] == workload.programs
+        touched = {
+            line // lines_per_page
+            for sm in traces
+            for warp in sm
+            for kind, payload in warp
+            if kind == "m"
+            for line in payload
+        }
+        assert workload.touched_page_set() == touched
+
+    @pytest.mark.parametrize("num_sms,warps_per_sm", [(2, 0), (0, 2)])
+    def test_workload_without_warps(self, num_sms, warps_per_sm):
+        spec = WorkloadSpec(
+            name="empty", abbr="e", category=IRREGULAR, footprint_mb=8,
+            pattern="uniform_random", warps_per_sm=warps_per_sm,
+        )
+        workload = TraceWorkload(spec, baseline_config().derive(num_sms=num_sms))
+        assert workload.programs == workload.traces == [[]] * num_sms
+        assert workload.touched_pages == 0
+
+    def test_every_pattern_is_covered(self):
+        assert {get_spec(abbr).pattern for abbr in ALL_ABBRS} == set(PATTERNS)
+
+    def test_trace_view_rows_are_sorted_and_unique(self):
+        workload = TraceWorkload(get_spec("gups"), baseline_config().derive(num_sms=2))
+        for sm in workload.traces:
+            for warp in sm:
+                for kind, payload in warp:
+                    if kind == "m":
+                        assert list(payload) == sorted(set(payload))
 
 
 class TestMicrobench:
