@@ -44,6 +44,7 @@ class SoftWalkerBackend:
     ) -> None:
         sw = config.softwalker
         self.stats = stats
+        self._counts = stats.counters.live()
         self.engine = engine
         self._sms = sms
         self.on_complete: CompletionCallback | None = None
@@ -84,7 +85,7 @@ class SoftWalkerBackend:
         return self.engine.now
 
     def submit(self, request: WalkRequest) -> None:
-        self.stats.counters.add("softwalker.submitted")
+        self._counts["softwalker.submitted"] += 1
         self.distributor.submit(request)
 
     def _dispatch(self, sm_id: int, request: WalkRequest) -> None:

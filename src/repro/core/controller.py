@@ -55,6 +55,7 @@ class SoftWalkerController:
         self.communication_latency = communication_latency
         self.softpwb = SoftPWB(config.softpwb_entries)
         self._trace = stats.obs.trace
+        self._counts = stats.counters.live()
         self._active_walks = 0
         #: Requests dispatched by the distributor but still travelling
         #: over the interconnect (audit support: they are owned here).
@@ -84,7 +85,7 @@ class SoftWalkerController:
             # to the SoftPWB capacity, so this cannot happen unless wiring
             # is broken.
             raise RuntimeError(f"SoftPWB overflow on SM {self.sm.sm_id}")
-        self.stats.counters.add("softwalker.received")
+        self._counts["softwalker.received"] += 1
         if self._trace.enabled:
             self._trace.instant(
                 f"sm{self.sm.sm_id}",
@@ -138,7 +139,15 @@ class SoftWalkerController:
                 vpn=request.vpn,
                 active=self._active_walks,
             )
-        t = self._issue_block(len(PageWalkProgram.PROLOGUE), now, request)
+        # Each dependent instruction block issues with PW-warp priority
+        # and completes ``instruction_cycles`` after its last issue; the
+        # blocks' spans add up to the walk's execution latency.
+        issue = self.sm.issue_priority
+        block_cycles = self.config.instruction_cycles
+        per_level = self.config.instructions_per_level
+        read = self.pte_port.read
+        t = issue(len(PageWalkProgram.PROLOGUE), now) + block_cycles
+        execution = t - now
 
         steps = self.page_table.walk_path(request.vpn, request.start_level)
         access_cycles = 0
@@ -147,15 +156,18 @@ class SoftWalkerController:
         fault_level = 0
         leaf_pte_address: int | None = None
         for step in steps:
-            t = self._issue_block(self.config.instructions_per_level, t, request)
-            completion = self.pte_port.read(step.pte_address, t)  # LDPT
-            access_cycles += completion - t
+            issued = issue(per_level, t) + block_cycles
+            execution += issued - t
+            completion = read(step.pte_address, issued)  # LDPT
+            access_cycles += completion - issued
             t = completion
             if step.is_leaf:
                 leaf_pte_address = step.pte_address
             if not step.valid:
                 # FFB: one more instruction to log the fault.
-                t = self._issue_block(1, t, request)
+                issued = issue(1, t) + block_cycles
+                execution += issued - t
+                t = issued
                 faulted = True
                 fault_level = step.level
                 break
@@ -166,6 +178,7 @@ class SoftWalkerController:
         if not faulted:
             outcome_pfn = steps[-1].value
 
+        request.execution += execution
         request.access += access_cycles
         request.faulted = faulted
         request.fault_level = fault_level
@@ -181,7 +194,7 @@ class SoftWalkerController:
             fault_level=fault_level,
             leaf_pte_address=leaf_pte_address,
         )
-        self.stats.counters.add("softwalker.walks")
+        self._counts["softwalker.walks"] += 1
         self.engine.schedule_at(finish, self._finish, slot_index, request, outcome)
 
     def _execute_lockstep(self, batch: list[tuple[int, WalkRequest]]) -> None:
@@ -197,15 +210,20 @@ class SoftWalkerController:
         for _slot, request in batch:
             request.queueing += now - request.enqueue_time - request.communication
             paths.append(self.page_table.walk_path(request.vpn, request.start_level))
+        # Instruction blocks issue as in _execute, charged to the lead lane.
         lead = batch[0][1]
-        t = self._issue_block(len(PageWalkProgram.PROLOGUE), now, lead)
+        issue = self.sm.issue_priority
+        block_cycles = self.config.instruction_cycles
+        t = issue(len(PageWalkProgram.PROLOGUE), now) + block_cycles
+        lead.execution += t - now
 
         depth = max(len(path) for path in paths)
         outcomes: list[WalkOutcome | None] = [None] * len(batch)
         access_start = t
         for level_index in range(depth):
-            t = self._issue_block(self.config.instructions_per_level, t, lead)
-            level_done = t
+            issued = issue(self.config.instructions_per_level, t) + block_cycles
+            lead.execution += issued - t
+            t = level_done = issued
             for lane, ((_slot, request), path) in enumerate(zip(batch, paths)):
                 if outcomes[lane] is not None or level_index >= len(path):
                     continue
@@ -237,22 +255,16 @@ class SoftWalkerController:
             t = level_done  # the warp waits for its slowest lane
 
         finish = t + self.communication_latency
+        counts = self._counts
         for (slot, request), outcome in zip(batch, outcomes):
             assert outcome is not None
             request.access += t - access_start
             request.communication += self.communication_latency
             request.faulted = outcome.faulted
             request.fault_level = outcome.fault_level
-            self.stats.counters.add("softwalker.walks")
-            self.stats.counters.add("softwalker.lockstep_walks")
+            counts["softwalker.walks"] += 1
+            counts["softwalker.lockstep_walks"] += 1
             self.engine.schedule_at(finish, self._finish, slot, request, outcome)
-
-    def _issue_block(self, instructions: int, when: int, request: WalkRequest) -> int:
-        """Issue a dependent block of PW-warp instructions at ``when``."""
-        issued_done = self.sm.issue_priority(instructions, when)
-        done = issued_done + self.config.instruction_cycles
-        request.execution += done - when
-        return done
 
     def _finish(self, slot_index: int, request: WalkRequest, outcome: WalkOutcome) -> None:
         self.softpwb.complete(slot_index)

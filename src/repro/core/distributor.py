@@ -116,6 +116,7 @@ class RequestDistributor:
         self.idleness = idleness
         self._idleness = idleness  # legacy alias
         self._trace = stats.obs.trace
+        self._counts = stats.counters.live()
         #: Simulation-time probe for trace timestamps; falls back to each
         #: request's enqueue time when the backend wires no clock.
         self._clock = clock
@@ -143,7 +144,7 @@ class RequestDistributor:
         sm = self._select()
         if sm is None:
             self._overflow.append(request)
-            self.stats.counters.add("distributor.overflow")
+            self._counts["distributor.overflow"] += 1
             if self._trace.enabled:
                 now = self._now(request)
                 self._trace.instant(
@@ -164,7 +165,7 @@ class RequestDistributor:
         self._counters[sm] += 1
         if self._counters[sm] == self.capacity:
             del self._available[bisect_left(self._available, sm)]
-        self.stats.counters.add("distributor.dispatched")
+        self._counts["distributor.dispatched"] += 1
         if self._trace.enabled:
             self._trace.instant(
                 "distributor",

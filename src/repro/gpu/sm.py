@@ -26,6 +26,10 @@ class SM:
         #: Integral of warp-cycles spent blocked on memory (Figure 8).
         self.memory_wait = 0
         self.active_warps = 0
+        #: The ``warp.mem_spread`` histogram, fetched by the first warp
+        #: that records into it (fetching creates it, and an empty
+        #: histogram enters the fingerprint).
+        self.mem_spread = None
 
     # ------------------------------------------------------------------
     # Issue paths

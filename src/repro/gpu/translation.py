@@ -2,13 +2,17 @@
 
 This is the glue the paper's Figure 2 describes.  Per SM: a private L1
 TLB with its own MSHR file.  Shared: the L2 TLB, its dedicated MSHRs
-(plus In-TLB MSHR overflow via :class:`~repro.tlb.tracker.L2MissTracker`),
-the Page Walk Cache, and whichever walk backend the configuration
-selects (hardware PTWs, SoftWalker, or hybrid).
+(plus In-TLB MSHR overflow, Section 4.5), the Page Walk Cache, and
+whichever walk backend the configuration selects (hardware PTWs,
+SoftWalker, or hybrid).
 
-Misses the L2 TLB cannot track (*MSHR failures*) park in a backpressure
-list and re-attempt as walk completions free tracking slots — modelling
-the L1-side retry a real design performs, without retry-storm events.
+Both miss paths are routed here, inline: :meth:`request` allocates,
+merges or parks on the requesting SM's L1 MSHR file, and
+:meth:`_l2_lookup` tracks an L2 miss on a dedicated MSHR first and an
+In-TLB pending way on overflow.  Misses the L2 TLB cannot track (*MSHR
+failures*, the events Figure 17 counts) park in a backpressure list and
+re-attempt as walk completions free tracking slots — modelling the
+L1-side retry a real design performs, without retry-storm events.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from repro.ptw.request import WalkRequest
 from repro.ptw.walker import WalkOutcome
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
-from repro.tlb.mshr import MSHRFile, MSHRResult
+from repro.tlb.mshr import MSHRFile
 from repro.tlb.pwc import PageWalkCache
+from repro.tlb.speculation import MISPREDICT_PENALTY, ContiguityPredictor
 from repro.tlb.tlb import TLB
-from repro.tlb.tracker import L2MissTracker, TrackOutcome
 
 #: callback(completion_cycle, pfn) delivered to the requesting warp.
 TranslationCallback = Callable[[int, int], None]
@@ -79,10 +83,7 @@ class TranslationService:
         ]
         self.l1_mshrs = [
             MSHRFile(
-                config.l1_tlb.mshr_entries,
-                config.l1_tlb.mshr_merges,
-                stats,
-                name="l1tlb.mshr",
+                config.l1_tlb.mshr_entries, config.l1_tlb.mshr_merges, name="l1tlb.mshr"
             )
             for _ in range(config.num_sms)
         ]
@@ -99,19 +100,23 @@ class TranslationService:
         else:
             self.l2_tlb = TLB(config.l2_tlb, stats, name="l2tlb")
         self.l2_mshr = MSHRFile(
-            config.l2_tlb.mshr_entries,
-            config.l2_tlb.mshr_merges,
-            stats,
-            name="l2tlb.mshr",
+            config.l2_tlb.mshr_entries, config.l2_tlb.mshr_merges, name="l2tlb.mshr"
         )
         in_tlb_enabled = config.softwalker.enabled or config.hw_in_tlb_mshr
-        in_tlb_limit = (
+        #: In-TLB MSHR budget: L2 TLB ways that may be pending at once
+        #: (0 disables the overflow path).
+        self.in_tlb_limit = (
             config.softwalker.in_tlb_mshr_entries if in_tlb_enabled else 0
         )
-        self.tracker = L2MissTracker(
-            self.l2_tlb, self.l2_mshr, stats, in_tlb_limit=in_tlb_limit
-        )
-        #: (sm_id, vpn) pairs refused by the tracker, waiting for slots.
+        self._l1_latency = config.l1_tlb.latency
+        self._l2_latency = config.l2_tlb.latency
+        # Hot-path counters: the raw mapping, bumped by literal name.
+        self._counts = stats.counters.live()
+        # Statistics handles, fetched on first use: fetching one creates
+        # it, and an empty histogram or tracker enters the fingerprint.
+        self._backpressure_hist = None
+        self._walk_latency = None
+        #: (sm_id, vpn) pairs refused an L2 tracking slot, waiting for one.
         self._backpressure: deque[tuple[int, int]] = deque()
         #: vpn -> cycle of its earliest unresolved L2 demand miss.  The
         #: paper measures queueing delay from translation-request issue,
@@ -121,8 +126,6 @@ class TranslationService:
         #: Avatar-style contiguity predictors (one per SM) when enabled.
         self._predictors = None
         if config.tlb_speculation:
-            from repro.tlb.speculation import ContiguityPredictor
-
             self._predictors = [
                 ContiguityPredictor(stats) for _ in range(config.num_sms)
             ]
@@ -151,9 +154,8 @@ class TranslationService:
     ) -> None:
         """Translate ``vpn`` for SM ``sm_id``; ``callback(time, pfn)`` fires
         with the completion timestamp (synchronously for TLB hits)."""
-        l1 = self.l1_tlbs[sm_id]
-        lookup_done = now + self.config.l1_tlb.latency
-        pfn = l1.lookup(vpn)
+        lookup_done = now + self._l1_latency
+        pfn = self.l1_tlbs[sm_id].lookup(vpn)
         trace = self._trace
         if trace.enabled:
             trace.instant(
@@ -166,75 +168,83 @@ class TranslationService:
         if pfn is not None:
             callback(lookup_done, pfn)
             return
+        # The L2 TLB observes the miss after the L1 lookup resolved.
+        l2_at = lookup_done
         if self._predictors is not None:
-            outcome = self._speculate(sm_id, vpn, lookup_done, callback)
-            if outcome:
+            carried = self._speculate(sm_id, vpn, lookup_done, callback)
+            if carried is None:
                 return
-        result = self.l1_mshrs[sm_id].allocate(vpn, callback)
-        if result is MSHRResult.NEW:
-            # Forward to the L2 TLB; it observes the miss after the L1
-            # lookup resolved.
-            when = max(self.engine.now, lookup_done)
-            self.engine.schedule_at(when, self._l2_lookup, sm_id, vpn)
-        elif result is MSHRResult.FULL:
-            # The L1 MSHR file throttles per-SM outstanding translations;
-            # the access replays once a response frees an entry.
-            self.stats.counters.add("l1tlb.mshr_failures")
-            if trace.enabled:
-                trace.instant(f"sm{sm_id}", "l1tlb.mshr_full", now, vpn=vpn)
-            parked = self._l1_parked[sm_id]
-            waiters = parked.get(vpn)
-            if waiters is None:
-                parked[vpn] = [callback]
-                self._l1_parked_order[sm_id].append(vpn)
-            else:
-                waiters.append(callback)
+            if carried is not callback:
+                callback = carried
+                l2_at += MISPREDICT_PENALTY
+        # L1 MSHR file: allocate, merge, or refuse (park).
+        mshr = self.l1_mshrs[sm_id]
+        entries = mshr._entries
+        counts = self._counts
+        waiters = entries.get(vpn)
+        if waiters is None:
+            if len(entries) < mshr.capacity:
+                entries[vpn] = [callback]
+                counts["l1tlb.mshr.allocated"] += 1
+                engine = self.engine
+                engine.schedule_at(
+                    l2_at if l2_at > engine.now else engine.now,
+                    self._l2_lookup,
+                    sm_id,
+                    vpn,
+                )
+                return
+            counts["l1tlb.mshr.full"] += 1
+        elif len(waiters) < mshr.merges:
+            waiters.append(callback)
+            counts["l1tlb.mshr.merged"] += 1
+            return
+        else:
+            counts["l1tlb.mshr.merge_full"] += 1
+        # The L1 MSHR file throttles per-SM outstanding translations;
+        # the access replays once a response frees an entry.
+        counts["l1tlb.mshr_failures"] += 1
+        if trace.enabled:
+            trace.instant(f"sm{sm_id}", "l1tlb.mshr_full", now, vpn=vpn)
+        parked = self._l1_parked[sm_id]
+        waiters = parked.get(vpn)
+        if waiters is None:
+            parked[vpn] = [callback]
+            self._l1_parked_order[sm_id].append(vpn)
+        else:
+            waiters.append(callback)
 
     def _speculate(
         self, sm_id: int, vpn: int, lookup_done: int, callback: TranslationCallback
-    ) -> bool:
+    ) -> TranslationCallback | None:
         """Avatar path: try a contiguity-predicted translation.
 
-        Returns True when speculation handled the request.  A correct
-        guess validates against the in-cacheline PTE and generates no
-        L2 TLB or walk traffic; a wrong guess pays the squash penalty
-        and then follows the ordinary miss flow (with a callback wrapper
-        that trains the predictor on the verified translation).
+        Returns None when a correct guess handled the request: it
+        validates against the in-cacheline PTE and generates no L2 TLB
+        or walk traffic.  Otherwise returns the callback the ordinary
+        miss flow must carry: ``callback`` itself when there was nothing
+        to speculate from, or — after a wrong guess, which pays the
+        squash penalty — a :func:`~functools.partial` of
+        :meth:`_trained_respond` that trains the predictor on the
+        verified translation.
         """
-        from repro.tlb.speculation import MISPREDICT_PENALTY
-
         predictor = self._predictors[sm_id]
         prediction = predictor.predict(vpn)
         if prediction is None:
-            return False
+            return callback
         try:
             actual = self.space.translate(vpn)
         except PageFault:
             predictor.record_outcome(False)
-            return False
+            return callback
         if prediction == actual:
             predictor.record_outcome(True)
             predictor.observe(vpn, actual)
             self.l1_tlbs[sm_id].fill(vpn, actual)
             callback(lookup_done, actual)
-            return True
+            return None
         predictor.record_outcome(False)
-
-        trained_callback = partial(self._trained_respond, sm_id, vpn, callback)
-        result = self.l1_mshrs[sm_id].allocate(vpn, trained_callback)
-        if result is MSHRResult.NEW:
-            when = max(self.engine.now, lookup_done + MISPREDICT_PENALTY)
-            self.engine.schedule_at(when, self._l2_lookup, sm_id, vpn)
-        elif result is MSHRResult.FULL:
-            self.stats.counters.add("l1tlb.mshr_failures")
-            parked = self._l1_parked[sm_id]
-            waiters = parked.get(vpn)
-            if waiters is None:
-                parked[vpn] = [trained_callback]
-                self._l1_parked_order[sm_id].append(vpn)
-            else:
-                waiters.append(trained_callback)
-        return True
+        return partial(self._trained_respond, sm_id, vpn, callback)
 
     def _trained_respond(
         self, sm_id: int, vpn: int, callback: TranslationCallback, time: int, pfn: int
@@ -244,8 +254,6 @@ class TranslationService:
         Trains the predictor on the real PFN and charges the squash
         penalty on top of the ordinary miss latency.
         """
-        from repro.tlb.speculation import MISPREDICT_PENALTY
-
         self._predictors[sm_id].observe(vpn, pfn)
         callback(time + MISPREDICT_PENALTY, pfn)
 
@@ -254,8 +262,9 @@ class TranslationService:
     # ------------------------------------------------------------------
     def _l2_lookup(self, sm_id: int, vpn: int, is_retry: bool = False) -> None:
         now = self.engine.now
-        lookup_done = now + self.config.l2_tlb.latency
-        pfn = self.l2_tlb.lookup(vpn)
+        lookup_done = now + self._l2_latency
+        l2 = self.l2_tlb
+        pfn = l2.lookup(vpn)
         trace = self._trace
         if trace.enabled:
             trace.instant(
@@ -271,24 +280,62 @@ class TranslationService:
             self._first_miss.pop(vpn, None)
             self._respond(sm_id, vpn, pfn, lookup_done)
             return
+        counts = self._counts
         if not is_retry:
             # Workload-characteristic misses (MPKI) exclude backpressure
             # retries, which are a structural artefact.
-            self.stats.counters.add("l2tlb.demand_misses")
+            counts["l2tlb.demand_misses"] += 1
             self._first_miss.setdefault(vpn, now)
-        outcome = self.tracker.track(vpn, sm_id)
-        if outcome is TrackOutcome.NEW:
-            self._launch_walk(vpn, lookup_done, sm_id)
-        elif outcome is TrackOutcome.FAILED:
-            self._backpressure.append((sm_id, vpn))
-            self.stats.histogram("l2tlb.backpressure_depth").record(
-                len(self._backpressure)
+        # Section 4.5 routing.  An in-flight miss on ``vpn`` lives in
+        # exactly one of the MSHR file and the pending ways, so merge
+        # paths come first; a fresh miss takes a dedicated MSHR (regular
+        # workloads never touch TLB entries until the file is
+        # saturated), then an In-TLB pending way.  ``capacity`` is read
+        # on every call: fault injection lowers it transiently.
+        mshr = self.l2_mshr
+        entries = mshr._entries
+        waiters = entries.get(vpn)
+        if waiters is not None:
+            if len(waiters) < mshr.merges:
+                waiters.append(sm_id)
+                counts["l2tlb.mshr.merged"] += 1
+                return
+            counts["l2tlb.mshr.merge_full"] += 1
+        else:
+            pending = l2.probe_pending(vpn) if l2.pending_entries else None
+            if pending is not None:
+                if len(pending) < mshr.merges:
+                    l2.merge_pending(vpn, sm_id)
+                    return
+                counts["l2tlb.pending_merge_full"] += 1
+            elif len(entries) < mshr.capacity:
+                entries[vpn] = [sm_id]
+                counts["l2tlb.mshr.allocated"] += 1
+                self._launch_walk(vpn, lookup_done, sm_id)
+                return
+            else:
+                counts["l2tlb.mshr.full"] += 1
+                limit = self.in_tlb_limit
+                if limit and l2.pending_entries < limit:
+                    if l2.allocate_pending(vpn, sm_id):
+                        self._launch_walk(vpn, lookup_done, sm_id)
+                        return
+                    # Every way of the set is already a pending slot —
+                    # the per-set bottleneck that caps spmv in Section 6.3.
+                    counts["l2tlb.pending_set_full"] += 1
+        # MSHR failure: nothing could hold the miss; it retries later.
+        counts["l2tlb.mshr_failures"] += 1
+        backpressure = self._backpressure
+        backpressure.append((sm_id, vpn))
+        histogram = self._backpressure_hist
+        if histogram is None:
+            histogram = self._backpressure_hist = self.stats.histogram(
+                "l2tlb.backpressure_depth"
             )
-            if trace.enabled:
-                trace.instant("l2tlb", "l2tlb.mshr_failure", now, sm=sm_id, vpn=vpn)
-                trace.counter(
-                    "l2tlb", "l2tlb.backpressure", now, depth=len(self._backpressure)
-                )
+        histogram.record(len(backpressure))
+        if trace.enabled:
+            trace.instant("l2tlb", "l2tlb.mshr_failure", now, sm=sm_id, vpn=vpn)
+            trace.counter("l2tlb", "l2tlb.backpressure", now, depth=len(backpressure))
 
     def _launch_walk(self, vpn: int, enqueue_time: int, sm_id: int = -1) -> None:
         start_level, node_base = self.pwc.probe(vpn)
@@ -299,7 +346,7 @@ class TranslationService:
             node_base=node_base,
             requester_sm=sm_id,
         )
-        self.stats.counters.add("walks.launched")
+        self._counts["walks.launched"] += 1
         trace = self._trace
         if trace.enabled:
             request.trace_id = trace.new_id()
@@ -325,10 +372,14 @@ class TranslationService:
             self.fault_handler.handle(request)
             return
 
-        self.stats.counters.add("walks.completed")
+        counts = self._counts
+        counts["walks.completed"] += 1
         first_miss = self._first_miss.get(request.vpn, request.enqueue_time)
         pre_walk_wait = max(0, request.enqueue_time - first_miss)
-        self.stats.latency("walk").record(
+        latency = self._walk_latency
+        if latency is None:
+            latency = self._walk_latency = self.stats.latency("walk")
+        latency.record(
             queueing=request.queueing + pre_walk_wait,
             access=request.access,
             communication=request.communication,
@@ -362,18 +413,18 @@ class TranslationService:
             except PageFault as fault:
                 # The neighbour's PTE is invalid (unmapped or corrupted
                 # while the host walk was in flight).  Its waiters are
-                # still parked in the tracker, so relaunch it as its own
+                # still parked on the L2 TLB, so relaunch it as its own
                 # walk through the far-fault path rather than dropping
                 # it — `continue` alone would strand them forever.
                 self._refault_merged(vpn, fault.level, now)
                 continue
-            self.stats.counters.add("walks.completed_merged")
+            counts["walks.completed_merged"] += 1
             self._resolve_vpn(vpn, pfn, now)
         self._drain_backpressure()
 
     def _refault_merged(self, vpn: int, level: int, now: int) -> None:
         """Re-home a faulted NHA neighbour as a standalone walk."""
-        self.stats.counters.add("walks.refaulted_merged")
+        self._counts["walks.refaulted_merged"] += 1
         if self.fault_handler is None:
             raise PageFault(vpn, level)
         orphan = WalkRequest(
@@ -388,9 +439,14 @@ class TranslationService:
 
     def _resolve_vpn(self, vpn: int, pfn: int, time: int) -> None:
         self._first_miss.pop(vpn, None)
-        pending_waiters = self.l2_tlb.fill(vpn, pfn)
-        mshr_waiters = self.tracker.resolve(vpn)
-        for sm_id in dict.fromkeys([*pending_waiters, *mshr_waiters]):
+        # A pending way's waiters come back from the fill; an MSHR
+        # entry's are freed here.
+        waiters = self.l2_tlb.fill(vpn, pfn)
+        mshr_waiters = self.l2_mshr._entries.pop(vpn, None)
+        if mshr_waiters is not None:
+            self._counts["l2tlb.mshr.resolved"] += 1
+            waiters = [*waiters, *mshr_waiters]
+        for sm_id in dict.fromkeys(waiters):
             self._respond(sm_id, vpn, pfn, time)
 
     def _drain_backpressure(self) -> None:
@@ -415,20 +471,24 @@ class TranslationService:
         if self._predictors is not None:
             self._predictors[sm_id].observe(vpn, pfn)
         self.l1_tlbs[sm_id].fill(vpn, pfn)
-        for callback in self.l1_mshrs[sm_id].resolve(vpn):
-            callback(time, pfn)
+        entries = self.l1_mshrs[sm_id]._entries
+        waiters = entries.pop(vpn, None)
+        if waiters is not None:
+            self._counts["l1tlb.mshr.resolved"] += 1
+            for callback in waiters:
+                callback(time, pfn)
         # Parked duplicates of this VPN hit the freshly filled L1 entry.
-        parked = self._l1_parked[sm_id].pop(vpn, None)
-        if parked is not None:
-            hit_time = time + self.config.l1_tlb.latency
-            for callback in parked:
+        parked = self._l1_parked[sm_id]
+        waiters = parked.pop(vpn, None)
+        if waiters is not None:
+            hit_time = time + self._l1_latency
+            for callback in waiters:
                 callback(hit_time, pfn)
         # The resolve freed one MSHR entry: replay parked VPNs into it.
         # Replays that resolve synchronously (TLB hits) produce no future
         # response event, so keep draining until one actually occupies an
         # MSHR slot (or re-parks) — otherwise the queue would starve.
         order = self._l1_parked_order[sm_id]
-        parked = self._l1_parked[sm_id]
         while order:
             next_vpn = order.popleft()
             waiters = parked.pop(next_vpn, None)
@@ -436,7 +496,7 @@ class TranslationService:
                 continue  # already satisfied by an earlier fill
             for callback in waiters:
                 self.request(sm_id, next_vpn, time, callback)
-            if self.l1_mshrs[sm_id].is_tracking(next_vpn) or next_vpn in parked:
+            if next_vpn in entries or next_vpn in parked:
                 break
 
     # ------------------------------------------------------------------

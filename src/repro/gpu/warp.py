@@ -181,14 +181,16 @@ class Warp:
             self._mem_first = done
         self._pending_pages -= 1
         if self._pending_pages == 0:
-            self.sm.record_memory_wait(self._mem_done - self._issue_time)
+            sm = self.sm
+            sm.record_memory_wait(self._mem_done - self._issue_time)
             if self._mem_first is not None:
                 # Intra-warp completion spread: what page-walk scheduling
                 # (ref [85]) tries to shrink — the warp waits for its
                 # slowest lane regardless of how early the first returned.
-                self.sm.stats.histogram("warp.mem_spread").record(
-                    self._mem_done - self._mem_first
-                )
+                spread = sm.mem_spread
+                if spread is None:
+                    spread = sm.mem_spread = sm.stats.histogram("warp.mem_spread")
+                spread.record(self._mem_done - self._mem_first)
             self.engine.schedule_at(max(self.engine.now, self._mem_done), self._advance)
 
     def _finish(self, now: int) -> None:

@@ -76,7 +76,7 @@ class SmBatchPwbPolicy(PwbPolicy):
                 if queue[index].requester_sm == backend._last_sm:
                     request = queue[index]
                     del queue[index]
-                    backend.stats.counters.add("ptw.sm_batched")
+                    backend._counts["ptw.sm_batched"] += 1
                     return request
         return queue.popleft()
 
@@ -101,6 +101,10 @@ class HardwareWalkBackend:
         self.pwc = pwc
         self.stats = stats
         self._trace = stats.obs.trace
+        self._counts = stats.counters.live()
+        #: Walk-depth histogram, fetched on first use: fetching creates
+        #: it, and an empty histogram enters the fingerprint.
+        self._levels_hist = None
         self._traverse = traversal or self._radix_traverse
         self.on_complete: CompletionCallback | None = None
         self._queue: deque[WalkRequest] = deque()
@@ -181,7 +185,7 @@ class HardwareWalkBackend:
 
     def submit(self, request: WalkRequest) -> None:
         """Accept a walk request (enqueue time already stamped)."""
-        self.stats.counters.add("ptw.submitted")
+        self._counts["ptw.submitted"] += 1
         if self.config.nha_coalescing and self._try_nha_merge(request):
             return
         if self._free_walkers > 0:
@@ -190,7 +194,7 @@ class HardwareWalkBackend:
         if len(self._queue) >= self.config.pwb_entries:
             # The PWB proper is full; requests overflow into MSHR-held
             # backpressure.  The wait is still queueing delay either way.
-            self.stats.counters.add("ptw.pwb_overflow")
+            self._counts["ptw.pwb_overflow"] += 1
             if self._trace.enabled:
                 self._trace.instant(
                     "pwb", "pwb.overflow", self.engine.now, vpn=request.vpn
@@ -214,7 +218,7 @@ class HardwareWalkBackend:
         if len(host.merged_vpns) + 1 >= NHA_SPAN_PTES:
             return False
         host.merged_vpns.append(request.vpn)
-        self.stats.counters.add("ptw.nha_merged")
+        self._counts["ptw.nha_merged"] += 1
         if self._trace.enabled:
             self._trace.instant(
                 "pwb",
@@ -256,8 +260,11 @@ class HardwareWalkBackend:
         request.access = outcome.finish_time - begin
         request.faulted = outcome.faulted
         request.fault_level = outcome.fault_level
-        self.stats.counters.add("ptw.walks")
-        self.stats.histogram("ptw.levels").record(outcome.levels_accessed)
+        self._counts["ptw.walks"] += 1
+        levels = self._levels_hist
+        if levels is None:
+            levels = self._levels_hist = self.stats.histogram("ptw.levels")
+        levels.record(outcome.levels_accessed)
         if self._trace.enabled:
             self._trace.instant(
                 "pwb",

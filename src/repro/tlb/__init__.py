@@ -1,19 +1,15 @@
-"""TLB substrate: TLB arrays, MSHRs, In-TLB MSHR tracking, page walk cache."""
+"""TLB substrate: TLB arrays, MSHR files, page walk cache, speculation."""
 
 from repro.tlb.coalesced import CoalescedTLB
 from repro.tlb.speculation import ContiguityPredictor
-from repro.tlb.mshr import MSHRFile, MSHRResult
+from repro.tlb.mshr import MSHRFile
 from repro.tlb.pwc import PageWalkCache
 from repro.tlb.tlb import TLB
-from repro.tlb.tracker import L2MissTracker, TrackOutcome
 
 __all__ = [
     "CoalescedTLB",
     "ContiguityPredictor",
     "MSHRFile",
-    "MSHRResult",
     "PageWalkCache",
     "TLB",
-    "L2MissTracker",
-    "TrackOutcome",
 ]

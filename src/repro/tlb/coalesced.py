@@ -109,7 +109,6 @@ class CoalescedTLB(TLB):
             counts[self._c_coalesced_fills] += 1
 
         key = self._block_key(vpn)
-        set_index = self.set_index(key)
         slot = self._map.get(key)
         if slot is not None and not self._pend[slot]:
             if self._pfn[slot] == base_pfn:
@@ -120,11 +119,10 @@ class CoalescedTLB(TLB):
             self._waiters[slot] = mask
             self._policy.touch(slot, self._tick)
             return waiters
-        slot = self._take_slot(set_index)
+        slot = self._claim(key, base_pfn)
         if slot is None:
             counts[self._c_fill_dropped] += 1
             return waiters
-        self._install(slot, key, base_pfn)
         self._waiters[slot] = mask
         return waiters
 

@@ -2,87 +2,38 @@
 
 Each entry tracks one in-flight VPN and up to ``merges`` requests that
 collapsed onto it (Table 3: 32 entries x 192 merges at L1, 128 x 46 at
-L2).  Allocation distinguishes three outcomes the rest of the system
-reacts to differently:
-
-* ``NEW`` — a fresh entry was allocated; the caller must start a walk.
-* ``MERGED`` — an existing entry absorbed the request; no new walk.
-* ``FULL`` — no entry (or merge slot) available: an *MSHR failure*,
-  the event In-TLB MSHR exists to absorb.
+L2).  The file is state only: the translation service
+(:class:`~repro.gpu.translation.TranslationService`) allocates, merges
+and frees entries inline on its miss paths and counts each outcome
+under ``<name>.allocated`` / ``.merged`` / ``.full`` / ``.merge_full``
+/ ``.resolved``.  A request the file cannot hold is an *MSHR failure*,
+the event In-TLB MSHR exists to absorb.  What stays here is the audit
+and fault-injection surface.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Any
-
-from repro.sim.stats import StatsRegistry
-
-
-class MSHRResult(enum.Enum):
-    NEW = "new"
-    MERGED = "merged"
-    FULL = "full"
 
 
 class MSHRFile:
     """Fully associative miss-status holding registers for one TLB level."""
 
-    def __init__(
-        self,
-        entries: int,
-        merges: int,
-        stats: StatsRegistry,
-        *,
-        name: str,
-    ) -> None:
+    def __init__(self, entries: int, merges: int, *, name: str) -> None:
         if entries < 0 or merges < 1:
             raise ValueError("MSHR file needs entries >= 0 and merges >= 1")
+        #: Usable entry count; a new VPN is refused once ``occupancy``
+        #: reaches it.
         self.capacity = entries
         #: As-built capacity.  ``capacity`` may be temporarily lowered
         #: (fault injection models MSHR-exhaustion bursts that way);
         #: invariant audits always check occupancy against this bound.
         self.nominal_capacity = entries
+        #: Waiters one entry holds at most.
         self.merges = merges
-        self.stats = stats
         self.name = name
+        #: vpn -> waiters merged onto its entry, in allocation order.
         self._entries: dict[int, list[Any]] = {}
-        # allocate/resolve run on the translation hot path: hoist the
-        # raw counter mapping and precompute the counter names.
-        self._counts = stats.counters.live()
-        self._c_merge_full = f"{name}.merge_full"
-        self._c_merged = f"{name}.merged"
-        self._c_full = f"{name}.full"
-        self._c_allocated = f"{name}.allocated"
-        self._c_resolved = f"{name}.resolved"
-
-    def allocate(self, vpn: int, waiter: Any) -> MSHRResult:
-        """Try to track a miss on ``vpn`` for ``waiter``."""
-        waiters = self._entries.get(vpn)
-        if waiters is not None:
-            if len(waiters) >= self.merges:
-                self._counts[self._c_merge_full] += 1
-                return MSHRResult.FULL
-            waiters.append(waiter)
-            self._counts[self._c_merged] += 1
-            return MSHRResult.MERGED
-        if len(self._entries) >= self.capacity:
-            self._counts[self._c_full] += 1
-            return MSHRResult.FULL
-        self._entries[vpn] = [waiter]
-        self._counts[self._c_allocated] += 1
-        return MSHRResult.NEW
-
-    def resolve(self, vpn: int) -> list[Any]:
-        """Free the entry for ``vpn``; returns its waiters (may be empty)."""
-        waiters = self._entries.pop(vpn, None)
-        if waiters is None:
-            return []
-        self._counts[self._c_resolved] += 1
-        return waiters
-
-    def is_tracking(self, vpn: int) -> bool:
-        return vpn in self._entries
 
     def set_capacity(self, entries: int) -> None:
         """Adjust the usable entry count (transient fault injection).
@@ -105,7 +56,3 @@ class MSHRFile:
     @property
     def occupancy(self) -> int:
         return len(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity

@@ -41,6 +41,11 @@ class ContiguityPredictor:
         self.stats = stats
         self.name = name
         self._history: OrderedDict[int, int] = OrderedDict()
+        # Called on every L1 miss: bump counters by precomputed name.
+        self._counts = stats.counters.live()
+        self._c_predictions = f"{name}.predictions"
+        self._c_correct = f"{name}.correct"
+        self._c_wrong = f"{name}.wrong"
 
     def predict(self, vpn: int) -> int | None:
         """Predicted PFN for ``vpn``, or None with no history."""
@@ -50,7 +55,7 @@ class ContiguityPredictor:
         prediction = self._history[nearest] + (vpn - nearest)
         if prediction < 0:
             return None
-        self.stats.counters.add(f"{self.name}.predictions")
+        self._counts[self._c_predictions] += 1
         return prediction
 
     def observe(self, vpn: int, pfn: int) -> None:
@@ -61,10 +66,9 @@ class ContiguityPredictor:
             self._history.popitem(last=False)
 
     def record_outcome(self, correct: bool) -> None:
-        key = "correct" if correct else "wrong"
-        self.stats.counters.add(f"{self.name}.{key}")
+        self._counts[self._c_correct if correct else self._c_wrong] += 1
 
     def accuracy(self) -> float:
-        correct = self.stats.counters.get(f"{self.name}.correct")
-        total = correct + self.stats.counters.get(f"{self.name}.wrong")
+        correct = self.stats.counters.get(self._c_correct)
+        total = correct + self.stats.counters.get(self._c_wrong)
         return correct / total if total else 0.0

@@ -76,7 +76,8 @@ class TLB:
         self._set_pending = [0] * self._num_sets
         self._policy = make_policy(replacement_policy, self._num_sets, self._ways)
         self._tick = 0
-        self._pending_count = 0
+        #: Ways currently pending (In-TLB MSHR slots in use).
+        self.pending_entries = 0
         # Hot-path accessors: the raw counter mapping plus precomputed
         # names, so a lookup costs one dict += instead of a method call
         # and an f-string.
@@ -89,12 +90,6 @@ class TLB:
         self._c_pending_allocated = f"{name}.pending_allocated"
         self._c_pending_merged = f"{name}.pending_merged"
         self._c_evictions = f"{name}.evictions"
-
-    # ------------------------------------------------------------------
-    # Address helpers
-    # ------------------------------------------------------------------
-    def set_index(self, vpn: int) -> int:
-        return vpn % self._num_sets
 
     # ------------------------------------------------------------------
     # Lookup / fill
@@ -143,11 +138,8 @@ class TLB:
             self._policy.touch(slot, self._tick)
             return waiters
 
-        slot = self._take_slot(self.set_index(vpn))
-        if slot is None:
+        if self._claim(vpn, pfn) is None:
             self._counts[self._c_fill_dropped] += 1
-            return []
-        self._install(slot, vpn, pfn)
         return []
 
     def invalidate(self, vpn: int) -> bool:
@@ -174,15 +166,13 @@ class TLB:
         if slot is not None:
             # A valid entry exists; caller should have hit.  Replace it.
             self._evict_slot(slot)
-        set_index = self.set_index(vpn)
-        slot = self._take_slot(set_index)
+        slot = self._claim(vpn, 0)
         if slot is None:
             return False
-        self._install(slot, vpn, 0)
         self._pend[slot] = 1
         self._waiters[slot] = [waiter]
-        self._pending_count += 1
-        self._set_pending[set_index] += 1
+        self.pending_entries += 1
+        self._set_pending[slot // self._ways] += 1
         self._counts[self._c_pending_allocated] += 1
         return True
 
@@ -191,7 +181,7 @@ class TLB:
         waiters = self._waiters[slot]
         self._waiters[slot] = None
         self._pend[slot] = 0
-        self._pending_count -= 1
+        self.pending_entries -= 1
         self._set_pending[slot // self._ways] -= 1
         self._counts[self._c_pending_resolved] += 1
         return waiters
@@ -204,10 +194,6 @@ class TLB:
         self._waiters[slot].append(waiter)
         self._counts[self._c_pending_merged] += 1
         return True
-
-    @property
-    def pending_entries(self) -> int:
-        return self._pending_count
 
     def pending_vpns(self) -> list[int]:
         """VPNs of every in-TLB MSHR (pending) way (audit support)."""
@@ -222,30 +208,41 @@ class TLB:
     # ------------------------------------------------------------------
     # Way management
     # ------------------------------------------------------------------
-    def _take_slot(self, set_index: int) -> int | None:
-        """Claim a free or victim slot in ``set_index``; None when every
-        way is a pending MSHR slot."""
-        base = set_index * self._ways
-        if self._set_used[set_index] < self._ways:
-            return self._key_of.index(-1, base, base + self._ways)
-        pending = self._set_pending[set_index]
-        if pending == 0:
-            candidates = self._all_ways
-        elif pending == self._ways:
-            return None
-        else:
-            pend = self._pend
-            candidates = [way for way in self._all_ways if not pend[base + way]]
-        slot = base + self._policy.victim(set_index, candidates)
-        self._evict_slot(slot)
-        return slot
+    def _claim(self, key: int, pfn: int) -> int | None:
+        """Install ``key -> pfn`` in a free or victim way of its set.
 
-    def _install(self, slot: int, key: int, pfn: int) -> None:
+        Returns the claimed slot, or None (nothing changed) when every
+        way of the set is a pending MSHR slot.  The victim is chosen by
+        the replacement policy among the non-pending ways and evicted
+        in place.
+        """
+        ways = self._ways
+        set_index = key % self._num_sets
+        base = set_index * ways
+        key_of = self._key_of
+        policy = self._policy
+        if self._set_used[set_index] < ways:
+            slot = key_of.index(-1, base, base + ways)
+            self._set_used[set_index] += 1
+        else:
+            pending = self._set_pending[set_index]
+            if pending == 0:
+                candidates = self._all_ways
+            elif pending == ways:
+                return None
+            else:
+                pend = self._pend
+                candidates = [way for way in self._all_ways if not pend[base + way]]
+            slot = base + policy.victim(set_index, candidates)
+            del self._map[key_of[slot]]
+            self._waiters[slot] = None
+            policy.forget(slot)
+            self._counts[self._c_evictions] += 1
         self._map[key] = slot
-        self._key_of[slot] = key
+        key_of[slot] = key
         self._pfn[slot] = pfn
-        self._set_used[slot // self._ways] += 1
-        self._policy.touch(slot, self._tick)
+        policy.touch(slot, self._tick)
+        return slot
 
     def _evict_slot(self, slot: int) -> None:
         del self._map[self._key_of[slot]]
@@ -268,4 +265,4 @@ class TLB:
         return len(self._map)
 
     def valid_entries(self) -> int:
-        return len(self._map) - self._pending_count
+        return len(self._map) - self.pending_entries

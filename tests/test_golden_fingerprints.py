@@ -2,8 +2,11 @@
 
 Pins :meth:`SimulationResult.fingerprint` for the three headline
 configurations (baseline, softwalker, hybrid) on two small workloads,
-plus baseline/gemm at a scale that evicts from the L2, against stored
-golden files.  The machine is deterministic in its inputs, so any
+plus baseline/gemm at a scale that evicts from the L2, plus one case
+per translation-path variant the headline cases never reach (Avatar
+speculation, NHA merged walks, SoftWalker without In-TLB MSHRs, and a
+coalesced L2 TLB under lockstep PW warps), against stored golden
+files.  The machine is deterministic in its inputs, so any
 drift here means a refactor changed simulated behavior — the
 registry-driven assembly (``repro.arch``) is contractually
 event-for-event identical to the hand-wired construction these goldens
@@ -20,9 +23,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from typing import NamedTuple
+
 import pytest
 
-from repro.config import DEFAULT_CONFIGS
+from repro.config import DEFAULT_CONFIGS, GPUConfig
 from repro.harness.runner import Runner
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -32,11 +37,42 @@ REPO = Path(__file__).resolve().parent.parent
 #: spmv the classic irregular sparse kernel.
 SCALE = 0.05
 SEED = 7
+
+
+class Case(NamedTuple):
+    config: str
+    bench: str
+    #: Inline override merged over the named config's ``to_dict()``
+    #: form (nested sections merge key by key); None runs it as named.
+    override: dict | None = None
+    #: Names an overridden case in its test id and golden file.
+    variant: str = ""
+
+    @property
+    def id(self) -> str:
+        return "-".join(filter(None, (self.config, self.bench, self.variant)))
+
+
 CASES = [
-    (config, bench)
+    Case(config, bench)
     for config in ("baseline", "softwalker", "hybrid")
     for bench in ("dc", "spmv")
-] + [("baseline", "gemm")]
+] + [
+    Case("baseline", "gemm"),
+    # Speculation path of the L1 miss flow.
+    Case("avatar", "dc"),
+    # Merged neighbour walks resolved on one completion.
+    Case("nha", "dc"),
+    # L2 miss path with dedicated MSHRs only (failures, backpressure).
+    Case("softwalker-no-intlb", "spmv"),
+    # Coalesced L2 TLB way claims plus the lockstep PW-warp controller.
+    Case(
+        "softwalker",
+        "dc",
+        {"tlb_coalescing_span": 4, "softwalker": {"simt_lockstep": True}},
+        "span4-lockstep",
+    ),
+]
 
 #: Cases pinned at a larger scale.  The walk-bound cases above evict
 #: nothing from either data cache; baseline/gemm at 0.5 streams enough
@@ -45,13 +81,33 @@ CASES = [
 SCALES = {("baseline", "gemm"): 0.5}
 
 
-def golden_path(config_name: str, benchmark: str) -> Path:
-    return GOLDEN_DIR / f"{config_name}_{benchmark}.json"
+def golden_path(config_name: str, benchmark: str, variant: str = "") -> Path:
+    suffix = f"_{variant}" if variant else ""
+    return GOLDEN_DIR / f"{config_name}_{benchmark}{suffix}.json"
 
 
-def compute_fingerprint(config_name: str, benchmark: str) -> dict:
+def _merged(base: dict, override: dict) -> dict:
+    out = dict(base)
+    for key, value in override.items():
+        if isinstance(value, dict):
+            out[key] = _merged(base[key], value)
+        else:
+            out[key] = value
+    return out
+
+
+def make_config(config_name: str, override: dict | None = None) -> GPUConfig:
+    config = DEFAULT_CONFIGS.get(config_name)
+    if override is None:
+        return config
+    return GPUConfig.from_dict(_merged(config.to_dict(), override))
+
+
+def compute_fingerprint(
+    config_name: str, benchmark: str, override: dict | None = None
+) -> dict:
     result = Runner().run(
-        DEFAULT_CONFIGS.get(config_name),
+        make_config(config_name, override),
         benchmark,
         scale=SCALES.get((config_name, benchmark), SCALE),
         seed=SEED,
@@ -61,13 +117,13 @@ def compute_fingerprint(config_name: str, benchmark: str) -> dict:
     return json.loads(json.dumps(result.fingerprint()))
 
 
-@pytest.mark.parametrize("config_name,bench", CASES)
-def test_fingerprint_matches_golden(config_name: str, bench: str) -> None:
-    path = golden_path(config_name, bench)
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_fingerprint_matches_golden(case: Case) -> None:
+    path = golden_path(case.config, case.bench, case.variant)
     expected = json.loads(path.read_text())
-    actual = compute_fingerprint(config_name, bench)
+    actual = compute_fingerprint(case.config, case.bench, case.override)
     assert actual == expected, (
-        f"{config_name}/{bench} fingerprint drifted from {path.name}; "
+        f"{case.id} fingerprint drifted from {path.name}; "
         "if the behavior change is intentional, regenerate with "
         "`python tests/test_golden_fingerprints.py --regen`"
     )
@@ -79,7 +135,7 @@ FOREIGN_GOLDENS = {"explore_tiny.json"}
 
 def test_every_golden_file_is_covered() -> None:
     """No stale golden files lingering after a case rename."""
-    expected = {golden_path(c, b).name for c, b in CASES}
+    expected = {golden_path(c.config, c.bench, c.variant).name for c in CASES}
     actual = {p.name for p in GOLDEN_DIR.glob("*.json")} - FOREIGN_GOLDENS
     assert actual == expected
 
@@ -119,9 +175,9 @@ print(json.dumps({{"fingerprint": compute_fingerprint("hybrid", "dc"), "walks": 
 
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for config_name, benchmark in CASES:
-        path = golden_path(config_name, benchmark)
-        fingerprint = compute_fingerprint(config_name, benchmark)
+    for case in CASES:
+        path = golden_path(case.config, case.bench, case.variant)
+        fingerprint = compute_fingerprint(case.config, case.bench, case.override)
         path.write_text(json.dumps(fingerprint, indent=1, sort_keys=True))
         print(f"wrote {path}")
 

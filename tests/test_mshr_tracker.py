@@ -1,131 +1,171 @@
-"""Unit tests for MSHR files and the L2 miss tracker (In-TLB MSHR)."""
+"""Unit tests for MSHR files and L2 miss tracking (In-TLB MSHR).
+
+The translation service allocates, merges and frees MSHR entries
+inline on its L1 and L2 miss paths, so these tests drive a real
+:class:`~repro.gpu.translation.TranslationService` (through
+:class:`ServiceHarness`) and read the outcome off its MSHR files, its
+L2 TLB, its walk backend and its counters.
+"""
 
 import pytest
 
-from repro.config import TLBConfig
-from repro.sim.stats import StatsRegistry
-from repro.tlb.mshr import MSHRFile, MSHRResult
-from repro.tlb.tlb import TLB
-from repro.tlb.tracker import L2MissTracker, TrackOutcome
+from repro.tlb.mshr import MSHRFile
+from test_walkpath_models import ServiceHarness
 
 
-def make_mshr(entries=2, merges=3) -> MSHRFile:
-    return MSHRFile(entries, merges, StatsRegistry(), name="mshr")
+def l1_request(harness: ServiceHarness, sm: int, vpn: int, log: list, tag: str) -> None:
+    harness.service.request(
+        sm, vpn, harness.engine.now, lambda time, pfn: log.append((tag, pfn))
+    )
+
+
+def finish_walks(harness: ServiceHarness) -> None:
+    """Run the L2 lookups the L1 side scheduled, then finish every walk
+    (VPN ``v`` translates to PFN ``100 + v``)."""
+    harness.engine.run()
+    for request in harness.outstanding():
+        harness.complete(request, 100 + request.vpn)
 
 
 class TestMSHRFile:
+    """The L1 side: allocate, merge, refuse (park) and resolve."""
+
     def test_new_then_merge(self):
-        mshr = make_mshr()
-        assert mshr.allocate(1, "a") is MSHRResult.NEW
-        assert mshr.allocate(1, "b") is MSHRResult.MERGED
-        assert mshr.resolve(1) == ["a", "b"]
+        harness = ServiceHarness(l1_mshr=2, l1_merges=3)
+        log: list = []
+        l1_request(harness, 0, 1, log, "a")
+        l1_request(harness, 0, 1, log, "b")
+        mshr = harness.service.l1_mshrs[0]
+        assert mshr.waiter_count(1) == 2
+        counters = harness.stats.counters
+        assert counters.get("l1tlb.mshr.allocated") == 1
+        assert counters.get("l1tlb.mshr.merged") == 1
+        finish_walks(harness)
+        assert log == [("a", 101), ("b", 101)]
         assert mshr.occupancy == 0
+        assert counters.get("l1tlb.mshr.resolved") == 1
 
     def test_capacity_limit(self):
-        mshr = make_mshr(entries=1)
-        assert mshr.allocate(1, "a") is MSHRResult.NEW
-        assert mshr.allocate(2, "b") is MSHRResult.FULL
-        assert mshr.is_full
+        harness = ServiceHarness(l1_mshr=1)
+        log: list = []
+        l1_request(harness, 0, 1, log, "a")
+        l1_request(harness, 0, 2, log, "b")
+        mshr = harness.service.l1_mshrs[0]
+        assert mshr.tracked_vpns() == [1]
+        assert mshr.occupancy == mshr.capacity
+        counters = harness.stats.counters
+        assert counters.get("l1tlb.mshr.full") == 1
+        assert counters.get("l1tlb.mshr_failures") == 1
+        # The refused request replays once the response frees the entry.
+        finish_walks(harness)
+        finish_walks(harness)
+        assert log == [("a", 101), ("b", 102)]
 
     def test_merge_limit(self):
-        mshr = make_mshr(entries=2, merges=2)
-        mshr.allocate(1, "a")
-        mshr.allocate(1, "b")
-        assert mshr.allocate(1, "c") is MSHRResult.FULL
+        harness = ServiceHarness(l1_mshr=2, l1_merges=2)
+        log: list = []
+        for tag in "abc":
+            l1_request(harness, 0, 1, log, tag)
+        assert harness.service.l1_mshrs[0].waiter_count(1) == 2
+        counters = harness.stats.counters
+        assert counters.get("l1tlb.mshr.merge_full") == 1
+        assert counters.get("l1tlb.mshr_failures") == 1
+        # The parked duplicate hits the L1 entry the response fills.
+        finish_walks(harness)
+        assert [tag for tag, _ in log] == ["a", "b", "c"]
 
     def test_resolve_unknown_vpn(self):
-        assert make_mshr().resolve(42) == []
+        harness = ServiceHarness()
+        harness.service._l2_lookup(0, 7)
+        (request,) = harness.outstanding()
+        harness.service.l2_mshr._entries.clear()  # nothing tracks vpn 7 now
+        harness.complete(request, 107)
+        assert harness.responses == []
+        assert harness.stats.counters.get("l2tlb.mshr.resolved") == 0
 
     def test_zero_capacity_always_full(self):
-        mshr = make_mshr(entries=0)
-        assert mshr.allocate(1, "a") is MSHRResult.FULL
+        harness = ServiceHarness(in_tlb=0)
+        harness.service.l2_mshr.set_capacity(0)
+        assert harness.miss(0, 1) == "failed"
+        assert harness.stats.counters.get("l2tlb.mshr.full") == 1
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
-            MSHRFile(-1, 1, StatsRegistry(), name="x")
+            MSHRFile(-1, 1, name="x")
         with pytest.raises(ValueError):
-            MSHRFile(1, 0, StatsRegistry(), name="x")
-
-
-def make_tracker(mshr_entries=2, in_tlb_limit=4, tlb_entries=8, assoc=4):
-    stats = StatsRegistry()
-    tlb = TLB(
-        TLBConfig(
-            entries=tlb_entries,
-            associativity=assoc,
-            latency=80,
-            mshr_entries=mshr_entries,
-            mshr_merges=3,
-        ),
-        stats,
-        name="l2tlb",
-    )
-    mshr = MSHRFile(mshr_entries, 3, stats, name="l2tlb.mshr")
-    return L2MissTracker(tlb, mshr, stats, in_tlb_limit=in_tlb_limit), tlb, mshr, stats
+            MSHRFile(1, 0, name="x")
 
 
 class TestL2MissTracker:
+    """The L2 side: dedicated MSHRs first, In-TLB pending ways on overflow."""
+
     def test_dedicated_mshr_first(self):
-        tracker, tlb, mshr, _ = make_tracker()
-        assert tracker.track(1, "a") is TrackOutcome.NEW
-        assert mshr.is_tracking(1)
-        assert tlb.pending_entries == 0
+        harness = ServiceHarness()
+        assert harness.miss(0, 1) == "new"
+        assert harness.service.l2_mshr.tracked_vpns() == [1]
+        assert harness.service.l2_tlb.pending_entries == 0
 
     def test_merge_into_dedicated(self):
-        tracker, _, mshr, _ = make_tracker()
-        tracker.track(1, "a")
-        assert tracker.track(1, "b") is TrackOutcome.MERGED
-        assert tracker.resolve(1) == ["a", "b"]
+        harness = ServiceHarness()
+        harness.miss(0, 1)
+        assert harness.miss(1, 1) == "merged"
+        assert harness.service.l2_mshr.waiter_count(1) == 2
+        (request,) = harness.outstanding()
+        harness.complete(request, 42)
+        assert harness.responses == [(0, 1, 42), (1, 1, 42)]
 
     def test_overflow_into_in_tlb(self):
-        tracker, tlb, _, _ = make_tracker(mshr_entries=1)
-        tracker.track(1, "a")  # fills the only MSHR
-        assert tracker.track(2, "b") is TrackOutcome.NEW
-        assert tlb.pending_entries == 1
+        harness = ServiceHarness(l2_mshr=1)
+        harness.miss(0, 1)  # fills the only MSHR
+        assert harness.miss(0, 2) == "new"
+        assert harness.service.l2_tlb.pending_entries == 1
 
     def test_merge_into_in_tlb_pending(self):
-        tracker, tlb, _, _ = make_tracker(mshr_entries=1)
-        tracker.track(1, "a")
-        tracker.track(2, "b")
-        assert tracker.track(2, "c") is TrackOutcome.MERGED
-        waiters = tlb.fill(2, 42)
-        assert waiters == ["b", "c"]
+        harness = ServiceHarness(l2_mshr=1)
+        harness.miss(0, 1)
+        harness.miss(0, 2)
+        assert harness.miss(1, 2) == "merged"
+        assert harness.pending_waiters(2) == [0, 1]
+        request = harness.outstanding()[1]
+        harness.complete(request, 42)
+        assert harness.responses == [(0, 2, 42), (1, 2, 42)]
+        assert harness.service.l2_tlb.pending_entries == 0
 
     def test_failure_when_in_tlb_disabled(self):
-        tracker, _, _, stats = make_tracker(mshr_entries=1, in_tlb_limit=0)
-        tracker.track(1, "a")
-        assert tracker.track(2, "b") is TrackOutcome.FAILED
-        assert stats.counters.get("l2tlb.mshr_failures") == 1
+        harness = ServiceHarness(l2_mshr=1, in_tlb=0)
+        harness.miss(0, 1)
+        assert harness.miss(0, 2) == "failed"
+        assert harness.stats.counters.get("l2tlb.mshr_failures") == 1
 
     def test_failure_when_in_tlb_budget_exhausted(self):
-        tracker, _, _, _ = make_tracker(mshr_entries=1, in_tlb_limit=1)
-        tracker.track(1, "a")
-        tracker.track(2, "b")  # takes the single In-TLB slot
-        assert tracker.track(3, "c") is TrackOutcome.FAILED
+        harness = ServiceHarness(l2_mshr=1, in_tlb=1)
+        harness.miss(0, 1)
+        harness.miss(0, 2)  # takes the single In-TLB slot
+        assert harness.miss(0, 3) == "failed"
 
     def test_failure_when_set_is_all_pending(self):
         # 2 sets x 2 ways; vpns 2,4,6 all map to set 0.
-        tracker, _, _, stats = make_tracker(
-            mshr_entries=1, in_tlb_limit=8, tlb_entries=4, assoc=2
-        )
-        tracker.track(1, "a")  # dedicated MSHR
-        assert tracker.track(2, "b") is TrackOutcome.NEW
-        assert tracker.track(4, "c") is TrackOutcome.NEW
+        harness = ServiceHarness(l2_mshr=1, in_tlb=8, l2_sets=2, l2_ways=2)
+        harness.miss(0, 1)  # dedicated MSHR
+        assert harness.miss(0, 2) == "new"
+        assert harness.miss(0, 4) == "new"
         # Set 0 has no non-pending way left: per-set bottleneck (spmv).
-        assert tracker.track(6, "d") is TrackOutcome.FAILED
-        assert stats.counters.get("l2tlb.pending_set_full") == 1
+        assert harness.miss(0, 6) == "failed"
+        assert harness.stats.counters.get("l2tlb.pending_set_full") == 1
 
     def test_merge_limit_on_pending(self):
-        tracker, _, _, _ = make_tracker(mshr_entries=1)
-        tracker.track(1, "a")
-        tracker.track(2, "b")
-        tracker.track(2, "c")
-        tracker.track(2, "d")
+        harness = ServiceHarness(l2_mshr=1, num_sms=4)
+        harness.miss(0, 1)
+        for sm in range(3):
+            harness.miss(sm, 2)
         # merges capped at the MSHR file's merge limit (3).
-        assert tracker.track(2, "e") is TrackOutcome.FAILED
+        assert harness.miss(3, 2) == "failed"
+        assert harness.stats.counters.get("l2tlb.pending_merge_full") == 1
 
     def test_outstanding_counts_both_structures(self):
-        tracker, _, _, _ = make_tracker(mshr_entries=1)
-        tracker.track(1, "a")
-        tracker.track(2, "b")
-        assert tracker.outstanding == 2
+        harness = ServiceHarness(l2_mshr=1)
+        harness.miss(0, 1)
+        harness.miss(0, 2)
+        service = harness.service
+        assert service.l2_mshr.occupancy + service.l2_tlb.pending_entries == 2
+        assert len(harness.outstanding()) == 2
