@@ -124,13 +124,3 @@ __all__ = [
     "REGULAR_ABBRS",
     "get_spec",
 ]
-
-
-def __getattr__(name: str):
-    if name == "run_matrix":
-        raise ImportError(
-            "repro.run_matrix() was removed after its deprecation cycle; "
-            "use repro.default_runner().run_matrix(...) (or a Runner "
-            "instance) instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,10 +1,8 @@
 """ResultSet: the one container experiment analysis loads results into.
 
-Before this module every consumer invented its own loading path —
-benchmarks scraped :class:`~repro.harness.store.ResultStore` entry
-files, experiments carried ad-hoc ``{(config, benchmark): result}``
-dicts, and the bench guard had a private report format.  A
-:class:`ResultSet` replaces all of them: it groups
+A :class:`ResultSet` is the one loading path for results, whether
+they come from :class:`~repro.harness.store.ResultStore` entry files or
+straight from a sweep.  It groups
 :class:`~repro.gpu.gpu.SimulationResult` replicates into *cells* keyed
 by (config × benchmark × scale), labels configs against the registered
 variants, and is what :func:`repro.analysis.experiment.analyze` and the

@@ -17,7 +17,6 @@ here would close a cycle back into ``repro.config``.
 """
 
 from repro.arch.registry import (
-    ALL_REGISTRIES,
     DISTRIBUTOR_POLICIES,
     PAGE_TABLE_KINDS,
     PLUGINS_ENV,
@@ -26,7 +25,6 @@ from repro.arch.registry import (
     WALK_BACKENDS,
     ComponentRegistry,
     UnknownComponentError,
-    catalogue,
     load_plugins,
 )
 
@@ -40,7 +38,6 @@ _MACHINE_EXPORTS = (
 )
 
 __all__ = [
-    "ALL_REGISTRIES",
     "DISTRIBUTOR_POLICIES",
     "PAGE_TABLE_KINDS",
     "PLUGINS_ENV",
@@ -49,7 +46,6 @@ __all__ = [
     "WALK_BACKENDS",
     "ComponentRegistry",
     "UnknownComponentError",
-    "catalogue",
     "load_plugins",
     *_MACHINE_EXPORTS,
 ]

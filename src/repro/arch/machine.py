@@ -57,27 +57,6 @@ class MachineSpec:
         self.config.check_walkers()
         return self.config.backend_name
 
-    @property
-    def page_table_kind(self) -> str:
-        return self.config.ptw.page_table_kind
-
-    @property
-    def pwb_policy(self) -> str:
-        return self.config.ptw.pwb_policy
-
-    @property
-    def distributor_policy(self) -> str:
-        return self.config.softwalker.distributor_policy
-
-    def components(self) -> dict[str, str]:
-        """Resolved component names (the ``repro components`` view)."""
-        return {
-            "walk_backend": self.backend_name,
-            "page_table_kind": self.page_table_kind,
-            "pwb_policy": self.pwb_policy,
-            "distributor_policy": self.distributor_policy,
-        }
-
     # ------------------------------------------------------------------
     # Serialization (lossless; mirrors GPUConfig.to_dict/from_dict)
     # ------------------------------------------------------------------
@@ -91,10 +70,6 @@ class MachineSpec:
         if not isinstance(payload, Mapping):
             raise ValueError("machine spec 'config' must be a mapping")
         return cls(config=GPUConfig.from_dict(payload))
-
-    @classmethod
-    def from_config(cls, config: GPUConfig) -> "MachineSpec":
-        return cls(config=config)
 
 
 @dataclass

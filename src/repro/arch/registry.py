@@ -190,20 +190,6 @@ DISTRIBUTOR_POLICIES: ComponentRegistry = ComponentRegistry("distributor policy"
 #: traverse the table, and whether the PWC applies).
 PAGE_TABLE_KINDS: ComponentRegistry = ComponentRegistry("page table kind")
 
-ALL_REGISTRIES: dict[str, ComponentRegistry] = {
-    "walk_backend": WALK_BACKENDS,
-    "replacement_policy": REPLACEMENT_POLICIES,
-    "pwb_policy": PWB_POLICIES,
-    "distributor_policy": DISTRIBUTOR_POLICIES,
-    "page_table_kind": PAGE_TABLE_KINDS,
-}
-
-
-def catalogue() -> dict[str, list[str]]:
-    """Every registry's registered names (the ``repro components`` view)."""
-    return {key: registry.names() for key, registry in ALL_REGISTRIES.items()}
-
-
 # ----------------------------------------------------------------------
 # Built-in components (lazy factories: implementations import on build)
 # ----------------------------------------------------------------------

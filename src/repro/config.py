@@ -624,9 +624,6 @@ class ServiceConfig:
     #: Reaper cadence; None derives ``lease_ttl / 4`` (clamped to
     #: [0.05, lease_ttl]).
     lease_check_interval: float | None = None
-    #: Directory of O_EXCL lease claim slots; None derives
-    #: ``<socket_path>.leases``.
-    lease_dir: str | None = None
     #: Crashed dispatches (worker death / lease expiry) a job may burn
     #: before it is dead-lettered instead of requeued.
     attempt_budget: int = 3
@@ -684,14 +681,6 @@ class ServiceConfig:
             self.state_path
             if self.state_path is not None
             else self.socket_path + ".state.json"
-        )
-
-    @property
-    def effective_lease_dir(self) -> str:
-        return (
-            self.lease_dir
-            if self.lease_dir is not None
-            else self.socket_path + ".leases"
         )
 
     @property

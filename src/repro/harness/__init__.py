@@ -52,16 +52,3 @@ __all__ = [
     "WatchdogTimeout",
     "run_supervised",
 ]
-
-
-def __getattr__(name: str):
-    # run_cached / run_matrix finished their deprecation cycle; point
-    # stragglers at the Runner replacement instead of a bare
-    # AttributeError.
-    if name in ("run_cached", "run_matrix"):
-        raise ImportError(
-            f"repro.harness.{name}() was removed after its deprecation "
-            f"cycle; use repro.harness.default_runner().{name}(...) "
-            f"(or a Runner instance) instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,9 +7,7 @@ cycles ratios over the same work.
 The one front door is :class:`Runner`: it owns the trace scale, the
 parallel worker count, the two-tier result cache (an in-memory LRU over
 the persistent on-disk :class:`~repro.harness.store.ResultStore`), and
-per-run observability.  The historical module-level helpers completed
-their deprecation cycle and now raise ImportError naming the
-:class:`Runner` method that replaced each (see ``_RETIRED_SHIMS``).
+per-run observability.
 
 Environment knobs (all read by the default instance):
 
@@ -46,7 +44,7 @@ from repro.harness.pool import (
     run_sweep,
 )
 from repro.harness.store import ResultStore, default_store_path
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Observability
 from repro.workloads.base import TraceWorkload, WorkloadSpec
 from repro.workloads.catalog import get_spec
 
@@ -218,11 +216,10 @@ class Runner:
         self._store_env_path: str | None = None
         self._cache_entries = cache_entries
         self._cache: OrderedDict[SweepPoint, SimulationResult] = OrderedDict()
-        self.metrics = MetricsRegistry()
-        self._hits = self.metrics.counter("runner.cache.hits")
-        self._misses = self.metrics.counter("runner.cache.misses")
-        self._evictions = self.metrics.counter("runner.cache.evictions")
-        self._simulations = self.metrics.counter("runner.simulations")
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._simulations = 0
 
     # ------------------------------------------------------------------
     # Policy resolution
@@ -417,10 +414,10 @@ class Runner:
         """Memory first, then the disk store; None on a full miss."""
         cached = self._cache.get(point)
         if cached is not None:
-            self._hits.inc()
+            self._hits += 1
             self._cache.move_to_end(point)
             return cached
-        self._misses.inc()
+        self._misses += 1
         store = self.store
         if store is not None:
             result = store.load(point.store_key())
@@ -431,7 +428,7 @@ class Runner:
 
     def _publish(self, point: SweepPoint, result: SimulationResult) -> None:
         """Warm both tiers with a freshly simulated result."""
-        self._simulations.inc()
+        self._simulations += 1
         store = self.store
         if store is not None:
             store.store(point.store_key(), result)
@@ -442,18 +439,18 @@ class Runner:
         self._cache.move_to_end(point)
         while len(self._cache) > self._capacity():
             self._cache.popitem(last=False)
-            self._evictions.inc()
+            self._evictions += 1
 
     def cache_info(self) -> dict:
         """Two-tier cache telemetry (memory LRU plus the disk store)."""
         store = self.store
         return {
-            "hits": self._hits.value,
-            "misses": self._misses.value,
-            "evictions": self._evictions.value,
+            "hits": self._hits,
+            "misses": self._misses,
+            "evictions": self._evictions,
             "entries": len(self._cache),
             "capacity": self._capacity(),
-            "simulations": self._simulations.value,
+            "simulations": self._simulations,
             "store_path": str(store.path) if store is not None else None,
             "disk_hits": store.hits if store is not None else 0,
             "disk_misses": store.misses if store is not None else 0,
@@ -479,30 +476,6 @@ def default_runner() -> Runner:
     if _DEFAULT_RUNNER is None:
         _DEFAULT_RUNNER = Runner()
     return _DEFAULT_RUNNER
-
-
-#: Backwards-compatible alias: cache telemetry counters now live on the
-#: default runner's registry.
-cache_metrics = default_runner().metrics
-
-
-#: Shims that completed their deprecation cycle -> the Runner method
-#: that replaced each.  Importing one now fails loudly with the
-#: migration target instead of silently warning.
-_RETIRED_SHIMS = {
-    "run_workload": "default_runner().run(...) (or Runner.run)",
-    "run_cached": "default_runner().run_cached(...) (or Runner.run_cached)",
-    "run_matrix": "default_runner().run_matrix(...) (or Runner.run_matrix)",
-}
-
-
-def __getattr__(name: str):
-    if name in _RETIRED_SHIMS:
-        raise ImportError(
-            f"repro.harness.runner.{name}() was removed after its "
-            f"deprecation cycle; use {_RETIRED_SHIMS[name]} instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cache_info() -> dict:

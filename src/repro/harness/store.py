@@ -12,14 +12,16 @@ Entries carry a schema stamp and echo their full key, so loads are
 corruption-tolerant: unparseable files, stale schema versions, and
 digest collisions are *quarantined* (renamed to ``<digest>.corrupt`` so
 the evidence survives for a post-mortem) and treated as misses instead
-of crashing a sweep.  Writes go through a temp file + ``os.replace`` so
-a crashed worker can never leave a half-written entry behind.
+of crashing a sweep.  Writes go through a uniquely named temp file +
+``os.replace`` so a crashed worker can never leave a half-written entry
+behind.
 
-The store doubles as the *shared* result tier of a worker fleet: the
-O_EXCL :meth:`ResultStore.claim` slots make writes single-winner when
-several schedulers or sweeps share one directory, and an optional
-``max_bytes`` budget evicts the oldest entries (by mtime) so the shared
-tier cannot grow without bound.
+The store doubles as the *shared* result tier of a worker fleet.  The
+atomic rename is its only write guard: when several schedulers or
+sweeps store one key at once, each renames a complete entry into
+place, every one carries the same fingerprint, and the last rename
+wins.  An optional ``max_bytes`` budget evicts the oldest entries (by
+mtime) so the shared tier cannot grow without bound.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import json
 import logging
 import os
 import tempfile
-import time
 from pathlib import Path
 from typing import Mapping
 
@@ -202,58 +203,8 @@ class ResultStore:
         return target
 
     # ------------------------------------------------------------------
-    # Shared-tier coordination (claims + size budget)
+    # Size budget
     # ------------------------------------------------------------------
-    def claim_path(self, key: Mapping) -> Path:
-        return self.path / f"{self.digest(key)}.claim"
-
-    def claim(self, key: Mapping, *, owner: str = "anon", ttl: float = 60.0) -> bool:
-        """Try to become the single writer for ``key``'s entry.
-
-        O_EXCL slot creation makes the race single-winner across
-        processes and hosts sharing the directory; a slot whose ``ttl``
-        has lapsed (its writer died mid-persist) is broken and
-        re-claimed.  Returns False when someone else holds a live claim
-        — the caller skips its write, losing nothing because entries
-        for equal keys are byte-identical by construction.
-        """
-        now = time.time()
-        path = self.claim_path(key)
-        payload = json.dumps(
-            {"owner": owner, "claimed_at": now, "expires_at": now + ttl}
-        ).encode("utf-8")
-        self.path.mkdir(parents=True, exist_ok=True)
-        for attempt in range(2):
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                if attempt:
-                    return False
-                try:
-                    stale = json.loads(path.read_text(encoding="utf-8"))
-                    expired = float(stale.get("expires_at", 0)) <= now
-                except (OSError, ValueError, TypeError):
-                    expired = True  # unreadable slot: treat as dead
-                if not expired:
-                    return False
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                continue
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            return True
-        return False
-
-    def release_claim(self, key: Mapping) -> bool:
-        """Drop our claim slot; False if it was already gone."""
-        try:
-            self.claim_path(key).unlink()
-            return True
-        except OSError:
-            return False
-
     def _enforce_budget(self, *, keep: Path | None = None) -> int:
         """Evict oldest entries (by mtime) until under ``max_bytes``.
 
@@ -330,8 +281,8 @@ class ResultStore:
         return total
 
     def clear(self) -> int:
-        """Delete every entry (plus quarantine corpses and stale claim
-        slots); returns how many *entries* were removed."""
+        """Delete every entry (plus quarantine corpses); returns how
+        many *entries* were removed."""
         removed = 0
         if self.path.is_dir():
             for entry in self.path.glob("*.json"):
@@ -340,12 +291,11 @@ class ResultStore:
                     removed += 1
                 except OSError:
                     pass
-            for extra in ("*.corrupt", "*.claim"):
-                for leftover in self.path.glob(extra):
-                    try:
-                        leftover.unlink()
-                    except OSError:
-                        pass
+            for leftover in self.path.glob("*.corrupt"):
+                try:
+                    leftover.unlink()
+                except OSError:
+                    pass
         return removed
 
     def info(self) -> dict:

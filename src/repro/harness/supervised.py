@@ -73,18 +73,12 @@ class SupervisionPolicy:
     #: On exhausted budget/retries, return a partial result instead of
     #: raising.
     degrade: bool = True
-    #: Call the heartbeat hook every this many slices (1 = every slice).
-    #: Raising it thins lease-refresh/progress traffic for jobs whose
-    #: slices are much finer than anyone needs to observe.
-    heartbeat_every: int = 1
 
     def __post_init__(self) -> None:
         if self.slice_events < 1:
             raise ValueError("slice_events must be >= 1")
         if self.max_retries < 0 or self.backoff_base < 0:
             raise ValueError("max_retries and backoff_base must be >= 0")
-        if self.heartbeat_every < 1:
-            raise ValueError("heartbeat_every must be >= 1")
 
 
 @dataclass
@@ -244,7 +238,7 @@ def _drive(
             slice_budget = min(slice_budget, remaining)
         more = sim.advance(max_events=slice_budget)
         slices += 1
-        if heartbeat is not None and slices % policy.heartbeat_every == 0:
+        if heartbeat is not None:
             heartbeat(sim)
         if not more:
             # Queue drained naturally; run() validates and builds the

@@ -1,12 +1,9 @@
-"""Time-series metrics: gauges, counters, and the periodic sampler.
+"""Time-series metrics: gauges and the periodic sampler.
 
 Components *register* zero-argument gauge callables (queue depth, MSHR
 occupancy, hit rate, walker utilisation); a :class:`MetricsSampler` —
 an ordinary engine-scheduled event — polls every gauge at a fixed cycle
 interval and appends ``(cycle, value)`` points to per-gauge series.
-Counters are plain named integers for code that wants to count without
-dragging a :class:`~repro.sim.stats.StatsRegistry` around (e.g. the
-harness memo cache).
 
 Like the trace recorder, the registry has a null twin: registration and
 sampling on :class:`NullMetricsRegistry` are no-ops, so wiring gauges
@@ -27,35 +24,6 @@ from typing import Callable
 from repro.obs.trace import NULL_TRACE
 
 
-class _Counter:
-    """Handle for one named metric counter."""
-
-    __slots__ = ("_store", "_name")
-
-    def __init__(self, store: dict[str, int], name: str) -> None:
-        self._store = store
-        self._name = name
-
-    def inc(self, amount: int = 1) -> None:
-        self._store[self._name] += amount
-
-    @property
-    def value(self) -> int:
-        return self._store[self._name]
-
-
-class _NullCounter:
-    __slots__ = ()
-
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-
-
 class NullMetricsRegistry:
     """No-op registry: the disabled-mode null object."""
 
@@ -66,9 +34,6 @@ class NullMetricsRegistry:
     def register_gauge(self, name: str, fn: Callable[[], float]) -> None:
         pass
 
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
-
     def sample(self, now: int) -> None:
         pass
 
@@ -78,23 +43,19 @@ class NullMetricsRegistry:
     def series(self, name: str) -> list[tuple[int, float]]:
         return []
 
-    def counters(self) -> dict[str, int]:
-        return {}
-
 
 #: Shared disabled-mode singleton.
 NULL_METRICS = NullMetricsRegistry()
 
 
 class MetricsRegistry:
-    """Named gauges (sampled into time series) plus named counters."""
+    """Named gauges, sampled into time series."""
 
     enabled = True
 
     def __init__(self) -> None:
         self._gauges: dict[str, Callable[[], float]] = {}
         self._series: dict[str, list[tuple[int, float]]] = {}
-        self._counters: dict[str, int] = {}
         self._samples_taken = 0
 
     # ------------------------------------------------------------------
@@ -112,11 +73,6 @@ class MetricsRegistry:
             raise ValueError(f"gauge {name!r} already registered")
         self._gauges[name] = fn
         self._series[name] = []
-
-    def counter(self, name: str) -> _Counter:
-        """A named integer counter handle (created on first use)."""
-        self._counters.setdefault(name, 0)
-        return _Counter(self._counters, name)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -158,16 +114,12 @@ class MetricsRegistry:
             return 0.0
         return max(value for _t, value in points)
 
-    def counters(self) -> dict[str, int]:
-        return dict(self._counters)
-
     def to_dict(self) -> dict:
         return {
             "series": {
                 name: [[t, v] for t, v in points]
                 for name, points in sorted(self._series.items())
             },
-            "counters": dict(sorted(self._counters.items())),
             "samples_taken": self._samples_taken,
         }
 

@@ -24,7 +24,6 @@ retry to the original job instead of running it twice.
 from __future__ import annotations
 
 import os
-import json
 import random
 import socket
 import time
@@ -38,6 +37,7 @@ from repro.service.protocol import (
     TOO_MANY_JOBS,
     JobSpec,
     ProtocolError,
+    decode_frame,
     encode_frame,
     parse_tcp_address,
 )
@@ -79,6 +79,34 @@ def is_tcp_address(address: str) -> bool:
         return False
     _, sep, port = address.rpartition(":")
     return bool(sep) and port.isdigit()
+
+
+def connect(address: str, timeout: float) -> socket.socket:
+    """Open a stream to a daemon at a unix path or a TCP address."""
+    if is_tcp_address(address):
+        host, port = parse_tcp_address(address.removeprefix("tcp://"))
+        return socket.create_connection((host, port), timeout=timeout)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(timeout)
+    sock.connect(address)
+    return sock
+
+
+def read_frames(sock: socket.socket) -> Iterator[dict]:
+    """Yield decoded frames from one connection until the peer closes."""
+    buffer = b""
+    while True:
+        newline = buffer.find(b"\n")
+        while newline < 0:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return
+            buffer += chunk
+            if len(buffer) > MAX_FRAME_BYTES:
+                raise ProtocolError("reply frame too large")
+            newline = buffer.find(b"\n")
+        line, buffer = buffer[: newline + 1], buffer[newline + 1 :]
+        yield decode_frame(line)
 
 
 @dataclass(frozen=True)
@@ -153,40 +181,11 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        if is_tcp_address(self.socket_path):
-            address = self.socket_path
-            if address.startswith("tcp://"):
-                address = address[len("tcp://"):]
-            host, port = parse_tcp_address(address)
-            sock = socket.create_connection((host, port), timeout=self.timeout)
-            return sock
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        sock.connect(self.socket_path)
-        return sock
-
-    def _frames(self, sock: socket.socket) -> Iterator[dict]:
-        """Yield reply frames from one connection until it closes."""
-        buffer = b""
-        while True:
-            newline = buffer.find(b"\n")
-            while newline < 0:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    return
-                buffer += chunk
-                if len(buffer) > MAX_FRAME_BYTES:
-                    raise ProtocolError("reply frame too large")
-                newline = buffer.find(b"\n")
-            line, buffer = buffer[: newline + 1], buffer[newline + 1 :]
-            yield json.loads(line)
-
     def _roundtrip(self, request: Mapping[str, Any]) -> dict:
         """Send one frame, return the single (checked) reply frame."""
-        with self._connect() as sock:
+        with connect(self.socket_path, self.timeout) as sock:
             sock.sendall(encode_frame(request))
-            for frame in self._frames(sock):
+            for frame in read_frames(sock):
                 return _raise_for_frame(frame)
         raise ServiceError(500, "connection closed before reply")
 
@@ -272,9 +271,9 @@ class ServiceClient:
         stream = wait or on_event is not None
         if stream:
             request["stream" if on_event is not None else "wait"] = True
-        with self._connect() as sock:
+        with connect(self.socket_path, self.timeout) as sock:
             sock.sendall(encode_frame(request))
-            frames = self._frames(sock)
+            frames = read_frames(sock)
             ack = _raise_for_frame(next(frames, {"ok": False, "code": 500,
                                                  "error": "no reply"}))
             if not stream:
@@ -301,9 +300,9 @@ class ServiceClient:
     def _subscribe_once(
         self, job_id: str, *, on_event: Callable[[dict], None] | None = None
     ) -> dict:
-        with self._connect() as sock:
+        with connect(self.socket_path, self.timeout) as sock:
             sock.sendall(encode_frame({"op": "subscribe", "job": job_id}))
-            frames = self._frames(sock)
+            frames = read_frames(sock)
             _raise_for_frame(next(frames, {"ok": False, "code": 500,
                                            "error": "no reply"}))
             for frame in frames:
@@ -321,5 +320,7 @@ __all__ = [
     "RetryPolicy",
     "ServiceClient",
     "ServiceError",
+    "connect",
     "is_tcp_address",
+    "read_frames",
 ]

@@ -1,41 +1,25 @@
-"""Job leases: crash-safe ownership of dispatched work.
+"""Job leases: time-bounded ownership of dispatched work.
 
-Every job a scheduler hands to a worker — the local fork pool or a
-remote worker host — is covered by a :class:`Lease`: *who* runs it,
-*which attempt* this is, and *until when* the claim is valid.  Workers
-refresh the lease with every heartbeat; a worker that dies (``kill
--9``), wedges, or partitions away simply stops refreshing, and the
-scheduler's reaper notices the expiry and requeues the job for someone
-else.  No worker ack, no distributed consensus — just a TTL that the
-healthy path keeps pushing forward.
+Every job a scheduler hands to a worker host is covered by a
+:class:`Lease`: *who* runs it, *which attempt* this is, and *until
+when* the claim is valid.  Workers refresh the lease with every
+heartbeat; a worker that dies (``kill -9``), wedges, or partitions away
+simply stops refreshing, and the scheduler's reaper notices the expiry
+and requeues the job for someone else.  No worker ack, no distributed
+consensus — just a TTL that the healthy path keeps pushing forward.
 
-Leases are persisted with the result store's O_EXCL claim-slot pattern:
-granting writes ``<dir>/<job_id>.lease.json`` with ``O_CREAT|O_EXCL``,
-so two schedulers (or a scheduler racing its own zombie) can never both
-believe they own a job's dispatch.  A grant that finds a *stale* slot —
-a lease file whose own ``expires_at`` has passed — breaks it and claims
-fresh; a grant that finds a live one raises :class:`LeaseHeld`.
-
-The manager works purely in memory when constructed without a
-directory (unit tests, ephemeral schedulers); persistence only adds
-crash evidence, never changes semantics.
+Leases live only in the scheduler's memory: the lease table is the one
+record of which jobs are running.  A scheduler crash loses it together
+with the job table it indexes; a restarted daemon resumes only what a
+drain persisted in the queue snapshot.
 """
 
 from __future__ import annotations
 
-import json
-import logging
-import os
 import time
 import uuid
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable, Iterable
-
-logger = logging.getLogger(__name__)
-
-#: Schema stamp of persisted lease files.
-LEASE_SCHEMA_VERSION = 1
+from typing import Callable, Iterable, Iterator
 
 
 class LeaseHeld(RuntimeError):
@@ -73,44 +57,15 @@ class Lease:
     def remaining(self, now: float) -> float:
         return max(0.0, self.expires_at - now)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": LEASE_SCHEMA_VERSION,
-            "job_id": self.job_id,
-            "worker": self.worker,
-            "token": self.token,
-            "attempt": self.attempt,
-            "granted_at": self.granted_at,
-            "ttl": self.ttl,
-            "expires_at": self.expires_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Lease":
-        return cls(
-            job_id=str(data["job_id"]),
-            worker=str(data["worker"]),
-            token=str(data["token"]),
-            attempt=int(data["attempt"]),
-            granted_at=float(data["granted_at"]),
-            ttl=float(data["ttl"]),
-            expires_at=float(data["expires_at"]),
-        )
-
 
 class LeaseManager:
-    """Grants, refreshes, expires, and persists job leases."""
+    """Grants, refreshes, and expires job leases."""
 
     def __init__(
-        self,
-        directory: str | os.PathLike | None = None,
-        *,
-        ttl: float = 15.0,
-        clock: Callable[[], float] = time.time,
+        self, *, ttl: float = 15.0, clock: Callable[[], float] = time.time
     ) -> None:
         if ttl <= 0:
             raise ValueError("lease ttl must be positive")
-        self.directory = Path(directory) if directory is not None else None
         self.ttl = ttl
         self.clock = clock
         self._by_job: dict[str, Lease] = {}
@@ -124,16 +79,13 @@ class LeaseManager:
     def grant(self, job_id: str, worker: str, *, attempt: int = 1) -> Lease:
         """Claim ``job_id`` for ``worker``; :class:`LeaseHeld` if live.
 
-        An expired in-memory lease (the reaper has not swept it yet) or
-        a stale on-disk slot from a dead scheduler is broken and
-        re-claimed rather than refused.
+        An expired lease the reaper has not swept yet is replaced
+        rather than refused.
         """
         now = self.clock()
         current = self._by_job.get(job_id)
-        if current is not None:
-            if not current.expired(now):
-                raise LeaseHeld(current)
-            self.release(current.token)
+        if current is not None and not current.expired(now):
+            raise LeaseHeld(current)
         lease = Lease(
             job_id=job_id,
             worker=worker,
@@ -143,7 +95,6 @@ class LeaseManager:
             ttl=self.ttl,
             expires_at=now + self.ttl,
         )
-        self._claim_slot(lease, now)
         self._by_job[job_id] = lease
         self.granted += 1
         return lease
@@ -158,7 +109,6 @@ class LeaseManager:
                     return None
                 renewed = replace(lease, expires_at=now + lease.ttl)
                 self._by_job[job_id] = renewed
-                self._write_slot(renewed)
                 return renewed
         return None
 
@@ -167,17 +117,12 @@ class LeaseManager:
         for job_id, lease in list(self._by_job.items()):
             if lease.token == token:
                 del self._by_job[job_id]
-                self._unlink_slot(job_id)
                 return True
         return False
 
     def release_job(self, job_id: str) -> bool:
         """Drop whatever lease covers ``job_id`` (terminal bookkeeping)."""
-        lease = self._by_job.pop(job_id, None)
-        if lease is None:
-            return False
-        self._unlink_slot(job_id)
-        return True
+        return self._by_job.pop(job_id, None) is not None
 
     # ------------------------------------------------------------------
     # Expiry
@@ -222,89 +167,15 @@ class LeaseManager:
         if current is None or current.token != lease.token:
             return False
         del self._by_job[lease.job_id]
-        self._unlink_slot(lease.job_id)
         self.expired_total += 1
         return True
 
     def __len__(self) -> int:
         return len(self._by_job)
 
-    # ------------------------------------------------------------------
-    # Persistence (O_EXCL claim slots)
-    # ------------------------------------------------------------------
-    def _slot_path(self, job_id: str) -> Path | None:
-        if self.directory is None:
-            return None
-        return self.directory / f"{job_id}.lease.json"
-
-    def _claim_slot(self, lease: Lease, now: float) -> None:
-        path = self._slot_path(lease.job_id)
-        if path is None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(lease.to_dict()).encode("utf-8")
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            # A slot from a previous scheduler life.  Stale (its own
-            # expiry has passed) -> break it; live -> refuse the grant.
-            stale = self._read_slot(path)
-            if stale is not None and not stale.expired(now):
-                raise LeaseHeld(stale) from None
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-
-    def _write_slot(self, lease: Lease) -> None:
-        path = self._slot_path(lease.job_id)
-        if path is None:
-            return
-        tmp = path.with_suffix(".tmp")
-        try:
-            tmp.write_text(json.dumps(lease.to_dict()), encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:  # refresh persistence is best-effort
-            pass
-
-    def _unlink_slot(self, job_id: str) -> None:
-        path = self._slot_path(job_id)
-        if path is None:
-            return
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    def _read_slot(self, path: Path) -> Lease | None:
-        try:
-            return Lease.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def load(self) -> list[Lease]:
-        """Leases left on disk by a previous scheduler (crash evidence).
-
-        The slots are consumed: a restarted scheduler has no running
-        workers attached yet, so every persisted lease is, at best, a
-        job some orphaned worker may still be grinding on — the caller
-        decides whether to requeue.  Unreadable slots are dropped.
-        """
-        if self.directory is None or not self.directory.is_dir():
-            return []
-        found: list[Lease] = []
-        for path in sorted(self.directory.glob("*.lease.json")):
-            lease = self._read_slot(path)
-            if lease is not None:
-                found.append(lease)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return found
+    def __iter__(self) -> Iterator[Lease]:
+        """Every lease in the table, expired ones included."""
+        return iter(list(self._by_job.values()))
 
 
 def describe_leases(leases: Iterable[Lease], now: float | None = None) -> list[dict]:

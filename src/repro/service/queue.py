@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.service.protocol import PRIORITIES, JobSpec, ProtocolError
 
@@ -178,6 +178,7 @@ class JobQueue:
         max_client_depth: int = 8,
         rate: float | None = None,
         burst: int = 8,
+        running: Callable[[], int] = lambda: 0,
     ) -> None:
         if max_inflight < 0:
             raise ValueError("max_inflight must be >= 0 (0 = no local workers)")
@@ -198,9 +199,9 @@ class JobQueue:
         }
         self._depth = 0
         self._per_client: dict[str, int] = {}
-        #: Leased jobs: job id -> worker id.  The scheduler records each
-        #: lease grant here and drops the entry when the lease ends.
-        self.inflight: dict[str, str] = {}
+        #: Jobs currently leased to workers; the scheduler's lease table
+        #: owns that count, the queue only reads it.
+        self.running = running
         #: Exponentially weighted mean job runtime, for Retry-After.
         self._runtime_ema: float | None = None
         #: Lifetime telemetry.
@@ -242,7 +243,7 @@ class JobQueue:
         return {
             "depth": self._depth,
             "max_depth": self.max_depth,
-            "inflight": len(self.inflight),
+            "inflight": self.running(),
             "max_inflight": self.max_inflight,
             "admitted": self.admitted,
             "refused": self.refused,
@@ -267,7 +268,7 @@ class JobQueue:
             if self._runtime_ema is not None
             else DEFAULT_RUNTIME_ESTIMATE
         )
-        backlog = self._depth + len(self.inflight)
+        backlog = self._depth + self.running()
         waves = max(1.0, backlog / max(1, self.max_inflight))
         return round(max(0.1, waves * runtime), 1)
 
@@ -297,7 +298,7 @@ class JobQueue:
             self.refused += 1
             raise AdmissionRefused(
                 f"queue full ({self._depth}/{self.max_depth} jobs queued, "
-                f"{len(self.inflight)}/{self.max_inflight} running)",
+                f"{self.running()}/{self.max_inflight} running)",
                 self.retry_after(),
             )
         if self.client_depth(client) >= self.max_client_depth:

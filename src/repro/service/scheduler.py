@@ -76,10 +76,6 @@ HARD_KILL_SLACK = 10.0
 #: prove crash-requeue and dead-lettering without patching any code.
 CHAOS_EXIT_ENV = "REPRO_CHAOS_EXIT_SEED"
 
-#: Seconds a result-store claim slot stays authoritative before another
-#: writer may break it (covers a writer that died mid-persist).
-STORE_CLAIM_TTL = 60.0
-
 
 def _job_worker(spec_payload: dict, policy_payload: dict, sample_interval: int, conn) -> None:
     """Job-process entry: run one job, stream events over ``conn``.
@@ -172,15 +168,15 @@ class Scheduler:
         self.config = config if config is not None else ServiceConfig()
         self.store = store
         self.registry = registry
+        #: The one record of running jobs: job id -> lease.
+        self.leases = LeaseManager(ttl=self.config.lease_ttl)
         self.queue = JobQueue(
             max_depth=self.config.max_depth,
             max_inflight=self.config.max_inflight,
             max_client_depth=self.config.max_client_depth,
             rate=self.config.client_rate,
             burst=self.config.client_burst,
-        )
-        self.leases = LeaseManager(
-            self.config.effective_lease_dir, ttl=self.config.lease_ttl
+            running=self.leases.__len__,
         )
         #: Every job this daemon has seen, by id.
         self.jobs: dict[str, Job] = {}
@@ -211,16 +207,6 @@ class Scheduler:
     def start(self) -> None:
         """Attach to the running event loop and start the lease reaper."""
         self._reaper = asyncio.create_task(self._reap_loop())
-        orphans = self.leases.load()
-        if orphans:
-            # Slots left by a dead scheduler.  The jobs they covered ride
-            # the queue snapshot (drain persisted them) or were lost with
-            # the old job table; either way nobody holds them now.
-            logger.warning(
-                "dropped %d orphaned lease slot(s) from a previous run: %s",
-                len(orphans),
-                ", ".join(lease.job_id for lease in orphans),
-            )
 
     def _kick(self) -> None:
         """Wake every held poll: a job may have become eligible."""
@@ -249,29 +235,27 @@ class Scheduler:
             except asyncio.CancelledError:
                 pass
             self._reaper = None
-        inflight = self.queue.inflight
-        if inflight:
+        if self.leases:
             loop = asyncio.get_running_loop()
             deadline = loop.time() + grace
-            while inflight and loop.time() < deadline:
+            while self.leases and loop.time() < deadline:
                 await asyncio.sleep(0.05)
-            for job_id in list(inflight):
-                worker = inflight.pop(job_id)
-                self.leases.release_job(job_id)
-                job = self.jobs.get(job_id)
+            for lease in self.leases:
+                self.leases.release_job(lease.job_id)
+                job = self.jobs.get(lease.job_id)
                 if job is None:
                     continue
                 logger.warning(
                     "drain grace expired; re-queueing job %s (worker %s)",
-                    job_id,
-                    worker,
+                    job.id,
+                    lease.worker,
                 )
                 job.state = "queued"
                 job.started_at = None
                 job.worker = None
                 self.queue.push(job)
                 self._publish(job, {"event": "requeued"})
-                done = self._done.get(job_id)
+                done = self._done.get(job.id)
                 if done is not None:
                     done.set()
         # Everything left queued (never dispatched, or just requeued)
@@ -349,7 +333,6 @@ class Scheduler:
         crash: bool = False,
     ) -> None:
         self.leases.release_job(job.id)
-        self.queue.inflight.pop(job.id, None)
         if result is None and crash and not self.draining:
             # The worker died (kill -9, watchdog, lease expiry) rather
             # than reporting a failure: the job itself may be fine, so it
@@ -420,29 +403,17 @@ class Scheduler:
             done.set()
 
     def _persist_result(self, job: Job, result: dict) -> None:
-        """Write one finished result to the shared store, under a claim.
+        """Write one finished result to the shared store.
 
-        With several schedulers (or a scheduler racing a sweep) sharing
-        one store directory, the O_EXCL claim makes the write
-        single-winner: whoever claims persists, everyone else skips —
-        the entry is byte-identical either way, so skipping loses
-        nothing.
+        ``ResultStore.store`` renames a complete temp file into place,
+        so concurrent writers of one key (another scheduler, a sweep)
+        each leave a whole entry, and every such entry carries the same
+        fingerprint: the last rename wins and loses nothing.
         """
         if self.store is None:
             return
-        key = json.loads(job.key)
-        owner = job.worker or "scheduler"
         try:
-            if not self.store.claim(key, owner=owner, ttl=STORE_CLAIM_TTL):
-                logger.info(
-                    "skipping store write for %s: another writer holds the claim",
-                    job.id,
-                )
-                return
-            try:
-                self.store.store(key, SimulationResult.from_dict(result))
-            finally:
-                self.store.release_claim(key)
+            self.store.store(json.loads(job.key), SimulationResult.from_dict(result))
         except OSError as defect:
             logger.warning("could not persist result for %s: %s", job.id, defect)
 
@@ -507,7 +478,6 @@ class Scheduler:
         job.started_at = time.time()
         job.dispatches += 1
         job.worker = worker
-        self.queue.inflight[job.id] = worker
         self._publish(
             job,
             {

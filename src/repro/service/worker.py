@@ -32,7 +32,7 @@ import signal
 import socket as socket_module
 import time
 import uuid
-from typing import Any
+from typing import Any, Iterator
 
 from repro.harness.pool import pool_context
 from repro.service.client import (
@@ -40,16 +40,10 @@ from repro.service.client import (
     RetryPolicy,
     ServiceError,
     _raise_for_frame,
-    is_tcp_address,
+    connect,
+    read_frames,
 )
-from repro.service.protocol import (
-    CONFLICT,
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-    parse_tcp_address,
-)
+from repro.service.protocol import CONFLICT, encode_frame
 from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import HARD_KILL_SLACK
 
@@ -82,7 +76,7 @@ class WorkerHost:
         self.lease_ttl = 15.0
         self.sample_interval = 0
         self._sock: socket_module.socket | None = None
-        self._buffer = b""
+        self._frames: Iterator[dict] = iter(())
         self._registered = False
         self._stop = False
         #: Lifetime telemetry.
@@ -94,26 +88,10 @@ class WorkerHost:
     # ------------------------------------------------------------------
     # Wire plumbing (persistent connection, one-shot reconnect)
     # ------------------------------------------------------------------
-    def _connect(self) -> socket_module.socket:
-        if is_tcp_address(self.address):
-            address = self.address
-            if address.startswith("tcp://"):
-                address = address[len("tcp://"):]
-            host, port = parse_tcp_address(address)
-            return socket_module.create_connection(
-                (host, port), timeout=self.timeout
-            )
-        sock = socket_module.socket(
-            socket_module.AF_UNIX, socket_module.SOCK_STREAM
-        )
-        sock.settimeout(self.timeout)
-        sock.connect(self.address)
-        return sock
-
     def _ensure_sock(self) -> socket_module.socket:
         if self._sock is None:
-            self._sock = self._connect()
-            self._buffer = b""
+            self._sock = connect(self.address, self.timeout)
+            self._frames = read_frames(self._sock)
         return self._sock
 
     def _close_sock(self) -> None:
@@ -123,23 +101,6 @@ class WorkerHost:
             except OSError:
                 pass
             self._sock = None
-            self._buffer = b""
-
-    def _recv_frame(self) -> dict:
-        sock = self._sock
-        assert sock is not None
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                line = self._buffer[: newline + 1]
-                self._buffer = self._buffer[newline + 1 :]
-                return decode_frame(line)
-            chunk = sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("scheduler closed the connection")
-            self._buffer += chunk
-            if len(self._buffer) > MAX_FRAME_BYTES:
-                raise ProtocolError("reply frame too large")
 
     def _send(self, frame: dict, *, _retried: bool = False) -> dict:
         """One checked request/reply on the persistent connection.
@@ -152,7 +113,10 @@ class WorkerHost:
         try:
             sock = self._ensure_sock()
             sock.sendall(encode_frame(frame))
-            return _raise_for_frame(self._recv_frame())
+            reply = next(self._frames, None)
+            if reply is None:
+                raise ConnectionError("scheduler closed the connection")
+            return _raise_for_frame(reply)
         except (OSError, ConnectionError):
             self._close_sock()
             if _retried:
@@ -298,7 +262,7 @@ class WorkerHost:
         child_conn.close()
 
         budget = self._hard_budget(policy)
-        heartbeat_every = max(0.1, self.lease_ttl / 3.0)
+        heartbeat_period = max(0.1, self.lease_ttl / 3.0)
         last_heartbeat = 0.0
         last_message = time.monotonic()
         progress: dict | None = None
@@ -320,7 +284,7 @@ class WorkerHost:
                     break
                 # Every job heartbeat goes home at once (progress
                 # streaming); the timer only covers a silent job.
-                if progress is not None or now - last_heartbeat >= heartbeat_every:
+                if progress is not None or now - last_heartbeat >= heartbeat_period:
                     last_heartbeat = now
                     if not self._heartbeat(job_id, token, progress):
                         abandoned = True

@@ -11,7 +11,6 @@ import textwrap
 import pytest
 
 from repro.arch import (
-    ALL_REGISTRIES,
     DISTRIBUTOR_POLICIES,
     PAGE_TABLE_KINDS,
     PLUGINS_ENV,
@@ -23,7 +22,6 @@ from repro.arch import (
     MachineSpec,
     UnknownComponentError,
     build_machine,
-    catalogue,
 )
 from repro.arch.registry import reset_plugins_loaded
 from repro.config import GPUConfig, baseline_config, softwalker_config
@@ -98,12 +96,6 @@ class TestBuiltinRegistries:
         }
         assert set(PAGE_TABLE_KINDS) == {"radix", "hashed"}
 
-    def test_catalogue_mirrors_registries(self):
-        listing = catalogue()
-        assert set(listing) == set(ALL_REGISTRIES)
-        for key, registry in ALL_REGISTRIES.items():
-            assert listing[key] == registry.names()
-
 
 # ----------------------------------------------------------------------
 # Plugin loading (REPRO_PLUGINS)
@@ -174,15 +166,6 @@ class TestMachineSpec:
         config = baseline_config().with_ptw(num_walkers=0)
         with pytest.raises(ValueError, match="no walk backend"):
             MachineSpec(config=config).backend_name
-
-    def test_components_view(self):
-        components = MachineSpec(config=softwalker_config()).components()
-        assert components == {
-            "walk_backend": "softwalker",
-            "page_table_kind": "radix",
-            "pwb_policy": "fcfs",
-            "distributor_policy": "round_robin",
-        }
 
     def test_dict_round_trip(self):
         spec = MachineSpec(config=softwalker_config(hybrid=True))

@@ -180,14 +180,6 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             metrics.register_gauge("q.depth", lambda: 1)
 
-    def test_counters(self):
-        metrics = MetricsRegistry()
-        hits = metrics.counter("cache.hits")
-        hits.inc()
-        hits.inc(2)
-        assert hits.value == 3
-        assert metrics.counters() == {"cache.hits": 3}
-
     def test_sampling_appends_time_series(self):
         metrics = MetricsRegistry()
         state = {"depth": 0}
@@ -204,23 +196,18 @@ class TestMetricsRegistry:
     def test_json_export_roundtrip(self, tmp_path):
         metrics = MetricsRegistry()
         metrics.register_gauge("g", lambda: 4)
-        metrics.counter("c").inc(9)
         metrics.sample(5)
         path = metrics.write_json(tmp_path / "metrics.json")
         loaded = json.loads(path.read_text())
-        assert loaded["series"]["g"] == [[5, 4.0]]
-        assert loaded["counters"]["c"] == 9
-        assert loaded["samples_taken"] == 1
+        assert loaded == {"series": {"g": [[5, 4.0]]}, "samples_taken": 1}
 
     def test_null_registry_is_inert(self):
         null = NullMetricsRegistry()
         assert not null.enabled
         null.register_gauge("x", lambda: 1)
         null.sample(0)
-        counter = null.counter("x")
-        counter.inc()
-        assert counter.value == 0
         assert null.gauge_names() == []
+        assert null.series("x") == []
 
     def test_sampler_ticks_at_fixed_interval(self):
         engine = Engine()

@@ -142,29 +142,6 @@ class TestRunnerFacade:
         assert set(results) == {("a", "gups"), ("b", "gups")}
         assert results[("a", "gups")] is results[("b", "gups")]
 
-    def test_run_workload_module_shim_retired(self):
-        with pytest.raises(ImportError, match=r"Runner\.run\)"):
-            from repro.harness.runner import run_workload  # noqa: F401
-
-    def test_run_cached_module_shim_retired(self):
-        with pytest.raises(ImportError, match="Runner.run_cached"):
-            from repro.harness.runner import run_cached  # noqa: F401
-
-    def test_run_matrix_module_shim_retired(self):
-        with pytest.raises(ImportError, match="Runner.run_matrix"):
-            from repro.harness.runner import run_matrix  # noqa: F401
-
-    def test_package_reexports_retired(self):
-        import repro
-        import repro.harness
-
-        with pytest.raises(ImportError, match="run_matrix"):
-            repro.run_matrix
-        with pytest.raises(ImportError, match="run_cached"):
-            repro.harness.run_cached
-        with pytest.raises(ImportError, match="run_matrix"):
-            repro.harness.run_matrix
-
 
 class TestTraceExportUnderSweep:
     def test_trace_export_skips_claimed_slots(self, monkeypatch, tmp_path):

@@ -1,10 +1,15 @@
-"""Unit tests for the client-side retry policy and address parsing."""
+"""Unit tests for the client-side retry policy, address parsing and
+reply decoding."""
+
+import socket
+import threading
 
 import pytest
 
 from repro.service.client import (
     Backpressure,
     RetryPolicy,
+    ServiceClient,
     ServiceError,
     is_tcp_address,
 )
@@ -124,3 +129,28 @@ class TestRetryPolicyCall:
 
         with pytest.raises(ServiceError):
             self.make().call(rejected, sleep=lambda _s: None)
+
+
+class TestReplyDecoding:
+    def test_non_object_reply_is_a_protocol_error(self, tmp_path):
+        """A reply line that is valid JSON but not an object is refused
+        by the frame decoder, not handed to the error mapping."""
+        path = str(tmp_path / "fake.sock")
+        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        server.bind(path)
+        server.listen(1)
+
+        def answer():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"[1]\n")
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ProtocolError, match="JSON object"):
+                ServiceClient(path, timeout=5.0).ping()
+        finally:
+            thread.join(timeout=5.0)
+            server.close()

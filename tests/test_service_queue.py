@@ -163,13 +163,16 @@ class TestJobQueue:
         assert queue.retry_after() == pytest.approx(8.0, rel=0.01)
 
     def test_leased_jobs_count_toward_the_retry_hint(self):
-        queue = JobQueue(max_depth=10, max_inflight=1)
+        running = [0]  # the scheduler's lease-table size
+        queue = JobQueue(max_depth=1, max_inflight=1, running=lambda: running[0])
         queue.record_runtime(4.0)
         queue.push(make_job("a"))
         assert queue.retry_after() == pytest.approx(4.0, rel=0.01)
-        queue.inflight["b"] = "w-1"  # a job leased to a worker host
+        running[0] = 1  # a job leased to a worker host
         assert queue.info()["inflight"] == 1
         assert queue.retry_after() == pytest.approx(8.0, rel=0.01)
+        with pytest.raises(AdmissionRefused, match=r"1/1 running"):
+            queue.admit("anyone")
 
     def test_pop_empty_returns_none(self):
         assert JobQueue().pop() is None

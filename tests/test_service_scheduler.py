@@ -8,9 +8,12 @@ processes.
 """
 
 import asyncio
+import json
 import time
 
-from repro.config import ServiceConfig
+from repro.config import ServiceConfig, baseline_config
+from repro.harness.runner import Runner
+from repro.harness.store import ResultStore, fingerprint_digest
 from repro.service.protocol import JobSpec
 from repro.service.scheduler import Scheduler
 
@@ -41,7 +44,7 @@ class TestInflightBound:
                     payload = await sched.poll(worker, 0.05)
                     if payload is None:
                         continue
-                    peak = max(peak, len(sched.queue.inflight))
+                    peak = max(peak, len(sched.leases))
                     await asyncio.sleep(0.02)
                     assert sched.worker_done(
                         worker, payload["job_id"], payload["token"],
@@ -67,7 +70,10 @@ class TestInflightBound:
                 sched.submit(JobSpec(benchmark="gups", seed=seed))
             payload = await sched.poll("w-1", 1.0)
             # One job leased, three still queued.
-            assert sched.queue.inflight == {payload["job_id"]: "w-1"}
+            assert [(lease.job_id, lease.worker) for lease in sched.leases] == [
+                (payload["job_id"], "w-1")
+            ]
+            assert sched.queue.info()["inflight"] == 1
             assert sched.queue.depth == 3
             await sched.drain(grace=0.0)
 
@@ -216,7 +222,7 @@ class TestDrainNotifiesWaiters:
                 e for e in job.events if e.get("event") == "requeued"
             ]
             assert len(requeues) == 1
-            assert job.state == "queued" and sched.queue.inflight == {}
+            assert job.state == "queued" and len(sched.leases) == 0
             assert not sched.worker_done(
                 "w-1", job.id, payload["token"], result={"stub": True}
             )
@@ -253,7 +259,9 @@ class TestFleetDispatch:
             assert payload["job_id"] == job.id
             assert payload["attempt"] == 1
             assert job.state == "running" and job.worker == "w-1"
-            assert sched.queue.inflight == {job.id: "w-1"}
+            assert [(lease.job_id, lease.worker) for lease in sched.leases] == [
+                (job.id, "w-1")
+            ]
             assert sched.leases.holder(job.id).token == payload["token"]
             # Nothing else is eligible; a second poll comes back empty.
             assert sched.next_job_for("w-2") is None
@@ -381,12 +389,39 @@ class TestFleetDispatch:
             assert accepted is True
             assert job.state == "done" and job.result == {"cycles": 42}
             assert sched.simulations == 1
-            assert sched.queue.inflight == {}
-            assert sched.leases.holder(job.id) is None
+            assert len(sched.leases) == 0
+            assert sched.queue.info()["inflight"] == 0
             assert sched.workers["w-1"]["jobs_completed"] == 1
             await sched.drain(grace=0.0)
 
         asyncio.run(scenario())
+
+    def test_completion_with_a_store_writes_only_the_entry(self, tmp_path):
+        """Leases live in scheduler memory and store writes take no
+        claim: a job completed with a store attached leaves one entry,
+        no lease directory beside the socket and no claim file."""
+        result = Runner().run(baseline_config(), "gups", scale=0.05)
+
+        async def scenario():
+            sched = self.make(
+                lease_ttl=10.0, socket_path=str(tmp_path / "svc.sock")
+            )
+            sched.store = ResultStore(tmp_path / "store")
+            sched.start()
+            job, _ = sched.submit(JobSpec(benchmark="gups", scale=0.05))
+            payload = sched.next_job_for("w-1")
+            assert sched.worker_done(
+                "w-1", job.id, payload["token"], result=result.to_dict()
+            )
+            await sched.drain(grace=0.0)
+            return job
+
+        job = asyncio.run(scenario())
+        assert job.state == "done"
+        assert list(tmp_path.glob("*.leases")) == []
+        assert list((tmp_path / "store").glob("*.claim")) == []
+        stored = ResultStore(tmp_path / "store").load(json.loads(job.key))
+        assert fingerprint_digest(stored) == fingerprint_digest(result)
 
     def test_draining_scheduler_dispatches_nothing(self):
         async def scenario():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import baseline_config
 from repro.gpu.gpu import SimulationResult
-from repro.harness.pool import make_point
+from repro.harness.pool import make_point, pool_context
 from repro.harness.runner import Runner
 from repro.harness.store import (
     STORE_SCHEMA_VERSION,
@@ -27,6 +27,12 @@ def result():
 @pytest.fixture(scope="module")
 def point():
     return make_point(baseline_config(), "gups", scale=TINY)
+
+
+def _store_repeatedly(path, key, result, times):
+    store = ResultStore(path)
+    for _ in range(times):
+        store.store(key, result)
 
 
 class TestSerialisation:
@@ -162,35 +168,33 @@ class TestResultStore:
 
 
 class TestSharedTier:
-    """Claims and the size budget — the fleet's shared-store policies."""
+    """Concurrent writers and the size budget — the fleet's shared-store
+    policies."""
 
-    def test_claim_is_single_winner(self, tmp_path, point):
-        store = ResultStore(tmp_path / "store")
+    def test_concurrent_writers_of_one_key_leave_one_whole_entry(
+        self, tmp_path, result, point
+    ):
+        """The atomic rename is the only write guard: two processes
+        storing one key over and over each rename a complete entry into
+        place, so one healthy entry and no temp file remain."""
+        ctx = pool_context()
         key = point.store_key()
-        assert store.claim(key, owner="w-1") is True
-        assert store.claim(key, owner="w-2") is False
-        assert store.release_claim(key) is True
-        assert store.release_claim(key) is False  # already gone
-        assert store.claim(key, owner="w-2") is True
-
-    def test_claims_for_distinct_keys_are_independent(self, tmp_path, point):
-        store = ResultStore(tmp_path / "store")
-        other = dict(point.store_key(), seed=999)
-        assert store.claim(point.store_key()) is True
-        assert store.claim(other) is True
-
-    def test_expired_claim_is_broken(self, tmp_path, point):
-        store = ResultStore(tmp_path / "store")
-        key = point.store_key()
-        assert store.claim(key, owner="w-dead", ttl=-1.0) is True  # born stale
-        assert store.claim(key, owner="w-new") is True
-
-    def test_unreadable_claim_slot_is_broken(self, tmp_path, point):
-        store = ResultStore(tmp_path / "store")
-        key = point.store_key()
-        (tmp_path / "store").mkdir(parents=True, exist_ok=True)
-        store.claim_path(key).write_text("{not json", encoding="utf-8")
-        assert store.claim(key, owner="w-1") is True
+        path = tmp_path / "store"
+        writers = [
+            ctx.Process(target=_store_repeatedly, args=(path, key, result, 50))
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        store = ResultStore(path)
+        assert [entry.name for entry in path.glob("*.json")] == [
+            store.entry_path(key).name
+        ]
+        assert fingerprint_digest(store.load(key)) == fingerprint_digest(result)
+        assert list(path.glob("*.tmp")) == []
 
     def test_budget_evicts_oldest_entries(self, tmp_path, result, point):
         import os

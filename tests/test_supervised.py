@@ -78,26 +78,6 @@ class TestHeartbeat:
         assert len(beats) > 1
         assert beats == sorted(beats)  # monotone progress
 
-    def test_heartbeat_every_thins_the_cadence(self):
-        config = baseline_config()
-        every_slice = []
-        run_supervised(
-            sim_factory(config),
-            policy=SupervisionPolicy(slice_events=1_000),
-            heartbeat=lambda _sim: every_slice.append(1),
-        )
-        thinned = []
-        run_supervised(
-            sim_factory(config),
-            policy=SupervisionPolicy(slice_events=1_000, heartbeat_every=4),
-            heartbeat=lambda _sim: thinned.append(1),
-        )
-        assert len(thinned) == len(every_slice) // 4
-
-    def test_heartbeat_every_validation(self):
-        with pytest.raises(ValueError, match="heartbeat_every"):
-            SupervisionPolicy(heartbeat_every=0)
-
     def test_abandoned_attempt_propagates_unretried(self):
         """A heartbeat that raises AttemptAbandoned — the fleet's
         lease-lost signal — aborts the run immediately: no retry, no
