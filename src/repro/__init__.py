@@ -39,8 +39,6 @@ from repro.harness.store import ResultStore
 from repro.harness.supervised import (
     SupervisedReport,
     SupervisionPolicy,
-    AttemptAbandoned,
-    WatchdogTimeout,
     run_supervised,
 )
 from repro.obs import (
@@ -105,8 +103,6 @@ __all__ = [
     "speedups",
     "SupervisedReport",
     "SupervisionPolicy",
-    "AttemptAbandoned",
-    "WatchdogTimeout",
     "run_supervised",
     "Checkpoint",
     "CheckpointError",

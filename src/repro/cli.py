@@ -16,7 +16,6 @@ Commands:
 * ``trace`` — record a run's request lifecycle as Chrome trace JSON.
 * ``metrics`` — sample time-series gauges during a run, export JSON.
 * ``chaos`` — run under a seeded fault plan with invariant auditing.
-* ``checkpoint`` — prove checkpoint/resume is bit-identical on a run.
 * ``report`` — statistical experiment report over a result store:
   per-cell medians with bootstrap CIs, geomean speedup vs a baseline,
   BH-corrected significance, markdown + HTML output, and an
@@ -321,21 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit-every", type=int, default=2000, help="events between audits"
     )
 
-    ckpt_parser = sub.add_parser(
-        "checkpoint", help="capture/restore a mid-run snapshot, verify bit-identity"
-    )
-    ckpt_parser.add_argument("benchmark", choices=ALL_ABBRS)
-    ckpt_parser.add_argument(
-        "--config", choices=sorted(CONFIGS), default="baseline"
-    )
-    ckpt_parser.add_argument("--scale", type=float, default=0.1)
-    ckpt_parser.add_argument(
-        "--events", type=int, default=5000, help="events to run before capturing"
-    )
-    ckpt_parser.add_argument(
-        "--out", metavar="PATH", help="also persist the snapshot here"
-    )
-
     report_parser = sub.add_parser(
         "report",
         help="statistical experiment report over a result store",
@@ -440,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--job-timeout",
         type=float,
         default=None,
-        help="per-attempt wall-clock limit in seconds (default: none)",
+        help="per-job wall-clock limit in seconds; an overrun job ends "
+        "once, with its partial result (default: none)",
     )
     serve_parser.add_argument(
         "--drain-grace",
@@ -1055,45 +1040,6 @@ def cmd_chaos(
     return 0
 
 
-def cmd_checkpoint(
-    benchmark: str, config_name: str, scale: float, events: int, out: str | None
-) -> int:
-    from repro.gpu.gpu import GPUSimulator
-    from repro.harness.runner import build_workload
-    from repro.resilience import Checkpoint
-
-    if events < 1:
-        print("error: --events must be >= 1", file=sys.stderr)
-        return 2
-    config = CONFIGS[config_name]()
-    sim = GPUSimulator(config, build_workload(benchmark, config, scale=scale))
-    sim.advance(max_events=events)
-    snapshot = Checkpoint.capture(sim)
-    if out:
-        snapshot.save(out)
-        snapshot = Checkpoint.load(out)
-    original = sim.run()
-    resumed = snapshot.restore().run()
-    identical = original.fingerprint() == resumed.fingerprint()
-    rows = [
-        ["captured at cycle", snapshot.cycle],
-        ["captured after events", snapshot.events_processed],
-        ["original final cycles", original.cycles],
-        ["resumed final cycles", resumed.cycles],
-        ["bit-identical resume", "yes" if identical else "NO"],
-    ]
-    if out:
-        rows.append(["snapshot written to", out])
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"checkpoint round-trip: {benchmark} under {config_name}",
-        )
-    )
-    return 0 if identical else 1
-
-
 def _load_resultset(
     store: str | None, files: Sequence[str] | None, *, what: str
 ) -> ResultSet:
@@ -1680,10 +1626,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.seed,
             args.plan,
             args.audit_every,
-        )
-    if args.command == "checkpoint":
-        return cmd_checkpoint(
-            args.benchmark, args.config, args.scale, args.events, args.out
         )
     if args.command == "report":
         return cmd_report(

@@ -106,6 +106,9 @@ class CacheConfig(SerializableConfig):
     mshr_entries: int
 
     def __post_init__(self) -> None:
+        for name in ("size_bytes", "line_bytes", "sector_bytes", "associativity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"cache {name} must be positive")
         if self.line_bytes % self.sector_bytes:
             raise ValueError("line size must be a multiple of sector size")
         if self.size_bytes % (self.line_bytes * self.associativity):
@@ -603,12 +606,9 @@ class ServiceConfig:
     #: Queued jobs one client may hold before its submits get a 429.
     max_client_depth: int = 8
     #: Wall-clock seconds per job attempt (None = no watchdog); enforced
-    #: inside the worker by the supervised runner.
+    #: inside the worker by the supervised runner, which then returns
+    #: the partial result rather than retrying.
     job_timeout: float | None = None
-    #: Watchdog-timeout retries per job before it degrades/fails.
-    max_retries: int = 1
-    #: First retry sleeps this many seconds, doubling per retry.
-    backoff_base: float = 0.0
     #: Engine events per supervised slice (the heartbeat cadence).
     slice_events: int = 20_000
     #: Cycles between gauge samples streamed to subscribers (0 = off).
@@ -650,8 +650,6 @@ class ServiceConfig:
             raise ValueError("max_client_depth must be >= 1")
         if self.job_timeout is not None and self.job_timeout <= 0:
             raise ValueError("job_timeout must be positive (or None)")
-        if self.max_retries < 0 or self.backoff_base < 0:
-            raise ValueError("max_retries and backoff_base must be >= 0")
         if self.slice_events < 1:
             raise ValueError("slice_events must be >= 1")
         if self.sample_interval < 0:

@@ -257,8 +257,6 @@ def _execute_truncated(point: SweepPoint, max_events: int) -> dict:
     policy = SupervisionPolicy(
         slice_events=min(20_000, max_events),
         max_events=max_events,
-        max_retries=0,
-        degrade=True,
     )
     report = run_point_supervised(point, policy=policy)
     return report.result.to_dict()

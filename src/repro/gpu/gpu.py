@@ -344,8 +344,8 @@ class GPUSimulator:
         """Best-effort result from wherever the run currently stands.
 
         Supervised execution uses this for graceful degradation: when
-        retries are exhausted the caller gets everything the truncated
-        run did measure, flagged ``complete=False`` (unless every warp
+        the watchdog or the event budget ends a run, the caller gets
+        everything the truncated run did measure, flagged ``complete=False`` (unless every warp
         in fact finished).
         """
         return self._build_result(complete=self._warps_remaining == 0)

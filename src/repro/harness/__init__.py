@@ -23,8 +23,6 @@ from repro.harness.store import ResultStore, default_store_path
 from repro.harness.supervised import (
     SupervisedReport,
     SupervisionPolicy,
-    AttemptAbandoned,
-    WatchdogTimeout,
     run_supervised,
 )
 
@@ -48,7 +46,5 @@ __all__ = [
     "speedups",
     "SupervisedReport",
     "SupervisionPolicy",
-    "AttemptAbandoned",
-    "WatchdogTimeout",
     "run_supervised",
 ]

@@ -196,12 +196,12 @@ def run_point_supervised(
     Unlike :func:`_execute_point` (one monolithic ``run()`` per worker),
     this drives the simulation through
     :func:`~repro.harness.supervised.run_supervised`, so the caller gets
-    wall-clock watchdogs, retry with backoff, graceful degradation, and
-    a per-slice ``heartbeat(sim)`` callback.  With ``sample_interval``
-    set, each attempt carries a sampling
-    :class:`~repro.obs.Observability` bundle (a fresh one per attempt —
-    gauges cannot double-register on retries), so the heartbeat can
-    read live component gauges off ``sim.obs.metrics``.
+    one attempt under a wall-clock watchdog and an event budget, a
+    partial result (``complete=False``) when either ends the run, and a
+    per-slice ``heartbeat(sim)`` callback.  With ``sample_interval``
+    set, the run carries a sampling :class:`~repro.obs.Observability`
+    bundle, so the heartbeat can read live component gauges off
+    ``sim.obs.metrics``.
 
     Returns the :class:`~repro.harness.supervised.SupervisedReport`.
     """

@@ -14,9 +14,9 @@ chaos and latent wiring bugs:
   restored runs are bit-identical to uninterrupted ones (proven by
   ``SimulationResult.fingerprint()``).
 
-``repro.harness.supervised`` builds watchdog/retry/degradation policies
-on top; the ``repro chaos`` and ``repro checkpoint`` CLI commands
-exercise everything end to end.
+``repro.harness.supervised`` builds the watchdog, event budget and
+graceful degradation on top; the ``repro chaos`` CLI command exercises
+fault injection and auditing end to end.
 """
 
 from repro.resilience.checkpoint import Checkpoint, CheckpointError

@@ -99,26 +99,16 @@ class LeaseManager:
         self.granted += 1
         return lease
 
-    def refresh(self, token: str) -> Lease | None:
-        """Push the matching lease's expiry forward; None if the token
-        is stale (lease expired, released, or re-granted elsewhere)."""
+    def refresh(self, job_id: str, token: str) -> Lease | None:
+        """Push ``job_id``'s lease expiry forward; None if ``token`` is
+        stale (lease expired, released, or re-granted elsewhere)."""
+        lease = self._by_job.get(job_id)
         now = self.clock()
-        for job_id, lease in self._by_job.items():
-            if lease.token == token:
-                if lease.expired(now):
-                    return None
-                renewed = replace(lease, expires_at=now + lease.ttl)
-                self._by_job[job_id] = renewed
-                return renewed
-        return None
-
-    def release(self, token: str) -> bool:
-        """Drop the lease holding ``token``; False if already gone."""
-        for job_id, lease in list(self._by_job.items()):
-            if lease.token == token:
-                del self._by_job[job_id]
-                return True
-        return False
+        if lease is None or lease.token != token or lease.expired(now):
+            return None
+        renewed = replace(lease, expires_at=now + lease.ttl)
+        self._by_job[job_id] = renewed
+        return renewed
 
     def release_job(self, job_id: str) -> bool:
         """Drop whatever lease covers ``job_id`` (terminal bookkeeping)."""

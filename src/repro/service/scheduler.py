@@ -16,9 +16,11 @@ and the worker hosts (:mod:`repro.service.worker`) that execute jobs:
   ``worker_poll`` *long poll* that :meth:`Scheduler.poll` holds until a
   job becomes eligible or the hold elapses.  Each host forks
   :func:`_job_worker` per job, driven by
-  :func:`~repro.harness.pool.run_point_supervised`, so wall-clock
-  timeouts, retry with backoff, and graceful degradation all come from
-  the supervised runner rather than being reimplemented here.
+  :func:`~repro.harness.pool.run_point_supervised`, so the wall-clock
+  timeout and graceful degradation come from the supervised runner
+  rather than being reimplemented here.  A job that overruns
+  ``job_timeout`` ends once, with its partial result; it is never
+  re-run, because a deterministic simulation would overrun again.
 * **Streaming** — hosts forward the job's heartbeat frames (cycle,
   events, warps remaining, sampled gauges from the
   :class:`~repro.obs.MetricsSampler`) with their lease heartbeats; the
@@ -27,9 +29,10 @@ and the worker hosts (:mod:`repro.service.worker`) that execute jobs:
 * **Leases** — every dispatch is covered by a
   :class:`~repro.service.lease.Lease`; a host that dies or partitions
   simply stops refreshing it, the reaper notices the expiry, and the
-  job is requeued with exponential backoff.  A job whose crashes exhaust
-  ``attempt_budget`` is *dead-lettered* (state ``dead``) instead of
-  retried forever — the poison-job quarantine.
+  job is requeued with exponential backoff.  This crash requeue is the
+  service's only retry.  A job whose crashes exhaust ``attempt_budget``
+  is *dead-lettered* (state ``dead``) instead of retried forever — the
+  poison-job quarantine.
 * **Drain / resume** — :meth:`Scheduler.drain` stops dispatching
   (held polls return empty and the server answers them 503), gives
   leased jobs a grace period, pushes the stragglers back onto the
@@ -54,7 +57,7 @@ from repro.gpu.gpu import SimulationResult
 from repro.harness.pool import run_point_supervised
 from repro.harness.store import ResultStore
 from repro.harness.supervised import SupervisionPolicy
-from repro.service.lease import LeaseHeld, LeaseManager, describe_leases
+from repro.service.lease import LeaseManager, describe_leases
 from repro.service.protocol import JobSpec, ProtocolError
 from repro.service.queue import AdmissionRefused, Job, JobQueue
 
@@ -65,10 +68,10 @@ logger = logging.getLogger(__name__)
 HEARTBEAT_MIN_INTERVAL = 0.05
 
 #: Extra wall-clock slack a worker host's watchdog allows on top of the
-#: supervised runner's own (timeout * attempts) budget before it kills a
-#: silent job process outright; also how long a draining daemon waits
-#: for its local hosts after each stop signal, and the longest clients
-#: wait at start-up for those hosts' first polls.
+#: supervised runner's own ``job_timeout`` before it kills a silent job
+#: process outright; also how long a draining daemon waits for its local
+#: hosts after each stop signal, and the longest clients wait at
+#: start-up for those hosts' first polls.
 HARD_KILL_SLACK = 10.0
 
 #: Chaos hook: a worker whose job carries this seed exits hard before
@@ -135,7 +138,6 @@ def _job_worker(spec_payload: dict, policy_payload: dict, sample_interval: int, 
                 "type": "result",
                 "result": report.result.to_dict(),
                 "report": {
-                    "attempts": report.attempts,
                     "degraded": report.degraded,
                     "failures": list(report.failures),
                 },
@@ -394,7 +396,9 @@ class Scheduler:
             job.error = error or "unknown failure"
         end: dict[str, Any] = {"event": "end", "state": job.state}
         if report is not None:
-            end["report"] = report
+            # Crash requeues are the only retries, so the scheduler's
+            # own count is the attempt number (the lease's ``attempt``).
+            end["report"] = {**report, "attempts": job.attempts + 1}
         if job.error is not None:
             end["error"] = job.error
         self._publish(job, end)
@@ -449,9 +453,6 @@ class Scheduler:
         return {
             "slice_events": self.config.slice_events,
             "wall_clock_limit": self.config.job_timeout,
-            "max_retries": self.config.max_retries,
-            "backoff_base": self.config.backoff_base,
-            "degrade": True,
         }
 
     def next_job_for(self, worker: str) -> dict | None:
@@ -468,12 +469,7 @@ class Scheduler:
         job = self.queue.pop()
         if job is None:
             return None
-        try:
-            lease = self.leases.grant(job.id, worker, attempt=job.attempts + 1)
-        except LeaseHeld as held:
-            logger.error("dispatch of %s refused: %s", job.id, held)
-            self.queue.push(job)
-            return None
+        lease = self.leases.grant(job.id, worker, attempt=job.attempts + 1)
         job.state = "running"
         job.started_at = time.time()
         job.dispatches += 1
@@ -529,10 +525,7 @@ class Scheduler:
         record = self.workers.get(worker)
         if record is not None:
             record["last_seen"] = time.time()
-        lease = self.leases.holder(job_id)
-        if lease is None or lease.token != token:
-            return False
-        if self.leases.refresh(token) is None:
+        if self.leases.refresh(job_id, token) is None:
             return False
         job = self.jobs.get(job_id)
         if job is not None and progress:

@@ -224,17 +224,14 @@ class WorkerHost:
         """Max seconds of job-process silence before the host kills it.
 
         The supervised runner inside the job process already enforces
-        the per-attempt wall clock; this outer watchdog only catches a
-        job process that stopped talking entirely (crashed interpreter,
-        pipe wedged).
+        the job's wall clock; this outer watchdog only catches a job
+        process that stopped talking entirely (crashed interpreter, pipe
+        wedged).
         """
         limit = policy.get("wall_clock_limit")
         if limit is None:
             return None
-        retries = int(policy.get("max_retries", 0))
-        base = float(policy.get("backoff_base", 0.0))
-        backoff = sum(base * (2**k) for k in range(retries))
-        return float(limit) * (retries + 1) + backoff + HARD_KILL_SLACK
+        return float(limit) + HARD_KILL_SLACK
 
     def _run_dispatch(self, payload: dict) -> None:
         job_id = str(payload["job"])

@@ -148,11 +148,6 @@ class TestResilienceCommands:
         assert args.audit_every == 2000
         assert args.plan is None
 
-    def test_checkpoint_parser_defaults(self):
-        args = build_parser().parse_args(["checkpoint", "gups"])
-        assert args.events == 5000
-        assert args.out is None
-
     def test_chaos_runs_clean(self, capsys):
         assert main(["chaos", "gups", "--scale", "0.05"]) == 0
         out = capsys.readouterr().out
@@ -173,27 +168,6 @@ class TestResilienceCommands:
 
     def test_chaos_rejects_bad_audit_interval(self, capsys):
         assert main(["chaos", "gups", "--audit-every", "0"]) == 2
-
-    def test_checkpoint_verifies_bit_identity(self, tmp_path, capsys):
-        out_path = tmp_path / "snap.ckpt"
-        assert (
-            main(
-                [
-                    "checkpoint",
-                    "gups",
-                    "--scale",
-                    "0.05",
-                    "--events",
-                    "2000",
-                    "--out",
-                    str(out_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "bit-identical resume" in out and "yes" in out
-        assert out_path.exists()
 
 
 class TestSweepAndConfigsEntryPoints:

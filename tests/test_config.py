@@ -63,6 +63,19 @@ class TestValidation:
             CacheConfig(size_bytes=4096, line_bytes=128, sector_bytes=48,
                         associativity=4, latency=1, mshr_entries=1)
 
+    @pytest.mark.parametrize(
+        "field", ["size_bytes", "line_bytes", "sector_bytes", "associativity"]
+    )
+    def test_zero_cache_geometry_is_refused_not_divided(self, field):
+        from repro.service.protocol import JobSpec, ProtocolError
+
+        payload = baseline_config().to_dict()
+        payload["l2d"][field] = 0
+        with pytest.raises(ValueError, match=field):
+            GPUConfig.from_dict(payload)
+        with pytest.raises(ProtocolError, match=field):
+            JobSpec.from_dict({"benchmark": "gups", "config": payload})
+
     def test_page_size_power_of_two(self):
         with pytest.raises(ValueError):
             PageTableConfig(page_size=3000)

@@ -49,7 +49,7 @@ class TestGrantRefreshRelease:
         manager = make_manager(ttl=5.0, clock=clock)
         lease = manager.grant("j-1", "w-a")
         clock.advance(4.0)
-        renewed = manager.refresh(lease.token)
+        renewed = manager.refresh("j-1", lease.token)
         assert renewed is not None
         assert renewed.expires_at == clock.now + 5.0
         clock.advance(4.0)  # 8s after grant: dead without the refresh
@@ -58,17 +58,22 @@ class TestGrantRefreshRelease:
     def test_refresh_with_stale_token_returns_none(self, clock):
         manager = make_manager(ttl=5.0, clock=clock)
         lease = manager.grant("j-1", "w-a")
+        assert manager.refresh("j-1", "no-such-token") is None
+        assert manager.refresh("j-2", lease.token) is None  # wrong job
         clock.advance(6.0)
-        assert manager.refresh(lease.token) is None
-        assert manager.refresh("no-such-token") is None
+        assert manager.refresh("j-1", lease.token) is None
+        # A re-granted job refuses the previous holder's token.
+        regrant = manager.grant("j-1", "w-b", attempt=2)
+        assert manager.refresh("j-1", lease.token) is None
+        assert manager.refresh("j-1", regrant.token) is not None
 
     def test_release_and_release_job(self, clock):
         manager = make_manager(clock=clock)
         lease = manager.grant("j-1", "w-a")
-        assert manager.release(lease.token) is True
-        assert manager.release(lease.token) is False
-        manager.grant("j-2", "w-a")
-        assert manager.release_job("j-2") is True
+        assert manager.release_job("j-1") is True
+        assert manager.release_job("j-1") is False
+        # A released lease's token is stale at once.
+        assert manager.refresh("j-1", lease.token) is None
         assert len(manager) == 0
 
 

@@ -12,10 +12,11 @@ import json
 import time
 
 from repro.config import ServiceConfig, baseline_config
+from repro.harness.pool import pool_context
 from repro.harness.runner import Runner
 from repro.harness.store import ResultStore, fingerprint_digest
 from repro.service.protocol import JobSpec
-from repro.service.scheduler import Scheduler
+from repro.service.scheduler import Scheduler, _job_worker
 
 
 def make_scheduler(**overrides) -> Scheduler:
@@ -450,3 +451,61 @@ class TestFleetDispatch:
             await sched.drain(grace=0.0)
 
         asyncio.run(scenario())
+
+
+def run_leased_job(payload: dict) -> dict:
+    """Run one dispatch the way a worker host does: fork the job
+    process and collect its terminal message."""
+    ctx = pool_context()
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=_job_worker,
+        args=(payload["spec"], payload["policy"], 0, child_conn),
+        daemon=True,
+    )
+    proc.start()
+    child_conn.close()
+    terminal = None
+    try:
+        while True:
+            msg = parent_conn.recv()
+            if msg["type"] != "heartbeat":
+                terminal = msg
+    except EOFError:
+        pass
+    finally:
+        parent_conn.close()
+        proc.join(timeout=30)
+    assert terminal is not None and terminal["type"] == "result", terminal
+    return terminal
+
+
+class TestJobTimeout:
+    def test_timed_out_job_degrades_after_exactly_one_attempt(self):
+        """A deterministic run that overran ``job_timeout`` would overrun
+        again, so the service simulates it once and ends it with the
+        partial result."""
+
+        async def scenario():
+            sched = make_scheduler(job_timeout=1e-6, slice_events=500)
+            sched.start()
+            job, _ = sched.submit(JobSpec(benchmark="gups", scale=0.05, seed=1))
+            payload = await sched.poll("w-1", 1.0)
+            terminal = run_leased_job(payload)
+            assert sched.worker_done(
+                "w-1",
+                job.id,
+                payload["token"],
+                result=terminal["result"],
+                report=terminal["report"],
+            )
+            await sched.drain(grace=0.0)
+            return sched, job
+
+        sched, job = asyncio.run(scenario())
+        end = [event for event in job.events if event["event"] == "end"][-1]
+        report = end["report"]
+        assert report["degraded"] is True
+        assert report["attempts"] == 1
+        assert len(report["failures"]) == 1
+        assert sched.simulations == 1
