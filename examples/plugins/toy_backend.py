@@ -25,6 +25,9 @@ The contract (``repro.gpu.translation.WalkBackend``):
   from the L2 TLB controller and eventually resolve it.
 * ``on_complete`` — attribute the :class:`TranslationService` assigns;
   call it exactly once per request with ``(request, WalkOutcome)``.
+  It is reset to None when the job ends, and the backend stores no
+  bound method of itself, so the finished machine has no reference
+  cycle.
 * ``live_requests()`` *(optional)* — every request currently owned, so
   the resilience layer's conservation audit can account for them.
 * ``register_metrics(metrics)`` *(optional)* — sampled gauges.

@@ -129,13 +129,7 @@ class MachineBuilder:
             spec = MachineSpec(config=spec)
         self.spec = spec
 
-    def build(
-        self,
-        workload,
-        *,
-        obs=None,
-        on_warp_done: Callable | None = None,
-    ) -> Machine:
+    def build(self, workload, *, obs=None) -> Machine:
         # Imports are local so this module stays importable from the
         # config layer without dragging the whole machine model in.
         from repro.gpu.faults import FaultBuffer, UVMFaultHandler
@@ -201,7 +195,7 @@ class MachineBuilder:
             fault_handler=fault_handler,
             translation=translation,
         )
-        machine.warps = self._build_warps(machine, on_warp_done)
+        machine.warps = self._build_warps(machine)
         return machine
 
     def _build_memory(self, config: GPUConfig, stats):
@@ -209,7 +203,7 @@ class MachineBuilder:
 
         return MemorySystem(config, stats)
 
-    def _build_warps(self, machine: Machine, on_warp_done) -> list:
+    def _build_warps(self, machine: Machine) -> list:
         from repro.gpu.warp import Warp
 
         config = machine.config
@@ -227,7 +221,6 @@ class MachineBuilder:
                         machine.memory,
                         page_size,
                         program,
-                        on_warp_done,
                     )
                 )
                 warp_id += 1
@@ -238,14 +231,6 @@ class MachineBuilder:
         return warps
 
 
-def build_machine(
-    config: GPUConfig,
-    workload,
-    *,
-    obs=None,
-    on_warp_done: Callable | None = None,
-) -> Machine:
+def build_machine(config: GPUConfig, workload, *, obs=None) -> Machine:
     """One-call convenience: spec + builder in one step."""
-    return MachineBuilder(MachineSpec(config=config)).build(
-        workload, obs=obs, on_warp_done=on_warp_done
-    )
+    return MachineBuilder(MachineSpec(config=config)).build(workload, obs=obs)

@@ -12,6 +12,7 @@ worked example under ``examples/plugins/``).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.config import GPUConfig
@@ -27,6 +28,11 @@ from repro.sim.stats import StatsRegistry
 from repro.tlb.pwc import PageWalkCache
 
 CompletionCallback = Callable[[WalkRequest, WalkOutcome], None]
+
+
+def _port_busy_until(sms: list[SM], sm_id: int) -> int:
+    """The stall-aware distributor's idleness probe."""
+    return sms[sm_id].port_busy_until()
 
 
 class SoftWalkerBackend:
@@ -45,9 +51,7 @@ class SoftWalkerBackend:
         sw = config.softwalker
         self.stats = stats
         self._counts = stats.counters.live()
-        self.engine = engine
-        self._sms = sms
-        self.on_complete: CompletionCallback | None = None
+        self._on_complete: CompletionCallback | None = None
         # One-way hop each direction; the round trip equals the L2 TLB
         # access latency (Section 6.1 methodology).
         hop = max(1, config.l2_tlb.latency // 2)
@@ -69,36 +73,40 @@ class SoftWalkerBackend:
             capacity_per_sm=sw.softpwb_entries,
             stats=stats,
             policy=sw.distributor_policy,
-            # Bound methods, not lambdas: the distributor is part of the
-            # checkpointed state graph and must deepcopy/pickle cleanly.
-            idleness=self._sm_idleness,
-            clock=self._clock_now,
+            # A partial, not a lambda or a bound method of this backend:
+            # the distributor is checkpointed (deepcopy/pickle) and must
+            # not hold a reference back to its owner.
+            idleness=partial(_port_busy_until, sms),
+            engine=engine,
         )
-        self.distributor.dispatch = self._dispatch
+
+    @property
+    def on_complete(self) -> CompletionCallback | None:
+        return self._on_complete
+
+    @on_complete.setter
+    def on_complete(self, callback: CompletionCallback | None) -> None:
+        # The controllers report to this backend only while it has a
+        # receiver, so clearing the callback also unwires them.
+        self._on_complete = callback
+        relay = None if callback is None else self._controller_complete
         for controller in self.controllers:
-            controller.on_complete = self._controller_complete
-
-    def _sm_idleness(self, sm_id: int) -> int:
-        return self._sms[sm_id].port_busy_until()
-
-    def _clock_now(self) -> int:
-        return self.engine.now
+            controller.on_complete = relay
 
     def submit(self, request: WalkRequest) -> None:
         self._counts["softwalker.submitted"] += 1
-        self.distributor.submit(request)
-
-    def _dispatch(self, sm_id: int, request: WalkRequest) -> None:
-        self.controllers[sm_id].receive(request)
+        sm_id = self.distributor.submit(request)
+        if sm_id is not None:
+            self.controllers[sm_id].receive(request)
 
     def _controller_complete(
         self, sm_id: int, request: WalkRequest, outcome: WalkOutcome
     ) -> None:
         # FL2T decrements the per-core counter at the distributor.
-        self.distributor.complete(sm_id)
-        if self.on_complete is None:
-            raise RuntimeError("SoftWalkerBackend.on_complete not wired")
-        self.on_complete(request, outcome)
+        freed = self.distributor.complete(sm_id)
+        if freed is not None:
+            self.controllers[freed[0]].receive(freed[1])
+        self._on_complete(request, outcome)
 
     @property
     def in_flight(self) -> int:

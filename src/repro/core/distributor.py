@@ -20,6 +20,7 @@ from typing import Callable
 from repro.arch.registry import DISTRIBUTOR_POLICIES
 from repro.config import DistributorPolicy
 from repro.ptw.request import WalkRequest
+from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 
 
@@ -97,7 +98,7 @@ class RequestDistributor:
         policy: str | SelectionPolicy = DistributorPolicy.ROUND_ROBIN,
         idleness: Callable[[int], int] | None = None,
         seed: int = 97,
-        clock: Callable[[], int] | None = None,
+        engine: Engine | None = None,
     ) -> None:
         if isinstance(policy, str):
             try:
@@ -114,19 +115,16 @@ class RequestDistributor:
         self.selection = policy
         self.policy = policy.name
         self.idleness = idleness
-        self._idleness = idleness  # legacy alias
         self._trace = stats.obs.trace
         self._counts = stats.counters.live()
-        #: Simulation-time probe for trace timestamps; falls back to each
-        #: request's enqueue time when the backend wires no clock.
-        self._clock = clock
+        #: Stamps trace events with its ``now``; without one they fall
+        #: back to each request's enqueue time.
+        self._engine = engine
         self._counters = [0] * num_sms
         #: Ascending SM ids whose counter is below capacity; updated only
         #: when a counter reaches or leaves capacity.
         self._available = list(range(num_sms)) if capacity_per_sm > 0 else []
         self._overflow: deque[WalkRequest] = deque()
-        #: Wired by the backend: delivers a request to one SM's controller.
-        self.dispatch: Callable[[int, WalkRequest], None] | None = None
 
     # ------------------------------------------------------------------
     # Selection (Figure 11, steps 1-3)
@@ -137,10 +135,14 @@ class RequestDistributor:
         return self.selection.select(self._available, self)
 
     def _now(self, request: WalkRequest) -> int:
-        return self._clock() if self._clock is not None else request.enqueue_time
+        return self._engine.now if self._engine is not None else request.enqueue_time
 
-    def submit(self, request: WalkRequest) -> None:
-        """Assign ``request`` to a core, or park it until one frees up."""
+    def submit(self, request: WalkRequest) -> int | None:
+        """Assign ``request`` to a core, or park it until one frees up.
+
+        Returns the SM the caller delivers ``request`` to, or None when
+        it was parked.
+        """
         sm = self._select()
         if sm is None:
             self._overflow.append(request)
@@ -156,12 +158,11 @@ class RequestDistributor:
                     now,
                     depth=len(self._overflow),
                 )
-            return
+            return None
         self._send(sm, request)
+        return sm
 
     def _send(self, sm: int, request: WalkRequest) -> None:
-        if self.dispatch is None:
-            raise RuntimeError("RequestDistributor.dispatch not wired")
         self._counters[sm] += 1
         if self._counters[sm] == self.capacity:
             del self._available[bisect_left(self._available, sm)]
@@ -175,12 +176,13 @@ class RequestDistributor:
                 sm=sm,
                 vpn=request.vpn,
             )
-        self.dispatch(sm, request)
 
     # ------------------------------------------------------------------
     # Completion (Figure 11, step 4: FL2T decrements the counter)
     # ------------------------------------------------------------------
-    def complete(self, sm: int) -> None:
+    def complete(self, sm: int) -> tuple[int, WalkRequest] | None:
+        """A walk on ``sm`` finished.  Returns ``(sm, request)`` for the
+        parked request this frees a core for, which the caller delivers."""
         if self._counters[sm] <= 0:
             raise ValueError(f"counter underflow for SM {sm}")
         self._counters[sm] -= 1
@@ -189,7 +191,10 @@ class RequestDistributor:
         if self._overflow:
             target = self._select()
             if target is not None:
-                self._send(target, self._overflow.popleft())
+                request = self._overflow.popleft()
+                self._send(target, request)
+                return target, request
+        return None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.arch.machine import MachineBuilder, MachineSpec
 from repro.config import GPUConfig
-from repro.gpu.warp import Warp
 from repro.obs import NULL_OBS, MetricsSampler, Observability
 from repro.sim.stats import StatsRegistry
 from repro.workloads.base import TraceWorkload
@@ -241,7 +240,7 @@ class GPUSimulator:
         self.workload = workload
         self.obs = obs if obs is not None else NULL_OBS
         machine = MachineBuilder(MachineSpec(config=config)).build(
-            workload, obs=self.obs, on_warp_done=self._warp_done
+            workload, obs=self.obs
         )
         self.machine = machine
         self.engine = machine.engine
@@ -256,13 +255,9 @@ class GPUSimulator:
         self.fault_handler = machine.fault_handler
         self.translation = machine.translation
         self._warps = machine.warps
-        self._warps_remaining = len(self._warps)
         self._started = False
         if self.obs.metrics.enabled:
             self._register_metrics()
-
-    def _warp_done(self, _warp: Warp) -> None:
-        self._warps_remaining -= 1
 
     def _register_metrics(self) -> None:
         """Wire every component's gauges into the sampled registry."""
@@ -274,7 +269,7 @@ class GPUSimulator:
         self.memory.register_metrics(metrics)
         self.pwc.register_metrics(metrics)
         metrics.register_gauge("engine.pending_events", lambda: self.engine.real_pending)
-        metrics.register_gauge("gpu.warps_remaining", lambda: self._warps_remaining)
+        metrics.register_gauge("gpu.warps_remaining", lambda: self.warps_remaining)
 
     # ------------------------------------------------------------------
     # Execution
@@ -312,21 +307,30 @@ class GPUSimulator:
 
     @property
     def warps_remaining(self) -> int:
-        return self._warps_remaining
+        return sum(warp.finished_at is None for warp in self._warps)
+
+    def release(self) -> None:
+        """Unwire the walk backend's completion callbacks once the run is over.
+
+        They are the machine's only two-way references, so after this
+        dropping the simulator frees it by reference counting alone.
+        """
+        self.backend.on_complete = None
 
     def run(self, *, max_events: int | None = None) -> SimulationResult:
         self.start()
         self.engine.run(max_events=max_events)
-        if self._warps_remaining:
+        remaining = self.warps_remaining
+        if remaining:
             if self.engine.truncated:
                 raise SimulationTruncated(
                     f"max_events={max_events} fired with "
-                    f"{self._warps_remaining} warps unfinished and "
+                    f"{remaining} warps unfinished and "
                     f"{self.engine.real_pending} events still pending; "
                     f"raise max_events or shrink the workload"
                 )
             raise RuntimeError(
-                f"simulation drained with {self._warps_remaining} warps unfinished "
+                f"simulation drained with {remaining} warps unfinished "
                 f"(event starvation — likely a wiring bug)"
             )
         if self.engine.truncated:
@@ -348,7 +352,7 @@ class GPUSimulator:
         everything the truncated run did measure, flagged ``complete=False`` (unless every warp
         in fact finished).
         """
-        return self._build_result(complete=self._warps_remaining == 0)
+        return self._build_result(complete=self.warps_remaining == 0)
 
     def _build_result(self, *, complete: bool) -> SimulationResult:
         cycles = self.engine.now

@@ -37,6 +37,14 @@ from repro.tlb.tlb import TLB
 TranslationCallback = Callable[[int, int], None]
 
 
+def _probe_neighbour(space: AddressSpace, neighbour_vpn: int) -> int | None:
+    """Coalesced-TLB range probe: PFN if mapped, None otherwise."""
+    try:
+        return space.translate(neighbour_vpn)
+    except PageFault:
+        return None
+
+
 class WalkBackend(Protocol):
     """What the machine needs from a walk backend.
 
@@ -47,6 +55,9 @@ class WalkBackend(Protocol):
     resilience layers use three optional members when present:
     ``register_metrics(metrics)`` for sampled gauges,
     ``live_requests()`` for conservation audits, and ``in_flight``.
+    ``on_complete`` is set to None when the job ends; a backend holds
+    no other reference back to itself, so the machine is then freed by
+    reference counting.
     """
 
     on_complete: Callable[[WalkRequest, WalkOutcome], None] | None
@@ -95,7 +106,7 @@ class TranslationService:
                 stats,
                 name="l2tlb",
                 span=config.tlb_coalescing_span,
-                translate=self._probe_neighbour,
+                translate=partial(_probe_neighbour, space),
             )
         else:
             self.l2_tlb = TLB(config.l2_tlb, stats, name="l2tlb")
@@ -138,13 +149,6 @@ class TranslationService:
         self._l1_parked_order: list[deque[int]] = [
             deque() for _ in range(config.num_sms)
         ]
-
-    def _probe_neighbour(self, neighbour_vpn: int) -> int | None:
-        """Coalesced-TLB range probe: PFN if mapped, None otherwise."""
-        try:
-            return self.space.translate(neighbour_vpn)
-        except PageFault:
-            return None
 
     # ------------------------------------------------------------------
     # Request entry (from warps' coalesced memory instructions)

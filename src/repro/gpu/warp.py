@@ -20,7 +20,7 @@ The event loop then only issues and translates; it never regroups.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 #: Cache-line size in bytes and its log2 (virtual lines are VA // 128).
 LINE_BYTES = 128
@@ -89,7 +89,6 @@ class Warp:
         "memory",
         "page_shift",
         "program",
-        "on_done",
         "_ip",
         "_pending_pages",
         "_mem_done",
@@ -107,7 +106,6 @@ class Warp:
         memory,
         page_size: int,
         program: Program,
-        on_done: Callable[["Warp"], None],
     ) -> None:
         self.warp_id = warp_id
         self.sm = sm
@@ -116,7 +114,6 @@ class Warp:
         self.memory = memory
         self.page_shift = page_size.bit_length() - 1
         self.program = program
-        self.on_done = on_done
         self._ip = 0
         self._pending_pages = 0
         self._mem_done = 0
@@ -196,4 +193,3 @@ class Warp:
     def _finish(self, now: int) -> None:
         self.finished_at = now
         self.sm.active_warps -= 1
-        self.on_done(self)

@@ -26,7 +26,6 @@ Environment knobs (all read by the default instance):
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import sys
@@ -301,12 +300,9 @@ class Runner:
         )
         if env_obs is not None:
             _export_env_trace(env_obs, workload.spec.abbr)
-        # A finished machine is one cyclic object graph (warps and the
-        # callbacks wiring its components).  Free it at the job boundary,
-        # so back-to-back runs hold one machine, not however many the
-        # collector's allocation-count heuristics let pile up.
-        del sim
-        gc.collect()
+        # Reference counting frees the machine when this returns, so
+        # back-to-back runs hold one machine at a time.
+        sim.release()
         return result
 
     def run_cached(

@@ -17,6 +17,7 @@ Optionally models:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from repro.arch.registry import PWB_POLICIES
@@ -105,7 +106,8 @@ class HardwareWalkBackend:
         #: Walk-depth histogram, fetched on first use: fetching creates
         #: it, and an empty histogram enters the fingerprint.
         self._levels_hist = None
-        self._traverse = traversal or self._radix_traverse
+        # A partial, not a bound method: ``self`` must not hold itself.
+        self._traverse = traversal or partial(execute_walk, page_table, pte_port, pwc)
         self.on_complete: CompletionCallback | None = None
         self._queue: deque[WalkRequest] = deque()
         self._free_walkers = config.num_walkers
@@ -276,11 +278,6 @@ class HardwareWalkBackend:
                 levels=outcome.levels_accessed,
             )
         self.engine.schedule_at(outcome.finish_time, self._finish, request, outcome)
-
-    def _radix_traverse(self, vpn: int, start_level: int, begin: int) -> WalkOutcome:
-        return execute_walk(
-            self.page_table, self.pte_port, self.pwc, vpn, start_level, begin
-        )
 
     def _dequeue(self) -> WalkRequest:
         """Pick the next queued walk according to the PWB policy."""

@@ -10,14 +10,34 @@ from repro.ptw.request import WalkRequest
 from repro.sim.stats import StatsRegistry
 
 
+class Delivering:
+    """A distributor plus the delivery its owner performs: records every
+    ``(sm, vpn)`` that ``submit`` or ``complete`` names a target for."""
+
+    def __init__(self, dist):
+        self.dist = dist
+        self.sent = []
+
+    def submit(self, request):
+        sm = self.dist.submit(request)
+        if sm is not None:
+            self.sent.append((sm, request.vpn))
+
+    def complete(self, sm):
+        freed = self.dist.complete(sm)
+        if freed is not None:
+            self.sent.append((freed[0], freed[1].vpn))
+
+    def __getattr__(self, name):
+        return getattr(self.dist, name)
+
+
 def make_distributor(num_sms=4, capacity=2, policy=DistributorPolicy.ROUND_ROBIN,
                      idleness=None):
-    dist = RequestDistributor(
+    dist = Delivering(RequestDistributor(
         num_sms, capacity, StatsRegistry(), policy=policy, idleness=idleness
-    )
-    sent = []
-    dist.dispatch = lambda sm, req: sent.append((sm, req.vpn))
-    return dist, sent
+    ))
+    return dist, dist.sent
 
 
 def req(vpn) -> WalkRequest:
@@ -115,7 +135,11 @@ class TestPolicies:
         with pytest.raises(ValueError):
             RequestDistributor(2, 1, StatsRegistry(), policy="lottery")
 
-    def test_dispatch_must_be_wired(self):
+    def test_submit_and_complete_name_the_target(self):
         dist = RequestDistributor(2, 1, StatsRegistry())
-        with pytest.raises(RuntimeError):
-            dist.submit(req(0))
+        assert dist.submit(req(0)) == 0
+        assert dist.submit(req(1)) == 1
+        parked = req(2)
+        assert dist.submit(parked) is None
+        assert dist.complete(1) == (1, parked)
+        assert dist.complete(0) is None

@@ -188,7 +188,10 @@ class RescanDistributor:
         if self.overflow:
             target = self._select()
             if target is not None:
-                self._send(target, self.overflow.popleft())
+                request = self.overflow.popleft()
+                self._send(target, request)
+                return target, request
+        return None
 
 
 class DistributorMachine(RuleBasedStateMachine):
@@ -208,7 +211,6 @@ class DistributorMachine(RuleBasedStateMachine):
             idleness=self.idle.__getitem__,
         )
         self.sent: list = []
-        self.real.dispatch = lambda sm, request: self.sent.append((sm, request))
         self.model = RescanDistributor(
             num_sms, capacity, self.policy, self.idle.__getitem__
         )
@@ -218,13 +220,18 @@ class DistributorMachine(RuleBasedStateMachine):
     def submit(self):
         request = new_request(self.next_vpn)
         self.next_vpn += 1
-        self.real.submit(request)
+        sm = self.real.submit(request)
+        if sm is not None:
+            self.sent.append((sm, request))
         self.model.submit(request)
 
     @rule(data=st.data())
     def complete(self, data):
         sm = data.draw(st.integers(0, self.model.num_sms - 1))
-        assert attempt(self.real.complete, sm) == attempt(self.model.complete, sm)
+        outcome = attempt(self.real.complete, sm)
+        assert outcome == attempt(self.model.complete, sm)
+        if outcome[0] == "ok" and outcome[1] is not None:
+            self.sent.append(outcome[1])
 
     @rule(data=st.data())
     def change_idleness(self, data):

@@ -58,15 +58,12 @@ def run_warp(instructions, translation=None, memory=None):
     sm = SM(0, StatsRegistry())
     translation = translation or InstantTranslation()
     memory = memory or InstantMemory()
-    finished = []
     program = compile_trace(instructions, PAGE_SIZE_64K // 128)
-    warp = Warp(
-        0, sm, engine, translation, memory, PAGE_SIZE_64K, program,
-        finished.append,
-    )
+    warp = Warp(0, sm, engine, translation, memory, PAGE_SIZE_64K, program)
     warp.start()
     engine.run()
-    assert finished, "warp must complete"
+    assert warp.finished_at is not None, "warp must complete"
+    assert sm.active_warps == 0
     return warp, sm, translation, memory, engine
 
 
@@ -131,7 +128,7 @@ class TestIntraWarpSpread:
 class TestAnnotations:
     def test_warp_type_hints_resolve(self):
         hints = typing.get_type_hints(Warp.__init__)
-        assert "on_done" in hints
+        assert "program" in hints
 
 
 class TestCompileTrace:
@@ -154,7 +151,7 @@ class ReferenceWarp:
     """Line-space warp: regroups every memory instruction by page and
     makes one ``data_access`` per line (the pre-compilation model)."""
 
-    def __init__(self, sm, engine, translation, memory, page_size, instructions, on_done):
+    def __init__(self, sm, engine, translation, memory, page_size, instructions):
         self.sm = sm
         self.engine = engine
         self.translation = translation
@@ -162,7 +159,6 @@ class ReferenceWarp:
         self.page_shift = page_size.bit_length() - 1
         self.lines_per_page = page_size // 128
         self.instructions = instructions
-        self.on_done = on_done
         self._ip = 0
         self.finished_at = None
 
@@ -182,7 +178,6 @@ class ReferenceWarp:
         if self._ip >= len(self.instructions):
             self.finished_at = now
             self.sm.active_warps -= 1
-            self.on_done(self)
             return
         vlines = self.instructions[self._ip][1]
         self._ip += 1
@@ -259,9 +254,8 @@ def _simulate(warp_factory, traces, page_size):
     sm = SM(0, StatsRegistry())
     translation = UnevenTranslation(engine)
     memory = UnevenMemory()
-    finished = []
     warps = [
-        warp_factory(sm, engine, translation, memory, page_size, trace, finished.append)
+        warp_factory(sm, engine, translation, memory, page_size, trace)
         for trace in traces
     ]
     for warp in warps:
@@ -271,7 +265,7 @@ def _simulate(warp_factory, traces, page_size):
     return {
         "requests": translation.requests,
         "accesses": memory.accesses,
-        "finished": [(warps.index(w), w.finished_at) for w in finished],
+        "finished": [w.finished_at for w in warps],
         "now": engine.now,
         "issued": (sm.user_issued, sm.memory_wait, sm.active_warps),
         "spread": (spread.count, spread.total, spread.maximum),
@@ -287,15 +281,12 @@ class TestCompiledWarpMatchesReference:
             st.lists(line_traces(lines_per_page), min_size=1, max_size=3)
         )
 
-        def reference(sm, engine, translation, memory, size, trace, on_done):
-            return ReferenceWarp(sm, engine, translation, memory, size, trace, on_done)
-
-        def compiled(sm, engine, translation, memory, size, trace, on_done):
+        def compiled(sm, engine, translation, memory, size, trace):
             program = compile_trace(trace, lines_per_page)
-            return Warp(0, sm, engine, translation, memory, size, program, on_done)
+            return Warp(0, sm, engine, translation, memory, size, program)
 
         assert _simulate(compiled, traces, page_size) == _simulate(
-            reference, traces, page_size
+            ReferenceWarp, traces, page_size
         )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PAGE_SIZE_2M, baseline_config
+from repro.config import PAGE_SIZE_2M, baseline_config, softwalker_config
 from repro.gpu.warp import compile_trace
 from repro.workloads.base import IRREGULAR, REGULAR, TraceWorkload, WorkloadSpec
 from repro.workloads.catalog import (
@@ -200,6 +200,73 @@ class TestCompiledPrograms:
                 for kind, payload in warp:
                     if kind == "m":
                         assert list(payload) == sorted(set(payload))
+
+
+class TestSharedCompile:
+    """Consecutive workloads with equal compile inputs share one compile."""
+
+    def test_configs_of_one_sweep_share_programs(self):
+        spec = get_spec("gemm")
+        base = TraceWorkload(spec, baseline_config(), scale=0.05)
+        soft = TraceWorkload(spec, softwalker_config(), scale=0.05)
+        assert soft.programs is base.programs
+        # The address space is mutable (faults unmap pages): never shared.
+        assert soft.space is not base.space
+        assert soft.touched_pages == base.touched_pages
+
+    def test_shared_programs_equal_a_fresh_compile(self):
+        spec = get_spec("cc")
+        first = TraceWorkload(spec, baseline_config(), scale=0.05)
+        shared = TraceWorkload(spec, softwalker_config(), scale=0.05)
+        assert shared.programs is first.programs
+        fresh, touched = shared._compile()
+        assert fresh == shared.programs
+        assert touched == shared._touched_vpns
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"config": baseline_config().with_page_size(PAGE_SIZE_2M)},
+            {"config": baseline_config().derive(num_sms=3)},
+            {"config": baseline_config().derive(max_warps_per_sm=2)},
+            {"seed": 7},
+            {"footprint_scale": 2.0},
+            {"scale": 0.5},
+        ],
+        ids=["page_size", "num_sms", "warps_per_sm", "seed", "footprint", "scale"],
+    )
+    def test_a_changed_input_compiles_afresh(self, change):
+        spec = get_spec("gemm")
+        base = TraceWorkload(spec, baseline_config(), scale=0.05)
+        kwargs = {"scale": 0.05, **change}
+        other = TraceWorkload(spec, kwargs.pop("config", baseline_config()), **kwargs)
+        assert other.programs is not base.programs
+        fresh, _touched = other._compile()
+        assert other.programs == fresh
+
+    def test_scales_with_one_effective_length_share(self):
+        # Below the scale floor every irregular benchmark runs one memory
+        # instruction per warp, so both scales compile the same trace.
+        spec = get_spec("gups")
+        low = TraceWorkload(spec, baseline_config(), scale=0.05)
+        high = TraceWorkload(spec, baseline_config(), scale=0.1)
+        assert low.mem_insts_per_warp == high.mem_insts_per_warp == 1
+        assert high.programs is low.programs
+
+    def test_one_trace_is_held(self):
+        config = baseline_config().derive(num_sms=2)
+        gups = TraceWorkload(get_spec("gups"), config)
+        TraceWorkload(get_spec("gemm"), config)
+        again = TraceWorkload(get_spec("gups"), config)
+        assert again.programs is not gups.programs
+        assert again.programs == gups.programs
+
+    def test_generate_subclasses_are_never_shared(self):
+        config = baseline_config()
+        first = MicrobenchWorkload(config, 8)
+        second = MicrobenchWorkload(config, 8)
+        assert second.programs is not first.programs
+        assert second.programs == first.programs
 
 
 class TestMicrobench:
