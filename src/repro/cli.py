@@ -4,7 +4,12 @@ Commands:
 
 * ``list`` — the Table 4 benchmark catalog.
 * ``configs`` — the named-configuration registry with descriptions.
-* ``run`` — simulate one benchmark under one configuration.
+* ``run`` — simulate one benchmark under one configuration, the only
+  single-simulation command.  It always drives ``run_supervised``, and
+  any of four instruments ride the same run: ``--trace`` (request
+  lifecycle as Chrome trace JSON), ``--metrics`` (sampled time-series
+  gauges), ``--profile`` (host self time under ``cProfile``) and
+  ``--chaos`` (a seeded fault plan with invariant auditing).
 * ``compare`` — baseline vs a set of techniques on one benchmark.
 * ``figure`` — regenerate one of the paper's figures/tables by name.
 * ``sweep`` — run a config x benchmark matrix, optionally in parallel
@@ -13,15 +18,10 @@ Commands:
   serialized SearchSpace: cheap truncated/reduced-scale rungs first,
   full fidelity for finalists, Pareto front of cycles vs the area
   model, crash-safe resume from a state file.
-* ``trace`` — record a run's request lifecycle as Chrome trace JSON.
-* ``metrics`` — sample time-series gauges during a run, export JSON.
-* ``chaos`` — run under a seeded fault plan with invariant auditing.
 * ``report`` — statistical experiment report over a result store:
   per-cell medians with bootstrap CIs, geomean speedup vs a baseline,
   BH-corrected significance, markdown + HTML output, and an
   ``--against OLD`` snapshot diff that exits 1 on regressions.
-* ``profile`` — one run under ``cProfile``: self time per ``repro``
-  package and the hottest functions, optionally the raw ``pstats`` dump.
 * ``serve`` — run the simulation-as-a-service daemon on a unix socket
   (and, with ``--tcp``, a fleet transport for remote workers/clients).
 * ``worker`` — run fleet worker host(s) pulling leased jobs from a
@@ -33,7 +33,10 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import cProfile
 import os
+import pstats
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -51,11 +54,22 @@ from repro.analysis.experiment import DEFAULT_DIFF_TOLERANCE
 from repro.analysis.resultset import DEFAULT_METRIC_NAMES
 from repro.analysis.stat_tests import DEFAULT_ALPHA
 from repro.config import DEFAULT_CONFIGS, GPUConfig, baseline_config
+from repro.gpu.gpu import GPUSimulator
 from repro.harness import experiments
 from repro.harness.pool import SweepPoint, matrix_points
-from repro.harness.runner import Runner, default_runner
+from repro.harness.runner import Runner, build_workload, default_runner
 from repro.harness.store import fingerprint_digest
-from repro.obs import Observability, validate_chrome_trace
+from repro.harness.supervised import SupervisionPolicy, run_supervised
+from repro.obs import (
+    DEFAULT_SAMPLE_INTERVAL,
+    NULL_METRICS,
+    NULL_TRACE,
+    WALK_COMPONENTS,
+    MetricsRegistry,
+    Observability,
+    TraceRecorder,
+    validate_chrome_trace,
+)
 from repro.obs.profile import REPRO_ROOT, package_of, package_self_times
 from repro.workloads.catalog import ALL_ABBRS, CATALOG, get_spec
 
@@ -107,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("configs", help="list the named-configuration registry")
 
-    run_parser = sub.add_parser("run", help="simulate one benchmark")
+    run_parser = sub.add_parser(
+        "run", help="simulate one benchmark, optionally instrumented"
+    )
     run_parser.add_argument("benchmark", choices=ALL_ABBRS)
     run_parser.add_argument(
         "--config",
@@ -117,7 +133,39 @@ def build_parser() -> argparse.ArgumentParser:
             "with an inline config dict"
         ),
     )
-    run_parser.add_argument("--scale", type=float, default=1.0)
+    run_parser.add_argument(
+        "--scale", type=float, help="trace scale (default: REPRO_SCALE or 1.0)"
+    )
+    run_parser.add_argument(
+        "--seed", type=int, help="workload seed (default: the catalog seed)"
+    )
+    run_parser.add_argument(
+        "--trace", metavar="OUT", help="record the run as Chrome trace JSON"
+    )
+    run_parser.add_argument(
+        "--jsonl", metavar="PATH", help="with --trace: also write JSON lines"
+    )
+    run_parser.add_argument(
+        "--metrics", metavar="OUT", help="sample time-series gauges into JSON"
+    )
+    run_parser.add_argument(
+        "--interval", type=int, default=DEFAULT_SAMPLE_INTERVAL,
+        help="with --metrics: sample interval in cycles",
+    )
+    run_parser.add_argument(
+        "--profile", metavar="OUT", help="run under cProfile, dump pstats here"
+    )
+    run_parser.add_argument(
+        "--top", type=int, default=15, help="with --profile: functions to print"
+    )
+    run_parser.add_argument(
+        "--chaos", nargs="?", const="0", metavar="SEED|@plan.json",
+        help="inject the default fault plan under SEED (bare: 0) or a JSON plan",
+    )
+    run_parser.add_argument(
+        "--audit-every", type=int, default=2000,
+        help="with --chaos: events between invariant audits",
+    )
 
     compare_parser = sub.add_parser("compare", help="compare techniques")
     compare_parser.add_argument("benchmark", choices=ALL_ABBRS)
@@ -272,54 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore any existing state file and restart the search",
     )
 
-    trace_parser = sub.add_parser(
-        "trace", help="record a run as Chrome trace JSON (chrome://tracing)"
-    )
-    trace_parser.add_argument("benchmark", choices=ALL_ABBRS)
-    trace_parser.add_argument(
-        "--config", choices=sorted(CONFIGS), default="baseline"
-    )
-    trace_parser.add_argument("--scale", type=float, default=0.1)
-    trace_parser.add_argument(
-        "--out", default="trace.json", help="Chrome trace output path"
-    )
-    trace_parser.add_argument(
-        "--jsonl", metavar="PATH", help="also write raw events as JSON lines"
-    )
-
-    metrics_parser = sub.add_parser(
-        "metrics", help="sample time-series gauges during a run"
-    )
-    metrics_parser.add_argument("benchmark", choices=ALL_ABBRS)
-    metrics_parser.add_argument(
-        "--config", choices=sorted(CONFIGS), default="baseline"
-    )
-    metrics_parser.add_argument("--scale", type=float, default=0.1)
-    metrics_parser.add_argument(
-        "--out", default="metrics.json", help="metrics JSON output path"
-    )
-    metrics_parser.add_argument(
-        "--interval", type=int, default=1000, help="sample interval in cycles"
-    )
-
-    chaos_parser = sub.add_parser(
-        "chaos", help="run under a seeded fault plan with invariant audits"
-    )
-    chaos_parser.add_argument("benchmark", choices=ALL_ABBRS)
-    chaos_parser.add_argument(
-        "--config", choices=sorted(CONFIGS), default="baseline"
-    )
-    chaos_parser.add_argument("--scale", type=float, default=0.1)
-    chaos_parser.add_argument(
-        "--seed", type=int, default=0, help="fault-plan RNG seed"
-    )
-    chaos_parser.add_argument(
-        "--plan", metavar="PATH", help="JSON fault plan (default: one of each kind)"
-    )
-    chaos_parser.add_argument(
-        "--audit-every", type=int, default=2000, help="events between audits"
-    )
-
     report_parser = sub.add_parser(
         "report",
         help="statistical experiment report over a result store",
@@ -375,28 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=DEFAULT_DIFF_TOLERANCE,
         help="relative movement tolerated before a significant cell regresses",
-    )
-
-    profile_parser = sub.add_parser(
-        "profile",
-        help="one run under cProfile: self time per package and function",
-    )
-    profile_parser.add_argument("benchmark", choices=ALL_ABBRS)
-    profile_parser.add_argument(
-        "--config",
-        default="baseline",
-        help=(
-            "configuration name (see `repro configs`) or @file.json "
-            "with an inline config dict"
-        ),
-    )
-    profile_parser.add_argument("--scale", type=float, default=0.1)
-    profile_parser.add_argument("--seed", type=int, default=7)
-    profile_parser.add_argument(
-        "--top", type=int, default=15, help="functions to print"
-    )
-    profile_parser.add_argument(
-        "--out", metavar="PATH", help="write the raw pstats dump here"
     )
 
     serve_parser = sub.add_parser(
@@ -568,11 +546,12 @@ def resolve_config_arg(token: str) -> GPUConfig:
     return CONFIGS.get(token)
 
 
-def _error_text(failure: BaseException) -> str:
-    """The message without KeyError's repr-quoting."""
+def _usage_error(failure: BaseException) -> int:
+    """Print ``failure`` (without KeyError's repr-quoting); exit code 2."""
     if isinstance(failure, KeyError) and failure.args:
-        return str(failure.args[0])
-    return str(failure)
+        failure = failure.args[0]
+    print(f"error: {failure}", file=sys.stderr)
+    return 2
 
 
 def cmd_list() -> int:
@@ -605,13 +584,67 @@ def cmd_configs() -> int:
     return 0
 
 
-def cmd_run(benchmark: str, config_name: str, scale: float) -> int:
-    try:
-        config = resolve_config_arg(config_name)
-    except (KeyError, OSError, ValueError) as failure:
-        print(f"error: {_error_text(failure)}", file=sys.stderr)
+def _resolve_chaos_arg(token: str):
+    """``@plan.json`` loads a ``FaultPlan``; any other token seeds the
+    default chaos plan.  Raises with a printable message."""
+    from repro.resilience import FaultPlan, default_chaos_plan
+
+    if token.startswith("@"):
+        with open(token[1:], encoding="utf-8") as handle:
+            return FaultPlan.from_json(handle.read())
+    return default_chaos_plan(seed=int(token))
+
+
+def cmd_run(
+    benchmark: str,
+    config: str,
+    scale: float | None,
+    seed: int | None,
+    trace: str | None,
+    jsonl: str | None,
+    metrics: str | None,
+    interval: int,
+    profile: str | None,
+    top: int,
+    chaos: str | None,
+    audit_every: int,
+) -> int:
+    """One supervised simulation with the requested instruments on it."""
+    from repro.resilience import InvariantViolation
+
+    for flag, value in (
+        ("--interval", interval), ("--audit-every", audit_every), ("--top", top)
+    ):
+        if value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
+    if jsonl and not trace:
+        print("error: --jsonl needs --trace", file=sys.stderr)
         return 2
-    result = default_runner().run(config, benchmark, scale=scale)
+    try:
+        gpu_config = resolve_config_arg(config)
+        plan = _resolve_chaos_arg(chaos) if chaos is not None else None
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as failure:
+        return _usage_error(failure)
+    obs = Observability(
+        trace=TraceRecorder() if trace else NULL_TRACE,
+        metrics=MetricsRegistry() if metrics else NULL_METRICS,
+        sample_interval=interval,
+    )
+
+    def make_sim() -> GPUSimulator:
+        workload = build_workload(benchmark, gpu_config, scale=scale, seed=seed)
+        return GPUSimulator(gpu_config, workload, obs=obs)
+
+    policy = SupervisionPolicy(audit_every=audit_every if plan is not None else 0)
+    profiler = cProfile.Profile() if profile else contextlib.nullcontext()
+    try:
+        with profiler:
+            report = run_supervised(make_sim, policy=policy, plan=plan)
+    except InvariantViolation as violation:
+        print(f"INVARIANT VIOLATION\n{violation}", file=sys.stderr)
+        return 1
+    result = report.result
     spec = get_spec(benchmark)
     rows = [
         ["cycles", result.cycles],
@@ -626,14 +659,107 @@ def cmd_run(benchmark: str, config_name: str, scale: float) -> int:
         ["stall fraction", result.stall_fraction],
         ["L2D miss rate", result.l2_cache_miss_rate],
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"{spec.name} ({spec.category}) under {config_name}",
-        )
-    )
+    title = f"{spec.name} ({spec.category}) under {config}"
+    tables = [format_table(["metric", "value"], rows, title=title)]
+    wrote = []
+    if trace:
+        validate_chrome_trace(obs.trace.chrome_trace())
+        path = obs.trace.write_chrome(trace)
+        wrote.append(f"{path} — open in chrome://tracing or https://ui.perfetto.dev")
+        if jsonl:
+            wrote.append(obs.trace.write_jsonl(jsonl))
+        tables.append(_trace_table(obs.trace, result))
+    if metrics:
+        wrote.append(obs.metrics.write_json(metrics))
+        tables.append(_metrics_table(obs.metrics, interval))
+    if plan is not None:
+        tables.append(_chaos_table(report, plan.seed, audit_every))
+    if profile:
+        profiler.dump_stats(profile)
+        wrote.append(f"{profile} (load it with pstats.Stats)")
+        tables.extend(_profile_tables(pstats.Stats(profiler), result, top))
+    print("\n\n".join(tables))
+    if wrote:
+        print("\n" + "\n".join(f"wrote {line}" for line in wrote))
     return 0
+
+
+def _trace_table(recorder: TraceRecorder, result) -> str:
+    """The trace-derived walk breakdown beside the LatencyTracker
+    aggregates (the Figure 7 components): the two columns must match."""
+    spans = recorder.span_durations("walk.")
+    shares = result.stats.latency("walk").component_shares()
+    total = sum(spans.values()) or 1
+    rows = []
+    for part in WALK_COMPONENTS:
+        from_trace = spans.get(f"walk.{part}", 0) / total
+        rows.append([part, f"{from_trace:.1%}", f"{shares.get(part, 0.0):.1%}"])
+    return format_table(
+        ["walk component", "share (trace)", "share (aggregate)"],
+        rows,
+        title=f"trace: {recorder.num_events} events",
+    )
+
+
+def _metrics_table(registry: MetricsRegistry, interval: int) -> str:
+    rows = [
+        [name, f"{registry.mean(name):.2f}", f"{registry.peak(name):.2f}"]
+        for name in registry.gauge_names()
+    ]
+    title = f"metrics: {registry.samples_taken} samples every {interval} cycles"
+    return format_table(["gauge", "mean", "peak"], rows, title=title)
+
+
+def _chaos_table(report, plan_seed: int, audit_every: int) -> str:
+    result = report.result
+    counters = result.stats.counters.as_dict()
+    rows = [
+        ["replay seed", result.seed],
+        ["complete", result.complete],
+        ["faults injected", report.faults_injected],
+        ["invariant audits", report.audits],
+        ["invariant violations", 0],
+        ["far faults recorded", counters.get("faults.recorded", 0)],
+        ["delayed completions", counters.get("chaos.delayed_completions", 0)],
+    ]
+    rows.extend(
+        [f"  {name.removeprefix('chaos.injected.')}", count]
+        for name, count in sorted(counters.items())
+        if name.startswith("chaos.injected.")
+    )
+    title = f"chaos: plan seed {plan_seed}, audit every {audit_every} events"
+    return format_table(["chaos", "value"], rows, title=title)
+
+
+def _profile_tables(stats: pstats.Stats, result, top: int) -> list[str]:
+    """Self time per ``repro`` package, then the ``top`` hottest functions."""
+    by_package = package_self_times(stats)
+    total = sum(by_package.values()) or 1.0
+    packages = [
+        [package, f"{seconds:.3f}", f"{seconds / total:.1%}"]
+        for package, seconds in by_package.items()
+    ]
+    hottest = sorted(stats.stats.items(), key=lambda item: item[1][2], reverse=True)
+    functions = []
+    for (filename, line, name), (_prim, calls, tottime, cumtime, _) in hottest[:top]:
+        if package_of(filename) == "other":
+            site = pstats.func_std_string((filename, line, name))
+        else:
+            where = os.path.relpath(os.path.realpath(filename), REPRO_ROOT)
+            site = f"{where}:{line}({name})"
+        functions.append([site, f"{calls:,}", f"{tottime:.3f}", f"{cumtime:.3f}"])
+    title = (
+        f"profile: {result.perf['events']:,} events, {result.cycles:,} cycles, "
+        f"{total:.2f}s self time under cProfile"
+    )
+    return [
+        format_table(["package", "self s", "share"], packages, title=title),
+        format_table(
+            ["function", "calls", "self s", "cumulative s"],
+            functions,
+            title=f"top {top} functions by self time",
+        ),
+    ]
 
 
 def cmd_compare(benchmark: str, scale: float) -> int:
@@ -678,21 +804,24 @@ def cmd_figure(
 
 
 def cmd_sweep(
-    config_names: Sequence[str],
-    benchmark_names: Sequence[str],
+    configs: str,
+    benchmarks: str,
     scale: float | None,
     seed: int | None,
     jobs: int | None,
     store: str | None,
     sample: int | None = None,
 ) -> int:
-    configs: dict[str, GPUConfig] = {}
+    config_names = [name.strip() for name in configs.split(",") if name.strip()]
+    benchmark_names = [
+        name.strip() for name in benchmarks.split(",") if name.strip()
+    ]
+    resolved: dict[str, GPUConfig] = {}
     for token in config_names:
         try:
-            configs[token] = resolve_config_arg(token)
+            resolved[token] = resolve_config_arg(token)
         except (KeyError, OSError, ValueError) as failure:
-            print(f"error: {_error_text(failure)}", file=sys.stderr)
-            return 2
+            return _usage_error(failure)
     unknown = [name for name in benchmark_names if name not in ALL_ABBRS]
     if unknown:
         print(
@@ -706,7 +835,7 @@ def cmd_sweep(
     if jobs is not None:
         runner.jobs = jobs
     points = matrix_points(
-        configs.values(), benchmark_names, scale=scale, seed=seed
+        resolved.values(), benchmark_names, scale=scale, seed=seed
     )
     selected = list(range(len(points)))
     if sample is not None:
@@ -780,11 +909,11 @@ def cmd_sweep(
 
 
 def cmd_explore(
-    space_path: str,
-    benchmarks_csv: str,
-    seeds_csv: str,
+    space: str,
+    benchmarks: str,
+    seeds: str,
     scale: float,
-    rungs_text: str,
+    rungs: str,
     sample: int | None,
     search_seed: int,
     tolerance: float,
@@ -792,7 +921,7 @@ def cmd_explore(
     store: str | None,
     out: str,
     report: str | None,
-    html_out: str | None,
+    html: str | None,
     state: str | None,
     fresh: bool,
 ) -> int:
@@ -807,8 +936,8 @@ def cmd_explore(
         run_explore,
     )
 
-    benchmarks = [b.strip() for b in benchmarks_csv.split(",") if b.strip()]
-    unknown = [name for name in benchmarks if name not in ALL_ABBRS]
+    benchmark_names = [b.strip() for b in benchmarks.split(",") if b.strip()]
+    unknown = [name for name in benchmark_names if name not in ALL_ABBRS]
     if unknown:
         print(
             f"error: unknown benchmark(s) {', '.join(unknown)} — "
@@ -817,24 +946,23 @@ def cmd_explore(
         )
         return 2
     try:
-        seeds = tuple(
+        replicates = tuple(
             None if token.lower() == "none" else int(token)
-            for token in (t.strip() for t in seeds_csv.split(","))
+            for token in (t.strip() for t in seeds.split(","))
             if token
         )
-        space = load_space(space_path)
+        search_space = load_space(space)
         options = ExploreOptions(
-            benchmarks=tuple(benchmarks),
-            seeds=seeds,
+            benchmarks=tuple(benchmark_names),
+            seeds=replicates,
             scale=scale,
-            rungs=parse_rungs(rungs_text),
+            rungs=parse_rungs(rungs),
             sample=sample,
             search_seed=search_seed,
             tolerance=tolerance,
         )
     except (ExploreError, KeyError, OSError, ValueError) as failure:
-        print(f"error: {_error_text(failure)}", file=sys.stderr)
-        return 2
+        return _usage_error(failure)
 
     runner = Runner(store=store) if store else default_runner()
     if jobs is not None:
@@ -846,7 +974,7 @@ def cmd_explore(
 
     try:
         artifact = run_explore(
-            space,
+            search_space,
             options,
             runner=runner,
             jobs=jobs,
@@ -856,8 +984,7 @@ def cmd_explore(
             progress=progress,
         )
     except (ExploreError, KeyError, ValueError) as failure:
-        print(f"error: {_error_text(failure)}", file=sys.stderr)
-        return 2
+        return _usage_error(failure)
 
     Path(out).write_text(artifact_json(artifact), encoding="utf-8")
 
@@ -896,7 +1023,7 @@ def cmd_explore(
     print(f"wrote {out}")
 
     markdown_path = report
-    html_path = html_out
+    html_path = html
     if markdown_path and not html_path:
         html_path = str(Path(markdown_path).with_suffix(".html"))
     if markdown_path:
@@ -907,136 +1034,6 @@ def cmd_explore(
     if html_path:
         Path(html_path).write_text(explore_html(artifact), encoding="utf-8")
         print(f"wrote {html_path}")
-    return 0
-
-
-def cmd_trace(
-    benchmark: str,
-    config_name: str,
-    scale: float,
-    out: str,
-    jsonl: str | None,
-) -> int:
-    config = CONFIGS[config_name]()
-    obs = Observability.tracing()
-    result = default_runner().run(config, benchmark, scale=scale, obs=obs)
-    validate_chrome_trace(obs.trace.chrome_trace())
-    path = obs.trace.write_chrome(out)
-    if jsonl:
-        obs.trace.write_jsonl(jsonl)
-
-    # Cross-check the trace-derived walk breakdown against the
-    # LatencyTracker aggregates (the Figure 7 components).
-    spans = obs.trace.span_durations("walk.")
-    shares = result.stats.latency("walk").component_shares()
-    total = sum(spans.values())
-    rows = []
-    for component in ("queueing", "communication", "execution", "access"):
-        from_trace = spans.get(f"walk.{component}", 0) / total if total else 0.0
-        rows.append(
-            [component, f"{from_trace:.1%}", f"{shares.get(component, 0.0):.1%}"]
-        )
-    print(
-        format_table(
-            ["walk component", "share (trace)", "share (aggregate)"],
-            rows,
-            title=f"{benchmark} under {config_name}: {obs.trace.num_events} events",
-        )
-    )
-    print(f"\nwrote {path} — open in chrome://tracing or https://ui.perfetto.dev")
-    if jsonl:
-        print(f"wrote {jsonl}")
-    return 0
-
-
-def cmd_metrics(
-    benchmark: str, config_name: str, scale: float, out: str, interval: int
-) -> int:
-    if interval < 1:
-        print("error: --interval must be >= 1 cycle", file=sys.stderr)
-        return 2
-    config = CONFIGS[config_name]()
-    obs = Observability.sampling(interval)
-    default_runner().run(config, benchmark, scale=scale, obs=obs)
-    path = obs.metrics.write_json(out)
-    rows = [
-        [name, f"{obs.metrics.mean(name):.2f}", f"{obs.metrics.peak(name):.2f}"]
-        for name in obs.metrics.gauge_names()
-    ]
-    print(
-        format_table(
-            ["gauge", "mean", "peak"],
-            rows,
-            title=(
-                f"{benchmark} under {config_name}: "
-                f"{obs.metrics.samples_taken} samples every {interval} cycles"
-            ),
-        )
-    )
-    print(f"\nwrote {path}")
-    return 0
-
-
-def cmd_chaos(
-    benchmark: str,
-    config_name: str,
-    scale: float,
-    seed: int,
-    plan_path: str | None,
-    audit_every: int,
-) -> int:
-    from repro.gpu.gpu import GPUSimulator
-    from repro.harness import SupervisionPolicy, run_supervised
-    from repro.harness.runner import build_workload
-    from repro.resilience import FaultPlan, InvariantViolation, default_chaos_plan
-
-    if audit_every < 1:
-        print("error: --audit-every must be >= 1 event", file=sys.stderr)
-        return 2
-    config = CONFIGS[config_name]()
-    if plan_path:
-        with open(plan_path, encoding="utf-8") as handle:
-            plan = FaultPlan.from_json(handle.read())
-    else:
-        plan = default_chaos_plan(seed=seed)
-
-    def make_sim() -> GPUSimulator:
-        return GPUSimulator(config, build_workload(benchmark, config, scale=scale))
-
-    try:
-        report = run_supervised(
-            make_sim,
-            policy=SupervisionPolicy(audit_every=audit_every),
-            plan=plan,
-        )
-    except InvariantViolation as violation:
-        print(f"INVARIANT VIOLATION\n{violation}", file=sys.stderr)
-        return 1
-    result = report.result
-    counters = result.stats.counters.as_dict()
-    rows = [
-        ["cycles", result.cycles],
-        ["replay seed", result.seed],
-        ["complete", result.complete],
-        ["faults injected", report.faults_injected],
-        ["invariant audits", report.audits],
-        ["invariant violations", 0],
-        ["far faults recorded", counters.get("faults.recorded", 0)],
-        ["delayed completions", counters.get("chaos.delayed_completions", 0)],
-        ["MSHR failures", result.mshr_failures],
-    ]
-    rows.extend(
-        [f"  {name.removeprefix('chaos.injected.')}", count]
-        for name, count in sorted(counters.items())
-        if name.startswith("chaos.injected.")
-    )
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"chaos run: {benchmark} under {config_name}, plan seed {plan.seed}",
-        )
-    )
     return 0
 
 
@@ -1065,22 +1062,22 @@ def cmd_report(
     store: str | None,
     files: Sequence[str] | None,
     baseline: str | None,
-    metrics_csv: str | None,
+    metrics: str | None,
     alpha: float,
     out: str | None,
-    html_out: str | None,
+    html: str | None,
     against: str | None,
     threshold: float,
 ) -> int:
-    metrics = (
-        [name.strip() for name in metrics_csv.split(",") if name.strip()]
-        if metrics_csv
+    metric_names = (
+        [name.strip() for name in metrics.split(",") if name.strip()]
+        if metrics
         else None
     )
     try:
         resultset = _load_resultset(store, files, what="report")
         analysis = analyze(
-            resultset, baseline=baseline, metrics=metrics, alpha=alpha
+            resultset, baseline=baseline, metrics=metric_names, alpha=alpha
         )
         diff = None
         if against:
@@ -1088,13 +1085,12 @@ def cmd_report(
             diff = diff_resultsets(
                 old_set,
                 resultset,
-                metrics=metrics,
+                metrics=metric_names,
                 alpha=alpha,
                 tolerance=threshold,
             )
     except (AnalysisError, KeyError, OSError, ValueError) as failure:
-        print(f"error: {_error_text(failure)}", file=sys.stderr)
-        return 2
+        return _usage_error(failure)
 
     print(resultset.describe())
     print(
@@ -1134,7 +1130,7 @@ def cmd_report(
         )
 
     markdown_path = out
-    html_path = html_out
+    html_path = html
     if markdown_path and not html_path:
         html_path = str(Path(markdown_path).with_suffix(".html"))
     if markdown_path:
@@ -1180,71 +1176,8 @@ def cmd_report(
     return 0
 
 
-def cmd_profile(
-    benchmark: str,
-    config_name: str,
-    scale: float,
-    seed: int,
-    top: int,
-    out: str | None,
-) -> int:
-    import cProfile
-    import pstats
-
-    if top < 1:
-        print("error: --top must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        config = resolve_config_arg(config_name)
-    except (KeyError, OSError, ValueError) as failure:
-        print(f"error: {_error_text(failure)}", file=sys.stderr)
-        return 2
-    profiler = cProfile.Profile()
-    result = profiler.runcall(
-        Runner().run, config, benchmark, scale=scale, seed=seed
-    )
-    stats = pstats.Stats(profiler)
-    by_package = package_self_times(stats)
-    total = sum(by_package.values()) or 1.0
-    print(
-        format_table(
-            ["package", "self s", "share"],
-            [
-                [package, f"{seconds:.3f}", f"{seconds / total:.1%}"]
-                for package, seconds in by_package.items()
-            ],
-            title=(
-                f"profile: {benchmark} under {config_name} — "
-                f"{result.perf['events']:,} events, {result.cycles:,} cycles, "
-                f"{total:.2f}s self time under cProfile"
-            ),
-        )
-    )
-    hottest = sorted(stats.stats.items(), key=lambda item: item[1][2], reverse=True)
-    rows = []
-    for (filename, line, name), (_prim, calls, tottime, cumtime, _) in hottest[:top]:
-        if package_of(filename) == "other":
-            site = pstats.func_std_string((filename, line, name))
-        else:
-            where = os.path.relpath(os.path.realpath(filename), REPRO_ROOT)
-            site = f"{where}:{line}({name})"
-        rows.append([site, f"{calls:,}", f"{tottime:.3f}", f"{cumtime:.3f}"])
-    print(
-        "\n"
-        + format_table(
-            ["function", "calls", "self s", "cumulative s"],
-            rows,
-            title=f"top {top} functions by self time",
-        )
-    )
-    if out:
-        stats.dump_stats(out)
-        print(f"\nwrote {out} (load it with pstats.Stats)")
-    return 0
-
-
 def cmd_serve(
-    socket_path: str | None,
+    socket: str | None,
     max_inflight: int | None,
     max_depth: int | None,
     max_client_depth: int | None,
@@ -1267,8 +1200,8 @@ def cmd_serve(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(name)s: %(message)s"
     )
     overrides: dict = {}
-    if socket_path is not None:
-        overrides["socket_path"] = socket_path
+    if socket is not None:
+        overrides["socket_path"] = socket
     if max_inflight is not None:
         overrides["max_inflight"] = max_inflight
     if max_depth is not None:
@@ -1376,12 +1309,12 @@ def cmd_worker(
 
 def cmd_submit(
     benchmark: str,
-    config_name: str,
+    config: str,
     scale: float,
     footprint_scale: float,
     seed: int | None,
     priority: str,
-    socket_path: str | None,
+    socket: str | None,
     wait: bool,
     stream: bool,
     retries: int | None = None,
@@ -1394,18 +1327,17 @@ def cmd_submit(
         ServiceError,
     )
 
-    config: str | GPUConfig = config_name
-    if config_name.startswith("@"):
+    job_config: str | GPUConfig = config
+    if config.startswith("@"):
         # Inline configs travel by value; named ones stay a small
         # registry-name string for the server to resolve.
         try:
-            config = resolve_config_arg(config_name)
+            job_config = resolve_config_arg(config)
         except (OSError, ValueError) as failure:
-            print(f"error: {_error_text(failure)}", file=sys.stderr)
-            return 2
+            return _usage_error(failure)
     spec = JobSpec(
         benchmark=benchmark,
-        config=config,
+        config=job_config,
         scale=scale,
         footprint_scale=footprint_scale,
         seed=seed,
@@ -1414,7 +1346,7 @@ def cmd_submit(
     retry = None
     if retries is not None and retries > 0:
         retry = RetryPolicy(attempts=retries + 1)
-    client = ServiceClient(socket_path, retry=retry)
+    client = ServiceClient(socket, retry=retry)
 
     def on_event(event: dict) -> None:
         kind = event.get("event")
@@ -1484,10 +1416,10 @@ def cmd_submit(
     return 0
 
 
-def cmd_jobs(socket_path: str | None, stats: bool) -> int:
+def cmd_jobs(socket: str | None, stats: bool) -> int:
     from repro.service import ServiceClient, ServiceError
 
-    client = ServiceClient(socket_path)
+    client = ServiceClient(socket)
     try:
         if stats:
             frame = client.stats()
@@ -1572,121 +1504,26 @@ def cmd_jobs(socket_path: str | None, stats: bool) -> int:
     return 0
 
 
+#: Each subcommand's handler; its parameters are the subparser's options.
+COMMANDS: dict[str, Callable[..., int]] = {
+    "list": cmd_list,
+    "configs": cmd_configs,
+    "run": cmd_run,
+    "compare": cmd_compare,
+    "figure": cmd_figure,
+    "sweep": cmd_sweep,
+    "explore": cmd_explore,
+    "report": cmd_report,
+    "serve": cmd_serve,
+    "worker": cmd_worker,
+    "submit": cmd_submit,
+    "jobs": cmd_jobs,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list()
-    if args.command == "configs":
-        return cmd_configs()
-    if args.command == "run":
-        return cmd_run(args.benchmark, args.config, args.scale)
-    if args.command == "compare":
-        return cmd_compare(args.benchmark, args.scale)
-    if args.command == "figure":
-        return cmd_figure(args.name, args.scale, args.save, args.jobs)
-    if args.command == "sweep":
-        return cmd_sweep(
-            [name.strip() for name in args.configs.split(",") if name.strip()],
-            [name.strip() for name in args.benchmarks.split(",") if name.strip()],
-            args.scale,
-            args.seed,
-            args.jobs,
-            args.store,
-            args.sample,
-        )
-    if args.command == "explore":
-        return cmd_explore(
-            args.space,
-            args.benchmarks,
-            args.seeds,
-            args.scale,
-            args.rungs,
-            args.sample,
-            args.search_seed,
-            args.tolerance,
-            args.jobs,
-            args.store,
-            args.out,
-            args.report,
-            args.html,
-            args.state,
-            args.fresh,
-        )
-    if args.command == "trace":
-        return cmd_trace(args.benchmark, args.config, args.scale, args.out, args.jsonl)
-    if args.command == "metrics":
-        return cmd_metrics(
-            args.benchmark, args.config, args.scale, args.out, args.interval
-        )
-    if args.command == "chaos":
-        return cmd_chaos(
-            args.benchmark,
-            args.config,
-            args.scale,
-            args.seed,
-            args.plan,
-            args.audit_every,
-        )
-    if args.command == "report":
-        return cmd_report(
-            args.store,
-            args.files,
-            args.baseline,
-            args.metrics,
-            args.alpha,
-            args.out,
-            args.html,
-            args.against,
-            args.threshold,
-        )
-    if args.command == "profile":
-        return cmd_profile(
-            args.benchmark,
-            args.config,
-            args.scale,
-            args.seed,
-            args.top,
-            args.out,
-        )
-    if args.command == "serve":
-        return cmd_serve(
-            args.socket,
-            args.max_inflight,
-            args.max_depth,
-            args.max_client_depth,
-            args.job_timeout,
-            args.drain_grace,
-            args.store,
-            args.tcp,
-            args.lease_ttl,
-            args.attempt_budget,
-            args.store_budget,
-            args.client_rate,
-        )
-    if args.command == "worker":
-        return cmd_worker(
-            args.connect,
-            args.worker_id,
-            args.count,
-            args.poll_interval,
-            args.max_jobs,
-        )
-    if args.command == "submit":
-        return cmd_submit(
-            args.benchmark,
-            args.config,
-            args.scale,
-            args.footprint_scale,
-            args.seed,
-            args.priority,
-            args.socket,
-            args.wait,
-            args.stream,
-            args.retries,
-        )
-    if args.command == "jobs":
-        return cmd_jobs(args.socket, args.stats)
-    raise AssertionError(f"unhandled command {args.command}")
+    options = vars(build_parser().parse_args(argv))
+    return COMMANDS[options.pop("command")](**options)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

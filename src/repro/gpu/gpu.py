@@ -310,12 +310,16 @@ class GPUSimulator:
         return sum(warp.finished_at is None for warp in self._warps)
 
     def release(self) -> None:
-        """Unwire the walk backend's completion callbacks once the run is over.
+        """Unwire the machine's two-way references once the run is over.
 
-        They are the machine's only two-way references, so after this
-        dropping the simulator frees it by reference counting alone.
+        These are the walk backend's completion callbacks, an invariant
+        checker's audit hook and the gauges sampled into ``obs.metrics``.
+        After this, dropping the simulator frees it by reference
+        counting alone.
         """
         self.backend.on_complete = None
+        self.engine.detach_audit()
+        self.obs.metrics.release()
 
     def run(self, *, max_events: int | None = None) -> SimulationResult:
         self.start()

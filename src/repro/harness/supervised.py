@@ -106,6 +106,8 @@ def run_supervised(
     # result; a cut-short run keeps whatever it measured.
     result = sim.run() if failure is None else sim.partial_result()
     counters = sim.stats.counters
+    # As in Runner.run: reference counting frees the machine on return.
+    sim.release()
     wall = max(0.0, clock() - started)
     if result.perf is None:
         result.perf = perf_metadata(

@@ -22,6 +22,9 @@ Usage::
     obs.trace.write_chrome("trace.json")
     obs.metrics.write_json("metrics.json")
 
+From the command line, ``repro run BENCH --trace OUT --metrics OUT``
+composes the same bundle for one simulation.
+
 See docs/observability.md for the full guide and the metric naming
 conventions.
 """
@@ -82,7 +85,7 @@ class Observability:
 
     @classmethod
     def full(cls, interval: int = DEFAULT_SAMPLE_INTERVAL) -> "Observability":
-        """Tracing plus metrics (what ``repro trace`` uses)."""
+        """Tracing plus metrics (what a ``REPRO_TRACE`` run uses)."""
         return cls(
             trace=TraceRecorder(),
             metrics=MetricsRegistry(),

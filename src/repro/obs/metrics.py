@@ -37,6 +37,9 @@ class NullMetricsRegistry:
     def sample(self, now: int) -> None:
         pass
 
+    def release(self) -> None:
+        pass
+
     def gauge_names(self) -> list[str]:
         return []
 
@@ -69,7 +72,7 @@ class MetricsRegistry:
         name is an error: two components fighting over one series is a
         wiring bug.
         """
-        if name in self._gauges:
+        if name in self._series:
             raise ValueError(f"gauge {name!r} already registered")
         self._gauges[name] = fn
         self._series[name] = []
@@ -83,6 +86,14 @@ class MetricsRegistry:
             self._series[name].append((now, float(fn())))
         self._samples_taken += 1
 
+    def release(self) -> None:
+        """Drop the gauge callables once the run is over; keep the series.
+
+        Gauges close over live components, so whoever holds the
+        registry after a run would otherwise keep the whole machine.
+        """
+        self._gauges.clear()
+
     @property
     def samples_taken(self) -> int:
         return self._samples_taken
@@ -91,7 +102,7 @@ class MetricsRegistry:
     # Introspection / export
     # ------------------------------------------------------------------
     def gauge_names(self) -> list[str]:
-        return sorted(self._gauges)
+        return sorted(self._series)
 
     def series(self, name: str) -> list[tuple[int, float]]:
         return list(self._series.get(name, []))

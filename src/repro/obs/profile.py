@@ -1,6 +1,6 @@
 """Self time per ``repro`` package, from a stdlib ``cProfile`` run.
 
-``repro profile`` bills each function's ``tottime`` (time in the
+``repro run --profile`` bills each function's ``tottime`` (time in the
 function itself, callees excluded) to the ``repro.*`` subpackage its
 source file lives in — the same grouping perfbench's ``--trace 1``
 table prints.  Stdlib only, in keeping with the obs layer's zero-import

@@ -15,8 +15,8 @@ chaos and latent wiring bugs:
   ``SimulationResult.fingerprint()``).
 
 ``repro.harness.supervised`` builds the watchdog, event budget and
-graceful degradation on top; the ``repro chaos`` CLI command exercises
-fault injection and auditing end to end.
+graceful degradation on top; ``repro run --chaos`` exercises fault
+injection and auditing end to end.
 """
 
 from repro.resilience.checkpoint import Checkpoint, CheckpointError

@@ -10,10 +10,15 @@ class TestParser:
         args = build_parser().parse_args(["list"])
         assert args.command == "list"
 
-    def test_run_command_defaults(self):
+    def test_run_command_defaults(self, monkeypatch):
+        from repro.harness.runner import default_scale
+
         args = build_parser().parse_args(["run", "gups"])
         assert args.config == "baseline"
-        assert args.scale == 1.0
+        # Scale and seed defer to REPRO_SCALE (then 1.0) and the catalog.
+        assert args.scale is None and args.seed is None
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        assert default_scale() == 1.0
 
     def test_run_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):
@@ -57,18 +62,25 @@ class TestCommands:
         assert (tmp_path / "sec52_hw_overhead.txt").exists()
 
 
+def printed_cycles(out: str) -> int:
+    """The cycle count from `repro run`'s metric table."""
+    line = next(line for line in out.splitlines() if line.startswith("cycles "))
+    return int(line.split()[1])
+
+
 class TestObservabilityCommands:
     def test_trace_parser_defaults(self):
-        args = build_parser().parse_args(["trace", "gups"])
-        assert args.command == "trace"
-        assert args.out == "trace.json"
-        assert args.jsonl is None
-        assert args.scale == 0.1
+        args = build_parser().parse_args(["run", "gups"])
+        assert args.trace is None and args.jsonl is None
+        assert args.metrics is None and args.profile is None
+        args = build_parser().parse_args(["run", "gups", "--trace", "t.json"])
+        assert args.trace == "t.json"
 
     def test_metrics_parser_defaults(self):
-        args = build_parser().parse_args(["metrics", "gups"])
-        assert args.out == "metrics.json"
+        args = build_parser().parse_args(["run", "gups", "--metrics", "m.json"])
+        assert args.metrics == "m.json"
         assert args.interval == 1000
+        assert args.top == 15
 
     def test_trace_writes_valid_chrome_json(self, tmp_path, capsys):
         import json
@@ -77,26 +89,19 @@ class TestObservabilityCommands:
 
         out = tmp_path / "trace.json"
         jsonl = tmp_path / "events.jsonl"
-        assert (
-            main(
-                [
-                    "trace",
-                    "gups",
-                    "--scale",
-                    "0.02",
-                    "--out",
-                    str(out),
-                    "--jsonl",
-                    str(jsonl),
-                ]
-            )
-            == 0
-        )
+        argv = ["run", "gups", "--scale", "0.02", "--trace", str(out)]
+        assert main([*argv, "--jsonl", str(jsonl)]) == 0
         printed = capsys.readouterr().out
         assert "walk component" in printed
         assert "queueing" in printed
         validate_chrome_trace(json.loads(out.read_text()))
         assert jsonl.read_text().strip()
+
+    def test_jsonl_needs_trace(self, tmp_path, capsys):
+        jsonl = tmp_path / "events.jsonl"
+        assert main(["run", "gups", "--jsonl", str(jsonl)]) == 2
+        assert "--jsonl needs --trace" in capsys.readouterr().err
+        assert not jsonl.exists()
 
     def test_metrics_writes_series_json(self, tmp_path, capsys):
         import json
@@ -105,13 +110,13 @@ class TestObservabilityCommands:
         assert (
             main(
                 [
-                    "metrics",
+                    "run",
                     "gups",
                     "--config",
                     "softwalker",
                     "--scale",
                     "0.02",
-                    "--out",
+                    "--metrics",
                     str(out),
                     "--interval",
                     "500",
@@ -125,35 +130,89 @@ class TestObservabilityCommands:
         assert loaded["samples_taken"] > 0
         assert "l2tlb.hit_rate" in loaded["series"]
 
-
     def test_profile_prints_package_table_and_writes_pstats(
         self, tmp_path, capsys
     ):
         import pstats
 
         out = tmp_path / "gups.prof"
-        assert main(["profile", "gups", "--scale", "0.02", "--out", str(out)]) == 0
+        assert main(["run", "gups", "--scale", "0.02", "--profile", str(out)]) == 0
         printed = capsys.readouterr().out
-        table = printed.split("top 15 functions")[0]
+        table = printed.split("self time under cProfile")[1]
+        table = table.split("top 15 functions")[0]
         package_rows = {line.split()[0] for line in table.splitlines()[1:] if line}
         assert {"memory", "tlb"} <= package_rows
         assert pstats.Stats(str(out)).total_calls > 0
 
+    @pytest.mark.parametrize("flag", ["--interval", "--top"])
+    def test_instrument_knobs_below_one_rejected(self, flag, capsys):
+        assert main(["run", "gups", flag, "0"]) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+    def test_every_instrument_on_one_run(self, tmp_path, capsys):
+        """Trace, metrics and profile ride the same simulation, which
+        runs the cycles of an uninstrumented one."""
+        import json
+        import pstats
+
+        from repro.obs import validate_chrome_trace
+
+        assert main(["run", "gups", "--scale", "0.02"]) == 0
+        plain = printed_cycles(capsys.readouterr().out)
+        trace, jsonl = tmp_path / "t.json", tmp_path / "e.jsonl"
+        metrics, profile = tmp_path / "m.json", tmp_path / "p.prof"
+        argv = [
+            "run", "gups", "--scale", "0.02",
+            "--trace", str(trace), "--jsonl", str(jsonl),
+            "--metrics", str(metrics), "--profile", str(profile),
+        ]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed_cycles(printed) == plain
+        for heading in ("walk component", "gauge", "self time under cProfile"):
+            assert heading in printed
+        validate_chrome_trace(json.loads(trace.read_text()))
+        assert jsonl.read_text().strip()
+        assert json.loads(metrics.read_text())["samples_taken"] > 0
+        assert pstats.Stats(str(profile)).total_calls > 0
+
+    def test_inline_config_file_can_be_traced(self, tmp_path, capsys):
+        import json
+
+        from repro.config import softwalker_config
+        from repro.obs import validate_chrome_trace
+
+        config = tmp_path / "sw.json"
+        config.write_text(json.dumps(softwalker_config().to_dict()))
+        trace = tmp_path / "t.json"
+        argv = ["run", "gups", "--scale", "0.02", "--trace", str(trace)]
+        assert main([*argv, "--config", f"@{config}"]) == 0
+        by_file = capsys.readouterr().out
+        assert "walk component" in by_file
+        validate_chrome_trace(json.loads(trace.read_text()))
+        assert main([*argv, "--config", "softwalker"]) == 0
+        assert printed_cycles(by_file) == printed_cycles(capsys.readouterr().out)
+
 
 class TestResilienceCommands:
     def test_chaos_parser_defaults(self):
-        args = build_parser().parse_args(["chaos", "gups"])
+        args = build_parser().parse_args(["run", "gups"])
         assert args.config == "baseline"
-        assert args.seed == 0
+        assert args.chaos is None
         assert args.audit_every == 2000
-        assert args.plan is None
+        # A bare --chaos is the default plan under fault-plan seed 0.
+        args = build_parser().parse_args(["run", "gups", "--chaos"])
+        assert args.chaos == "0"
+        args = build_parser().parse_args(["run", "gups", "--chaos", "7"])
+        assert args.chaos == "7"
 
     def test_chaos_runs_clean(self, capsys):
-        assert main(["chaos", "gups", "--scale", "0.05"]) == 0
+        assert main(["run", "gups", "--scale", "0.05", "--chaos"]) == 0
         out = capsys.readouterr().out
         assert "faults injected" in out
         assert "invariant violations" in out
         assert "replay seed" in out
+        assert "plan seed 0" in out
 
     def test_chaos_with_explicit_plan_file(self, tmp_path, capsys):
         from repro.resilience import FaultPlan, FaultSpec
@@ -163,11 +222,35 @@ class TestResilienceCommands:
         )
         path = tmp_path / "plan.json"
         path.write_text(plan.to_json())
-        assert main(["chaos", "gups", "--scale", "0.05", "--plan", str(path)]) == 0
-        assert "plan seed 9" in capsys.readouterr().out
+        argv = ["run", "gups", "--scale", "0.05", "--chaos", f"@{path}"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "plan seed 9" in out
+        assert "dram_spike" in out
+
+    @pytest.mark.parametrize(
+        "token", ["@missing.json", "@bad.json", "@list.json", "seven"]
+    )
+    def test_bad_chaos_plan_rejected(self, token, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text('{"faults": [{"kind": "meteor"}]}')
+        (tmp_path / "list.json").write_text("[]")
+        assert main(["run", "gups", "--chaos", token]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_chaos_rejects_bad_audit_interval(self, capsys):
-        assert main(["chaos", "gups", "--audit-every", "0"]) == 2
+        assert main(["run", "gups", "--chaos", "--audit-every", "0"]) == 2
+
+    def test_invariant_violation_exits_one(self, monkeypatch, capsys):
+        import repro.cli as cli
+        from repro.resilience import InvariantViolation
+
+        def violated(*_args, **_kwargs):
+            raise InvariantViolation(["planted"], {"engine": {"now": 5}})
+
+        monkeypatch.setattr(cli, "run_supervised", violated)
+        assert main(["run", "gups", "--chaos"]) == 1
+        assert "INVARIANT VIOLATION" in capsys.readouterr().err
 
 
 class TestSweepAndConfigsEntryPoints:
