@@ -72,6 +72,9 @@ CASES = [
         {"tlb_coalescing_span": 4, "softwalker": {"simt_lockstep": True}},
         "span4-lockstep",
     ),
+    # A 4-entry PWC caching every upper level evicts on most fills,
+    # which pins the PWC victim path.
+    Case("softwalker", "dc", {"ptw": {"pwc_entries": 4, "pwc_min_level": 1}}, "pwc4-min1"),
 ]
 
 #: Cases pinned at a larger scale.  The walk-bound cases above evict
