@@ -21,7 +21,6 @@ from repro.arch.registry import (
     PAGE_TABLE_KINDS,
     PLUGINS_ENV,
     PWB_POLICIES,
-    REPLACEMENT_POLICIES,
     WALK_BACKENDS,
     ComponentRegistry,
     UnknownComponentError,
@@ -42,7 +41,6 @@ __all__ = [
     "PAGE_TABLE_KINDS",
     "PLUGINS_ENV",
     "PWB_POLICIES",
-    "REPLACEMENT_POLICIES",
     "WALK_BACKENDS",
     "ComponentRegistry",
     "UnknownComponentError",

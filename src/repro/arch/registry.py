@@ -1,8 +1,8 @@
 """String-keyed component registries: the machine's extension points.
 
 Every interchangeable piece of the simulated machine — walk backends,
-TLB/cache replacement policies, PWB dequeue policies, Request
-Distributor policies, page-table kinds — is resolved by *name* through
+PWB dequeue policies, Request Distributor policies, page-table kinds —
+is resolved by *name* through
 a :class:`ComponentRegistry` here instead of an if/else chain at the
 assembly site.  Config validation delegates to the same registries, so
 the set of legal names in a :class:`~repro.config.GPUConfig` and the
@@ -172,11 +172,6 @@ class ComponentRegistry(Generic[T]):
 #: /``register_metrics`` (see docs/architecture.md for the contract).
 WALK_BACKENDS: ComponentRegistry = ComponentRegistry("walk backend")
 
-#: TLB / cache / PWC replacement policies: ``factory(num_sets, ways)``
-#: returning one :class:`~repro.memory.replacement.ReplacementPolicy`
-#: for a whole component, built once per component.
-REPLACEMENT_POLICIES: ComponentRegistry = ComponentRegistry("replacement policy")
-
 #: PWB dequeue policies: ``factory()`` returning a
 #: :class:`~repro.ptw.subsystem.PwbPolicy`.
 PWB_POLICIES: ComponentRegistry = ComponentRegistry("PWB policy")
@@ -239,22 +234,6 @@ def _build_hybrid_backend(ctx):
 WALK_BACKENDS.register("hardware", _build_hardware_backend)
 WALK_BACKENDS.register("softwalker", _build_softwalker_backend)
 WALK_BACKENDS.register("hybrid", _build_hybrid_backend)
-
-
-def _build_lru_policy(num_sets, ways):
-    from repro.memory.replacement import LRUPolicy
-
-    return LRUPolicy(num_sets, ways)
-
-
-def _build_fifo_policy(num_sets, ways):
-    from repro.memory.replacement import FIFOPolicy
-
-    return FIFOPolicy(num_sets, ways)
-
-
-REPLACEMENT_POLICIES.register("lru", _build_lru_policy)
-REPLACEMENT_POLICIES.register("fifo", _build_fifo_policy)
 
 
 def _build_fcfs_policy():

@@ -31,6 +31,10 @@ PAGE_SIZE_64K = 64 * KB
 #: Large page size used in the Section 6.3 sensitivity study.
 PAGE_SIZE_2M = 2 * MB
 
+#: Smallest page size: one 128 B cache line, the unit workloads lay
+#: pages out in.
+MIN_PAGE_SIZE = 128
+
 #: Virtual/physical address widths (NVIDIA Pascal MMU format, ref [60]).
 VIRTUAL_ADDRESS_BITS = 49
 PHYSICAL_ADDRESS_BITS = 47
@@ -86,6 +90,8 @@ class TLBConfig(SerializableConfig):
             raise ValueError("associativity must be >= 0 (0 = fully associative)")
         if self.associativity and self.entries % self.associativity:
             raise ValueError("entries must be a multiple of associativity")
+        if self.mshr_entries < 0 or self.mshr_merges < 1:
+            raise ValueError("MSHR file needs entries >= 0 and merges >= 1")
 
     @property
     def num_sets(self) -> int:
@@ -106,7 +112,13 @@ class CacheConfig(SerializableConfig):
     mshr_entries: int
 
     def __post_init__(self) -> None:
-        for name in ("size_bytes", "line_bytes", "sector_bytes", "associativity"):
+        for name in (
+            "size_bytes",
+            "line_bytes",
+            "sector_bytes",
+            "associativity",
+            "mshr_entries",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"cache {name} must be positive")
         if self.line_bytes % self.sector_bytes:
@@ -145,6 +157,10 @@ class PageTableConfig(SerializableConfig):
     def __post_init__(self) -> None:
         if self.page_size & (self.page_size - 1):
             raise ValueError("page size must be a power of two")
+        if self.page_size < MIN_PAGE_SIZE:
+            raise ValueError(
+                f"page size must be at least one {MIN_PAGE_SIZE} B cache line"
+            )
         if self.levels < 1:
             raise ValueError("page table needs at least one level")
 
@@ -187,6 +203,10 @@ class PTWConfig(SerializableConfig):
             raise ValueError("number of walkers cannot be negative")
         if self.num_walkers and self.pwb_entries < 1:
             raise ValueError("PWB needs at least one entry")
+        if self.pwc_entries < 0:
+            raise ValueError("PWC size cannot be negative")
+        if self.pwc_min_level < 1:
+            raise ValueError("min_level must be >= 1")
         PAGE_TABLE_KINDS.validate(self.page_table_kind)
         PWB_POLICIES.validate(self.pwb_policy)
 
@@ -319,6 +339,9 @@ class GPUConfig:
     walk_backend: str | None = None
 
     def __post_init__(self) -> None:
+        span = self.tlb_coalescing_span
+        if span < 1 or span & (span - 1):
+            raise ValueError("coalescing span must be a power of two >= 2")
         if self.walk_backend is not None:
             WALK_BACKENDS.validate(self.walk_backend)
             self.check_walkers()

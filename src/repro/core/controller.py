@@ -26,6 +26,10 @@ from repro.tlb.pwc import PageWalkCache
 
 CompletionCallback = Callable[[int, WalkRequest, WalkOutcome], None]
 
+#: Builds a NamedTuple from one positional tuple, skipping the
+#: generated keyword ``__new__``: one C call per walk record.
+_tuple_new = tuple.__new__
+
 
 class SoftWalkerController:
     """One SM's PW-warp manager: SoftPWB, status bitmap, walk launch."""
@@ -149,34 +153,35 @@ class SoftWalkerController:
         t = issue(len(PageWalkProgram.PROLOGUE), now) + block_cycles
         execution = t - now
 
-        steps = self.page_table.walk_path(request.vpn, request.start_level)
+        vpn = request.vpn
+        pwc = self.pwc
+        steps = self.page_table.walk_path(vpn, request.start_level)
         access_cycles = 0
         outcome_pfn: int | None = None
         faulted = False
         fault_level = 0
         leaf_pte_address: int | None = None
-        for step in steps:
+        for level, pte_address, value, is_leaf, valid in steps:
             issued = issue(per_level, t) + block_cycles
             execution += issued - t
-            completion = read(step.pte_address, issued)  # LDPT
-            access_cycles += completion - issued
-            t = completion
-            if step.is_leaf:
-                leaf_pte_address = step.pte_address
-            if not step.valid:
+            t = read(pte_address, issued)  # LDPT
+            access_cycles += t - issued
+            if is_leaf:
+                leaf_pte_address = pte_address
+            if not valid:
                 # FFB: one more instruction to log the fault.
                 issued = issue(1, t) + block_cycles
                 execution += issued - t
                 t = issued
                 faulted = True
-                fault_level = step.level
+                fault_level = level
                 break
-            if not step.is_leaf and self.pwc is not None:
+            if not is_leaf and pwc is not None:
                 # FPWC is issued as part of the level block; the fill
                 # itself is a fire-and-forget store.
-                self.pwc.fill(request.vpn, step.level - 1, step.value)
+                pwc.fill(vpn, level - 1, value)
         if not faulted:
-            outcome_pfn = steps[-1].value
+            outcome_pfn = value
 
         request.execution += execution
         request.access += access_cycles
@@ -185,14 +190,17 @@ class SoftWalkerController:
         # FL2T: result travels back to the L2 TLB.
         finish = t + self.communication_latency
         request.communication += self.communication_latency
-        outcome = WalkOutcome(
-            pfn=outcome_pfn,
-            finish_time=finish,
-            access_cycles=access_cycles,
-            levels_accessed=len(steps),
-            faulted=faulted,
-            fault_level=fault_level,
-            leaf_pte_address=leaf_pte_address,
+        outcome = _tuple_new(
+            WalkOutcome,
+            (
+                outcome_pfn,
+                finish,
+                access_cycles,
+                len(steps),
+                faulted,
+                fault_level,
+                leaf_pte_address,
+            ),
         )
         self._counts["softwalker.walks"] += 1
         self.engine.schedule_at(finish, self._finish, slot_index, request, outcome)

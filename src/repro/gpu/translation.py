@@ -384,10 +384,12 @@ class TranslationService:
         if latency is None:
             latency = self._walk_latency = self.stats.latency("walk")
         latency.record(
-            queueing=request.queueing + pre_walk_wait,
-            access=request.access,
-            communication=request.communication,
-            execution=request.execution,
+            {
+                "queueing": request.queueing + pre_walk_wait,
+                "access": request.access,
+                "communication": request.communication,
+                "execution": request.execution,
+            }
         )
         trace = self._trace
         if trace.enabled:
@@ -449,7 +451,10 @@ class TranslationService:
         mshr_waiters = self.l2_mshr._entries.pop(vpn, None)
         if mshr_waiters is not None:
             self._counts["l2tlb.mshr.resolved"] += 1
-            waiters = [*waiters, *mshr_waiters]
+            waiters = [*waiters, *mshr_waiters] if waiters else mshr_waiters
+        if len(waiters) == 1:
+            self._respond(waiters[0], vpn, pfn, time)
+            return
         for sm_id in dict.fromkeys(waiters):
             self._respond(sm_id, vpn, pfn, time)
 

@@ -1,17 +1,12 @@
-"""Memory substrate: DRAM channels, sectored caches, replacement policies."""
+"""Memory substrate: DRAM channels and sectored caches."""
 
 from repro.memory.cache import SectoredCache
 from repro.memory.dram import CHANNEL_INTERLEAVE_BYTES, DRAM
 from repro.memory.hierarchy import MemorySystem
-from repro.memory.replacement import FIFOPolicy, LRUPolicy, ReplacementPolicy, make_policy
 
 __all__ = [
     "SectoredCache",
     "CHANNEL_INTERLEAVE_BYTES",
     "DRAM",
     "MemorySystem",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "ReplacementPolicy",
-    "make_policy",
 ]

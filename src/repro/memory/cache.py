@@ -1,13 +1,13 @@
 """Sectored set-associative cache with miss merging.
 
 Models the GPU L2 data cache (and, over it, each SM's L1D): 128B lines
-split into 32B sectors, a replacement policy (LRU by default), and an
-MSHR file that merges accesses to a sector that is already being
-fetched.  Timing is timestamp-based: ``access`` returns the cycle at
-which the requested sector is available, issuing a next-level access
-for misses.  Page-table entries are cached in the L2 (and only there,
-following the paper's footnote 2), so page-walk cost is priced by real
-cache behaviour.
+split into 32B sectors, LRU replacement, and an MSHR file that merges
+accesses to a sector that is already being fetched.  Timing is
+timestamp-based: ``access`` returns the cycle at which the requested
+sector is available, issuing a next-level access for misses.
+Page-table entries are cached in the L2 (and only there, following the
+paper's footnote 2), so page-walk cost is priced by real cache
+behaviour.
 
 State layout
 ============
@@ -20,6 +20,9 @@ way`` rather than per-line objects:
   mapping without a reverse scan.
 * ``_ready`` — the cycle at which each sector's data is (or will be)
   valid, at ``slot * sectors + sector``; ``-1`` means absent.
+* ``_rank`` — LRU rank per slot: the tick of the slot's last touch
+  (``-1`` when empty).  A touch is one list store; the victim of a
+  full set is the first minimal rank of its ``ways`` slice.
 * ``_filled`` — resident lines per set.  Caches never invalidate, so a
   set fills its ways in order and a full set is one compare away.
 * ``_outstanding`` — min-heap of miss completion cycles (MSHR
@@ -36,7 +39,6 @@ import heapq
 
 from repro.config import CacheConfig
 from repro.memory.dram import DRAM
-from repro.memory.replacement import make_policy
 from repro.sim.stats import StatsRegistry
 
 
@@ -52,7 +54,6 @@ class SectoredCache:
         stats: StatsRegistry,
         *,
         name: str = "l2d",
-        replacement_policy: str = "lru",
     ) -> None:
         self.config = config
         self.next_level = next_level
@@ -68,14 +69,12 @@ class SectoredCache:
         self._sector_bytes = config.sector_bytes
         self._latency = config.latency
         self._mshr_entries = config.mshr_entries
-        self._policy = make_policy(replacement_policy, num_sets, ways)
         self._slot_of: dict[int, int] = {}
         self._line_of = [-1] * (num_sets * ways)
+        self._rank = [-1] * (num_sets * ways)
         self._ready = [-1] * (num_sets * ways * sectors)
         self._absent_line = [-1] * sectors
         self._filled = [0] * num_sets
-        #: Victim candidates of a full set: every way, in way order.
-        self._all_ways = list(range(ways))
         self._tick = 0
         self._outstanding: list[int] = []
         self._counts = stats.counters.live()
@@ -104,7 +103,7 @@ class SectoredCache:
         ready = self._ready
         slot = self._slot_of.get(line_addr)
         if slot is not None:
-            self._policy.touch(slot, self._tick)
+            self._rank[slot] = self._tick
             cell = slot * self._sectors + sector
             done = ready[cell]
             if done >= 0:
@@ -115,25 +114,25 @@ class SectoredCache:
                 return lookup_done
             counts[self._c_sector_misses] += 1
         else:
-            # Line miss: the set's next unfilled way, or the policy's
-            # victim once the set is full.
+            # Line miss: the set's next unfilled way, or its least
+            # recently used way once the set is full.
             set_index = line_addr % self._num_sets
             ways = self._ways
-            policy = self._policy
             filled = self._filled[set_index]
             if filled < ways:
                 self._filled[set_index] = filled + 1
                 slot = set_index * ways + filled
             else:
-                slot = set_index * ways + policy.victim(set_index, self._all_ways)
+                base = set_index * ways
+                ranks = self._rank[base : base + ways]
+                slot = base + ranks.index(min(ranks))
                 del self._slot_of[self._line_of[slot]]
-                policy.forget(slot)
                 first = slot * self._sectors
                 ready[first : first + self._sectors] = self._absent_line
                 counts[self._c_evictions] += 1
             self._slot_of[line_addr] = slot
             self._line_of[slot] = line_addr
-            policy.touch(slot, self._tick)
+            self._rank[slot] = self._tick
             cell = slot * self._sectors + sector
             counts[self._c_misses] += 1
 

@@ -18,6 +18,10 @@ from repro.pagetable.allocator import FrameAllocator
 NODE_BYTES = (1 << RADIX_BITS_PER_LEVEL) * 8
 PTE_BYTES = 8
 
+#: Builds a NamedTuple from one positional tuple, skipping the
+#: generated ``__new__`` frame: the walk path builds one step per PTE.
+_tuple_new = tuple.__new__
+
 
 class PageFault(Exception):
     """Raised when translation reaches an invalid PTE."""
@@ -165,31 +169,31 @@ class RadixPageTable:
             raise ValueError(f"start level {start_level} outside table")
 
         node = self._node_at(vpn, start_level)
-        steps: list[WalkStep] = []
+        # Steps are ``(level, pte_address, value, is_leaf, valid)``.
         if node is None:
             # The upper path is unmapped; report a fault at the entry level.
-            steps.append(
-                WalkStep(start_level, self._root.phys_base, 0, False, valid=False)
-            )
-            return steps
+            root = self._root.phys_base
+            return [_tuple_new(WalkStep, (start_level, root, 0, False, False))]
 
+        steps: list[WalkStep] = []
+        append = steps.append
         for level, shift, mask in self._radix[levels - start_level : -1]:
             index = (vpn >> shift) & mask
             address = node.phys_base + index * PTE_BYTES
             child = node.children.get(index)
             if child is None:
-                steps.append(WalkStep(level, address, 0, False, valid=False))
+                append(_tuple_new(WalkStep, (level, address, 0, False, False)))
                 return steps
-            steps.append(WalkStep(level, address, child.phys_base, False))
+            append(_tuple_new(WalkStep, (level, address, child.phys_base, False, True)))
             node = child
 
         leaf_index = vpn & self._radix[-1][2]
         address = node.phys_base + leaf_index * PTE_BYTES
         pfn = node.leaves.get(leaf_index)
         if pfn is None:
-            steps.append(WalkStep(1, address, 0, True, valid=False))
+            append(_tuple_new(WalkStep, (1, address, 0, True, False)))
         else:
-            steps.append(WalkStep(1, address, pfn, True))
+            append(_tuple_new(WalkStep, (1, address, pfn, True, True)))
         return steps
 
     def node_base(self, vpn: int, level: int) -> int | None:

@@ -15,6 +15,10 @@ from typing import NamedTuple
 from repro.pagetable.radix import RadixPageTable
 from repro.tlb.pwc import PageWalkCache
 
+#: Builds a NamedTuple from one positional tuple, skipping the
+#: generated keyword ``__new__``: one C call per walk record.
+_tuple_new = tuple.__new__
+
 
 class WalkOutcome(NamedTuple):
     """Result of traversing the radix table for one VPN."""
@@ -36,14 +40,15 @@ class PteMemoryPort:
     """Where walkers read PTEs from: L2 cache/DRAM or a fixed latency."""
 
     def __init__(self, memory, fixed_level_latency: int | None = None) -> None:
-        self._memory = memory
         self._fixed = fixed_level_latency
+        if fixed_level_latency is None:
+            # Priced by the memory system: ``read`` is its PTE access
+            # itself, with no frame of the port's own per PTE.
+            self.read = memory.pte_access
 
     def read(self, address: int, now: int) -> int:
         """Issue one PTE read at ``now``; returns its completion cycle."""
-        if self._fixed is not None:
-            return now + self._fixed
-        return self._memory.pte_access(address, now)
+        return now + self._fixed
 
 
 def execute_walk(
@@ -61,35 +66,25 @@ def execute_walk(
     pipelined within one request).
     """
     steps = page_table.walk_path(vpn, start_level)
+    read = pte_port.read
     t = start_time
-    access_cycles = 0
     leaf_pte_address: int | None = None
-    for step in steps:
-        completion = pte_port.read(step.pte_address, t)
-        access_cycles += completion - t
-        t = completion
-        if step.is_leaf:
-            leaf_pte_address = step.pte_address
-        if not step.valid:
-            return WalkOutcome(
-                pfn=None,
-                finish_time=t,
-                access_cycles=access_cycles,
-                levels_accessed=len(steps),
-                faulted=True,
-                fault_level=step.level,
-                leaf_pte_address=leaf_pte_address,
+    for level, pte_address, value, is_leaf, valid in steps:
+        t = read(pte_address, t)
+        if is_leaf:
+            leaf_pte_address = pte_address
+        if not valid:
+            # Fields in WalkOutcome order: pfn, finish_time,
+            # access_cycles, levels_accessed, faulted, fault_level,
+            # leaf_pte_address.
+            return _tuple_new(
+                WalkOutcome,
+                (None, t, t - start_time, len(steps), True, level, leaf_pte_address),
             )
-        if not step.is_leaf and pwc is not None:
+        if not is_leaf and pwc is not None:
             # FPWC: cache the freshly discovered next-level node pointer.
-            pwc.fill(vpn, step.level - 1, step.value)
-    final = steps[-1]
-    return WalkOutcome(
-        pfn=final.value,
-        finish_time=t,
-        access_cycles=access_cycles,
-        levels_accessed=len(steps),
-        faulted=False,
-        fault_level=0,
-        leaf_pte_address=leaf_pte_address,
+            pwc.fill(vpn, level - 1, value)
+    return _tuple_new(
+        WalkOutcome,
+        (value, t, t - start_time, len(steps), False, 0, leaf_pte_address),
     )

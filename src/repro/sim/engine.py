@@ -29,6 +29,11 @@ import heapq
 from typing import Any, Callable
 
 
+#: Stands in for "no limit" in ``run``: a bound no event count or cycle
+#: reaches, so the loop tests one int per event instead of None first.
+_UNBOUNDED = 1 << 63
+
+
 class SimulationError(RuntimeError):
     """Raised when the engine is used incorrectly (e.g. scheduling in the past)."""
 
@@ -110,23 +115,26 @@ class Engine:
             The final simulation time.
         """
         self.truncated = False
+        queue = self._queue
+        heappop = heapq.heappop
+        stop_after = _UNBOUNDED if max_events is None else max_events
+        horizon = _UNBOUNDED if until is None else until
         processed = 0
-        while self._queue:
-            if max_events is not None and processed >= max_events:
+        while queue:
+            if processed >= stop_after:
                 # Checked at loop top so ``max_events=0`` processes
                 # nothing and the tally can never leak across runs.
                 self.truncated = self.real_pending > 0
                 break
-            if self._daemons_pending == len(self._queue):
+            if self._daemons_pending == len(queue):
                 # Only housekeeping left: drop it without moving the clock.
-                self._queue.clear()
+                queue.clear()
                 self._daemons_pending = 0
                 break
-            when, _seq, callback, args, daemon = self._queue[0]
-            if until is not None and when > until:
+            if queue[0][0] > horizon:
                 self.now = until
                 break
-            heapq.heappop(self._queue)
+            when, _seq, callback, args, daemon = heappop(queue)
             if daemon:
                 self._daemons_pending -= 1
             self.now = when

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 class Counter:
@@ -77,17 +77,11 @@ class Histogram:
         self._buckets: dict[int, int] = defaultdict(int)
         self._count = 0
         self._total = 0
-        self._max: int | None = None
-        self._min: int | None = None
 
     def record(self, value: int, weight: int = 1) -> None:
         self._buckets[value] += weight
         self._count += weight
         self._total += value * weight
-        if self._max is None or value > self._max:
-            self._max = value
-        if self._min is None or value < self._min:
-            self._min = value
 
     @property
     def count(self) -> int:
@@ -103,11 +97,11 @@ class Histogram:
 
     @property
     def maximum(self) -> int:
-        return self._max if self._max is not None else 0
+        return max(self._buckets) if self._buckets else 0
 
     @property
     def minimum(self) -> int:
-        return self._min if self._min is not None else 0
+        return min(self._buckets) if self._buckets else 0
 
     def percentile(self, fraction: float) -> int:
         """Value at the given cumulative fraction (0 < fraction <= 1)."""
@@ -191,12 +185,13 @@ class LatencyTracker:
         self._count = 0
         self._total = 0
 
-    def record(self, **components: int) -> None:
-        """Record one completed request, e.g. ``record(queueing=120, access=300)``."""
+    def record(self, components: Mapping[str, int]) -> None:
+        """Record one completed request, e.g. ``record({"queueing": 120, "access": 300})``."""
+        totals = self._component_totals
         for name, value in components.items():
             if value < 0:
                 raise ValueError(f"negative latency component {name}={value}")
-            self._component_totals[name] += value
+            totals[name] += value
             self._total += value
         self._count += 1
 

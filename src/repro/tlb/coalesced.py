@@ -36,7 +36,11 @@ TranslateFn = Callable[[int], int | None]
 
 
 class CoalescedTLB(TLB):
-    """A TLB whose valid entries cover aligned multi-page blocks."""
+    """A TLB whose valid entries cover aligned multi-page blocks.
+
+    ``span`` is a power of two >= 2, as
+    :class:`~repro.config.GPUConfig` checks ``tlb_coalescing_span``.
+    """
 
     def __init__(
         self,
@@ -47,8 +51,6 @@ class CoalescedTLB(TLB):
         span: int,
         translate: TranslateFn,
     ) -> None:
-        if span < 2 or span & (span - 1):
-            raise ValueError("coalescing span must be a power of two >= 2")
         super().__init__(config, stats, name=name)
         self.span = span
         self._translate = translate
@@ -74,7 +76,7 @@ class CoalescedTLB(TLB):
             and not self._pend[slot]
             and (self._waiters[slot] >> offset) & 1
         ):
-            self._policy.touch(slot, self._tick)
+            self._rank[slot] = self._tick
             counts[self._c_hits] += 1
             return self._pfn[slot] + offset
         counts[self._c_misses] += 1
@@ -117,7 +119,7 @@ class CoalescedTLB(TLB):
             # and would now translate wrongly, so they are dropped.
             self._pfn[slot] = base_pfn
             self._waiters[slot] = mask
-            self._policy.touch(slot, self._tick)
+            self._rank[slot] = self._tick
             return waiters
         slot = self._claim(key, base_pfn)
         if slot is None:

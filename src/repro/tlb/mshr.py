@@ -17,11 +17,13 @@ from typing import Any
 
 
 class MSHRFile:
-    """Fully associative miss-status holding registers for one TLB level."""
+    """Fully associative miss-status holding registers for one TLB level.
+
+    :class:`~repro.config.TLBConfig` checks the sizes (``entries >= 0``,
+    ``merges >= 1``).
+    """
 
     def __init__(self, entries: int, merges: int, *, name: str) -> None:
-        if entries < 0 or merges < 1:
-            raise ValueError("MSHR file needs entries >= 0 and merges >= 1")
         #: Usable entry count; a new VPN is refused once ``occupancy``
         #: reaches it.
         self.capacity = entries

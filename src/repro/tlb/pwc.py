@@ -5,11 +5,20 @@ keyed by ``(level, table_tag)``.  Probing for a VPN returns the deepest
 cached node along its walk path so the walk starts there; the root is
 always known (it lives in the per-process page-table base register), so
 a cold probe simply starts at the root level.
+
+State layout
+============
+The PWC is one fully associative set, so a way is also its slot:
+
+* ``_way_of`` — ``(level, table tag)`` -> way; the one hash per probe.
+* ``_base`` / ``_key_of`` — way -> cached node base, and way -> key (to
+  drop a victim's mapping).
+* ``_rank`` — LRU rank per way: the tick of its last touch (``-1``
+  when empty).  The victim of a full PWC is the first minimal rank.
 """
 
 from __future__ import annotations
 
-from repro.memory.replacement import make_policy
 from repro.pagetable.address import RADIX_BITS_PER_LEVEL, AddressLayout
 from repro.sim.stats import StatsRegistry
 
@@ -22,6 +31,8 @@ class PageWalkCache:
     cache, the walk always reads at least the final PTE from memory
     (after one upper-level read).  Setting ``min_level=1`` models an
     aggressive translation cache that can collapse walks to one access.
+    :class:`~repro.config.PTWConfig` checks both sizes (``entries >=
+    0``, ``min_level >= 1``).
     """
 
     def __init__(
@@ -33,27 +44,18 @@ class PageWalkCache:
         *,
         name: str = "pwc",
         min_level: int = 2,
-        replacement_policy: str = "lru",
     ) -> None:
-        if entries < 0:
-            raise ValueError("PWC size cannot be negative")
-        if min_level < 1:
-            raise ValueError("min_level must be >= 1")
         self.capacity = entries
         self.layout = layout
         self.root_base = root_base
         self.stats = stats
         self.name = name
         self.min_level = min_level
-        #: ``(level, table tag)`` -> way; the PWC is one set, so a way
-        #: is also its policy slot.  Entries are replaced, never
-        #: dropped, so ways fill in order.
+        #: Entries are replaced, never dropped, so ways fill in order.
         self._way_of: dict[tuple[int, int], int] = {}
-        #: way -> cached node base, and way -> key (to drop a victim).
         self._base: list[int] = [0] * entries
         self._key_of: list[tuple[int, int] | None] = [None] * entries
-        self._policy = make_policy(replacement_policy, 1, entries)
-        self._all_ways = list(range(entries))
+        self._rank = [-1] * entries
         #: ``(level, shift)`` per probed level, deepest first:
         #: the table tag is ``vpn >> shift`` (``AddressLayout.table_tag``
         #: without its level check).
@@ -82,7 +84,7 @@ class PageWalkCache:
         for level, shift in self._probe_levels:
             way = way_of.get((level, vpn >> shift))
             if way is not None:
-                self._policy.touch(way, self._tick)
+                self._rank[way] = self._tick
                 counts[self._c_hits] += 1
                 return level, self._base[way]
         counts[self._c_root_fallbacks] += 1
@@ -97,20 +99,19 @@ class PageWalkCache:
         way = self._way_of.get(key)
         if way is not None:
             self._base[way] = node_base
-            self._policy.touch(way, self._tick)
+            self._rank[way] = self._tick
             return
         way = len(self._way_of)
         if way == self.capacity:
-            # Every way is occupied: candidates are simply all ways, in
-            # way order.
-            way = self._policy.victim(0, self._all_ways)
+            # Every way is occupied: evict the least recently used.
+            rank = self._rank
+            way = rank.index(min(rank))
             del self._way_of[self._key_of[way]]
-            self._policy.forget(way)
             self._counts[self._c_evictions] += 1
         self._base[way] = node_base
         self._way_of[key] = way
         self._key_of[way] = key
-        self._policy.touch(way, self._tick)
+        self._rank[way] = self._tick
         self._counts[self._c_fills] += 1
 
     def hit_rate(self) -> float:

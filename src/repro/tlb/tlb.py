@@ -3,9 +3,9 @@
 Each way carries the paper's pending bit (Section 4.5): alongside
 ``invalid`` and ``valid`` states, a way can be repurposed as a
 temporary MSHR slot holding metadata for an outstanding miss.  Victim
-selection for both fills and pending allocations follows the TLB's
-replacement policy, restricted to non-pending ways — a pending entry
-must never be silently dropped, because waiters are parked on it.
+selection for both fills and pending allocations is LRU, restricted to
+non-pending ways — a pending entry must never be silently dropped,
+because waiters are parked on it.
 
 State layout
 ============
@@ -20,17 +20,16 @@ The state is flat parallel arrays indexed by ``slot = set_index * ways
 * ``_pfn`` / ``_pend`` / ``_waiters`` — per-slot translation, pending
   bit (a ``bytearray``), and parked-waiter list (``None`` when not
   pending).
-* ``_policy`` — one replacement policy for the whole TLB, holding its
-  recency state per slot.
+* ``_rank`` — LRU rank per slot: the tick of the slot's last touch,
+  ``-1`` when empty, and ``PENDING_RANK`` (above any tick) while the
+  way is pending.  The fill that resolves a pending way touches it back
+  to the current tick.
 
 Per-set counts of occupied and pending ways answer "is there a free
-way?" and "may every way be a victim?" without a scan, so a full set
-with no pending way hands the policy one shared all-ways list.  Victim
-candidates are produced in way order (``0..ways-1``).  The built-in
-LRU/FIFO policies are order-independent (their per-slot ranks are
-unique within a set, so the minimum is unique); plugin replacement
-policies see a *defined* candidate order, which the registry documents
-as part of the policy contract.
+way?" and "is every way pending?" without a scan.  Otherwise the victim
+is the first minimal rank of the set's slice: ticks are unique within
+a set and every pending way ranks above them, so a pending way is never
+chosen while a valid one remains.
 """
 
 from __future__ import annotations
@@ -38,8 +37,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.config import TLBConfig
-from repro.memory.replacement import make_policy
 from repro.sim.stats import StatsRegistry
+
+#: Rank of a pending way: above any tick, so LRU never picks it.
+PENDING_RANK = 1 << 62
 
 
 class TLB:
@@ -51,7 +52,6 @@ class TLB:
         stats: StatsRegistry,
         *,
         name: str,
-        replacement_policy: str = "lru",
     ) -> None:
         self.config = config
         self.stats = stats
@@ -69,12 +69,10 @@ class TLB:
         #: Waiter list of a pending way (None otherwise); the coalesced
         #: subclass reuses the cell for a valid block's page bitmask.
         self._waiters: list[Any] = [None] * num_slots
-        #: Victim candidates of a set with no pending way.
-        self._all_ways = list(range(self._ways))
+        self._rank = [-1] * num_slots
         #: Occupied (valid or pending) ways, and pending ways, per set.
         self._set_used = [0] * self._num_sets
         self._set_pending = [0] * self._num_sets
-        self._policy = make_policy(replacement_policy, self._num_sets, self._ways)
         self._tick = 0
         #: Ways currently pending (In-TLB MSHR slots in use).
         self.pending_entries = 0
@@ -103,7 +101,7 @@ class TLB:
         if slot is None or self._pend[slot]:
             counts[self._c_misses] += 1
             return None
-        self._policy.touch(slot, self._tick)
+        self._rank[slot] = self._tick
         counts[self._c_hits] += 1
         return self._pfn[slot]
 
@@ -135,7 +133,7 @@ class TLB:
             if self._pend[slot]:
                 waiters = self._resolve_pending(slot)
             self._pfn[slot] = pfn
-            self._policy.touch(slot, self._tick)
+            self._rank[slot] = self._tick
             return waiters
 
         if self._claim(vpn, pfn) is None:
@@ -170,6 +168,7 @@ class TLB:
         if slot is None:
             return False
         self._pend[slot] = 1
+        self._rank[slot] = PENDING_RANK
         self._waiters[slot] = [waiter]
         self.pending_entries += 1
         self._set_pending[slot // self._ways] += 1
@@ -212,36 +211,28 @@ class TLB:
         """Install ``key -> pfn`` in a free or victim way of its set.
 
         Returns the claimed slot, or None (nothing changed) when every
-        way of the set is a pending MSHR slot.  The victim is chosen by
-        the replacement policy among the non-pending ways and evicted
-        in place.
+        way of the set is a pending MSHR slot.  The victim is the least
+        recently used non-pending way, evicted in place.
         """
         ways = self._ways
         set_index = key % self._num_sets
         base = set_index * ways
         key_of = self._key_of
-        policy = self._policy
         if self._set_used[set_index] < ways:
             slot = key_of.index(-1, base, base + ways)
             self._set_used[set_index] += 1
         else:
-            pending = self._set_pending[set_index]
-            if pending == 0:
-                candidates = self._all_ways
-            elif pending == ways:
+            if self._set_pending[set_index] == ways:
                 return None
-            else:
-                pend = self._pend
-                candidates = [way for way in self._all_ways if not pend[base + way]]
-            slot = base + policy.victim(set_index, candidates)
+            ranks = self._rank[base : base + ways]
+            slot = base + ranks.index(min(ranks))
             del self._map[key_of[slot]]
             self._waiters[slot] = None
-            policy.forget(slot)
             self._counts[self._c_evictions] += 1
         self._map[key] = slot
         key_of[slot] = key
         self._pfn[slot] = pfn
-        policy.touch(slot, self._tick)
+        self._rank[slot] = self._tick
         return slot
 
     def _evict_slot(self, slot: int) -> None:
@@ -249,7 +240,7 @@ class TLB:
         self._key_of[slot] = -1
         self._waiters[slot] = None
         self._set_used[slot // self._ways] -= 1
-        self._policy.forget(slot)
+        self._rank[slot] = -1
         self._counts[self._c_evictions] += 1
 
     # ------------------------------------------------------------------

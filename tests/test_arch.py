@@ -15,7 +15,6 @@ from repro.arch import (
     PAGE_TABLE_KINDS,
     PLUGINS_ENV,
     PWB_POLICIES,
-    REPLACEMENT_POLICIES,
     WALK_BACKENDS,
     ComponentRegistry,
     MachineBuilder,
@@ -87,7 +86,6 @@ class TestComponentRegistry:
 class TestBuiltinRegistries:
     def test_builtin_names(self):
         assert set(WALK_BACKENDS) == {"hardware", "softwalker", "hybrid"}
-        assert set(REPLACEMENT_POLICIES) == {"lru", "fifo"}
         assert set(PWB_POLICIES) == {"fcfs", "sm_batch"}
         assert set(DISTRIBUTOR_POLICIES) == {
             "round_robin",

@@ -93,10 +93,12 @@ class TestCoalescing:
         assert tlb.occupancy() == 1
 
     def test_span_validated(self):
-        with pytest.raises(ValueError):
-            make_tlb(span=3)
-        with pytest.raises(ValueError):
-            make_tlb(span=1)
+        # GPUConfig owns the span and its rule: 1 disables coalescing,
+        # any other span must be a power of two.
+        assert baseline_config().derive(tlb_coalescing_span=1).tlb_coalescing_span == 1
+        for span in (0, 3):
+            with pytest.raises(ValueError, match="coalescing span"):
+                baseline_config().derive(tlb_coalescing_span=span)
 
 
 class TestInvalidation:

@@ -76,6 +76,32 @@ class TestValidation:
         with pytest.raises(ProtocolError, match=field):
             JobSpec.from_dict({"benchmark": "gups", "config": payload})
 
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("l1d", "mshr_entries", 0, "mshr_entries must be positive"),
+            ("l2d", "mshr_entries", 0, "mshr_entries must be positive"),
+            ("l1_tlb", "mshr_merges", 0, "MSHR file needs"),
+            ("l2_tlb", "mshr_entries", -1, "MSHR file needs"),
+            (None, "tlb_coalescing_span", 3, "coalescing span"),
+            (None, "tlb_coalescing_span", 0, "coalescing span"),
+            ("ptw", "pwc_min_level", 0, "min_level must be >= 1"),
+            ("ptw", "pwc_entries", -1, "PWC size cannot be negative"),
+            ("page_table", "page_size", 0, "at least one 128 B cache line"),
+            ("page_table", "page_size", 64, "at least one 128 B cache line"),
+        ],
+    )
+    def test_from_dict_refuses_what_would_fail_later(self, section, key, value, message):
+        # Accepted, each of these failed only at machine build or
+        # mid-run (an IndexError, a ZeroDivisionError).
+        data = baseline_config().to_dict()
+        (data if section is None else data[section])[key] = value
+        with pytest.raises(ValueError, match=message):
+            GPUConfig.from_dict(data)
+
+    def test_smallest_page_size_is_one_line(self):
+        assert PageTableConfig(page_size=128).page_size == 128
+
     def test_page_size_power_of_two(self):
         with pytest.raises(ValueError):
             PageTableConfig(page_size=3000)

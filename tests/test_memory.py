@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.config import CacheConfig, DRAMConfig, GPUConfig
+from repro.config import CacheConfig, DRAMConfig, GPUConfig, PageTableConfig, TLBConfig
 from repro.memory.cache import SectoredCache
 from repro.memory.dram import CHANNEL_INTERLEAVE_BYTES, DRAM
 from repro.memory.hierarchy import MemorySystem
-from repro.memory.replacement import FIFOPolicy, LRUPolicy, make_policy
+from repro.pagetable.address import AddressLayout
 from repro.sim.stats import StatsRegistry
+from repro.tlb.pwc import PageWalkCache
+from repro.tlb.tlb import TLB
 
 
 def small_cache_config(**overrides) -> CacheConfig:
@@ -121,30 +123,59 @@ class TestSectoredCache:
         assert cache.miss_rate() == pytest.approx(0.5)
 
 
-class TestReplacementPolicies:
-    def test_lru_victim(self):
-        p = LRUPolicy(1, 2)
-        p.touch(0, 1)
-        p.touch(1, 2)
-        p.touch(0, 3)
-        assert p.victim(0, [0, 1]) == 1
+class TestLRUVictim:
+    """Each component owns its LRU ranks: on a 2-way set, the touch
+    order alone picks the victim."""
 
-    def test_fifo_victim_ignores_touches(self):
-        p = FIFOPolicy(1, 2)
-        p.touch(0, 1)
-        p.touch(1, 2)
-        p.touch(0, 99)  # re-touch does not reset insertion order
-        assert p.victim(0, [0, 1]) == 0
+    def test_cache_evicts_least_recently_touched_way(self):
+        stats = StatsRegistry()
+        dram = DRAM(DRAMConfig(channels=1, latency=100, cycles_per_access=1), stats)
+        cache = SectoredCache(
+            small_cache_config(size_bytes=2 * 128), dram, stats, name="l2d"
+        )
+        t = cache.access(0, now=0)  # way 0
+        t = cache.access(128, now=t)  # way 1
+        t = cache.access(0, now=t)  # way 0 is now the most recent
+        t = cache.access(256, now=t)  # evicts way 1
+        assert cache.resident_lines() == 2
+        cache.access(0, now=t)
+        assert stats.counters.get("l2d.hits") == 2
+        cache.access(128, now=t)
+        assert stats.counters.get("l2d.misses") == 4
 
-    def test_factory(self):
-        assert isinstance(make_policy("lru", 1, 2), LRUPolicy)
-        assert isinstance(make_policy("fifo", 1, 2), FIFOPolicy)
-        with pytest.raises(ValueError):
-            make_policy("mru", 1, 2)
+    def test_pwc_evicts_least_recently_touched_way(self):
+        layout = AddressLayout.from_config(PageTableConfig())
+        pwc = PageWalkCache(
+            2, layout, root_base=0xAAAA000, stats=StatsRegistry(), min_level=1
+        )
+        pwc.fill(0 << 9, 1, 0x100)  # way 0
+        pwc.fill(1 << 9, 1, 0x200)  # way 1
+        pwc.fill(0 << 9, 1, 0x111)  # refilling way 0 touches it
+        pwc.fill(2 << 9, 1, 0x300)  # evicts way 1
+        assert pwc.probe(1 << 9) == (layout.levels, 0xAAAA000)
+        assert pwc.probe(0 << 9) == (1, 0x111)
+        assert pwc.probe(2 << 9) == (1, 0x300)
 
-    def test_victim_requires_candidates(self):
-        with pytest.raises(ValueError):
-            LRUPolicy(1, 2).victim(0, [])
+    def test_tlb_never_evicts_a_pending_way(self):
+        config = TLBConfig(
+            entries=2, associativity=2, latency=10, mshr_entries=4, mshr_merges=4
+        )
+        tlb = TLB(config, StatsRegistry(), name="t")
+        # The pending way is the least recently touched one...
+        assert tlb.allocate_pending(0x10, "waiter")
+        tlb.fill(0x20, 7)
+        tlb.lookup(0x20)
+        # ...yet a fill evicts the valid way, twice over.
+        assert tlb.fill(0x30, 8) == []
+        assert tlb.lookup(0x20) is None
+        assert tlb.fill(0x40, 9) == []
+        assert tlb.lookup(0x30) is None
+        assert tlb.probe_pending(0x10) == ["waiter"]
+        # Resolved, the way ranks by its fill: the next victim is 0x40.
+        assert tlb.fill(0x10, 5) == ["waiter"]
+        tlb.fill(0x50, 10)
+        assert tlb.lookup(0x40) is None
+        assert tlb.lookup(0x10) == 5
 
 
 class TestMemorySystem:

@@ -6,12 +6,11 @@ requires identical answers and counters after every step, in the style
 of ``tests/test_walkpath_models.py``:
 
 * ``ScanCache`` — per-set dicts of per-line sector dicts, victims found
-  by scanning last-use (LRU) or insertion order (FIFO), MSHRs as a
-  plain list of completion cycles — against ``SectoredCache`` over tiny
+  by scanning last use (LRU), MSHRs as a plain list of completion cycles — against ``SectoredCache`` over tiny
   geometries, so evictions, sector misses, merges and ``mshr_full``
   stalls all fire.  A two-level variant checks the assembled
   ``MemorySystem`` (per-SM L1Ds over a shared L2 over DRAM).
-* ``ScanPWC`` — a dict of node entries with scanned victims — against
+* ``ScanPWC`` — a dict of node entries with scanned LRU victims — against
   ``PageWalkCache``.
 * ``ScanDRAM`` — one FCFS service list per channel — against ``DRAM``.
 
@@ -141,28 +140,25 @@ TestDRAMAgainstScan = as_test_case(DRAMMachine)
 # Sectored cache
 # ----------------------------------------------------------------------
 class _ScanLine:
-    def __init__(self, tick: int, seq: int) -> None:
+    def __init__(self, tick: int) -> None:
         #: sector index -> cycle at which its data is valid.
         self.sectors: dict[int, int] = {}
         self.last_use = tick
-        self.inserted = seq
 
 
 class ScanCache:
     """Reference sectored cache: per-set dicts of per-line sector dicts,
-    victims by scanning every line of the set, MSHRs as a plain list."""
+    LRU victims by scanning every line of the set, MSHRs as a plain list."""
 
-    def __init__(self, config: CacheConfig, next_level, name: str, policy: str) -> None:
+    def __init__(self, config: CacheConfig, next_level, name: str) -> None:
         self.config = config
         self.next_level = next_level
         self.name = name
-        self.policy = policy
         self.num_sets = config.num_sets
         self.sets: list[dict[int, _ScanLine]] = [{} for _ in range(self.num_sets)]
         #: Completion cycles of the misses still holding an MSHR.
         self.mshrs: list[int] = []
         self.tick = 0
-        self.seq = 0
         self.counts: Counter = Counter()
 
     def _count(self, event: str) -> None:
@@ -191,12 +187,10 @@ class ScanCache:
             self._count("sector_misses")
             return line.sectors[sector]
         if len(lines) == config.associativity:
-            rank = "last_use" if self.policy == "lru" else "inserted"
-            victim = min(lines, key=lambda key: getattr(lines[key], rank))
+            victim = min(lines, key=lambda key: lines[key].last_use)
             del lines[victim]
             self._count("evictions")
-        self.seq += 1
-        line = lines[tag] = _ScanLine(self.tick, self.seq)
+        line = lines[tag] = _ScanLine(self.tick)
         line.sectors[sector] = self._fetch(address, lookup_done)
         self._count("misses")
         return line.sectors[sector]
@@ -238,8 +232,6 @@ geometry = dict(
 
 
 class CacheMachine(RuleBasedStateMachine):
-    replacement = "lru"
-
     @initialize(**geometry)
     def setup(self, sets, ways, mshrs, channels):
         self.stats = StatsRegistry()
@@ -250,10 +242,9 @@ class CacheMachine(RuleBasedStateMachine):
             DRAM(dram_config, self.stats),
             self.stats,
             name="l2d",
-            replacement_policy=self.replacement,
         )
         self.model_dram = ScanDRAM(channels, 30, 3)
-        self.model = ScanCache(config, self.model_dram, "l2d", self.replacement)
+        self.model = ScanCache(config, self.model_dram, "l2d")
         self.clock = 0
         #: Recent ``(address, completion)`` pairs, to re-read at arrival.
         self.recent: list[tuple[int, int]] = []
@@ -291,12 +282,7 @@ class CacheMachine(RuleBasedStateMachine):
         )
 
 
-class FIFOCacheMachine(CacheMachine):
-    replacement = "fifo"
-
-
 TestLRUCacheAgainstScan = as_test_case(CacheMachine)
-TestFIFOCacheAgainstScan = as_test_case(FIFOCacheMachine)
 
 
 class MemorySystemMachine(RuleBasedStateMachine):
@@ -318,10 +304,8 @@ class MemorySystemMachine(RuleBasedStateMachine):
             GPUConfig(num_sms=num_sms, l1d=l1, l2d=l2, dram=dram), self.stats
         )
         self.model_dram = ScanDRAM(channels, 30, 3)
-        self.model_l2 = ScanCache(l2, self.model_dram, "l2d", "lru")
-        self.model_l1s = [
-            ScanCache(l1, self.model_l2, "l1d", "lru") for _ in range(num_sms)
-        ]
+        self.model_l2 = ScanCache(l2, self.model_dram, "l2d")
+        self.model_l1s = [ScanCache(l1, self.model_l2, "l1d") for _ in range(num_sms)]
         self.model_mem: Counter = Counter()
         self.clock = 0
 
@@ -377,24 +361,21 @@ TestMemorySystemAgainstScan = as_test_case(MemorySystemMachine)
 # Page Walk Cache
 # ----------------------------------------------------------------------
 class _ScanNode:
-    def __init__(self, base: int, tick: int, seq: int) -> None:
+    def __init__(self, base: int, tick: int) -> None:
         self.base = base
         self.last_use = tick
-        self.inserted = seq
 
 
 class ScanPWC:
-    """Reference PWC: one dict of cached nodes, victims by scanning it."""
+    """Reference PWC: one dict of cached nodes, LRU victims by scanning it."""
 
-    def __init__(self, entries, levels, min_level, root_base, policy) -> None:
+    def __init__(self, entries, levels, min_level, root_base) -> None:
         self.capacity = entries
         self.levels = levels
         self.min_level = min_level
         self.root_base = root_base
-        self.policy = policy
         self.nodes: dict[tuple[int, int], _ScanNode] = {}
         self.tick = 0
-        self.seq = 0
         self.counts: Counter = Counter()
 
     @staticmethod
@@ -424,12 +405,10 @@ class ScanPWC:
             node.last_use = self.tick
             return
         if len(self.nodes) == self.capacity:
-            rank = "last_use" if self.policy == "lru" else "inserted"
-            victim = min(self.nodes, key=lambda k: getattr(self.nodes[k], rank))
+            victim = min(self.nodes, key=lambda k: self.nodes[k].last_use)
             del self.nodes[victim]
             self.counts["pwc.evictions"] += 1
-        self.seq += 1
-        self.nodes[key] = _ScanNode(base, self.tick, self.seq)
+        self.nodes[key] = _ScanNode(base, self.tick)
         self.counts["pwc.fills"] += 1
 
 
@@ -449,8 +428,6 @@ pwc_vpns = st.builds(
 
 
 class PWCMachine(RuleBasedStateMachine):
-    replacement = "lru"
-
     @initialize(
         entries=st.integers(min_value=0, max_value=4),
         min_level=st.integers(min_value=1, max_value=2),
@@ -464,11 +441,8 @@ class PWCMachine(RuleBasedStateMachine):
             root_base=0xAAAA000,
             stats=self.stats,
             min_level=min_level,
-            replacement_policy=self.replacement,
         )
-        self.model = ScanPWC(
-            entries, layout.levels, min_level, 0xAAAA000, self.replacement
-        )
+        self.model = ScanPWC(entries, layout.levels, min_level, 0xAAAA000)
 
     @rule(vpn=pwc_vpns)
     def probe(self, vpn):
@@ -489,9 +463,4 @@ class PWCMachine(RuleBasedStateMachine):
         same_counters(self.stats, self.model.counts, ("pwc.",))
 
 
-class FIFOPWCMachine(PWCMachine):
-    replacement = "fifo"
-
-
 TestLRUPWCAgainstScan = as_test_case(PWCMachine)
-TestFIFOPWCAgainstScan = as_test_case(FIFOPWCMachine)

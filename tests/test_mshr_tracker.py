@@ -9,6 +9,7 @@ L2 TLB, its walk backend and its counters.
 
 import pytest
 
+from repro.config import TLBConfig
 from repro.tlb.mshr import MSHRFile
 from test_walkpath_models import ServiceHarness
 
@@ -90,10 +91,16 @@ class TestMSHRFile:
         assert harness.stats.counters.get("l2tlb.mshr.full") == 1
 
     def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            MSHRFile(-1, 1, name="x")
-        with pytest.raises(ValueError):
-            MSHRFile(1, 0, name="x")
+        # TLBConfig owns the MSHR sizes and their rule.
+        for entries, merges in ((-1, 1), (1, 0)):
+            with pytest.raises(ValueError, match="MSHR file needs"):
+                TLBConfig(
+                    entries=1,
+                    associativity=0,
+                    latency=1,
+                    mshr_entries=entries,
+                    mshr_merges=merges,
+                )
 
 
 class TestL2MissTracker:

@@ -219,7 +219,7 @@ def simulation_results(draw):
             max_size=6,
         )
     ):
-        stats.latency("walk").record(queueing=queueing, access=access)
+        stats.latency("walk").record({"queueing": queueing, "access": access})
     return SimulationResult(
         workload=draw(st.text(min_size=1, max_size=16)),
         cycles=draw(st.integers(min_value=0, max_value=10**12)),

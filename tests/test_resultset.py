@@ -43,7 +43,7 @@ def make_result(
     """Deterministic synthetic result whose metrics derive from cycles."""
     stats = StatsRegistry()
     stats.counters.add("l2tlb.demand_misses", misses)
-    stats.latency("walk").record(queueing=cycles // 10, access=cycles // 20)
+    stats.latency("walk").record({"queueing": cycles // 10, "access": cycles // 20})
     result = SimulationResult(
         workload=workload,
         cycles=cycles,

@@ -53,7 +53,7 @@ class TestWalkLatencyViews:
     def test_components_flow_through(self):
         result = make_result()
         result.stats.latency("walk").record(
-            queueing=900, access=100, communication=40, execution=10
+            {"queueing": 900, "access": 100, "communication": 40, "execution": 10}
         )
         assert result.walk_latency == pytest.approx(1050.0)
         assert result.walk_queueing == pytest.approx(900.0)
@@ -137,7 +137,7 @@ class TestFingerprint:
         result = make_result()
         result.stats.counters.add("x.hits", 3)
         result.stats.histogram("depth").record(4)
-        result.stats.latency("walk").record(queueing=10, access=20)
+        result.stats.latency("walk").record({"queueing": 10, "access": 20})
         fingerprint = result.fingerprint()
         assert ("x.hits", 3) in fingerprint["counters"]
         assert fingerprint["histograms"]["depth"] == [(4, 1)]

@@ -69,8 +69,8 @@ class TestHistogram:
 class TestLatencyTracker:
     def test_component_accounting(self):
         t = LatencyTracker()
-        t.record(queueing=100, access=50)
-        t.record(queueing=300, access=50)
+        t.record({"queueing": 100, "access": 50})
+        t.record({"queueing": 300, "access": 50})
         assert t.count == 2
         assert t.mean_total == pytest.approx(250.0)
         assert t.component_mean("queueing") == pytest.approx(200.0)
@@ -79,7 +79,7 @@ class TestLatencyTracker:
     def test_rejects_negative_components(self):
         t = LatencyTracker()
         with pytest.raises(ValueError):
-            t.record(queueing=-1)
+            t.record({"queueing": -1})
 
     def test_empty_tracker(self):
         t = LatencyTracker()
@@ -135,8 +135,8 @@ class TestHistogramPercentiles:
 class TestLatencyTrackerShares:
     def test_component_shares_sum_to_one(self):
         tracker = LatencyTracker()
-        tracker.record(queueing=70, access=20, communication=10)
-        tracker.record(queueing=30, access=60, communication=10)
+        tracker.record({"queueing": 70, "access": 20, "communication": 10})
+        tracker.record({"queueing": 30, "access": 60, "communication": 10})
         shares = tracker.component_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
         assert shares["queueing"] == pytest.approx(0.5)
@@ -144,8 +144,8 @@ class TestLatencyTrackerShares:
 
     def test_mean_components(self):
         tracker = LatencyTracker()
-        tracker.record(queueing=100, access=50)
-        tracker.record(queueing=200, access=150)
+        tracker.record({"queueing": 100, "access": 50})
+        tracker.record({"queueing": 200, "access": 150})
         means = tracker.mean_components()
         assert means == {"queueing": 150.0, "access": 100.0}
 

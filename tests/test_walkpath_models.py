@@ -267,10 +267,9 @@ TestStallAwareDistributorAgainstRescan = as_test_case(StallAwareDistributorMachi
 # TLB with pending (In-TLB MSHR) ways
 # ----------------------------------------------------------------------
 class _Entry:
-    def __init__(self, pfn, tick, seq, waiters=None):
+    def __init__(self, pfn, tick, waiters=None):
         self.pfn = pfn
         self.last_use = tick
-        self.inserted = seq
         self.waiters = waiters
 
     @property
@@ -279,15 +278,14 @@ class _Entry:
 
 
 class ScanTLB:
-    """Reference TLB: per-set dicts, victims by scanning every entry."""
+    """Reference TLB: per-set dicts, LRU victims by scanning every
+    non-pending entry."""
 
-    def __init__(self, num_sets, ways, policy):
+    def __init__(self, num_sets, ways):
         self.num_sets = num_sets
         self.ways = ways
-        self.policy = policy
         self.sets: list[dict[int, _Entry]] = [{} for _ in range(num_sets)]
         self.tick = 0
-        self.seq = 0
         self.dropped = 0
         self.evictions = 0
 
@@ -295,8 +293,7 @@ class ScanTLB:
         return self.sets[vpn % self.num_sets]
 
     def _new_entry(self, pfn, waiters=None):
-        self.seq += 1
-        return _Entry(pfn, self.tick, self.seq, waiters)
+        return _Entry(pfn, self.tick, waiters)
 
     def _make_room(self, entries):
         if len(entries) < self.ways:
@@ -304,8 +301,7 @@ class ScanTLB:
         candidates = [key for key, entry in entries.items() if not entry.pending]
         if not candidates:
             return False
-        rank = "last_use" if self.policy == "lru" else "inserted"
-        victim = min(candidates, key=lambda key: getattr(entries[key], rank))
+        victim = min(candidates, key=lambda key: entries[key].last_use)
         del entries[victim]
         self.evictions += 1
         return True
@@ -369,8 +365,6 @@ vpns = st.integers(min_value=0, max_value=15)
 
 
 class TLBMachine(RuleBasedStateMachine):
-    replacement = "lru"
-
     @initialize(
         num_sets=st.sampled_from([1, 2, 4]),
         ways=st.integers(min_value=1, max_value=4),
@@ -384,8 +378,8 @@ class TLBMachine(RuleBasedStateMachine):
             mshr_merges=4,
         )
         self.stats = StatsRegistry()
-        self.real = TLB(config, self.stats, name="t", replacement_policy=self.replacement)
-        self.model = ScanTLB(num_sets, ways, self.replacement)
+        self.real = TLB(config, self.stats, name="t")
+        self.model = ScanTLB(num_sets, ways)
         self.next_waiter = 0
 
     def _waiter(self):
@@ -438,12 +432,7 @@ class TLBMachine(RuleBasedStateMachine):
         assert counters.get("t.evictions") == self.model.evictions
 
 
-class FIFOTLBMachine(TLBMachine):
-    replacement = "fifo"
-
-
 TestLRUTLBAgainstScan = as_test_case(TLBMachine)
-TestFIFOTLBAgainstScan = as_test_case(FIFOTLBMachine)
 
 
 # ----------------------------------------------------------------------
@@ -592,7 +581,7 @@ class ScanL2MissPath:
 
     def __init__(self, num_sets, ways, mshr_entries, merges, in_tlb_limit):
         self.counts: Counter = Counter()
-        self.tlb = ScanTLB(num_sets, ways, "lru")
+        self.tlb = ScanTLB(num_sets, ways)
         self.mshr = ScanMSHRFile(mshr_entries, merges, self.counts, "l2tlb.mshr")
         self.in_tlb_limit = in_tlb_limit
         self.backpressure: deque = deque()

@@ -46,7 +46,7 @@ ALLOWED: dict[str, set[str]] = {
     # Model layers.
     "pagetable": {"config"},
     "memory": {"config", "sim"},
-    "tlb": {"config", "memory", "pagetable", "sim"},
+    "tlb": {"config", "pagetable", "sim"},
     "ptw": {"arch", "config", "pagetable", "sim", "tlb"},
     "core": {"arch", "config", "gpu", "pagetable", "ptw", "sim", "tlb"},
     "gpu": {"arch", "config", "obs", "pagetable", "ptw", "sim", "tlb", "workloads"},

@@ -10,7 +10,9 @@ Runs a tiny traced simulation and enforces three invariants:
 3. Disabled-mode overhead stays under budget: the per-event cost of the
    null-object hook sites, measured by microbenchmark and multiplied by
    a conservative hooks-per-event estimate, must stay below 5% of the
-   untraced per-event simulation cost.
+   untraced per-event simulation cost.  The two sides are timed back to
+   back in each of several rounds, so both see the same host speed, and
+   the gate is the median round's ratio.
 
 Usage:
     REPRO_SCALE=0.05 python tools/obs_smoke.py [--scale S] [--budget PCT]
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 import timeit
@@ -34,16 +37,27 @@ from repro.obs import NULL_TRACE, Observability, validate_chrome_trace  # noqa: 
 #: Generous upper bound on guarded hook sites evaluated per engine event.
 HOOKS_PER_EVENT = 16
 
+#: Back-to-back (event, hook) timing rounds the overhead gate takes the
+#: median of.
+ROUNDS = 5
 
-def check_trace_and_determinism(scale: float) -> tuple[int, float]:
-    """Invariants 1 + 2; returns (events processed, untraced wall seconds)."""
-    config = softwalker_config()
-    workload = build_workload("gups", config, scale=scale)
 
+def untraced_run(config, workload):
+    """One untraced run: ``(result, seconds per event of its loop)``.
+
+    Only ``run()`` is timed, not the machine build, so the denominator
+    is the event loop's own cost.
+    """
+    sim = GPUSimulator(config, workload)
     started = time.perf_counter()
-    plain_sim = GPUSimulator(config, workload)
-    plain = plain_sim.run()
-    untraced_seconds = time.perf_counter() - started
+    result = sim.run()
+    seconds = time.perf_counter() - started
+    return result, seconds / max(1, sim.engine.events_processed)
+
+
+def check_trace_and_determinism(config, workload) -> None:
+    """Invariants 1 + 2."""
+    plain, _ = untraced_run(config, workload)
 
     obs = Observability.full(interval=1000)
     traced = GPUSimulator(config, workload, obs=obs).run()
@@ -61,12 +75,8 @@ def check_trace_and_determinism(scale: float) -> tuple[int, float]:
     count = validate_chrome_trace(obs.trace.chrome_trace())
     print(f"ok: trace schema valid ({count:,} events)")
 
-    return plain_sim.engine.events_processed, untraced_seconds
 
-
-def check_disabled_overhead(
-    events_processed: int, untraced_seconds: float, budget_pct: float
-) -> None:
+def check_disabled_overhead(config, workload, budget_pct: float) -> None:
     """Invariant 3: the null hook must be cheap enough to leave on."""
     trace = NULL_TRACE
     loops = 1_000_000
@@ -75,18 +85,24 @@ def check_disabled_overhead(
         if trace.enabled:
             trace.instant("t", "x", 0)
 
-    per_hook = min(timeit.repeat(hook, number=loops, repeat=5)) / loops
-    per_event_budget = untraced_seconds / max(1, events_processed)
-    overhead = per_hook * HOOKS_PER_EVENT / per_event_budget * 100
-    print(
-        f"ok: null hook {per_hook * 1e9:.1f}ns x {HOOKS_PER_EVENT}/event "
-        f"= {overhead:.2f}% of {per_event_budget * 1e6:.2f}us/event"
-    )
+    ratios = []
+    for index in range(ROUNDS):
+        _, per_event = untraced_run(config, workload)
+        per_hook = min(timeit.repeat(hook, number=loops, repeat=5)) / loops
+        ratio = per_hook * HOOKS_PER_EVENT / per_event * 100
+        ratios.append(ratio)
+        print(
+            f"   round {index + 1}: null hook {per_hook * 1e9:.1f}ns "
+            f"x {HOOKS_PER_EVENT}/event = {ratio:.2f}% of "
+            f"{per_event * 1e6:.2f}us/event"
+        )
+    overhead = statistics.median(ratios)
     if overhead > budget_pct:
         raise SystemExit(
-            f"FAIL: disabled-mode overhead {overhead:.2f}% exceeds "
-            f"{budget_pct}% budget"
+            f"FAIL: disabled-mode overhead {overhead:.2f}% (median of {ROUNDS} "
+            f"rounds) exceeds {budget_pct}% budget"
         )
+    print(f"ok: disabled-mode overhead {overhead:.2f}% (median of {ROUNDS} rounds)")
 
 
 def main() -> int:
@@ -95,8 +111,10 @@ def main() -> int:
     parser.add_argument("--budget", type=float, default=5.0, help="overhead %% budget")
     args = parser.parse_args()
 
-    events, seconds = check_trace_and_determinism(args.scale)
-    check_disabled_overhead(events, seconds, args.budget)
+    config = softwalker_config()
+    workload = build_workload("gups", config, scale=args.scale)
+    check_trace_and_determinism(config, workload)
+    check_disabled_overhead(config, workload, args.budget)
     print("observability smoke: all checks passed")
     return 0
 
