@@ -10,113 +10,73 @@ Supporting Software Page Table Walk for Irregular GPU Applications*
 >>> soft = runner.run(softwalker_config(), "gups", scale=0.2)
 >>> soft.speedup_over(base) > 1
 True
+
+Every name below resolves on first use (PEP 562): ``import repro``
+loads nothing past this module, and ``from repro import Runner`` loads
+what the runner needs.  See "Import contract" in docs/architecture.md.
 """
 
-from repro.config import (
-    DEFAULT_CONFIGS,
-    PAGE_SIZE_2M,
-    PAGE_SIZE_64K,
-    ConfigRegistry,
-    DistributorPolicy,
-    GPUConfig,
-    avatar_config,
-    baseline_config,
-    fshpt_config,
-    ideal_config,
-    nha_config,
-    softwalker_config,
-)
-from repro.gpu.gpu import GPUSimulator, SimulationResult, SimulationTruncated
-from repro.harness.pool import SweepPoint, make_point, matrix_points
-from repro.analysis import ResultSet, analyze, diff_resultsets
-from repro.harness.runner import (
-    Runner,
-    build_workload,
-    default_runner,
-    speedups,
-)
-from repro.harness.store import ResultStore
-from repro.harness.supervised import (
-    SupervisedReport,
-    SupervisionPolicy,
-    run_supervised,
-)
-from repro.obs import (
-    MetricsRegistry,
-    MetricsSampler,
-    Observability,
-    TraceRecorder,
-    validate_chrome_trace,
-)
-from repro.resilience import (
-    Checkpoint,
-    CheckpointError,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InvariantChecker,
-    InvariantViolation,
-    default_chaos_plan,
-)
-from repro.workloads.base import TraceWorkload, WorkloadSpec
-from repro.workloads.catalog import (
-    ALL_ABBRS,
-    CATALOG,
-    IRREGULAR_ABBRS,
-    REGULAR_ABBRS,
-    get_spec,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_CONFIGS",
-    "PAGE_SIZE_2M",
-    "PAGE_SIZE_64K",
-    "ConfigRegistry",
-    "DistributorPolicy",
-    "GPUConfig",
-    "avatar_config",
-    "baseline_config",
-    "fshpt_config",
-    "ideal_config",
-    "nha_config",
-    "softwalker_config",
-    "GPUSimulator",
-    "SimulationResult",
-    "SimulationTruncated",
-    "MetricsRegistry",
-    "MetricsSampler",
-    "Observability",
-    "TraceRecorder",
-    "validate_chrome_trace",
-    "ResultSet",
-    "analyze",
-    "diff_resultsets",
-    "ResultStore",
-    "Runner",
-    "SweepPoint",
-    "build_workload",
-    "default_runner",
-    "make_point",
-    "matrix_points",
-    "speedups",
-    "SupervisedReport",
-    "SupervisionPolicy",
-    "run_supervised",
-    "Checkpoint",
-    "CheckpointError",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "InvariantChecker",
-    "InvariantViolation",
-    "default_chaos_plan",
-    "TraceWorkload",
-    "WorkloadSpec",
-    "ALL_ABBRS",
-    "CATALOG",
-    "IRREGULAR_ABBRS",
-    "REGULAR_ABBRS",
-    "get_spec",
-]
+#: Public name -> defining module; doubles as ``__all__``.
+_EXPORTS = {
+    "DEFAULT_CONFIGS": "repro.config",
+    "PAGE_SIZE_2M": "repro.config",
+    "PAGE_SIZE_64K": "repro.config",
+    "ConfigRegistry": "repro.config",
+    "DistributorPolicy": "repro.config",
+    "GPUConfig": "repro.config",
+    "avatar_config": "repro.config",
+    "baseline_config": "repro.config",
+    "fshpt_config": "repro.config",
+    "ideal_config": "repro.config",
+    "nha_config": "repro.config",
+    "softwalker_config": "repro.config",
+    "GPUSimulator": "repro.gpu.gpu",
+    "SimulationResult": "repro.gpu.gpu",
+    "SimulationTruncated": "repro.gpu.gpu",
+    "MetricsRegistry": "repro.obs",
+    "MetricsSampler": "repro.obs",
+    "Observability": "repro.obs",
+    "TraceRecorder": "repro.obs",
+    "validate_chrome_trace": "repro.obs",
+    "ResultSet": "repro.analysis",
+    "analyze": "repro.analysis",
+    "diff_resultsets": "repro.analysis",
+    "ResultStore": "repro.harness.store",
+    "Runner": "repro.harness.runner",
+    "build_workload": "repro.harness.runner",
+    "default_runner": "repro.harness.runner",
+    "speedups": "repro.harness.runner",
+    "SweepPoint": "repro.harness.pool",
+    "make_point": "repro.harness.pool",
+    "matrix_points": "repro.harness.pool",
+    "SupervisedReport": "repro.harness.supervised",
+    "SupervisionPolicy": "repro.harness.supervised",
+    "run_supervised": "repro.harness.supervised",
+    "FaultInjector": "repro.resilience",
+    "FaultPlan": "repro.resilience",
+    "FaultSpec": "repro.resilience",
+    "InvariantChecker": "repro.resilience",
+    "InvariantViolation": "repro.resilience",
+    "default_chaos_plan": "repro.resilience",
+    "TraceWorkload": "repro.workloads.base",
+    "WorkloadSpec": "repro.workloads.spec",
+    "ALL_ABBRS": "repro.workloads.catalog",
+    "CATALOG": "repro.workloads.catalog",
+    "IRREGULAR_ABBRS": "repro.workloads.catalog",
+    "REGULAR_ABBRS": "repro.workloads.catalog",
+    "get_spec": "repro.workloads.catalog",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

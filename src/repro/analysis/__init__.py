@@ -8,120 +8,76 @@ and group results), :func:`analyze` / :func:`diff_resultsets`, the
 rendering.  Import from here (``from repro.analysis import ResultSet,
 analyze``) rather than scraping :class:`~repro.harness.store.ResultStore`
 entries or private modules; ``__all__`` below is the compatibility
-contract.
+contract.  Names resolve on first use (PEP 562), so importing one
+module of the package loads that module alone.
 """
 
-from repro.analysis.area import (
-    GA102_DIE_AREA_MM2,
-    IN_TLB_CONTROL_AREA_MM2,
-    PW_WARP_CONTEXT_BITS,
-    PTWAreaModel,
-    cam_area,
-    config_relative_area,
-    hardware_overhead_summary,
-    softwalker_relative_area,
-    softwalker_storage_bits,
-)
-from repro.analysis.energy import (
-    EnergyModel,
-    EnergyReport,
-    energy_report,
-    translation_energy_per_walk,
-)
-from repro.analysis.experiment import (
-    AnalysisError,
-    CellComparison,
-    ConfigRanking,
-    ExperimentAnalysis,
-    MetricSummary,
-    RegressionCell,
-    RegressionReport,
-    analyze,
-    diff_resultsets,
-)
-from repro.analysis.render import (
-    html_table,
-    markdown_table,
-    render_html,
-    render_markdown,
-    render_markdown_diff,
-)
-from repro.analysis.report import format_breakdown, format_series, format_table, geomean
-from repro.analysis.resultset import (
-    DEFAULT_METRIC_NAMES,
-    METRICS,
-    PRIMARY_METRIC,
-    CellKey,
-    Metric,
-    ResultCell,
-    ResultSet,
-    config_label,
-    resolve_metrics,
-    result_digest,
-)
-from repro.analysis.stat_tests import (
-    MannWhitneyResult,
-    ReplicateComparison,
-    benjamini_hochberg,
-    bootstrap_ci,
-    compare_replicates,
-    mann_whitney_u,
-    relative_verdict,
-)
+import importlib
 
-__all__ = [
+#: Public name -> defining module; doubles as ``__all__``.
+_EXPORTS = {
     # Hardware models
-    "EnergyModel",
-    "EnergyReport",
-    "energy_report",
-    "translation_energy_per_walk",
-    "GA102_DIE_AREA_MM2",
-    "IN_TLB_CONTROL_AREA_MM2",
-    "PW_WARP_CONTEXT_BITS",
-    "PTWAreaModel",
-    "cam_area",
-    "config_relative_area",
-    "hardware_overhead_summary",
-    "softwalker_relative_area",
-    "softwalker_storage_bits",
+    "EnergyModel": "repro.analysis.energy",
+    "EnergyReport": "repro.analysis.energy",
+    "energy_report": "repro.analysis.energy",
+    "translation_energy_per_walk": "repro.analysis.energy",
+    "GA102_DIE_AREA_MM2": "repro.analysis.area",
+    "IN_TLB_CONTROL_AREA_MM2": "repro.analysis.area",
+    "PW_WARP_CONTEXT_BITS": "repro.analysis.area",
+    "PTWAreaModel": "repro.analysis.area",
+    "cam_area": "repro.analysis.area",
+    "config_relative_area": "repro.analysis.area",
+    "hardware_overhead_summary": "repro.analysis.area",
+    "softwalker_relative_area": "repro.analysis.area",
+    "softwalker_storage_bits": "repro.analysis.area",
     # Formatting
-    "format_breakdown",
-    "format_series",
-    "format_table",
-    "geomean",
-    "markdown_table",
-    "html_table",
+    "format_breakdown": "repro.analysis.report",
+    "format_series": "repro.analysis.report",
+    "format_table": "repro.analysis.report",
+    "geomean": "repro.analysis.report",
+    "markdown_table": "repro.analysis.render",
+    "html_table": "repro.analysis.render",
     # ResultSet (the one loading path)
-    "ResultSet",
-    "ResultCell",
-    "CellKey",
-    "Metric",
-    "METRICS",
-    "DEFAULT_METRIC_NAMES",
-    "PRIMARY_METRIC",
-    "config_label",
-    "resolve_metrics",
-    "result_digest",
+    "ResultSet": "repro.analysis.resultset",
+    "ResultCell": "repro.analysis.resultset",
+    "CellKey": "repro.analysis.resultset",
+    "Metric": "repro.analysis.resultset",
+    "METRICS": "repro.analysis.resultset",
+    "DEFAULT_METRIC_NAMES": "repro.analysis.resultset",
+    "PRIMARY_METRIC": "repro.analysis.resultset",
+    "config_label": "repro.analysis.resultset",
+    "resolve_metrics": "repro.analysis.resultset",
+    "result_digest": "repro.analysis.resultset",
     # Experiment analysis
-    "analyze",
-    "diff_resultsets",
-    "AnalysisError",
-    "ExperimentAnalysis",
-    "MetricSummary",
-    "CellComparison",
-    "ConfigRanking",
-    "RegressionReport",
-    "RegressionCell",
+    "analyze": "repro.analysis.experiment",
+    "diff_resultsets": "repro.analysis.experiment",
+    "AnalysisError": "repro.analysis.experiment",
+    "ExperimentAnalysis": "repro.analysis.experiment",
+    "MetricSummary": "repro.analysis.experiment",
+    "CellComparison": "repro.analysis.experiment",
+    "ConfigRanking": "repro.analysis.experiment",
+    "RegressionReport": "repro.analysis.experiment",
+    "RegressionCell": "repro.analysis.experiment",
     # Statistics
-    "mann_whitney_u",
-    "MannWhitneyResult",
-    "compare_replicates",
-    "ReplicateComparison",
-    "benjamini_hochberg",
-    "bootstrap_ci",
-    "relative_verdict",
+    "mann_whitney_u": "repro.analysis.stat_tests",
+    "MannWhitneyResult": "repro.analysis.stat_tests",
+    "compare_replicates": "repro.analysis.stat_tests",
+    "ReplicateComparison": "repro.analysis.stat_tests",
+    "benjamini_hochberg": "repro.analysis.stat_tests",
+    "bootstrap_ci": "repro.analysis.stat_tests",
+    "relative_verdict": "repro.analysis.stat_tests",
     # Rendering
-    "render_markdown",
-    "render_markdown_diff",
-    "render_html",
-]
+    "render_markdown": "repro.analysis.render",
+    "render_markdown_diff": "repro.analysis.render",
+    "render_html": "repro.analysis.render",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

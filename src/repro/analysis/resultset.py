@@ -30,10 +30,12 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.config import DEFAULT_CONFIGS, GPUConfig
-from repro.gpu.gpu import SimulationResult
+
+if TYPE_CHECKING:
+    from repro.gpu.gpu import SimulationResult
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +304,8 @@ class ResultSet:
         its full point identity; a bare ``SimulationResult.to_dict``
         payload is grouped under its workload with an unknown config.
         """
+        from repro.gpu.gpu import SimulationResult
+
         resultset = cls(source=source)
         labels = _registry_labels()
         for path in paths:

@@ -33,33 +33,14 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import contextlib
-import cProfile
 import os
-import pstats
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.analysis import (
-    AnalysisError,
-    ResultSet,
-    analyze,
-    diff_resultsets,
-    format_table,
-    render_html,
-    render_markdown,
-)
-from repro.analysis.experiment import DEFAULT_DIFF_TOLERANCE
+from repro.analysis.report import format_table
 from repro.analysis.resultset import DEFAULT_METRIC_NAMES
-from repro.analysis.stat_tests import DEFAULT_ALPHA
 from repro.config import DEFAULT_CONFIGS, GPUConfig, baseline_config
-from repro.gpu.gpu import GPUSimulator
-from repro.harness import experiments
-from repro.harness.pool import SweepPoint, matrix_points
-from repro.harness.runner import Runner, build_workload, default_runner
-from repro.harness.store import fingerprint_digest
-from repro.harness.supervised import SupervisionPolicy, run_supervised
 from repro.obs import (
     DEFAULT_SAMPLE_INTERVAL,
     NULL_METRICS,
@@ -70,44 +51,66 @@ from repro.obs import (
     TraceRecorder,
     validate_chrome_trace,
 )
-from repro.obs.profile import REPRO_ROOT, package_of, package_self_times
 from repro.workloads.catalog import ALL_ABBRS, CATALOG, get_spec
+
+if TYPE_CHECKING:
+    from repro.analysis import ResultSet
+    from repro.harness.pool import SweepPoint
+
+# Everything above loads without numpy or the machine model, so
+# ``repro submit``, ``repro jobs`` and ``--help`` start fast; each
+# handler imports the layers its command runs.
 
 #: Named configurations selectable from the command line — the shared
 #: :class:`~repro.config.ConfigRegistry`, so anything registered there
 #: (including from user scripts) is selectable here too.
 CONFIGS = DEFAULT_CONFIGS
 
-#: Figure/table experiments runnable by name.
-EXPERIMENTS: dict[str, Callable[..., experiments.ExperimentTable]] = {
-    "fig3": experiments.fig03_access_patterns,
-    "fig4": experiments.fig04_microbench,
-    "fig5": experiments.fig05_ptw_scaling,
-    "fig6": experiments.fig06_prior_techniques,
-    "fig7": experiments.fig07_latency_breakdown,
-    "fig8": experiments.fig08_stall_breakdown,
-    "fig12": experiments.fig12_ptw_mshr_scaling,
-    "fig15": experiments.fig15_area_tradeoff,
-    "fig16": experiments.fig16_overall_speedup,
-    "fig17": experiments.fig17_mshr_failures,
-    "fig18": experiments.fig18_walk_latency,
-    "fig19": experiments.fig19_stall_reduction,
-    "fig20": experiments.fig20_l2_miss_rate,
-    "fig21": experiments.fig21_iso_area,
-    "fig22": experiments.fig22_l2tlb_latency,
-    "fig23": experiments.fig23_pt_latency,
-    "fig24": experiments.fig24_intlb_capacity,
-    "fig25": experiments.fig25_large_pages,
-    "fig26": experiments.fig26_distributor,
-    "ext-baselines": experiments.extension_baselines,
-    "ablation-scheduling": experiments.ablation_pwb_scheduling,
-    "ablation-lockstep": experiments.ablation_simt_lockstep,
-    "ablation-pwc": experiments.ablation_pwc_depth,
-    "table1": experiments.table1_comparison,
-    "table3": experiments.table3_configuration,
-    "table4": experiments.table4_catalog,
-    "sec5.2": experiments.sec52_hardware_overhead,
+#: Figure/table experiments runnable by name -> the function in
+#: :mod:`repro.harness.experiments` that builds it.
+EXPERIMENT_FUNCTIONS: dict[str, str] = {
+    "fig3": "fig03_access_patterns",
+    "fig4": "fig04_microbench",
+    "fig5": "fig05_ptw_scaling",
+    "fig6": "fig06_prior_techniques",
+    "fig7": "fig07_latency_breakdown",
+    "fig8": "fig08_stall_breakdown",
+    "fig12": "fig12_ptw_mshr_scaling",
+    "fig15": "fig15_area_tradeoff",
+    "fig16": "fig16_overall_speedup",
+    "fig17": "fig17_mshr_failures",
+    "fig18": "fig18_walk_latency",
+    "fig19": "fig19_stall_reduction",
+    "fig20": "fig20_l2_miss_rate",
+    "fig21": "fig21_iso_area",
+    "fig22": "fig22_l2tlb_latency",
+    "fig23": "fig23_pt_latency",
+    "fig24": "fig24_intlb_capacity",
+    "fig25": "fig25_large_pages",
+    "fig26": "fig26_distributor",
+    "ext-baselines": "extension_baselines",
+    "ablation-scheduling": "ablation_pwb_scheduling",
+    "ablation-lockstep": "ablation_simt_lockstep",
+    "ablation-pwc": "ablation_pwc_depth",
+    "table1": "table1_comparison",
+    "table3": "table3_configuration",
+    "table4": "table4_catalog",
+    "sec5.2": "sec52_hardware_overhead",
 }
+
+
+def _experiment(name: str) -> Callable:
+    from repro.harness import experiments
+
+    return getattr(experiments, EXPERIMENT_FUNCTIONS[name])
+
+
+def __getattr__(name: str):
+    # ``EXPERIMENTS`` (name -> experiment function) resolves on use, so
+    # building the parser never imports the figure definitions.
+    if name == "EXPERIMENTS":
+        return {key: _experiment(key) for key in EXPERIMENT_FUNCTIONS}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--scale", type=float, default=0.5)
 
     figure_parser = sub.add_parser("figure", help="regenerate a paper figure")
-    figure_parser.add_argument("name", choices=sorted(EXPERIMENTS))
+    figure_parser.add_argument("name", choices=sorted(EXPERIMENT_FUNCTIONS))
     figure_parser.add_argument("--scale", type=float, default=None)
     figure_parser.add_argument(
         "--save", metavar="DIR", help="also write the table under DIR"
@@ -351,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--alpha",
         type=float,
-        default=DEFAULT_ALPHA,
         help="significance level after BH correction",
     )
     report_parser.add_argument(
@@ -373,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--threshold",
         type=float,
-        default=DEFAULT_DIFF_TOLERANCE,
         help="relative movement tolerated before a significant cell regresses",
     )
 
@@ -610,6 +611,13 @@ def cmd_run(
     audit_every: int,
 ) -> int:
     """One supervised simulation with the requested instruments on it."""
+    import contextlib
+    import cProfile
+    import pstats
+
+    from repro.gpu.gpu import GPUSimulator
+    from repro.harness.runner import build_workload
+    from repro.harness.supervised import SupervisionPolicy, run_supervised
     from repro.resilience import InvariantViolation
 
     for flag, value in (
@@ -731,8 +739,13 @@ def _chaos_table(report, plan_seed: int, audit_every: int) -> str:
     return format_table(["chaos", "value"], rows, title=title)
 
 
-def _profile_tables(stats: pstats.Stats, result, top: int) -> list[str]:
-    """Self time per ``repro`` package, then the ``top`` hottest functions."""
+def _profile_tables(stats, result, top: int) -> list[str]:
+    """Self time per ``repro`` package, then the ``top`` hottest functions
+    of a ``pstats.Stats``."""
+    import pstats
+
+    from repro.obs.profile import REPRO_ROOT, package_of, package_self_times
+
     by_package = package_self_times(stats)
     total = sum(by_package.values()) or 1.0
     packages = [
@@ -763,6 +776,8 @@ def _profile_tables(stats: pstats.Stats, result, top: int) -> list[str]:
 
 
 def cmd_compare(benchmark: str, scale: float) -> int:
+    from repro.harness.runner import default_runner
+
     runner = default_runner()
     base = runner.run_cached(baseline_config(), benchmark, scale=scale)
     rows = [["baseline", base.cycles, "1.00x", f"{base.queueing_fraction:.0%}"]]
@@ -789,7 +804,9 @@ def cmd_compare(benchmark: str, scale: float) -> int:
 def cmd_figure(
     name: str, scale: float | None, save: str | None, jobs: int | None = None
 ) -> int:
-    experiment = EXPERIMENTS[name]
+    from repro.harness.runner import default_runner
+
+    experiment = _experiment(name)
     if jobs is not None:
         default_runner().jobs = jobs
     kwargs = {}
@@ -812,6 +829,10 @@ def cmd_sweep(
     store: str | None,
     sample: int | None = None,
 ) -> int:
+    from repro.harness.pool import matrix_points
+    from repro.harness.runner import Runner, default_runner
+    from repro.harness.store import fingerprint_digest
+
     config_names = [name.strip() for name in configs.split(",") if name.strip()]
     benchmark_names = [
         name.strip() for name in benchmarks.split(",") if name.strip()
@@ -935,6 +956,7 @@ def cmd_explore(
         parse_rungs,
         run_explore,
     )
+    from repro.harness.runner import Runner, default_runner
 
     benchmark_names = [b.strip() for b in benchmarks.split(",") if b.strip()]
     unknown = [name for name in benchmark_names if name not in ALL_ABBRS]
@@ -1041,6 +1063,8 @@ def _load_resultset(
     store: str | None, files: Sequence[str] | None, *, what: str
 ) -> ResultSet:
     """Resolve a ``--store DIR`` / ``--files ...`` pair into a ResultSet."""
+    from repro.analysis import AnalysisError, ResultSet
+
     if files:
         return ResultSet.from_files(files, source=f"{len(files)} file(s)")
     if store is None:
@@ -1063,12 +1087,26 @@ def cmd_report(
     files: Sequence[str] | None,
     baseline: str | None,
     metrics: str | None,
-    alpha: float,
+    alpha: float | None,
     out: str | None,
     html: str | None,
     against: str | None,
-    threshold: float,
+    threshold: float | None,
 ) -> int:
+    from repro.analysis import (
+        AnalysisError,
+        analyze,
+        diff_resultsets,
+        render_html,
+        render_markdown,
+    )
+    from repro.analysis.experiment import DEFAULT_DIFF_TOLERANCE
+    from repro.analysis.stat_tests import DEFAULT_ALPHA
+
+    if alpha is None:
+        alpha = DEFAULT_ALPHA
+    if threshold is None:
+        threshold = DEFAULT_DIFF_TOLERANCE
     metric_names = (
         [name.strip() for name in metrics.split(",") if name.strip()]
         if metrics

@@ -371,6 +371,25 @@ class GPUConfig:
         if self.ptw.num_walkers == 0 and self.backend_name in _WALKER_BACKENDS:
             raise ValueError(_WALKER_BACKENDS[self.backend_name])
 
+    def check_tlb_mshrs(self) -> None:
+        """Refuse a TLB level that could never track a miss.
+
+        With no MSHR a miss is never tracked, and a parked request
+        replays only on a response, so the run would starve.  A pending
+        L2 TLB way (In-TLB MSHR) can track an L2 miss instead.  Runs in
+        :meth:`from_dict`; component tests build zero-entry MSHR files
+        directly.
+        """
+        if self.l1_tlb.mshr_entries < 1:
+            raise ValueError("l1_tlb.mshr_entries must be >= 1")
+        in_tlb = self.softwalker.enabled or self.hw_in_tlb_mshr
+        if self.l2_tlb.mshr_entries < 1 and not (
+            in_tlb and self.softwalker.in_tlb_mshr_entries > 0
+        ):
+            raise ValueError(
+                "l2_tlb.mshr_entries must be >= 1 unless In-TLB MSHRs are on"
+            )
+
     def derive(self, **overrides: Any) -> "GPUConfig":
         """Return a copy with top-level fields replaced."""
         return replace(self, **overrides)
@@ -417,7 +436,8 @@ class GPUConfig:
         Missing fields take their defaults; unknown fields raise with a
         did-you-mean hint; nested sections accept plain mappings.  A
         config whose walk backend needs hardware walkers it does not
-        have is refused here, before anything is built or queued.
+        have, or whose TLB could never track a miss, is refused here,
+        before anything is built or queued.
         """
         if not isinstance(data, Mapping):
             raise ValueError(
@@ -430,6 +450,7 @@ class GPUConfig:
                 converted[key] = sub_cls.from_dict(value)
         config = _dataclass_from_dict(cls, converted)
         config.check_walkers()
+        config.check_tlb_mshrs()
         return config
 
 

@@ -73,9 +73,8 @@ class SoftWalkerBackend:
             capacity_per_sm=sw.softpwb_entries,
             stats=stats,
             policy=sw.distributor_policy,
-            # A partial, not a lambda or a bound method of this backend:
-            # the distributor is checkpointed (deepcopy/pickle) and must
-            # not hold a reference back to its owner.
+            # A partial, not a bound method of this backend: the
+            # distributor must not hold a reference back to its owner.
             idleness=partial(_port_busy_until, sms),
             engine=engine,
         )

@@ -33,8 +33,7 @@ class SelectionPolicy:
     it — and
     ``distributor`` grants access to cursor-free machine state (core
     count, idleness probe).  Policies own any selection state they need
-    (cursor, RNG) so a checkpointed machine deep-copies them along with
-    everything else.  Set ``requires_idleness`` when the policy needs
+    (cursor, RNG).  Set ``requires_idleness`` when the policy needs
     the distributor's idleness probe wired.
     """
 

@@ -278,8 +278,7 @@ class GPUSimulator:
         """Launch every warp (and the metrics sampler) exactly once.
 
         Idempotent, so supervised runners can call it before each
-        :meth:`advance` slice without double-issuing warps.  A simulator
-        restored from a checkpoint is already started.
+        :meth:`advance` slice without double-issuing warps.
         """
         if self._started:
             return
@@ -298,7 +297,7 @@ class GPUSimulator:
         """Run one bounded slice; returns True while real work remains.
 
         The supervised runner drives the simulation in slices so it can
-        checkpoint, audit, and check its watchdog between them without
+        audit and check its watchdog between them without
         ever raising :class:`SimulationTruncated` mid-flight.
         """
         self.start()
@@ -314,11 +313,17 @@ class GPUSimulator:
 
         These are the walk backend's completion callbacks, an invariant
         checker's audit hook and the gauges sampled into ``obs.metrics``.
-        After this, dropping the simulator frees it by reference
-        counting alone.
+        A run cut short also leaves events queued and warps unfinished,
+        both pointing back into the machine, so those go too.  After
+        this, dropping the simulator frees it by reference counting
+        alone.
         """
         self.backend.on_complete = None
         self.engine.detach_audit()
+        self.engine.clear()
+        for warp in self._warps:
+            if warp.finished_at is None:
+                warp.sm = warp.engine = warp.translation = warp.memory = None
         self.obs.metrics.release()
 
     def run(self, *, max_events: int | None = None) -> SimulationResult:

@@ -157,8 +157,6 @@ class Warp:
         request = self.translation.request
         on_translated = self._on_translated
         for vpn, page_offsets in zip(vpns, offsets):
-            # A partial (not a closure) so in-flight callbacks parked in
-            # MSHR files and the event queue survive checkpoint copies.
             request(sm_id, vpn, issue_done, partial(on_translated, page_offsets))
         self._page_done(issue_done)
 

@@ -1,50 +1,41 @@
-"""Experiment harness: runners, sweep engine, and figure definitions."""
+"""Experiment harness: runners, sweep engine, and figure definitions.
 
-from repro.harness.pool import (
-    SweepPoint,
-    dedupe_points,
-    default_jobs,
-    make_point,
-    matrix_points,
-    pool_context,
-    run_point_supervised,
-    run_sweep,
-)
-from repro.harness.runner import (
-    Runner,
-    build_workload,
-    cache_info,
-    clear_cache,
-    default_runner,
-    default_scale,
-    speedups,
-)
-from repro.harness.store import ResultStore, default_store_path
-from repro.harness.supervised import (
-    SupervisedReport,
-    SupervisionPolicy,
-    run_supervised,
-)
+Names resolve on first use (PEP 562): importing one harness module
+loads that module's dependencies, not the whole harness.
+"""
 
-__all__ = [
-    "Runner",
-    "SweepPoint",
-    "ResultStore",
-    "build_workload",
-    "cache_info",
-    "clear_cache",
-    "default_jobs",
-    "default_runner",
-    "default_scale",
-    "default_store_path",
-    "dedupe_points",
-    "make_point",
-    "matrix_points",
-    "pool_context",
-    "run_point_supervised",
-    "run_sweep",
-    "speedups",
-    "SupervisedReport",
-    "SupervisionPolicy",
-    "run_supervised",
-]
+import importlib
+
+#: Public name -> defining module; doubles as ``__all__``.
+_EXPORTS = {
+    "Runner": "repro.harness.runner",
+    "SweepPoint": "repro.harness.pool",
+    "ResultStore": "repro.harness.store",
+    "build_workload": "repro.harness.runner",
+    "cache_info": "repro.harness.runner",
+    "clear_cache": "repro.harness.runner",
+    "default_jobs": "repro.harness.pool",
+    "default_runner": "repro.harness.runner",
+    "default_scale": "repro.harness.runner",
+    "default_store_path": "repro.harness.store",
+    "dedupe_points": "repro.harness.pool",
+    "make_point": "repro.harness.pool",
+    "matrix_points": "repro.harness.pool",
+    "pool_context": "repro.harness.pool",
+    "run_point_supervised": "repro.harness.pool",
+    "run_sweep": "repro.harness.pool",
+    "speedups": "repro.harness.runner",
+    "SupervisedReport": "repro.harness.supervised",
+    "SupervisionPolicy": "repro.harness.supervised",
+    "run_supervised": "repro.harness.supervised",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.config import GPUConfig, config_fingerprint
 from repro.gpu.gpu import SimulationResult
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 from repro.workloads.catalog import get_spec
 
 _JOBS_ENV = "REPRO_JOBS"

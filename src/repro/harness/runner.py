@@ -33,6 +33,13 @@ import time
 from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence
 
+# The machine's components are built through function-local imports
+# (the arch registry's factories, ``MachineBuilder.build``).  Import
+# every built-in one here, so a process, and each sweep or service
+# worker it forks, pays for them once, before its first job.
+import repro.core.backend  # noqa: F401
+import repro.memory.hierarchy  # noqa: F401
+import repro.ptw.hashed_backend  # noqa: F401
 from repro.config import GPUConfig
 from repro.gpu.gpu import GPUSimulator, SimulationResult
 from repro.harness.pool import (

@@ -1,6 +1,6 @@
-"""Resilience layer: fault injection, invariant auditing, checkpoints.
+"""Resilience layer: fault injection and invariant auditing.
 
-Three cooperating pieces harden long simulations against both injected
+Two cooperating pieces harden long simulations against both injected
 chaos and latent wiring bugs:
 
 * :class:`FaultInjector` executes a seeded, declarative
@@ -10,16 +10,12 @@ chaos and latent wiring bugs:
 * :class:`InvariantChecker` audits conservation laws every N events via
   the engine's audit hook and raises :class:`InvariantViolation` with a
   full component-state dump the moment one breaks.
-* :class:`Checkpoint` snapshots the whole simulator between events;
-  restored runs are bit-identical to uninterrupted ones (proven by
-  ``SimulationResult.fingerprint()``).
 
 ``repro.harness.supervised`` builds the watchdog, event budget and
 graceful degradation on top; ``repro run --chaos`` exercises fault
 injection and auditing end to end.
 """
 
-from repro.resilience.checkpoint import Checkpoint, CheckpointError
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -31,8 +27,6 @@ from repro.resilience.invariants import InvariantChecker, InvariantViolation
 
 __all__ = [
     "FAULT_KINDS",
-    "Checkpoint",
-    "CheckpointError",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

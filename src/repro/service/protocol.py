@@ -20,15 +20,15 @@ The full frame catalogue lives in docs/service.md.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
-
-import hashlib
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.config import ConfigRegistry, DEFAULT_CONFIGS, GPUConfig
-from repro.harness.pool import SweepPoint, make_point
-from repro.harness.store import canonical_key
+
+if TYPE_CHECKING:
+    from repro.harness.pool import SweepPoint
 
 #: Bump when frame shapes change incompatibly; servers reject mismatched
 #: clients with a 400 instead of misparsing them.
@@ -194,7 +194,12 @@ class JobSpec:
 
     def to_point(self, registry: ConfigRegistry = DEFAULT_CONFIGS) -> SweepPoint:
         """Resolve into a canonical sweep point (raises KeyError on an
-        unknown configuration name, ValueError on an unknown benchmark)."""
+        unknown configuration name, ValueError on an unknown benchmark).
+
+        The sweep engine is imported here, not at module level, so a
+        client process never loads the simulator."""
+        from repro.harness.pool import make_point
+
         return make_point(
             self.resolve_config(registry),
             self.benchmark,
@@ -211,12 +216,16 @@ class JobSpec:
         the persistent :class:`~repro.harness.store.ResultStore` is
         keyed on exactly the same mapping.
         """
+        from repro.harness.store import canonical_key
+
         return canonical_key(self.to_point(registry).store_key())
 
     def config_label(self) -> str:
         """Short display name: the registry name, or a fingerprint tag."""
         if isinstance(self.config, str):
             return self.config
+        from repro.harness.store import canonical_key
+
         digest = hashlib.sha256(
             canonical_key(self.config.to_dict()).encode()
         ).hexdigest()

@@ -188,6 +188,11 @@ class Engine:
         self._audit_every = 0
         self._audit_countdown = 0
 
+    def clear(self) -> None:
+        """Drop every pending event, daemons included (the run is over)."""
+        self._queue.clear()
+        self._daemons_pending = 0
+
     @property
     def auditing(self) -> bool:
         return self._audit is not None

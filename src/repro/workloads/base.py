@@ -1,8 +1,7 @@
-"""Workload specification and trace construction.
+"""Trace construction for a workload specification.
 
-A :class:`WorkloadSpec` captures everything Table 4 records about a
-benchmark — footprint, access pattern, divergence, compute intensity —
-plus the paper's measured MPKI and required-PTW class for comparison.
+A :class:`~repro.workloads.spec.WorkloadSpec` (re-exported here)
+captures everything Table 4 records about a benchmark.
 :class:`TraceWorkload` turns a spec into compiled per-warp programs
 (see :func:`~repro.gpu.warp.compile_trace`) and a pre-populated address
 space, deterministic per benchmark name so every configuration replays
@@ -13,63 +12,22 @@ consecutive configurations share one compile of that workload.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.config import MB, GPUConfig
+from repro.config import GPUConfig
 from repro.gpu.warp import LINE_BYTES, LINE_SHIFT, Program, compile_trace
 from repro.pagetable.space import AddressSpace
 from repro.workloads.patterns import get_pattern
-
-IRREGULAR = "irregular"
-REGULAR = "regular"
+from repro.workloads.spec import IRREGULAR, REGULAR, WorkloadSpec  # noqa: F401
 
 #: The last compiled pattern trace, ``(key, (programs, touched VPNs))``.
 #: One slot: sweeps are benchmark-major, so the configs that replay one
 #: benchmark follow each other.  The key holds every input of the
 #: compile, so a hit equals a fresh compile; nothing mutates programs.
 _last_compile: tuple | None = None
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Static description of one benchmark (one Table 4 row)."""
-
-    name: str
-    abbr: str
-    category: str
-    #: Memory footprint in MB (Table 4).
-    footprint_mb: int
-    #: Access pattern generator name (see ``repro.workloads.patterns``).
-    pattern: str
-    #: Pattern keyword arguments.
-    pattern_params: dict[str, Any] = field(default_factory=dict)
-    #: Compute cycles issued between memory instructions.
-    compute_per_mem: int = 40
-    #: Concurrent warps per SM the kernel sustains.
-    warps_per_sm: int = 8
-    #: Memory instructions per warp at scale 1.0.
-    mem_insts_per_warp: int = 8
-    #: Paper-reported L2 TLB MPKI (Table 4), for shape comparison.
-    paper_mpki: float = 0.0
-    #: Paper-reported required number of PTWs (Table 4).
-    paper_required_ptws: int = 32
-
-    def __post_init__(self) -> None:
-        if self.category not in (IRREGULAR, REGULAR):
-            raise ValueError(f"category must be irregular/regular, got {self.category!r}")
-        if self.footprint_mb <= 0:
-            raise ValueError("footprint must be positive")
-
-    @property
-    def is_irregular(self) -> bool:
-        return self.category == IRREGULAR
-
-    def footprint_lines(self, footprint_scale: float = 1.0) -> int:
-        return max(1, int(self.footprint_mb * footprint_scale) * MB // LINE_BYTES)
 
 
 class TraceWorkload:

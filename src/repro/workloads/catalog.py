@@ -10,7 +10,7 @@ side-by-side reporting in the Table 4 bench.
 
 from __future__ import annotations
 
-from repro.workloads.base import IRREGULAR, REGULAR, WorkloadSpec
+from repro.workloads.spec import IRREGULAR, REGULAR, WorkloadSpec
 
 _SPECS = [
     # ----------------------------- irregular --------------------------

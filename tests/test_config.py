@@ -83,6 +83,8 @@ class TestValidation:
             ("l2d", "mshr_entries", 0, "mshr_entries must be positive"),
             ("l1_tlb", "mshr_merges", 0, "MSHR file needs"),
             ("l2_tlb", "mshr_entries", -1, "MSHR file needs"),
+            ("l1_tlb", "mshr_entries", 0, "l1_tlb.mshr_entries must be >= 1"),
+            ("l2_tlb", "mshr_entries", 0, "l2_tlb.mshr_entries must be >= 1"),
             (None, "tlb_coalescing_span", 3, "coalescing span"),
             (None, "tlb_coalescing_span", 0, "coalescing span"),
             ("ptw", "pwc_min_level", 0, "min_level must be >= 1"),
@@ -98,6 +100,29 @@ class TestValidation:
         (data if section is None else data[section])[key] = value
         with pytest.raises(ValueError, match=message):
             GPUConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "make,section,refused",
+        [
+            (softwalker_config, "l1_tlb", True),
+            (softwalker_config, "l2_tlb", False),
+            (lambda: baseline_config().derive(hw_in_tlb_mshr=True), "l2_tlb", False),
+            (lambda: softwalker_config(in_tlb_mshr_entries=0), "l2_tlb", True),
+        ],
+    )
+    def test_zero_tlb_mshrs_run_only_with_in_tlb_mshrs(self, make, section, refused):
+        # Pending L2 TLB ways track misses in place of MSHRs: softwalker
+        # gups at 4 SMs runs with none, and starves without In-TLB MSHRs.
+        data = make().to_dict()
+        data[section]["mshr_entries"] = 0
+        if refused:
+            with pytest.raises(ValueError, match=f"{section}.mshr_entries must be >= 1"):
+                GPUConfig.from_dict(data)
+        else:
+            from repro.harness.runner import Runner
+
+            config = GPUConfig.from_dict(data).derive(num_sms=4)
+            assert Runner(store=None).run(config, "gups", scale=0.01).complete
 
     def test_smallest_page_size_is_one_line(self):
         assert PageTableConfig(page_size=128).page_size == 128

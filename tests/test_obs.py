@@ -336,6 +336,41 @@ class TestSimulatorIntegration:
         assert first.metrics.to_dict() == second.metrics.to_dict()
 
 
+class CountingNullTrace(NullTraceRecorder):
+    """A null trace that counts how often hook sites read ``enabled``."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    @property
+    def enabled(self) -> bool:
+        self.reads += 1
+        return False
+
+
+class TestHookGuards:
+    """The disabled-mode cost model of ``tools/obs_smoke.py`` charges
+    ``HOOKS_PER_EVENT = 16`` guarded hook sites per engine event; this
+    counts the guards an untraced run actually evaluates."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [baseline_config(), softwalker_config(), softwalker_config(hybrid=True)],
+        ids=["hw", "sw", "hybrid"],
+    )
+    def test_guard_reads_per_event_stay_within_the_budget(self, config):
+        trace = CountingNullTrace()
+        workload = build_workload("gups", config, scale=TINY)
+        sim = GPUSimulator(config, workload, obs=Observability(trace=trace))
+        result = sim.run()
+        events = sim.engine.events_processed
+        assert result.fingerprint() == _run(config).fingerprint()
+        assert trace.reads > 0
+        assert trace.reads / events <= 16
+
+
 # ----------------------------------------------------------------------
 # Truncation surfacing (satellite: the silent max_events valve)
 # ----------------------------------------------------------------------

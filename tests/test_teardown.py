@@ -126,3 +126,23 @@ def test_supervised_run_is_freed_without_the_collector(chaos):
     assert report.result.complete
     assert (report.audits > 0) == chaos
     assert (report.faults_injected > 0) == chaos
+
+
+@pytest.mark.parametrize("max_events", [700, 2000])
+@pytest.mark.parametrize("name", ["hardware", "softwalker"])
+def test_cut_short_run_is_freed_without_the_collector(name, max_events):
+    """An event budget leaves events queued and warps unfinished; both
+    point back into the machine until ``release()`` drops them."""
+    config = CONFIGS[name].derive(num_sms=4)
+
+    def make_sim():
+        return Recording(config, build_workload("gups", config, scale=0.02))
+
+    report, alive = live_after(
+        lambda: run_supervised(
+            make_sim,
+            policy=SupervisionPolicy(slice_events=100, max_events=max_events),
+        )
+    )
+    assert alive == []
+    assert not report.result.complete

@@ -21,6 +21,10 @@ Hard rules, beyond the per-package allow-list:
   ``MachineBuilder.build`` constructs the event engine through a
   function-local import, so importing the specs never pulls in the
   simulation kernel.
+* ``repro/service/client.py`` and ``repro/service/protocol.py`` (the
+  client side of the service) import only ``repro.config`` and each
+  other at module level, so a process that only talks to the daemon
+  never loads the harness or the machine model.
 
 Usage:
     python tools/check_layering.py [--graph] [--root src/repro]
@@ -54,7 +58,19 @@ ALLOWED: dict[str, set[str]] = {
     "resilience": {"config", "gpu", "ptw", "sim"},
     "analysis": {"config", "gpu"},
     # Orchestration layers.
-    "harness": {"analysis", "config", "gpu", "obs", "resilience", "workloads"},
+    # The harness preloads the components a run builds (runner.py), so
+    # the first job of a process or a forked worker imports nothing.
+    "harness": {
+        "analysis",
+        "config",
+        "core",
+        "gpu",
+        "memory",
+        "obs",
+        "ptw",
+        "resilience",
+        "workloads",
+    },
     "explore": {"analysis", "config", "gpu", "harness", "obs", "workloads"},
     "service": {"config", "gpu", "harness", "obs"},
     "cli": {
@@ -93,6 +109,14 @@ MODEL_LAYERS = set(ALLOWED) - TOP_LAYERS - {"__init__", "__main__"}
 #: someone "fixing" the allow-list instead of keeping the import local.
 LOCAL_IMPORT_ONLY: dict[str, set[str]] = {"arch": {"sim"}}
 
+#: The service's client side and the only modules it may import at
+#: module level (``JobSpec`` reaches the sweep engine function-locally).
+CLIENT_SIDE = {
+    os.path.join("service", "client.py"),
+    os.path.join("service", "protocol.py"),
+}
+CLIENT_SIDE_IMPORTS = {"repro.config", "repro.service.protocol"}
+
 
 def package_of(path: str, root: str) -> str:
     """``src/repro/tlb/tlb.py`` -> ``tlb``; top-level files -> stem."""
@@ -101,20 +125,22 @@ def package_of(path: str, root: str) -> str:
     return parts[0] if len(parts) > 1 else os.path.splitext(parts[0])[0]
 
 
-def repro_targets(node: ast.AST) -> list[str]:
-    """Sibling packages a single import statement reaches into."""
+def repro_modules(node: ast.AST) -> list[str]:
+    """Dotted ``repro`` modules a single import statement names."""
     names: list[str] = []
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and node.module:
         names = [node.module]
-    targets = []
-    for name in names:
-        if name == "repro":
-            targets.append("__init__")
-        elif name.startswith("repro."):
-            targets.append(name.split(".")[1])
-    return targets
+    return [name for name in names if name == "repro" or name.startswith("repro.")]
+
+
+def repro_targets(node: ast.AST) -> list[str]:
+    """Sibling packages a single import statement reaches into."""
+    return [
+        "__init__" if name == "repro" else name.split(".")[1]
+        for name in repro_modules(node)
+    ]
 
 
 def module_level_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -159,6 +185,16 @@ def check(root: str) -> tuple[list[str], dict[str, set[str]]]:
                     f"add it to ALLOWED in tools/check_layering.py"
                 )
                 continue
+
+            if rel in CLIENT_SIDE:
+                for node in tree.body:
+                    for module in repro_modules(node):
+                        if module not in CLIENT_SIDE_IMPORTS:
+                            violations.append(
+                                f"{rel}:{node.lineno}: the service client side "
+                                f"must not import {module} at module level "
+                                f"(allowed: {', '.join(sorted(CLIENT_SIDE_IMPORTS))})"
+                            )
 
             allowed = ALLOWED[package] | {package}
             for lineno, target in module_level_imports(tree):
