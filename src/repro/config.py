@@ -11,6 +11,7 @@ memory at 448 GB/s over 16 channels, a four-level radix page table with a
 from __future__ import annotations
 
 import difflib
+import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, ClassVar, Iterator, Mapping
@@ -38,6 +39,8 @@ MIN_PAGE_SIZE = 128
 #: Virtual/physical address widths (NVIDIA Pascal MMU format, ref [60]).
 VIRTUAL_ADDRESS_BITS = 49
 PHYSICAL_ADDRESS_BITS = 47
+#: 9 VPN bits per radix level: 512 PTEs of 8 bytes = 4KB table nodes.
+RADIX_BITS_PER_LEVEL = 9
 
 
 def _dataclass_from_dict(cls, data: Mapping) -> Any:
@@ -121,6 +124,8 @@ class CacheConfig(SerializableConfig):
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"cache {name} must be positive")
+        if self.latency < 0:
+            raise ValueError("cache latency cannot be negative")
         if self.line_bytes % self.sector_bytes:
             raise ValueError("line size must be a multiple of sector size")
         if self.size_bytes % (self.line_bytes * self.associativity):
@@ -163,6 +168,12 @@ class PageTableConfig(SerializableConfig):
             )
         if self.levels < 1:
             raise ValueError("page table needs at least one level")
+        if self.vpn_bits - RADIX_BITS_PER_LEVEL * (self.levels - 1) < 1:
+            # The root level indexes the VPN bits the levels below leave.
+            raise ValueError(
+                f"{self.levels} levels of {RADIX_BITS_PER_LEVEL} bits leave no "
+                f"root bits in a {self.vpn_bits}-bit VPN"
+            )
 
     @property
     def offset_bits(self) -> int:
@@ -339,6 +350,8 @@ class GPUConfig:
     walk_backend: str | None = None
 
     def __post_init__(self) -> None:
+        if self.fixed_pt_level_latency is not None and self.fixed_pt_level_latency < 0:
+            raise ValueError("fixed_pt_level_latency cannot be negative")
         span = self.tlb_coalescing_span
         if span < 1 or span & (span - 1):
             raise ValueError("coalescing span must be a power of two >= 2")
@@ -390,6 +403,13 @@ class GPUConfig:
                 "l2_tlb.mshr_entries must be >= 1 unless In-TLB MSHRs are on"
             )
 
+    def check_warps(self) -> None:
+        """Refuse a machine with no SM or no warp slot: it would run
+        nothing and report an empty result.  Runs in :meth:`from_dict`;
+        workload tests build warpless machines directly."""
+        if self.num_sms < 1 or self.max_warps_per_sm < 1:
+            raise ValueError("need at least one SM and one warp per SM")
+
     def derive(self, **overrides: Any) -> "GPUConfig":
         """Return a copy with top-level fields replaced."""
         return replace(self, **overrides)
@@ -436,8 +456,8 @@ class GPUConfig:
         Missing fields take their defaults; unknown fields raise with a
         did-you-mean hint; nested sections accept plain mappings.  A
         config whose walk backend needs hardware walkers it does not
-        have, or whose TLB could never track a miss, is refused here,
-        before anything is built or queued.
+        have, whose TLB could never track a miss, or that has no SM or
+        warp slot, is refused here, before anything is built or queued.
         """
         if not isinstance(data, Mapping):
             raise ValueError(
@@ -451,6 +471,7 @@ class GPUConfig:
         config = _dataclass_from_dict(cls, converted)
         config.check_walkers()
         config.check_tlb_mshrs()
+        config.check_warps()
         return config
 
 
@@ -528,6 +549,11 @@ def config_fingerprint(config: GPUConfig) -> dict:
     hit the same store entry).
     """
     return config.to_dict()
+
+
+def canonical_key(key: Mapping) -> str:
+    """Deterministic JSON encoding of a point key (sorted, no spaces)."""
+    return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

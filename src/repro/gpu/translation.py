@@ -6,7 +6,7 @@ TLB with its own MSHR file.  Shared: the L2 TLB, its dedicated MSHRs
 whichever walk backend the configuration selects (hardware PTWs,
 SoftWalker, or hybrid).
 
-Both miss paths are routed here, inline: :meth:`request` allocates,
+Both miss paths are routed here, inline: :meth:`miss` allocates,
 merges or parks on the requesting SM's L1 MSHR file, and
 :meth:`_l2_lookup` tracks an L2 miss on a dedicated MSHR first and an
 In-TLB pending way on overflow.  Misses the L2 TLB cannot track (*MSHR
@@ -119,7 +119,9 @@ class TranslationService:
         self.in_tlb_limit = (
             config.softwalker.in_tlb_mshr_entries if in_tlb_enabled else 0
         )
-        self._l1_latency = config.l1_tlb.latency
+        #: L1 TLB lookup latency: a hit is ready this many cycles after
+        #: the request.
+        self.l1_latency = config.l1_tlb.latency
         self._l2_latency = config.l2_tlb.latency
         # Hot-path counters: the raw mapping, bumped by literal name.
         self._counts = stats.counters.live()
@@ -157,8 +159,21 @@ class TranslationService:
         self, sm_id: int, vpn: int, now: int, callback: TranslationCallback
     ) -> None:
         """Translate ``vpn`` for SM ``sm_id``; ``callback(time, pfn)`` fires
-        with the completion timestamp (synchronously for TLB hits)."""
-        lookup_done = now + self._l1_latency
+        with the completion timestamp (synchronously for TLB hits).
+
+        :meth:`l1_hit` then, on a miss, :meth:`miss`.  Warps call the
+        two halves themselves so a hit builds no callback.
+        """
+        pfn = self.l1_hit(sm_id, vpn, now)
+        if pfn is not None:
+            callback(now + self.l1_latency, pfn)
+            return
+        self.miss(sm_id, vpn, now, callback)
+
+    def l1_hit(self, sm_id: int, vpn: int, now: int) -> int | None:
+        """Look ``vpn`` up in SM ``sm_id``'s L1 TLB at ``now``: the PFN on a
+        hit (ready at ``now + l1_latency``), None on a miss, which the
+        caller must hand to :meth:`miss`."""
         pfn = self.l1_tlbs[sm_id].lookup(vpn)
         trace = self._trace
         if trace.enabled:
@@ -169,9 +184,18 @@ class TranslationService:
                 vpn=vpn,
                 l1="hit" if pfn is not None else "miss",
             )
-        if pfn is not None:
-            callback(lookup_done, pfn)
-            return
+        return pfn
+
+    def miss(
+        self, sm_id: int, vpn: int, now: int, callback: TranslationCallback
+    ) -> None:
+        """Resolve an L1 TLB miss that :meth:`l1_hit` reported at ``now``.
+
+        Avatar speculation first when enabled (a correct guess calls
+        ``callback`` synchronously), then the L1 MSHR file: allocate,
+        merge, or park until a response frees an entry.
+        """
+        lookup_done = now + self.l1_latency
         # The L2 TLB observes the miss after the L1 lookup resolved.
         l2_at = lookup_done
         if self._predictors is not None:
@@ -208,6 +232,7 @@ class TranslationService:
         # The L1 MSHR file throttles per-SM outstanding translations;
         # the access replays once a response frees an entry.
         counts["l1tlb.mshr_failures"] += 1
+        trace = self._trace
         if trace.enabled:
             trace.instant(f"sm{sm_id}", "l1tlb.mshr_full", now, vpn=vpn)
         parked = self._l1_parked[sm_id]
@@ -490,7 +515,7 @@ class TranslationService:
         parked = self._l1_parked[sm_id]
         waiters = parked.pop(vpn, None)
         if waiters is not None:
-            hit_time = time + self._l1_latency
+            hit_time = time + self.l1_latency
             for callback in waiters:
                 callback(hit_time, pfn)
         # The resolve freed one MSHR entry: replay parked VPNs into it.

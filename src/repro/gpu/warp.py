@@ -150,14 +150,33 @@ class Warp:
         self._issue_time = issue_done
         self._mem_done = issue_done
         self._mem_first = None
-        # Guard against synchronous callbacks (TLB hits) completing the
-        # page count before every request is issued.
+        # Guard against synchronous callbacks (a correct speculation)
+        # completing the page count before every request is issued.
         self._pending_pages = len(vpns) + 1
         sm_id = self.sm.sm_id
-        request = self.translation.request
+        translation = self.translation
+        # One bound method per instruction: a divergent instruction's
+        # pending callbacks share it.
         on_translated = self._on_translated
+        # An L1 TLB hit reads its lines here, at the lookup's end, and
+        # folds in like _page_done (which the guard keeps from
+        # completing); only a miss builds a callback.
+        hit_at = issue_done + translation.l1_latency
         for vpn, page_offsets in zip(vpns, offsets):
-            request(sm_id, vpn, issue_done, partial(on_translated, page_offsets))
+            pfn = translation.l1_hit(sm_id, vpn, issue_done)
+            if pfn is None:
+                translation.miss(
+                    sm_id, vpn, issue_done, partial(on_translated, page_offsets)
+                )
+                continue
+            done = self.memory.data_access_page(
+                sm_id, pfn << self.page_shift, page_offsets, hit_at
+            )
+            if done > self._mem_done:
+                self._mem_done = done
+            if done > issue_done and (self._mem_first is None or done < self._mem_first):
+                self._mem_first = done
+            self._pending_pages -= 1
         self._page_done(issue_done)
 
     def _on_translated(self, offsets: tuple[int, ...], time: int, pfn: int) -> None:

@@ -34,6 +34,7 @@ import tempfile
 from pathlib import Path
 from typing import Mapping
 
+from repro.config import canonical_key
 from repro.gpu.gpu import SimulationResult
 
 logger = logging.getLogger(__name__)
@@ -48,11 +49,6 @@ _ENV_STORE = "REPRO_STORE"
 def default_store_path() -> str | None:
     """Directory named by ``REPRO_STORE``; None disables the disk tier."""
     return os.environ.get(_ENV_STORE) or None
-
-
-def canonical_key(key: Mapping) -> str:
-    """Deterministic JSON encoding of a point key (sorted, no spaces)."""
-    return json.dumps(key, sort_keys=True, separators=(",", ":"))
 
 
 def fingerprint_digest(result: SimulationResult) -> str:

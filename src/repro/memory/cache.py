@@ -11,7 +11,8 @@ behaviour.
 
 State layout
 ============
-Every PTE read and every user-warp load goes through ``access``, so the
+Every PTE read and every user-warp load goes through ``access`` (or
+``access_page``, one instruction's lines of one page at once), so the
 state is flat per-cache arrays indexed by ``slot = set_index * ways +
 way`` rather than per-line objects:
 
@@ -26,7 +27,7 @@ way`` rather than per-line objects:
 * ``_filled`` — resident lines per set.  Caches never invalidate, so a
   set fills its ways in order and a full set is one compare away.
 * ``_outstanding`` — min-heap of miss completion cycles (MSHR
-  occupancy), drained inline in ``access``.
+  occupancy), drained inline on every miss.
 
 Hits, merges and misses are visible only through the counters, bumped
 through the raw :meth:`~repro.sim.stats.Counter.live` mapping under
@@ -35,7 +36,7 @@ precomputed names.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, heapreplace
 
 from repro.config import CacheConfig
 from repro.memory.dram import DRAM
@@ -92,7 +93,7 @@ class SectoredCache:
         A resident sector is a hit, or a merge when its fetch is still
         in flight; an absent sector of a resident line is a sector miss;
         anything else is a miss that allocates a way.  Both kinds of
-        miss fetch the sector from the next level.
+        miss fetch the sector from the next level (:meth:`_miss`).
         """
         line_addr = address // self._line_bytes
         sector = (address % self._line_bytes) // self._sector_bytes
@@ -100,18 +101,84 @@ class SectoredCache:
         lookup_done = now + self._latency
         counts = self._counts
         counts[self._c_accesses] += 1
-        ready = self._ready
         slot = self._slot_of.get(line_addr)
         if slot is not None:
             self._rank[slot] = self._tick
-            cell = slot * self._sectors + sector
-            done = ready[cell]
+            done = self._ready[slot * self._sectors + sector]
             if done >= 0:
                 if done > lookup_done:
                     counts[self._c_merges] += 1
                     return done
                 counts[self._c_hits] += 1
                 return lookup_done
+        return self._miss(address, line_addr, sector, slot, lookup_done)
+
+    def access_page(self, base: int, offsets: tuple[int, ...], now: int) -> int:
+        """Read ``base | offset`` for each offset, in order, all at ``now``.
+
+        Equals one :meth:`access` per offset — the same tick per line,
+        the same hits, merges and misses — and returns the latest
+        completion (``now`` for no offsets).  Hits and merges resolve
+        here and are counted once per call; every other line goes
+        through :meth:`_miss`.
+        """
+        line_bytes = self._line_bytes
+        sector_bytes = self._sector_bytes
+        sectors = self._sectors
+        slot_of = self._slot_of
+        rank = self._rank
+        ready = self._ready
+        lookup_done = now + self._latency
+        tick = self._tick
+        hits = merges = 0
+        done = now
+        for offset in offsets:
+            address = base | offset
+            line_addr = address // line_bytes
+            sector = (address % line_bytes) // sector_bytes
+            tick += 1
+            slot = slot_of.get(line_addr)
+            if slot is not None:
+                rank[slot] = tick
+                ready_at = ready[slot * sectors + sector]
+                if ready_at >= 0:
+                    if ready_at > lookup_done:
+                        merges += 1
+                        if ready_at > done:
+                            done = ready_at
+                    else:
+                        hits += 1
+                        if lookup_done > done:
+                            done = lookup_done
+                    continue
+            self._tick = tick
+            completion = self._miss(address, line_addr, sector, slot, lookup_done)
+            if completion > done:
+                done = completion
+        self._tick = tick
+        # Only counters that moved are touched: a zero entry would still
+        # appear in the run's fingerprint.
+        counts = self._counts
+        if offsets:
+            counts[self._c_accesses] += len(offsets)
+        if hits:
+            counts[self._c_hits] += hits
+        if merges:
+            counts[self._c_merges] += merges
+        return done
+
+    def _miss(
+        self, address: int, line_addr: int, sector: int, slot: int | None, lookup_done: int
+    ) -> int:
+        """Fetch an absent sector; returns the cycle its data is available.
+
+        ``slot`` is the line's slot for a sector miss (its rank already
+        touched), or None for a line miss, which allocates a way at the
+        current tick.
+        """
+        counts = self._counts
+        ready = self._ready
+        if slot is not None:
             counts[self._c_sector_misses] += 1
         else:
             # Line miss: the set's next unfilled way, or its least
@@ -133,22 +200,23 @@ class SectoredCache:
             self._slot_of[line_addr] = slot
             self._line_of[slot] = line_addr
             self._rank[slot] = self._tick
-            cell = slot * self._sectors + sector
             counts[self._c_misses] += 1
 
         # Fetch the sector, holding an MSHR until it completes.
         outstanding = self._outstanding
         while outstanding and outstanding[0] <= lookup_done:
-            heapq.heappop(outstanding)
-        start = lookup_done
+            heappop(outstanding)
         if len(outstanding) >= self._mshr_entries:
             # All MSHRs busy: the request stalls until the first frees
-            # up (every one left completes after ``lookup_done``).
+            # up (every one left completes after ``lookup_done``) and
+            # takes its entry over — one sift instead of a pop and a push.
             counts[self._c_mshr_full] += 1
-            start = heapq.heappop(outstanding)
-        completion = self.next_level.access(address, start)
-        heapq.heappush(outstanding, completion)
-        ready[cell] = completion
+            completion = self.next_level.access(address, outstanding[0])
+            heapreplace(outstanding, completion)
+        else:
+            completion = self.next_level.access(address, lookup_done)
+            heappush(outstanding, completion)
+        ready[slot * self._sectors + sector] = completion
         return completion
 
     # ------------------------------------------------------------------

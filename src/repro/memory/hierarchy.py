@@ -42,13 +42,11 @@ class MemorySystem:
         access per offset.
         """
         self._counts["mem.data_accesses"] += len(offsets)
-        access = self.l1s[sm_id].access
-        done = now
-        for offset in offsets:
-            completion = access(frame_base | offset, now)
-            if completion > done:
-                done = completion
-        return done
+        l1 = self.l1s[sm_id]
+        if len(offsets) == 1:
+            # Most irregular pages are one line: skip the page loop.
+            return l1.access(frame_base | offsets[0], now)
+        return l1.access_page(frame_base, offsets, now)
 
     def pte_access(self, address: int, now: int) -> int:
         """A page-walker PTE read (L2 + DRAM only); returns completion cycle."""

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import PageTableConfig
-
-#: 9 VPN bits per radix level: 512 PTEs of 8 bytes = 4KB table nodes.
-RADIX_BITS_PER_LEVEL = 9
-
+from repro.config import RADIX_BITS_PER_LEVEL, PageTableConfig
 
 @dataclass(frozen=True)
 class AddressLayout:

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.config import ConfigRegistry, DEFAULT_CONFIGS, GPUConfig
+from repro.config import ConfigRegistry, DEFAULT_CONFIGS, GPUConfig, canonical_key
 
 if TYPE_CHECKING:
     from repro.harness.pool import SweepPoint
@@ -216,16 +216,12 @@ class JobSpec:
         the persistent :class:`~repro.harness.store.ResultStore` is
         keyed on exactly the same mapping.
         """
-        from repro.harness.store import canonical_key
-
         return canonical_key(self.to_point(registry).store_key())
 
     def config_label(self) -> str:
         """Short display name: the registry name, or a fingerprint tag."""
         if isinstance(self.config, str):
             return self.config
-        from repro.harness.store import canonical_key
-
         digest = hashlib.sha256(
             canonical_key(self.config.to_dict()).encode()
         ).hexdigest()

@@ -71,29 +71,30 @@ class Counter:
 
 
 class Histogram:
-    """Integer-valued histogram with summary statistics."""
+    """Integer-valued histogram with summary statistics.
+
+    Recording is one bucket add; the count, total and extremes are
+    derived from the buckets when read.
+    """
 
     def __init__(self) -> None:
         self._buckets: dict[int, int] = defaultdict(int)
-        self._count = 0
-        self._total = 0
 
     def record(self, value: int, weight: int = 1) -> None:
         self._buckets[value] += weight
-        self._count += weight
-        self._total += value * weight
 
     @property
     def count(self) -> int:
-        return self._count
+        return sum(self._buckets.values())
 
     @property
     def total(self) -> int:
-        return self._total
+        return sum(value * weight for value, weight in self._buckets.items())
 
     @property
     def mean(self) -> float:
-        return self._total / self._count if self._count else 0.0
+        count = self.count
+        return self.total / count if count else 0.0
 
     @property
     def maximum(self) -> int:
@@ -107,9 +108,10 @@ class Histogram:
         """Value at the given cumulative fraction (0 < fraction <= 1)."""
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if self._count == 0:
+        count = self.count
+        if count == 0:
             return 0
-        target = fraction * self._count
+        target = fraction * count
         running = 0
         for value in sorted(self._buckets):
             running += self._buckets[value]
@@ -125,13 +127,14 @@ class Histogram:
         if ordered[0] <= 0.0 or ordered[-1] > 1.0:
             raise ValueError("fractions must be in (0, 1]")
         out: dict[float, int] = {}
-        if self._count == 0:
+        count = self.count
+        if count == 0:
             return {fraction: 0 for fraction in ordered}
         running = 0
         cursor = 0
         for value in sorted(self._buckets):
             running += self._buckets[value]
-            while cursor < len(ordered) and running >= ordered[cursor] * self._count:
+            while cursor < len(ordered) and running >= ordered[cursor] * count:
                 out[ordered[cursor]] = value
                 cursor += 1
             if cursor == len(ordered):
@@ -183,7 +186,6 @@ class LatencyTracker:
     def __init__(self) -> None:
         self._component_totals: dict[str, int] = defaultdict(int)
         self._count = 0
-        self._total = 0
 
     def record(self, components: Mapping[str, int]) -> None:
         """Record one completed request, e.g. ``record({"queueing": 120, "access": 300})``."""
@@ -192,7 +194,6 @@ class LatencyTracker:
             if value < 0:
                 raise ValueError(f"negative latency component {name}={value}")
             totals[name] += value
-            self._total += value
         self._count += 1
 
     @property
@@ -201,11 +202,12 @@ class LatencyTracker:
 
     @property
     def total(self) -> int:
-        return self._total
+        """The grand total: the sum of the component totals."""
+        return sum(self._component_totals.values())
 
     @property
     def mean_total(self) -> float:
-        return self._total / self._count if self._count else 0.0
+        return self.total / self._count if self._count else 0.0
 
     def component_total(self, name: str) -> int:
         return self._component_totals.get(name, 0)
@@ -217,9 +219,10 @@ class LatencyTracker:
 
     def component_fraction(self, name: str) -> float:
         """Fraction of the grand total attributed to one component."""
-        if self._total == 0:
+        total = self.total
+        if total == 0:
             return 0.0
-        return self._component_totals.get(name, 0) / self._total
+        return self._component_totals.get(name, 0) / total
 
     def component_shares(self) -> dict[str, float]:
         """Every component's fraction of the grand total (sums to 1.0).
@@ -227,11 +230,11 @@ class LatencyTracker:
         The Figure 7/18 stacked-bar breakdown in one call — reports and
         trace exporters should use this instead of recomputing ratios.
         """
-        if self._total == 0:
+        total = self.total
+        if total == 0:
             return {name: 0.0 for name in self._component_totals}
         return {
-            name: value / self._total
-            for name, value in self._component_totals.items()
+            name: value / total for name, value in self._component_totals.items()
         }
 
     def mean_components(self) -> dict[str, float]:
@@ -256,7 +259,6 @@ class LatencyTracker:
         tracker._count = int(data["count"])
         for name, value in data["components"].items():
             tracker._component_totals[name] = int(value)
-            tracker._total += int(value)
         return tracker
 
 

@@ -91,6 +91,14 @@ class TestValidation:
             ("ptw", "pwc_entries", -1, "PWC size cannot be negative"),
             ("page_table", "page_size", 0, "at least one 128 B cache line"),
             ("page_table", "page_size", 64, "at least one 128 B cache line"),
+            # Found by tests/test_config_mutation.py: a negative shift
+            # building the radix tree, a negative latency component in
+            # the walk breakdown, and runs that simulate nothing.
+            ("page_table", "levels", 5, "leave no root bits"),
+            ("l2d", "latency", -1, "cache latency cannot be negative"),
+            (None, "fixed_pt_level_latency", -1, "cannot be negative"),
+            (None, "num_sms", 0, "at least one SM"),
+            (None, "max_warps_per_sm", 0, "one warp per SM"),
         ],
     )
     def test_from_dict_refuses_what_would_fail_later(self, section, key, value, message):

@@ -62,6 +62,16 @@ def test_service_client_loads_no_simulator():
     assert model_modules(modules_after("import repro.service.client")) == []
 
 
+def test_inline_config_label_loads_no_simulator():
+    code = (
+        "from repro.config import softwalker_config\n"
+        "from repro.service.protocol import JobSpec\n"
+        "label = JobSpec(benchmark='gups', config=softwalker_config()).label()\n"
+        "assert label.startswith('inline-'), label\n"
+    )
+    assert model_modules(modules_after(code), ("repro.gpu", "repro.harness")) == []
+
+
 def test_repro_facade_loads_no_simulator():
     modules = modules_after("import repro")
     assert model_modules(modules) == []

@@ -229,6 +229,13 @@ geometry = dict(
     mshrs=st.integers(min_value=1, max_value=3),
     channels=st.integers(min_value=1, max_value=2),
 )
+#: 1KB frames (8 lines) and one instruction's byte offsets inside one:
+#: 32-byte granular, so two offsets can share a line (a sector miss or
+#: a merge within one page read) or a sector; repeats allowed.
+frames = st.integers(min_value=0, max_value=3).map(lambda frame: frame << 10)
+page_offsets = st.lists(
+    st.integers(min_value=0, max_value=1024 // SECTOR_BYTES - 1), max_size=6
+).map(lambda offsets: tuple(offset * SECTOR_BYTES for offset in offsets))
 
 
 class CacheMachine(RuleBasedStateMachine):
@@ -262,6 +269,20 @@ class CacheMachine(RuleBasedStateMachine):
     def access(self, address, advance, skew):
         self.clock += advance
         self._access(address, max(0, self.clock + skew))
+
+    @rule(
+        frame=frames,
+        offsets=page_offsets,
+        advance=st.integers(min_value=0, max_value=40),
+    )
+    def access_page(self, frame, offsets, advance):
+        """One instruction's lines in one frame: ``access_page`` must
+        equal one ``access`` per offset, in order."""
+        self.clock += advance
+        expected = self.clock
+        for offset in offsets:
+            expected = max(expected, self.model.access(frame | offset, self.clock))
+        assert self.real.access_page(frame, offsets, self.clock) == expected
 
     @precondition(lambda self: self.recent)
     @rule(data=st.data(), offset=st.integers(min_value=-1, max_value=1))
@@ -321,21 +342,15 @@ class MemorySystemMachine(RuleBasedStateMachine):
         expected = self.model_l1s[sm].access(address, now)
         assert self.real.data_access_page(sm, address, (0,), now) == expected
 
-    @rule(
-        data=st.data(),
-        frame=st.integers(min_value=0, max_value=3),
-        offsets=st.lists(st.integers(min_value=0, max_value=7), max_size=5),
-    )
+    @rule(data=st.data(), frame=frames, offsets=page_offsets)
     def data_access_page(self, data, frame, offsets):
-        # One instruction's lines within one 1KB frame, repeats allowed.
         sm = data.draw(st.integers(min_value=0, max_value=len(self.model_l1s) - 1))
         now = self._now(data)
-        offsets = tuple(offset * 128 for offset in offsets)
         expected = now
         for offset in offsets:
             self.model_mem["mem.data_accesses"] += 1
-            expected = max(expected, self.model_l1s[sm].access((frame << 10) | offset, now))
-        assert self.real.data_access_page(sm, frame << 10, offsets, now) == expected
+            expected = max(expected, self.model_l1s[sm].access(frame | offset, now))
+        assert self.real.data_access_page(sm, frame, offsets, now) == expected
 
     @rule(data=st.data(), address=addresses)
     def pte_access(self, data, address):

@@ -15,11 +15,28 @@ from repro.sim.stats import StatsRegistry
 
 
 class InstantTranslation:
-    """Translation stub: fixed latency, identity mapping, logs requests."""
+    """Translation stub: fixed latency, identity mapping, logs requests.
 
-    def __init__(self, latency=10):
+    VPNs in ``hits`` hit the L1 TLB (``l1_hit`` answers them); every
+    other VPN misses, and ``miss`` answers it through ``request``, so a
+    subclass overriding ``request`` shapes the miss path.
+    """
+
+    l1_latency = 3
+
+    def __init__(self, latency=10, hits=()):
         self.latency = latency
+        self.hits = frozenset(hits)
         self.requests = []
+
+    def l1_hit(self, sm_id, vpn, now):
+        if vpn not in self.hits:
+            return None
+        self.requests.append((sm_id, vpn, now))
+        return vpn + 1000
+
+    def miss(self, sm_id, vpn, now, callback):
+        self.request(sm_id, vpn, now, callback)
 
     def request(self, sm_id, vpn, now, callback):
         self.requests.append((sm_id, vpn, now))
@@ -97,6 +114,35 @@ class TestWarpExecution:
         # The compute instruction issues only after the slow page resolves.
         assert engine.now >= 1000
         assert sm.memory_wait >= 990
+
+    def test_tlb_hit_reads_inline_and_the_miss_holds_the_warp(self):
+        class HitAndSlowMiss(InstantTranslation):
+            def request(self, sm_id, vpn, now, callback):
+                self.requests.append((sm_id, vpn, now))
+                self.engine.schedule_at(now + 500, callback, now + 500, vpn + 1000)
+
+        engine = Engine()
+        sm = SM(0, StatsRegistry())
+        translation = HitAndSlowMiss(hits={0})
+        translation.engine = engine
+        memory = InstantMemory(latency=40)
+        program = compile_trace([("m", (0, 512)), ("c", 1)], PAGE_SIZE_64K // 128)
+        warp = Warp(0, sm, engine, translation, memory, PAGE_SIZE_64K, program)
+        warp.start()
+        engine.run(until=499)
+        issue_done = 1  # the memory instruction issues at cycle 0
+        # The hit page read its line at the L1 TLB lookup's end, and
+        # nothing else happened before the miss returned.
+        assert memory.accesses == [(0, 1000 << 16, issue_done + translation.l1_latency)]
+        assert translation.requests == [(0, 0, issue_done), (0, 1, issue_done)]
+        assert sm.user_issued == 1
+        engine.run()
+        assert memory.accesses[1] == (0, 1001 << 16, issue_done + 500)
+        # The trailing compute issues only after the miss's data lands.
+        assert engine.now == issue_done + 500 + 40 + 1
+        assert sm.user_issued == 2
+        assert sm.memory_wait == 500 + 40
+        assert warp.finished_at == engine.now
 
     def test_consecutive_computes_fold(self):
         warp, sm, _, _, engine = run_warp([("c", 3), ("c", 4), ("m", (0,)), ("c", 2)])
@@ -215,21 +261,33 @@ class ReferenceWarp:
 
 
 class UnevenTranslation(InstantTranslation):
-    """Per-VPN latency; every third VPN answers synchronously (a TLB hit),
-    the rest through the event queue."""
+    """Per-VPN latency; every third VPN hits the L1 TLB, the rest answer
+    through the event queue.  ``request`` composes the two halves, as
+    the real service does."""
+
+    l1_latency = 5
 
     def __init__(self, engine):
         super().__init__()
         self.engine = engine
 
-    def request(self, sm_id, vpn, now, callback):
+    def l1_hit(self, sm_id, vpn, now):
+        if vpn % 3:
+            return None
         self.requests.append((sm_id, vpn, now))
-        pfn = vpn * 7 + 3
-        if vpn % 3 == 0:
-            callback(now + 5, pfn)
-        else:
-            done = now + 20 + (vpn * 37) % 200
-            self.engine.schedule_at(done, callback, done, pfn)
+        return vpn * 7 + 3
+
+    def miss(self, sm_id, vpn, now, callback):
+        self.requests.append((sm_id, vpn, now))
+        done = now + 20 + (vpn * 37) % 200
+        self.engine.schedule_at(done, callback, done, vpn * 7 + 3)
+
+    def request(self, sm_id, vpn, now, callback):
+        pfn = self.l1_hit(sm_id, vpn, now)
+        if pfn is not None:
+            callback(now + self.l1_latency, pfn)
+            return
+        self.miss(sm_id, vpn, now, callback)
 
 
 class UnevenMemory(InstantMemory):
