@@ -42,11 +42,7 @@ class MemorySystem:
         access per offset.
         """
         self._counts["mem.data_accesses"] += len(offsets)
-        l1 = self.l1s[sm_id]
-        if len(offsets) == 1:
-            # Most irregular pages are one line: skip the page loop.
-            return l1.access(frame_base | offsets[0], now)
-        return l1.access_page(frame_base, offsets, now)
+        return self.l1s[sm_id].access_page(frame_base, offsets, now)
 
     def pte_access(self, address: int, now: int) -> int:
         """A page-walker PTE read (L2 + DRAM only); returns completion cycle."""

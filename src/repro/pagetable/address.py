@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.config import RADIX_BITS_PER_LEVEL, PageTableConfig
 
+
 @dataclass(frozen=True)
 class AddressLayout:
     """Splits addresses for a given page-table geometry.

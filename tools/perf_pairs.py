@@ -13,7 +13,9 @@ run's ``correct`` flag and ``failed`` count are printed as it finishes.
 
 Usage:
     python3 tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload regular-sweep \\
-        --seed 1 --pairs 10 [--seconds 30] [--trace 0] [--log runs.jsonl]
+        --seed 1 --pairs 10 [--trace 0] [--log runs.jsonl]
+
+Each run lasts as long as perfbench's own run length, the same on both sides.
 
 Stdlib only; it reads perfbench's last output line and edits nothing.
 """
@@ -149,8 +151,7 @@ def format_table(summaries: list[Summary]) -> str:
 def run_side(checkout: Path, args: argparse.Namespace) -> dict:
     command = [
         sys.executable, "perfbench/run.py", "--workload", args.workload,
-        "--seed", str(args.seed), "--seconds", str(args.seconds),
-        "--trace", str(args.trace),
+        "--seed", str(args.seed), "--trace", str(args.trace),
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
@@ -167,7 +168,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, default=0)
     parser.add_argument("--log", type=Path, help="append every result line here")
     args = parser.parse_args(argv)
@@ -193,7 +193,7 @@ def main(argv: list[str]) -> int:
                     log.write(json.dumps(record) + "\n")
         pairs.append((results["parent"], results["change"]))
     print(f"== {args.workload} seed {args.seed}, {len(pairs)} pairs, "
-          f"--seconds {args.seconds:g} --trace {args.trace}")
+          f"--trace {args.trace}")
     print(format_table(summarise(pairs, directions)))
     return 0
 
