@@ -5,26 +5,21 @@ deterministic; statistical repetition buys nothing), prints the rendered
 table so ``pytest benchmarks/ --benchmark-only -s`` doubles as the
 results report, and saves it under ``results/``.
 
-Benchmark sessions default the persistent result store to
-``results/.store`` (override or disable via ``REPRO_STORE``), so a
-re-run at the same ``REPRO_SCALE`` warm-starts every figure from disk
-instead of re-simulating.
+Figures share points through the default runner's in-memory memo, so
+one session simulates each unique point once.  The persistent result
+store is used only when ``REPRO_STORE`` names it: its key does not name
+the code, so a store left from an older model would serve stale tables.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
+from repro.harness.runner import cache_info, clear_cache
+
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-# Opt benchmarks into the disk tier by default; an explicit REPRO_STORE
-# (including REPRO_STORE="") still wins.
-os.environ.setdefault("REPRO_STORE", str(RESULTS_DIR / ".store"))
-
-from repro.harness.runner import cache_info, clear_cache  # noqa: E402
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -37,8 +32,8 @@ def drop_memo_cache():
     yield
     info = cache_info()
     print(
-        f"\nrunner cache: {info['hits']} hits / {info['misses']} misses / "
-        f"{info['evictions']} evictions ({info['entries']} entries held); "
+        f"\nrunner cache: {info['hits']} hits / {info['misses']} misses "
+        f"({info['entries']} entries held); "
         f"{info['simulations']} simulations this session"
     )
     if info["store_path"]:

@@ -121,12 +121,6 @@ class ExperimentAnalysis:
     speedups: dict = field(default_factory=dict)
     rankings: list[ConfigRanking] = field(default_factory=list)
 
-    def summary_for(self, key: CellKey, metric: str) -> MetricSummary | None:
-        for summary in self.summaries:
-            if summary.key == key and summary.metric == metric:
-                return summary
-        return None
-
     def significant(self) -> list[CellComparison]:
         return [c for c in self.comparisons if c.verdict == VERDICT_SIGNIFICANT]
 

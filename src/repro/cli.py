@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.analysis.report import format_table
 from repro.analysis.resultset import DEFAULT_METRIC_NAMES
-from repro.config import DEFAULT_CONFIGS, GPUConfig, baseline_config
+from repro.config import DEFAULT_CONFIGS, GPUConfig
 from repro.obs import (
     DEFAULT_SAMPLE_INTERVAL,
     NULL_METRICS,
@@ -778,11 +778,13 @@ def _profile_tables(stats, result, top: int) -> list[str]:
 def cmd_compare(benchmark: str, scale: float) -> int:
     from repro.harness.runner import default_runner
 
-    runner = default_runner()
-    base = runner.run_cached(baseline_config(), benchmark, scale=scale)
-    rows = [["baseline", base.cycles, "1.00x", f"{base.queueing_fraction:.0%}"]]
-    for name in ("nha", "fshpt", "softwalker", "hybrid", "ideal"):
-        result = runner.run_cached(CONFIGS[name](), benchmark, scale=scale)
+    names = ("baseline", "nha", "fshpt", "softwalker", "hybrid", "ideal")
+    configs = {name: CONFIGS[name]() for name in names}
+    results = default_runner().run_matrix(configs, [benchmark], scale=scale)
+    base = results["baseline", benchmark]
+    rows = []
+    for name in names:
+        result = results[name, benchmark]
         rows.append(
             [
                 name,

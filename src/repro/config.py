@@ -157,7 +157,6 @@ class PageTableConfig(SerializableConfig):
 
     page_size: int = PAGE_SIZE_64K
     levels: int = 4
-    pte_bytes: int = 8
 
     def __post_init__(self) -> None:
         if self.page_size & (self.page_size - 1):
@@ -214,6 +213,8 @@ class PTWConfig(SerializableConfig):
             raise ValueError("number of walkers cannot be negative")
         if self.num_walkers and self.pwb_entries < 1:
             raise ValueError("PWB needs at least one entry")
+        if self.pwb_ports < 1:
+            raise ValueError("PWB needs at least one port")
         if self.pwc_entries < 0:
             raise ValueError("PWC size cannot be negative")
         if self.pwc_min_level < 1:
@@ -253,8 +254,6 @@ class SoftWalkerConfig(SerializableConfig):
     instruction_cycles: int = 4
     #: Number of instructions per walk level (offset compute, LDPT, FPWC).
     instructions_per_level: int = 3
-    #: Instructions outside the level loop (request decode, FL2T).
-    instructions_fixed: int = 5
     #: Ablation: execute the PW warp in strict SIMT lockstep — all 32
     #: threads advance level-by-level together, each level waiting for
     #: the slowest LDPT (memory divergence).  The paper's design lets
@@ -283,9 +282,6 @@ class GPUConfig:
 
     num_sms: int = 46
     max_warps_per_sm: int = 48
-    warp_width: int = 32
-    #: Warp instructions an SM can issue per cycle.
-    issue_width: int = 1
 
     l1_tlb: TLBConfig = field(
         default_factory=lambda: TLBConfig(

@@ -558,12 +558,6 @@ class TranslationService:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def l2_mpki(self, instructions: int) -> float:
-        """L2 TLB misses per kilo-instruction."""
-        if instructions == 0:
-            return 0.0
-        return self.stats.counters.get("l2tlb.demand_misses") / (instructions / 1000)
-
     @property
     def backpressure_depth(self) -> int:
         return len(self._backpressure)

@@ -10,20 +10,20 @@ Heavy sweeps run over a representative irregular subset
 (:data:`SWEEP_ABBRS`) instead of all twelve irregular benchmarks; the
 per-benchmark figures (16-20, 25) use the full suite.
 
-Every figure first *declares* its sweep matrix — the full set of
-(config, benchmark) points it needs — and hands it to the default
-:class:`~repro.harness.runner.Runner` via :func:`_prefetch`.  The
-runner deduplicates points shared between figures, executes misses in
+Every figure declares its cells once, as a ``{label: config}`` matrix,
+and runs it with one :meth:`~repro.harness.runner.Runner.run_matrix`
+call on the default runner (one call per footprint scale).  The runner
+deduplicates points shared between figures, executes misses in
 parallel when ``--jobs``/``REPRO_JOBS`` allow, and serves repeats from
-its two-tier (memory + disk) cache; the row-assembly loops below then
-hit the warm cache exclusively.
+its two-tier (memory + disk) cache; the rows then read
+``results[label, abbr]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.area import (
     PTWAreaModel,
@@ -42,8 +42,7 @@ from repro.config import (
     softwalker_config,
 )
 from repro.gpu.gpu import GPUSimulator, SimulationResult
-from repro.harness.pool import SweepPoint, matrix_points
-from repro.harness.runner import Runner, default_runner
+from repro.harness.runner import default_runner
 from repro.workloads.base import TraceWorkload
 from repro.workloads.catalog import (
     ALL_ABBRS,
@@ -96,26 +95,20 @@ class ExperimentTable:
         raise KeyError(key)
 
 
-def _prefetch(
-    configs: Iterable[GPUConfig],
-    abbrs: Iterable[str],
-    *,
-    scale: float | None,
-    footprint_scale: float = 1.0,
-    extra: Iterable[SweepPoint] = (),
-) -> Runner:
-    """Declare a figure's sweep matrix and execute it up front.
+#: Label of the baseline cell in a figure's config matrix.
+BASELINE = "baseline"
 
-    Returns the default runner with every declared point resolved in
-    its cache, so the figure's row-assembly loops are pure lookups.
-    """
-    runner = default_runner()
-    points = matrix_points(
-        configs, abbrs, scale=scale, footprint_scale=footprint_scale
+
+def _geomean_speedup(
+    results: Mapping[tuple, SimulationResult],
+    label,
+    abbrs: Sequence[str],
+    baseline=BASELINE,
+) -> float:
+    """Geomean over ``abbrs`` of ``label``'s speedup over ``baseline``."""
+    return geomean(
+        [results[label, abbr].speedup_over(results[baseline, abbr]) for abbr in abbrs]
     )
-    points.extend(extra)
-    runner.sweep(points)
-    return runner
 
 
 def sweep_resultset(
@@ -255,38 +248,31 @@ def fig05_ptw_scaling(
 ) -> ExperimentTable:
     """Speedup of scaling hardware PTWs (normalized to 32 PTWs)."""
     abbrs = list(abbrs or ALL_ABBRS)
-    headers = ["workload"] + [f"{n} PTWs" for n in ptw_counts] + ["Ideal"]
+    configs = {f"{n} PTWs": scaled_ptw_config(n) for n in ptw_counts}
+    configs["Ideal"] = ideal_config()
     table = ExperimentTable(
         name="fig05_ptw_scaling",
         title="Figure 5: speedup with increasing PTWs (norm. to 32 PTWs)",
-        headers=headers,
+        headers=["workload"] + list(configs),
     )
-    sweep_configs = [baseline_config()] + [
-        baseline_config() if n == 32 else scaled_ptw_config(n) for n in ptw_counts
-    ] + [ideal_config()]
-    runner = _prefetch(sweep_configs, abbrs, scale=scale)
-    per_config: dict[str, list[float]] = {h: [] for h in headers[1:]}
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), **configs}, abbrs, scale=scale
+    )
+    per_config: dict[str, list[float]] = {label: [] for label in configs}
     for abbr in abbrs:
-        base = runner.run_cached(baseline_config(), abbr, scale=scale)
+        base = results[BASELINE, abbr]
         row: list = [abbr]
-        for n in ptw_counts:
-            config = baseline_config() if n == 32 else scaled_ptw_config(n)
-            speedup = runner.run_cached(config, abbr, scale=scale).speedup_over(base)
+        for label in configs:
+            speedup = results[label, abbr].speedup_over(base)
             row.append(speedup)
-            per_config[f"{n} PTWs"].append(speedup)
-        ideal = runner.run_cached(ideal_config(), abbr, scale=scale).speedup_over(base)
-        row.append(ideal)
-        per_config["Ideal"].append(ideal)
+            per_config[label].append(speedup)
         table.rows.append(row)
-    table.rows.append(
-        ["geomean"] + [geomean(per_config[h]) for h in headers[1:]]
-    )
-    irregular = [a for a in abbrs if get_spec(a).is_irregular]
+    table.rows.append(["geomean"] + [geomean(per_config[l]) for l in configs])
+    irregular = [i for i, a in enumerate(abbrs) if get_spec(a).is_irregular]
     if irregular:
-        idx = [abbrs.index(a) for a in irregular]
         table.rows.append(
             ["geomean (irregular)"]
-            + [geomean([per_config[h][i] for i in idx]) for h in headers[1:]]
+            + [geomean([per_config[l][i] for i in irregular]) for l in configs]
         )
     table.notes.append("paper: ideal = 2.58x average, 4.84x for irregular workloads")
     return table
@@ -304,66 +290,38 @@ def fig06_prior_techniques(
         title="Figure 6: PTW contention persists under NHA and 2MB pages",
         headers=["technique"] + [f"{n} PTWs" for n in ptw_counts],
     )
-    nha_configs = [nha_config()] + [
-        nha_config()
-        if n == 32
-        else scaled_ptw_config(n).with_ptw(nha_coalescing=True)
-        for n in ptw_counts
-    ]
-    large_configs = [
-        (baseline_config() if n == 32 else scaled_ptw_config(n)).with_page_size(
-            PAGE_SIZE_2M
-        )
-        for n in ptw_counts
-    ]
-    runner = _prefetch(
-        nha_configs,
+    runner = default_runner()
+    # (a) NHA + scaling.
+    nha = runner.run_matrix(
+        {
+            BASELINE: nha_config(),
+            **{
+                n: scaled_ptw_config(n).with_ptw(nha_coalescing=True)
+                for n in ptw_counts
+            },
+        },
         abbrs,
         scale=scale,
-        extra=matrix_points(
-            large_configs,
-            abbrs,
-            scale=scale,
-            footprint_scale=LARGE_PAGE_FOOTPRINT_SCALE,
-        ),
     )
-    # (a) NHA + scaling.
-    speedups_nha: dict[int, list[float]] = {n: [] for n in ptw_counts}
-    for abbr in abbrs:
-        nha_base = runner.run_cached(nha_config(), abbr, scale=scale)
-        for n in ptw_counts:
-            config = nha_config() if n == 32 else scaled_ptw_config(n).with_ptw(
-                nha_coalescing=True
-            )
-            speedups_nha[n].append(
-                runner.run_cached(config, abbr, scale=scale).speedup_over(nha_base)
-            )
     table.rows.append(
-        ["NHA coalescing (a)"] + [geomean(speedups_nha[n]) for n in ptw_counts]
+        ["NHA coalescing (a)"]
+        + [_geomean_speedup(nha, n, abbrs) for n in ptw_counts]
     )
     # (b) 2MB pages + scaling (footprints scaled past L2 TLB coverage).
-    speedups_2m: dict[int, list[float]] = {n: [] for n in ptw_counts}
-    for abbr in abbrs:
-        base_2m = runner.run_cached(
-            baseline_config().with_page_size(PAGE_SIZE_2M),
-            abbr,
-            scale=scale,
-            footprint_scale=LARGE_PAGE_FOOTPRINT_SCALE,
-        )
-        for n in ptw_counts:
-            config = (
-                baseline_config() if n == 32 else scaled_ptw_config(n)
-            ).with_page_size(PAGE_SIZE_2M)
-            speedups_2m[n].append(
-                runner.run_cached(
-                    config,
-                    abbr,
-                    scale=scale,
-                    footprint_scale=LARGE_PAGE_FOOTPRINT_SCALE,
-                ).speedup_over(base_2m)
-            )
+    large = runner.run_matrix(
+        {
+            BASELINE: baseline_config().with_page_size(PAGE_SIZE_2M),
+            **{
+                n: scaled_ptw_config(n).with_page_size(PAGE_SIZE_2M)
+                for n in ptw_counts
+            },
+        },
+        abbrs,
+        scale=scale,
+        footprint_scale=LARGE_PAGE_FOOTPRINT_SCALE,
+    )
     table.rows.append(
-        ["2MB pages (b)"] + [geomean(speedups_2m[n]) for n in ptw_counts]
+        ["2MB pages (b)"] + [_geomean_speedup(large, n, abbrs) for n in ptw_counts]
     )
     table.notes.append(
         "speedups normalized to 32 PTWs *within* each technique: extra "
@@ -389,23 +347,13 @@ def fig07_latency_breakdown(
             "queueing share",
         ],
     )
-    sweep_configs = [
-        baseline_config() if n == 32 else scaled_ptw_config(n) for n in ptw_counts
-    ] + [ideal_config()]
-    runner = _prefetch(sweep_configs, abbrs, scale=scale)
-    for n in list(ptw_counts) + ["ideal"]:
-        if n == "ideal":
-            config = ideal_config()
-        else:
-            config = baseline_config() if n == 32 else scaled_ptw_config(n)
-        queueing, access = [], []
-        for abbr in abbrs:
-            result = runner.run_cached(config, abbr, scale=scale)
-            queueing.append(result.walk_queueing)
-            access.append(result.walk_access)
-        q = sum(queueing) / len(queueing)
-        a = sum(access) / len(access)
-        table.rows.append([n, q, a, q / (q + a)])
+    configs: dict = {n: scaled_ptw_config(n) for n in ptw_counts}
+    configs["ideal"] = ideal_config()
+    results = default_runner().run_matrix(configs, abbrs, scale=scale)
+    for label in configs:
+        q = sum(results[label, abbr].walk_queueing for abbr in abbrs) / len(abbrs)
+        a = sum(results[label, abbr].walk_access for abbr in abbrs) / len(abbrs)
+        table.rows.append([label, q, a, q / (q + a)])
     table.notes.append("paper: queueing is ~95% of walk latency at 32 PTWs")
     return table
 
@@ -420,9 +368,11 @@ def fig08_stall_breakdown(
         title="Figure 8: warp scheduler cycles (baseline)",
         headers=["workload", "category", "issued", "memory/scoreboard stall"],
     )
-    runner = _prefetch([baseline_config()], abbrs, scale=scale)
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config()}, abbrs, scale=scale
+    )
     for abbr in abbrs:
-        result = runner.run_cached(baseline_config(), abbr, scale=scale)
+        result = results[BASELINE, abbr]
         table.rows.append(
             [
                 abbr,
@@ -444,7 +394,6 @@ def fig12_ptw_mshr_scaling(
     """Scaling PTWs vs MSHRs vs both (normalized to 32 PTW / 128 MSHR)."""
     abbrs = list(abbrs or SWEEP_ABBRS)
     large = page_size == PAGE_SIZE_2M
-    footprint_scale = LARGE_PAGE_FOOTPRINT_SCALE if large else 1.0
 
     def with_page(config: GPUConfig) -> GPUConfig:
         return config.with_page_size(page_size) if page_size else config
@@ -458,49 +407,28 @@ def fig12_ptw_mshr_scaling(
         ),
         headers=["scaling factor", "PTWs only", "MSHRs only", "PTWs+MSHRs"],
     )
-    base_config = with_page(baseline_config())
-
-    def factor_configs(factor: int) -> tuple[GPUConfig, GPUConfig, GPUConfig]:
-        return (
-            with_page(
-                baseline_config().with_ptw(
-                    num_walkers=32 * factor, pwb_entries=64 * factor
-                )
-            ),
-            with_page(scaled_mshr_config(128 * factor)),
-            with_page(scaled_ptw_config(32 * factor)),
+    configs: dict = {BASELINE: with_page(baseline_config())}
+    for factor in factors:
+        configs[factor, "PTWs only"] = with_page(
+            baseline_config().with_ptw(
+                num_walkers=32 * factor, pwb_entries=64 * factor
+            )
         )
-
-    sweep_configs = [base_config] + [
-        config for factor in factors for config in factor_configs(factor)
-    ]
-    runner = _prefetch(
-        sweep_configs, abbrs, scale=scale, footprint_scale=footprint_scale
+        configs[factor, "MSHRs only"] = with_page(scaled_mshr_config(128 * factor))
+        configs[factor, "PTWs+MSHRs"] = with_page(scaled_ptw_config(32 * factor))
+    results = default_runner().run_matrix(
+        configs,
+        abbrs,
+        scale=scale,
+        footprint_scale=LARGE_PAGE_FOOTPRINT_SCALE if large else 1.0,
     )
     for factor in factors:
-        ptws_only, mshrs_only, both = [], [], []
-        cfg_ptw, cfg_mshr, cfg_both = factor_configs(factor)
-        for abbr in abbrs:
-            base = runner.run_cached(
-                base_config, abbr, scale=scale, footprint_scale=footprint_scale
-            )
-            ptws_only.append(
-                runner.run_cached(
-                    cfg_ptw, abbr, scale=scale, footprint_scale=footprint_scale
-                ).speedup_over(base)
-            )
-            mshrs_only.append(
-                runner.run_cached(
-                    cfg_mshr, abbr, scale=scale, footprint_scale=footprint_scale
-                ).speedup_over(base)
-            )
-            both.append(
-                runner.run_cached(
-                    cfg_both, abbr, scale=scale, footprint_scale=footprint_scale
-                ).speedup_over(base)
-            )
         table.rows.append(
-            [f"{factor}x", geomean(ptws_only), geomean(mshrs_only), geomean(both)]
+            [f"{factor}x"]
+            + [
+                _geomean_speedup(results, (factor, column), abbrs)
+                for column in table.headers[1:]
+            ]
         )
     table.notes.append(
         "paper: scaling either resource alone falls well short of scaling both"
@@ -522,15 +450,15 @@ def fig16_overall_speedup(
         title="Figure 16: speedup over the 32-PTW baseline",
         headers=["workload"] + list(configs),
     )
-    runner = _prefetch(
-        [baseline_config(), *configs.values()], abbrs, scale=scale
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), **configs}, abbrs, scale=scale
     )
     per_config: dict[str, list[float]] = {label: [] for label in configs}
     for abbr in abbrs:
-        base = runner.run_cached(baseline_config(), abbr, scale=scale)
+        base = results[BASELINE, abbr]
         row: list = [abbr]
-        for label, config in configs.items():
-            speedup = runner.run_cached(config, abbr, scale=scale).speedup_over(base)
+        for label in configs:
+            speedup = results[label, abbr].speedup_over(base)
             row.append(speedup)
             per_config[label].append(speedup)
         table.rows.append(row)
@@ -557,14 +485,15 @@ def fig17_mshr_failures(
         title="Figure 17: L2 TLB MSHR failure reduction with In-TLB MSHR",
         headers=["workload", "baseline failures", "SoftWalker failures", "reduction"],
     )
-    runner = _prefetch(
-        [baseline_config(), softwalker_config()], abbrs, scale=scale
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), "SoftWalker": softwalker_config()},
+        abbrs,
+        scale=scale,
     )
     reductions = []
     for abbr in abbrs:
-        base = runner.run_cached(baseline_config(), abbr, scale=scale)
-        soft = runner.run_cached(softwalker_config(), abbr, scale=scale)
-        before, after = base.mshr_failures, soft.mshr_failures
+        before = results[BASELINE, abbr].mshr_failures
+        after = results["SoftWalker", abbr].mshr_failures
         reduction = (before - after) / before if before else 0.0
         reductions.append(reduction)
         table.rows.append([abbr, before, after, reduction])
@@ -589,15 +518,15 @@ def fig18_walk_latency(
         headers=["workload", "baseline (cycles)", "baseline queue share"]
         + [f"{label} (norm.)" for label in configs],
     )
-    runner = _prefetch(
-        [baseline_config(), *configs.values()], abbrs, scale=scale
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), **configs}, abbrs, scale=scale
     )
     normalized: dict[str, list[float]] = {label: [] for label in configs}
     for abbr in abbrs:
-        base = runner.run_cached(baseline_config(), abbr, scale=scale)
+        base = results[BASELINE, abbr]
         row: list = [abbr, base.walk_latency, base.queueing_fraction]
-        for label, config in configs.items():
-            result = runner.run_cached(config, abbr, scale=scale)
+        for label in configs:
+            result = results[label, abbr]
             norm = result.walk_latency / base.walk_latency if base.walk_latency else 0
             row.append(norm)
             normalized[label].append(norm)
@@ -622,23 +551,19 @@ def fig19_stall_reduction(
         title="Figure 19: stall-cycle reduction vs baseline",
         headers=["workload", "category", "baseline stalls", "SoftWalker stalls", "reduction"],
     )
-    runner = _prefetch(
-        [baseline_config(), softwalker_config()], abbrs, scale=scale
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), "SoftWalker": softwalker_config()},
+        abbrs,
+        scale=scale,
     )
     irregular_reductions = []
     for abbr in abbrs:
-        base = runner.run_cached(baseline_config(), abbr, scale=scale)
-        soft = runner.run_cached(softwalker_config(), abbr, scale=scale)
-        reduction = (
-            (base.stall_cycles - soft.stall_cycles) / base.stall_cycles
-            if base.stall_cycles
-            else 0.0
-        )
+        before = results[BASELINE, abbr].stall_cycles
+        after = results["SoftWalker", abbr].stall_cycles
+        reduction = (before - after) / before if before else 0.0
         if get_spec(abbr).is_irregular:
             irregular_reductions.append(reduction)
-        table.rows.append(
-            [abbr, get_spec(abbr).category, base.stall_cycles, soft.stall_cycles, reduction]
-        )
+        table.rows.append([abbr, get_spec(abbr).category, before, after, reduction])
     table.rows.append(
         ["mean (irregular)", "", "", "",
          sum(irregular_reductions) / len(irregular_reductions)]
@@ -657,20 +582,15 @@ def fig20_l2_miss_rate(
         title="Figure 20: L2 data cache miss rate",
         headers=["workload", "baseline", "SoftWalker", "delta"],
     )
-    runner = _prefetch(
-        [baseline_config(), softwalker_config()], abbrs, scale=scale
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), "SoftWalker": softwalker_config()},
+        abbrs,
+        scale=scale,
     )
     for abbr in abbrs:
-        base = runner.run_cached(baseline_config(), abbr, scale=scale)
-        soft = runner.run_cached(softwalker_config(), abbr, scale=scale)
-        table.rows.append(
-            [
-                abbr,
-                base.l2_cache_miss_rate,
-                soft.l2_cache_miss_rate,
-                soft.l2_cache_miss_rate - base.l2_cache_miss_rate,
-            ]
-        )
+        base = results[BASELINE, abbr].l2_cache_miss_rate
+        soft = results["SoftWalker", abbr].l2_cache_miss_rate
+        table.rows.append([abbr, base, soft, soft - base])
     table.notes.append("paper: miss rate essentially unchanged by SoftWalker traffic")
     return table
 
@@ -692,38 +612,31 @@ def fig15_area_tradeoff(
         title="Figure 15: speedup vs area overhead (norm. to 32 PTWs / 1 port)",
         headers=["configuration", "PWB ports", "relative area", "speedup"],
     )
-    runner = _prefetch(
-        [baseline_config(), softwalker_config()]
-        + [
-            scaled_ptw_config(n, pwb_ports=ports)
-            for n in ptw_counts
-            for ports in port_counts
-        ],
+    configs: dict = {
+        (n, ports): scaled_ptw_config(n, pwb_ports=ports)
+        for n in ptw_counts
+        for ports in port_counts
+    }
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), "SoftWalker": softwalker_config(), **configs},
         abbrs,
         scale=scale,
     )
-
-    def mean_speedup(config: GPUConfig) -> float:
-        values = []
-        for abbr in abbrs:
-            base = runner.run_cached(baseline_config(), abbr, scale=scale)
-            values.append(
-                runner.run_cached(config, abbr, scale=scale).speedup_over(base)
-            )
-        return geomean(values)
-
-    for n in ptw_counts:
-        for ports in port_counts:
-            config = scaled_ptw_config(n, pwb_ports=ports)
-            table.rows.append(
-                [f"{n} PTWs", ports, model.relative_area(n, ports), mean_speedup(config)]
-            )
+    for n, ports in configs:
+        table.rows.append(
+            [
+                f"{n} PTWs",
+                ports,
+                model.relative_area(n, ports),
+                _geomean_speedup(results, (n, ports), abbrs),
+            ]
+        )
     table.rows.append(
         [
             "SoftWalker",
             "-",
             softwalker_relative_area(softwalker_config(), model),
-            mean_speedup(softwalker_config()),
+            _geomean_speedup(results, "SoftWalker", abbrs),
         ]
     )
     table.notes.append(
@@ -750,15 +663,15 @@ def fig21_iso_area(
         title="Figure 21: iso-area comparison (norm. to 32-PTW baseline)",
         headers=["workload"] + list(configs),
     )
-    runner = _prefetch(
-        [baseline_config(), *configs.values()], abbrs, scale=scale
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), **configs}, abbrs, scale=scale
     )
     per_config: dict[str, list[float]] = {label: [] for label in configs}
     for abbr in abbrs:
-        base = runner.run_cached(baseline_config(), abbr, scale=scale)
+        base = results[BASELINE, abbr]
         row: list = [abbr]
-        for label, config in configs.items():
-            speedup = runner.run_cached(config, abbr, scale=scale).speedup_over(base)
+        for label in configs:
+            speedup = results[label, abbr].speedup_over(base)
             row.append(speedup)
             per_config[label].append(speedup)
         table.rows.append(row)
@@ -782,24 +695,22 @@ def fig22_l2tlb_latency(
         title="Figure 22: SoftWalker speedup vs L2 TLB latency",
         headers=["L2 TLB latency (cycles)", "speedup over baseline"],
     )
-    runner = _prefetch(
-        [baseline_config()]
-        + [softwalker_config().with_l2_tlb(latency=latency) for latency in latencies],
+    # The paper normalizes every point to the *default* baseline: the
+    # sweep isolates SoftWalker's SM<->L2TLB communication cost, which
+    # scales with this latency.
+    results = default_runner().run_matrix(
+        {
+            BASELINE: baseline_config(),
+            **{
+                latency: softwalker_config().with_l2_tlb(latency=latency)
+                for latency in latencies
+            },
+        },
         abbrs,
         scale=scale,
     )
     for latency in latencies:
-        speedups = []
-        for abbr in abbrs:
-            # The paper normalizes every point to the *default* baseline:
-            # the sweep isolates SoftWalker's SM<->L2TLB communication
-            # cost, which scales with this latency.
-            base = runner.run_cached(baseline_config(), abbr, scale=scale)
-            soft = runner.run_cached(
-                softwalker_config().with_l2_tlb(latency=latency), abbr, scale=scale
-            )
-            speedups.append(soft.speedup_over(base))
-        table.rows.append([latency, geomean(speedups)])
+        table.rows.append([latency, _geomean_speedup(results, latency, abbrs)])
     table.notes.append(
         "paper: 2.31x at 40 cycles, degrading gracefully to 2.07x at 200"
     )
@@ -822,35 +733,29 @@ def fig23_pt_latency(
             "queueing delay reduction",
         ],
     )
-    runner = _prefetch(
-        [
-            config().derive(fixed_pt_level_latency=latency)
-            for latency in latencies
-            for config in (baseline_config, softwalker_config)
-        ],
-        abbrs,
-        scale=scale,
-    )
+    configs: dict = {}
     for latency in latencies:
-        speedups, reductions = [], []
+        configs[BASELINE, latency] = baseline_config().derive(
+            fixed_pt_level_latency=latency
+        )
+        configs["SoftWalker", latency] = softwalker_config().derive(
+            fixed_pt_level_latency=latency
+        )
+    results = default_runner().run_matrix(configs, abbrs, scale=scale)
+    for latency in latencies:
+        base_label, soft_label = (BASELINE, latency), ("SoftWalker", latency)
+        reductions = []
         for abbr in abbrs:
-            base = runner.run_cached(
-                baseline_config().derive(fixed_pt_level_latency=latency),
-                abbr,
-                scale=scale,
-            )
-            soft = runner.run_cached(
-                softwalker_config().derive(fixed_pt_level_latency=latency),
-                abbr,
-                scale=scale,
-            )
-            speedups.append(soft.speedup_over(base))
-            if base.walk_queueing:
-                reductions.append(
-                    (base.walk_queueing - soft.walk_queueing) / base.walk_queueing
-                )
+            before = results[base_label, abbr].walk_queueing
+            after = results[soft_label, abbr].walk_queueing
+            if before:
+                reductions.append((before - after) / before)
         table.rows.append(
-            [latency, geomean(speedups), sum(reductions) / len(reductions)]
+            [
+                latency,
+                _geomean_speedup(results, soft_label, abbrs, base_label),
+                sum(reductions) / len(reductions),
+            ]
         )
     table.notes.append("paper: speedup grows 1.6x -> 4.8x from 50 to 400 cycles")
     return table
@@ -868,21 +773,16 @@ def fig24_intlb_capacity(
         title="Figure 24: SoftWalker speedup vs max In-TLB MSHR entries",
         headers=["In-TLB MSHR entries", "speedup over baseline"],
     )
-    runner = _prefetch(
-        [baseline_config()]
-        + [softwalker_config(in_tlb_mshr_entries=c) for c in capacities],
+    results = default_runner().run_matrix(
+        {
+            BASELINE: baseline_config(),
+            **{c: softwalker_config(in_tlb_mshr_entries=c) for c in capacities},
+        },
         abbrs,
         scale=scale,
     )
     for capacity in capacities:
-        speedups = []
-        for abbr in abbrs:
-            base = runner.run_cached(baseline_config(), abbr, scale=scale)
-            soft = runner.run_cached(
-                softwalker_config(in_tlb_mshr_entries=capacity), abbr, scale=scale
-            )
-            speedups.append(soft.speedup_over(base))
-        table.rows.append([capacity, geomean(speedups)])
+        table.rows.append([capacity, _geomean_speedup(results, capacity, abbrs)])
     table.notes.append("paper: 1.63x / 1.88x / 2.04x / 2.12x / 2.24x for 0..1024")
     return table
 
@@ -897,30 +797,18 @@ def fig25_large_pages(
         title="Figure 25: speedup over baseline with 2MB pages",
         headers=["workload", "SoftWalker speedup"],
     )
-    runner = _prefetch(
-        [
-            baseline_config().with_page_size(PAGE_SIZE_2M),
-            softwalker_config().with_page_size(PAGE_SIZE_2M),
-        ],
+    results = default_runner().run_matrix(
+        {
+            BASELINE: baseline_config().with_page_size(PAGE_SIZE_2M),
+            "SoftWalker": softwalker_config().with_page_size(PAGE_SIZE_2M),
+        },
         abbrs,
         scale=scale,
         footprint_scale=LARGE_PAGE_FOOTPRINT_SCALE,
     )
     speedups = []
     for abbr in abbrs:
-        base = runner.run_cached(
-            baseline_config().with_page_size(PAGE_SIZE_2M),
-            abbr,
-            scale=scale,
-            footprint_scale=LARGE_PAGE_FOOTPRINT_SCALE,
-        )
-        soft = runner.run_cached(
-            softwalker_config().with_page_size(PAGE_SIZE_2M),
-            abbr,
-            scale=scale,
-            footprint_scale=LARGE_PAGE_FOOTPRINT_SCALE,
-        )
-        speedup = soft.speedup_over(base)
+        speedup = results["SoftWalker", abbr].speedup_over(results[BASELINE, abbr])
         speedups.append(speedup)
         table.rows.append([abbr, speedup])
     table.rows.append(["geomean", geomean(speedups)])
@@ -940,21 +828,19 @@ def fig26_distributor(
         title="Figure 26: SoftWalker speedup by distributor policy",
         headers=["policy", "speedup over baseline"],
     )
-    runner = _prefetch(
-        [baseline_config()]
-        + [softwalker_config(distributor_policy=p) for p in DistributorPolicy.ALL],
+    results = default_runner().run_matrix(
+        {
+            BASELINE: baseline_config(),
+            **{
+                policy: softwalker_config(distributor_policy=policy)
+                for policy in DistributorPolicy.ALL
+            },
+        },
         abbrs,
         scale=scale,
     )
     for policy in DistributorPolicy.ALL:
-        speedups = []
-        for abbr in abbrs:
-            base = runner.run_cached(baseline_config(), abbr, scale=scale)
-            soft = runner.run_cached(
-                softwalker_config(distributor_policy=policy), abbr, scale=scale
-            )
-            speedups.append(soft.speedup_over(base))
-        table.rows.append([policy, geomean(speedups)])
+        table.rows.append([policy, _geomean_speedup(results, policy, abbrs)])
     table.notes.append("paper: no significant difference; round-robin adopted")
     return table
 
@@ -1029,16 +915,17 @@ def table4_catalog(
             "paper required PTWs",
         ],
     )
-    runner = _prefetch([baseline_config()], abbrs, scale=scale)
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config()}, abbrs, scale=scale
+    )
     for abbr in abbrs:
         spec = get_spec(abbr)
-        result = runner.run_cached(baseline_config(), abbr, scale=scale)
         table.rows.append(
             [
                 abbr,
                 spec.category,
                 spec.footprint_mb,
-                result.l2_tlb_mpki,
+                results[BASELINE, abbr].l2_tlb_mpki,
                 spec.paper_mpki,
                 spec.paper_required_ptws,
             ]
@@ -1066,21 +953,14 @@ def ablation_pwb_scheduling(
         title="Ablation: PWB scheduling policy (32 hardware walkers)",
         headers=["policy", "speedup over FCFS baseline"],
     )
-    sm_batch = baseline_config().with_ptw(pwb_policy="sm_batch")
-    soft = softwalker_config()
-    runner = _prefetch([baseline_config(), sm_batch, soft], abbrs, scale=scale)
-    for label, config in (
-        ("fcfs", baseline_config()),
-        ("sm_batch (PW scheduling)", sm_batch),
-        ("SoftWalker (for reference)", soft),
-    ):
-        speedups = []
-        for abbr in abbrs:
-            base = runner.run_cached(baseline_config(), abbr, scale=scale)
-            speedups.append(
-                runner.run_cached(config, abbr, scale=scale).speedup_over(base)
-            )
-        table.rows.append([label, geomean(speedups)])
+    configs = {
+        "fcfs": baseline_config(),
+        "sm_batch (PW scheduling)": baseline_config().with_ptw(pwb_policy="sm_batch"),
+        "SoftWalker (for reference)": softwalker_config(),
+    }
+    results = default_runner().run_matrix(configs, abbrs, scale=scale)
+    for label in configs:
+        table.rows.append([label, _geomean_speedup(results, label, abbrs, "fcfs")])
     table.notes.append(
         "scheduling reorders walks but adds no throughput: expect ~1x, "
         "far below SoftWalker"
@@ -1098,26 +978,15 @@ def ablation_simt_lockstep(
         title="Ablation: PW-warp thread model",
         headers=["execution model", "speedup over baseline"],
     )
-    runner = _prefetch(
-        [
-            baseline_config(),
-            softwalker_config(),
-            softwalker_config().with_softwalker(simt_lockstep=True),
-        ],
-        abbrs,
-        scale=scale,
+    configs = {
+        "independent threads (paper)": softwalker_config(),
+        "SIMT lockstep": softwalker_config().with_softwalker(simt_lockstep=True),
+    }
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), **configs}, abbrs, scale=scale
     )
-    for label, config in (
-        ("independent threads (paper)", softwalker_config()),
-        ("SIMT lockstep", softwalker_config().with_softwalker(simt_lockstep=True)),
-    ):
-        speedups = []
-        for abbr in abbrs:
-            base = runner.run_cached(baseline_config(), abbr, scale=scale)
-            speedups.append(
-                runner.run_cached(config, abbr, scale=scale).speedup_over(base)
-            )
-        table.rows.append([label, geomean(speedups)])
+    for label in configs:
+        table.rows.append([label, _geomean_speedup(results, label, abbrs)])
     table.notes.append(
         "memory divergence makes lockstep warps wait for their slowest "
         "lane every level; independent threads avoid the convoy effect"
@@ -1135,23 +1004,20 @@ def ablation_pwc_depth(
         title="Ablation: Page Walk Cache depth (baseline hardware walkers)",
         headers=["PWC caches down to", "speedup over default", "mean walk access (cycles)"],
     )
-    runner = _prefetch(
-        [baseline_config(), baseline_config().with_ptw(pwc_min_level=1)],
-        abbrs,
-        scale=scale,
-    )
-    for label, config in (
-        ("level 2 (PDE cache, default)", baseline_config()),
-        ("level 1 (leaf pointers)", baseline_config().with_ptw(pwc_min_level=1)),
-    ):
-        speedups, accesses = [], []
-        for abbr in abbrs:
-            base = runner.run_cached(baseline_config(), abbr, scale=scale)
-            result = runner.run_cached(config, abbr, scale=scale)
-            speedups.append(result.speedup_over(base))
-            accesses.append(result.walk_access)
+    default = "level 2 (PDE cache, default)"
+    configs = {
+        default: baseline_config(),
+        "level 1 (leaf pointers)": baseline_config().with_ptw(pwc_min_level=1),
+    }
+    results = default_runner().run_matrix(configs, abbrs, scale=scale)
+    for label in configs:
+        access = sum(results[label, abbr].walk_access for abbr in abbrs)
         table.rows.append(
-            [label, geomean(speedups), sum(accesses) / len(accesses)]
+            [
+                label,
+                _geomean_speedup(results, label, abbrs, default),
+                access / len(abbrs),
+            ]
         )
     table.notes.append(
         "a deeper PWC shortens individual walks, but queueing — not walk "
@@ -1186,17 +1052,11 @@ def extension_baselines(
         title="Section 2.3 techniques vs SoftWalker (irregular subset)",
         headers=["technique", "speedup over baseline"],
     )
-    runner = _prefetch(
-        [baseline_config(), *configs.values()], abbrs, scale=scale
+    results = default_runner().run_matrix(
+        {BASELINE: baseline_config(), **configs}, abbrs, scale=scale
     )
-    for label, config in configs.items():
-        speedups = []
-        for abbr in abbrs:
-            base = runner.run_cached(baseline_config(), abbr, scale=scale)
-            speedups.append(
-                runner.run_cached(config, abbr, scale=scale).speedup_over(base)
-            )
-        table.rows.append([label, geomean(speedups)])
+    for label in configs:
+        table.rows.append([label, _geomean_speedup(results, label, abbrs)])
     table.notes.append(
         "irregular access + scattered frames defeat reach/speculation "
         "techniques; only added walk throughput moves the needle"

@@ -5,7 +5,7 @@ configuration of a sweep replays the identical workload — speedups are
 cycles ratios over the same work.
 
 The one front door is :class:`Runner`: it owns the trace scale, the
-parallel worker count, the two-tier result cache (an in-memory LRU over
+parallel worker count, the two-tier result cache (an in-memory memo over
 the persistent on-disk :class:`~repro.harness.store.ResultStore`), and
 per-run observability.
 
@@ -17,7 +17,6 @@ Environment knobs (all read by the default instance):
 * ``REPRO_JOBS`` (int, default 1) parallelises sweeps across processes.
 * ``REPRO_STORE`` (directory) enables the persistent result store, so
   repeated figure/benchmark invocations warm-start from disk.
-* ``REPRO_CACHE_ENTRIES`` (int, default 128) bounds the in-memory LRU.
 * ``REPRO_TRACE`` (directory) turns on full observability for every
   run, writing one Chrome trace + metrics JSON pair per run into the
   directory (filenames claimed atomically, so parallel workers never
@@ -30,8 +29,7 @@ import json
 import os
 import sys
 import time
-from collections import OrderedDict
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 # The machine's components are built through function-local imports
 # (the arch registry's factories, ``MachineBuilder.build``).  Import
@@ -45,7 +43,6 @@ from repro.gpu.gpu import GPUSimulator, SimulationResult
 from repro.harness.pool import (
     SweepPoint,
     default_jobs,
-    make_point,
     matrix_points,
     run_sweep,
 )
@@ -56,8 +53,6 @@ from repro.workloads.catalog import get_spec
 
 _SCALE_ENV = "REPRO_SCALE"
 _TRACE_ENV = "REPRO_TRACE"
-_CACHE_ENV = "REPRO_CACHE_ENTRIES"
-_DEFAULT_CACHE_ENTRIES = 128
 
 
 def peak_rss_kb() -> int:
@@ -174,16 +169,6 @@ def _export_env_trace(obs: Observability, benchmark_abbr: str) -> None:
     obs.metrics.write_json(stem + ".metrics.json")
 
 
-def _cache_capacity() -> int:
-    value = os.environ.get(_CACHE_ENV)
-    if value is None:
-        return _DEFAULT_CACHE_ENTRIES
-    capacity = int(value)
-    if capacity <= 0:
-        raise ValueError(f"{_CACHE_ENV} must be positive, got {value!r}")
-    return capacity
-
-
 class Runner:
     """Facade over simulation execution: scale, caching, parallelism.
 
@@ -193,14 +178,15 @@ class Runner:
     * ``scale`` — default trace scale (None defers to ``REPRO_SCALE``).
     * ``jobs`` — default sweep parallelism (None defers to
       ``REPRO_JOBS``).
-    * two-tier result cache — a bounded in-memory LRU in front of the
+    * two-tier result cache — an in-memory memo in front of the
       persistent :class:`ResultStore` (None defers to ``REPRO_STORE``;
       pass a path or a store to pin one).
     * observability — explicit ``obs=`` per call, else the
       ``REPRO_TRACE`` bundle.
 
     The memory tier memoises object identity (two equal lookups return
-    the *same* ``SimulationResult``); the disk tier persists across
+    the *same* ``SimulationResult``) and is unbounded, so figures run in
+    one process share every point; the disk tier persists across
     processes, keyed by the point's full input fingerprint including
     the effective scale and seed.
     """
@@ -211,7 +197,6 @@ class Runner:
         scale: float | None = None,
         jobs: int | None = None,
         store: ResultStore | str | os.PathLike | None = None,
-        cache_entries: int | None = None,
     ) -> None:
         self.scale = scale
         self._jobs = jobs
@@ -220,11 +205,9 @@ class Runner:
         self._store = store
         self._store_pinned = store is not None
         self._store_env_path: str | None = None
-        self._cache_entries = cache_entries
-        self._cache: OrderedDict[SweepPoint, SimulationResult] = OrderedDict()
+        self._cache: dict[SweepPoint, SimulationResult] = {}
         self._hits = 0
         self._misses = 0
-        self._evictions = 0
         self._simulations = 0
 
     # ------------------------------------------------------------------
@@ -253,11 +236,6 @@ class Runner:
         self._store_env_path = path
         return self._store
 
-    def _capacity(self) -> int:
-        if self._cache_entries is not None:
-            return self._cache_entries
-        return _cache_capacity()
-
     def _effective_scale(self, scale: float | None) -> float | None:
         if scale is not None:
             return scale
@@ -280,7 +258,7 @@ class Runner:
 
         ``config`` may be a built :class:`~repro.config.GPUConfig` or an
         inline config dict.  Always executes (no cache tiers); use
-        :meth:`run_cached` or :meth:`sweep` for memoised paths.
+        :meth:`sweep` or :meth:`run_matrix` for memoised paths.
         """
         config = coerce_config(config)
         workload = build_workload(
@@ -312,36 +290,6 @@ class Runner:
         sim.release()
         return result
 
-    def run_cached(
-        self,
-        config: GPUConfig | Mapping,
-        benchmark: str | WorkloadSpec,
-        *,
-        scale: float | None = None,
-        footprint_scale: float = 1.0,
-        seed: int | None = None,
-    ) -> SimulationResult:
-        """Like :meth:`run`, but served through both cache tiers."""
-        point = make_point(
-            coerce_config(config),
-            benchmark,
-            scale=self._effective_scale(scale),
-            footprint_scale=footprint_scale,
-            seed=seed,
-        )
-        cached = self._lookup(point)
-        if cached is not None:
-            return cached
-        result = self.run(
-            config,
-            point.benchmark,
-            scale=point.scale,
-            footprint_scale=point.footprint_scale,
-            seed=point.seed,
-        )
-        self._publish(point, result)
-        return result
-
     def sweep(
         self,
         points: Sequence[SweepPoint],
@@ -367,14 +315,18 @@ class Runner:
 
     def run_matrix(
         self,
-        configs: Mapping[str, GPUConfig],
+        configs: Mapping[Hashable, GPUConfig],
         benchmarks: Iterable[str | WorkloadSpec],
         *,
         scale: float | None = None,
         footprint_scale: float = 1.0,
         jobs: int | None = None,
-    ) -> dict[tuple[str, str], SimulationResult]:
-        """Every (config, benchmark) pair; keys are (config_label, abbr)."""
+    ) -> dict[tuple[Hashable, str], SimulationResult]:
+        """Every (config, benchmark) pair; keys are (config_label, abbr).
+
+        One :meth:`sweep` over the cross product, so two labels naming
+        equal configs share one simulation.
+        """
         labels = list(configs)
         points = matrix_points(
             configs.values(),
@@ -383,7 +335,7 @@ class Runner:
             footprint_scale=footprint_scale,
         )
         by_point = self.sweep(points, jobs=jobs)
-        results: dict[tuple[str, str], SimulationResult] = {}
+        results: dict[tuple[Hashable, str], SimulationResult] = {}
         for index, point in enumerate(points):
             label = labels[index % len(labels)]
             results[(label, point.benchmark)] = by_point[point]
@@ -418,14 +370,13 @@ class Runner:
         cached = self._cache.get(point)
         if cached is not None:
             self._hits += 1
-            self._cache.move_to_end(point)
             return cached
         self._misses += 1
         store = self.store
         if store is not None:
             result = store.load(point.store_key())
             if result is not None:
-                self._insert(point, result)
+                self._cache[point] = result
                 return result
         return None
 
@@ -435,24 +386,15 @@ class Runner:
         store = self.store
         if store is not None:
             store.store(point.store_key(), result)
-        self._insert(point, result)
-
-    def _insert(self, point: SweepPoint, result: SimulationResult) -> None:
         self._cache[point] = result
-        self._cache.move_to_end(point)
-        while len(self._cache) > self._capacity():
-            self._cache.popitem(last=False)
-            self._evictions += 1
 
     def cache_info(self) -> dict:
-        """Two-tier cache telemetry (memory LRU plus the disk store)."""
+        """Two-tier cache telemetry (memory memo plus the disk store)."""
         store = self.store
         return {
             "hits": self._hits,
             "misses": self._misses,
-            "evictions": self._evictions,
             "entries": len(self._cache),
-            "capacity": self._capacity(),
             "simulations": self._simulations,
             "store_path": str(store.path) if store is not None else None,
             "disk_hits": store.hits if store is not None else 0,

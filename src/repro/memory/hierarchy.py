@@ -49,9 +49,6 @@ class MemorySystem:
         self._counts["mem.pte_accesses"] += 1
         return self.l2.access(address, now)
 
-    def l2_miss_rate(self) -> float:
-        return self.l2.miss_rate()
-
     def register_metrics(self, metrics) -> None:
         """Expose memory-side pressure as sampled gauges."""
         metrics.register_gauge("l2d.miss_rate", self.l2.miss_rate)

@@ -41,9 +41,5 @@ class WalkRequest:
     #: Async-span id following this walk through the trace (0 = untraced).
     trace_id: int = 0
 
-    @property
-    def total_latency(self) -> int:
-        return self.queueing + self.access + self.communication + self.execution
-
     def all_vpns(self) -> list[int]:
         return [self.vpn, *self.merged_vpns]

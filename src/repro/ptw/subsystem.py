@@ -141,10 +141,6 @@ class HardwareWalkBackend:
         return len(self._busy)
 
     @property
-    def stalled_walkers(self) -> int:
-        return self._stalled
-
-    @property
     def in_flight(self) -> int:
         """Requests the backend currently owns (queued + executing)."""
         return len(self._queue) + len(self._busy)

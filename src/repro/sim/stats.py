@@ -13,7 +13,6 @@ Three building blocks cover everything the paper reports:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 
@@ -160,17 +159,6 @@ class Histogram:
         for value, weight in data["buckets"]:
             histogram.record(int(value), int(weight))
         return histogram
-
-
-@dataclass
-class LatencySample:
-    """One completed request with a per-component latency breakdown."""
-
-    components: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.components.values())
 
 
 class LatencyTracker:

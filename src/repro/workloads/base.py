@@ -210,10 +210,6 @@ class TraceWorkload:
     def total_mem_instructions(self) -> int:
         return self.config.num_sms * self.warps_per_sm * self.mem_insts_per_warp
 
-    @property
-    def footprint_pages(self) -> int:
-        return -(-self.footprint_lines * LINE_BYTES // self.page_size)
-
     def describe(self) -> str:
         return (
             f"{self.spec.abbr}: {self.spec.category}, "

@@ -99,6 +99,10 @@ class TestValidation:
             (None, "fixed_pt_level_latency", -1, "cannot be negative"),
             (None, "num_sms", 0, "at least one SM"),
             (None, "max_warps_per_sm", 0, "one warp per SM"),
+            # Not a failure but a silent one-cycle delay on every walk
+            # start: the port check never passed.
+            ("ptw", "pwb_ports", 0, "at least one port"),
+            ("ptw", "pwb_ports", -1, "at least one port"),
         ],
     )
     def test_from_dict_refuses_what_would_fail_later(self, section, key, value, message):

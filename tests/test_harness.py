@@ -17,9 +17,11 @@ from repro.harness.runner import (
 TINY = 0.125
 
 
-def run_cached(config, benchmark, **kwargs):
-    """Local helper: the retired module shim, via the default runner."""
-    return default_runner().run_cached(config, benchmark, **kwargs)
+def run_memo(config, benchmark, **kwargs):
+    """One memoised cell through the default runner's ``run_matrix``."""
+    return default_runner().run_matrix({"c": config}, [benchmark], **kwargs)[
+        "c", benchmark
+    ]
 
 
 class TestRunner:
@@ -45,12 +47,12 @@ class TestRunner:
         assert ratio[("base", "gups")] == pytest.approx(1.0)
         assert ratio[("soft", "gups")] > 1.0
 
-    def test_run_cached_memoises(self):
+    def test_run_matrix_memoises(self):
         clear_cache()
-        a = run_cached(baseline_config(), "gemm", scale=TINY)
-        b = run_cached(baseline_config(), "gemm", scale=TINY)
+        a = run_memo(baseline_config(), "gemm", scale=TINY)
+        b = run_memo(baseline_config(), "gemm", scale=TINY)
         assert a is b
-        c = run_cached(baseline_config(), "gemm", scale=TINY, footprint_scale=2.0)
+        c = run_memo(baseline_config(), "gemm", scale=TINY, footprint_scale=2.0)
         assert c is not a
 
     def test_sweep_resultset_groups_seed_replicates(self):
@@ -169,43 +171,17 @@ class TestRunnerCache:
 
         clear_cache()
         before = runner.cache_info()
-        run_cached(baseline_config(), "gups", scale=TINY)
-        run_cached(baseline_config(), "gups", scale=TINY)
+        run_memo(baseline_config(), "gups", scale=TINY)
+        run_memo(baseline_config(), "gups", scale=TINY)
         after = runner.cache_info()
         assert after["misses"] - before["misses"] == 1
         assert after["hits"] - before["hits"] == 1
         assert after["entries"] == 1
 
-    def test_cache_evicts_least_recent_beyond_capacity(self, monkeypatch):
-        from repro.harness import runner
-
-        clear_cache()
-        monkeypatch.setenv("REPRO_CACHE_ENTRIES", "2")
-        before = runner.cache_info()["evictions"]
-        run_cached(baseline_config(), "gups", scale=TINY)
-        run_cached(softwalker_config(), "gups", scale=TINY)
-        run_cached(baseline_config(), "gemm", scale=TINY)  # evicts first entry
-        info = runner.cache_info()
-        assert info["entries"] == 2
-        assert info["evictions"] - before == 1
-        # The first run was evicted, so repeating it misses again.
-        misses = info["misses"]
-        run_cached(baseline_config(), "gups", scale=TINY)
-        assert runner.cache_info()["misses"] == misses + 1
-        clear_cache()
-
-    def test_cache_capacity_env_must_be_positive(self, monkeypatch):
-        from repro.harness import runner
-
-        clear_cache()
-        monkeypatch.setenv("REPRO_CACHE_ENTRIES", "0")
-        with pytest.raises(ValueError):
-            run_cached(baseline_config(), "gups", scale=TINY)
-
     def test_clear_cache_empties_entries(self):
         from repro.harness import runner
 
-        run_cached(baseline_config(), "gups", scale=TINY)
+        run_memo(baseline_config(), "gups", scale=TINY)
         clear_cache()
         assert runner.cache_info()["entries"] == 0
 

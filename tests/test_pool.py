@@ -72,8 +72,8 @@ class TestRunSweep:
     def test_parallel_matches_serial_fingerprints(self):
         configs = [baseline_config(), softwalker_config(), nha_config()]
         points = matrix_points(configs, ["gups", "gemm", "bfs"], scale=TINY)
-        serial = Runner(cache_entries=32).sweep(points, jobs=1)
-        parallel = Runner(cache_entries=32).sweep(points, jobs=2)
+        serial = Runner().sweep(points, jobs=1)
+        parallel = Runner().sweep(points, jobs=2)
         assert list(serial) == list(parallel) == dedupe_points(points)
         for point in points:
             assert fingerprint_digest(serial[point]) == fingerprint_digest(
@@ -82,13 +82,13 @@ class TestRunSweep:
 
     def test_dedupes_before_dispatch(self):
         point = make_point(baseline_config(), "gups", scale=TINY)
-        runner = Runner(cache_entries=8)
+        runner = Runner()
         results = runner.sweep([point] * 5, jobs=2)
         assert list(results) == [point]
         assert runner.cache_info()["simulations"] == 1
 
     def test_progress_reports_cached_and_ran(self):
-        runner = Runner(cache_entries=8)
+        runner = Runner()
         point = make_point(baseline_config(), "gups", scale=TINY)
         other = make_point(softwalker_config(), "gups", scale=TINY)
         runner.sweep([point])
@@ -120,23 +120,24 @@ class TestRunSweep:
 
 
 class TestRunnerFacade:
-    def test_run_cached_memoises_identity(self):
-        runner = Runner(cache_entries=8)
-        a = runner.run_cached(baseline_config(), "gups", scale=TINY)
-        b = runner.run_cached(baseline_config(), "gups", scale=TINY)
+    def test_sweep_memoises_identity(self):
+        runner = Runner()
+        point = make_point(baseline_config(), "gups", scale=TINY)
+        a = runner.sweep([point])[point]
+        b = runner.sweep([point])[point]
         assert a is b
         assert runner.cache_info()["hits"] == 1
         assert runner.cache_info()["simulations"] == 1
 
-    def test_run_cached_key_includes_seed(self):
-        runner = Runner(cache_entries=8)
-        a = runner.run_cached(baseline_config(), "gups", scale=TINY)
-        b = runner.run_cached(baseline_config(), "gups", scale=TINY, seed=3)
-        assert a is not b
+    def test_sweep_key_includes_seed(self):
+        plain = make_point(baseline_config(), "gups", scale=TINY)
+        seeded = make_point(baseline_config(), "gups", scale=TINY, seed=3)
+        results = Runner().sweep([plain, seeded])
+        assert results[plain] is not results[seeded]
 
     def test_run_matrix_handles_duplicate_configs(self):
         config = baseline_config()
-        results = Runner(cache_entries=8).run_matrix(
+        results = Runner().run_matrix(
             {"a": config, "b": config}, ["gups"], scale=TINY
         )
         assert set(results) == {("a", "gups"), ("b", "gups")}
@@ -160,7 +161,7 @@ class TestTraceExportUnderSweep:
         points = matrix_points(
             [baseline_config(), softwalker_config()], ["gups"], scale=TINY
         )
-        Runner(cache_entries=8).sweep(points, jobs=2)
+        Runner().sweep(points, jobs=2)
         traces = sorted(p.name for p in tmp_path.glob("gups-*.trace.json"))
         assert traces == ["gups-0.trace.json", "gups-1.trace.json"]
 

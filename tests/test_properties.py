@@ -262,7 +262,6 @@ def gpu_configs(draw):
     config = baseline_config().derive(
         num_sms=draw(st.integers(min_value=1, max_value=64)),
         max_warps_per_sm=draw(st.integers(min_value=1, max_value=64)),
-        issue_width=draw(st.integers(min_value=1, max_value=4)),
         fixed_pt_level_latency=draw(st.sampled_from([None, 50, 200])),
         hw_in_tlb_mshr=draw(st.booleans()),
         tlb_coalescing_span=draw(st.sampled_from([1, 2, 4])),

@@ -144,7 +144,7 @@ class TestResultStore:
         self, tmp_path, result, point
     ):
         runner = Runner(store=tmp_path / "store")
-        runner.run_cached(baseline_config(), "gups", scale=TINY)
+        runner.sweep([point])
         info = runner.cache_info()
         assert info["disk_entries"] == 1
         assert info["disk_bytes"] > 0
@@ -229,27 +229,28 @@ class TestSharedTier:
 
 
 class TestTwoTierIntegration:
-    def test_run_cached_persists_and_reloads(self, tmp_path):
+    def test_sweep_persists_and_reloads(self, tmp_path, point):
         first = Runner(store=tmp_path / "store")
-        a = first.run_cached(baseline_config(), "gups", scale=TINY)
+        a = first.sweep([point])[point]
         assert first.cache_info()["disk_stores"] == 1
 
         second = Runner(store=tmp_path / "store")
-        b = second.run_cached(baseline_config(), "gups", scale=TINY)
+        b = second.sweep([point])[point]
         info = second.cache_info()
         assert info["simulations"] == 0 and info["disk_hits"] == 1
         assert b.fingerprint() == a.fingerprint()
         # Now memoised: a third lookup is a memory hit, not a disk read.
-        c = second.run_cached(baseline_config(), "gups", scale=TINY)
+        c = second.sweep([point])[point]
         assert c is b
         assert second.cache_info()["disk_hits"] == 1
 
     def test_scale_env_reaches_the_store_key(self, tmp_path, monkeypatch):
         runner = Runner(store=tmp_path / "store")
+        configs = {"baseline": baseline_config()}
         monkeypatch.setenv("REPRO_SCALE", str(TINY))
-        runner.run_cached(baseline_config(), "gups")
+        runner.run_matrix(configs, ["gups"])
         monkeypatch.setenv("REPRO_SCALE", str(2 * TINY))
-        runner.run_cached(baseline_config(), "gups")
+        runner.run_matrix(configs, ["gups"])
         assert runner.cache_info()["simulations"] == 2
         assert len(runner.store) == 2
 
