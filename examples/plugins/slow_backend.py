@@ -9,8 +9,8 @@ fingerprint, same cycle count); only the host is slower.
 That makes it the test fixture for host-speed regression checks: a
 molasses run must be flagged as slower while its fingerprint proves the
 simulation itself never changed.  perfbench's self-check
-(``perfbench/test_selfcheck.py``) and ``tools/report_smoke.py`` both
-load it.
+(``perfbench/test_selfcheck.py``) and ``smoke/test_report_hijack.py``
+both load it.
 
 Activate::
 
@@ -26,8 +26,9 @@ new backend name, re-register the standard names (``hardware``,
 ``softwalker``, ``hybrid``) with molasses-wrapped factories.  Configs
 then keep their exact fingerprints — the store key, cell identity, and
 simulation outcome are unchanged — while every run pays the sleep tax.
-That is how the report-smoke builds an "identical simulation, slower
-host" snapshot for ``repro report --against`` to flag.
+That is how ``smoke/test_report_hijack.py`` builds an "identical
+simulation, slower host" snapshot for the regression gate behind
+``repro report --against`` to flag.
 """
 
 import os

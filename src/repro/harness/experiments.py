@@ -42,7 +42,7 @@ from repro.config import (
     softwalker_config,
 )
 from repro.gpu.gpu import GPUSimulator, SimulationResult
-from repro.harness.runner import default_runner
+from repro.harness.runner import default_runner, default_scale
 from repro.workloads.base import TraceWorkload
 from repro.workloads.catalog import (
     ALL_ABBRS,
@@ -190,7 +190,9 @@ def fig03_access_patterns(scale: float | None = None) -> ExperimentTable:
     )
     for abbr in ["nw", "bfs", "2dc"]:
         spec = get_spec(abbr)
-        workload = TraceWorkload(spec, baseline_config(), scale=scale or 1.0)
+        workload = TraceWorkload(
+            spec, baseline_config(), scale=scale or default_scale()
+        )
         lines_per_page = workload.page_size // 128
         per_inst_pages = []
         per_inst_span = []
@@ -231,7 +233,9 @@ def fig04_microbench(
     )
     baseline_latency = None
     for concurrency in concurrencies:
-        workload = MicrobenchWorkload(baseline_config(), concurrency, scale=scale or 1.0)
+        workload = MicrobenchWorkload(
+            baseline_config(), concurrency, scale=scale or default_scale()
+        )
         result = GPUSimulator(baseline_config(), workload).run()
         latency = result.mean_memory_latency
         if baseline_latency is None:

@@ -1,12 +1,16 @@
 """Tests for the pluggable architecture layer (``repro.arch``).
 
 Covers the component registries, plugin loading via ``REPRO_PLUGINS``,
-MachineSpec resolution/serialization, and MachineBuilder assembly.
+MachineSpec resolution/serialization, MachineBuilder assembly, and
+inline configs and a plugin backend through ``repro sweep``.
 """
 
+import json
 import os
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from repro.arch import (
 from repro.arch.registry import reset_plugins_loaded
 from repro.config import GPUConfig, baseline_config, softwalker_config
 from repro.harness.runner import build_workload
+from repro.harness.store import ResultStore
 from repro.workloads.base import WorkloadSpec
 
 
@@ -235,8 +240,6 @@ class TestMachineBuilder:
 # ----------------------------------------------------------------------
 class TestLayeringContract:
     def test_layer_dag_is_clean(self):
-        import subprocess
-
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         proc = subprocess.run(
             [sys.executable, os.path.join(repo, "tools", "check_layering.py")],
@@ -244,3 +247,62 @@ class TestLayeringContract:
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# ----------------------------------------------------------------------
+# Inline configs and plugins through `repro sweep` (real subprocesses)
+# ----------------------------------------------------------------------
+REPO = Path(__file__).resolve().parent.parent
+ORACLE_PLUGIN = REPO / "examples" / "plugins" / "toy_backend.py"
+
+
+def repro_sweep(tmp_path, configs: str) -> None:
+    """``repro sweep`` over gups into ``tmp_path/store``, plugin loaded."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ),
+        REPRO_PLUGINS=str(ORACLE_PLUGIN),
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "sweep",
+            "--configs", configs,
+            "--benchmarks", "gups",
+            "--scale", "0.05",
+            "--seed", "7",
+            "--store", str(tmp_path / "store"),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestSweepThroughTheStack:
+    def test_named_and_equivalent_inline_config_share_one_store_entry(
+        self, tmp_path
+    ):
+        inline = tmp_path / "inline_softwalker.json"
+        inline.write_text(json.dumps(softwalker_config().to_dict()))
+        repro_sweep(tmp_path, f"softwalker,@{inline}")
+        assert len(ResultStore(tmp_path / "store")) == 1
+
+    def test_oracle_plugin_runs_through_the_sweep_and_beats_baseline(
+        self, tmp_path
+    ):
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(
+            json.dumps({**baseline_config().to_dict(), "walk_backend": "oracle"})
+        )
+        repro_sweep(tmp_path, f"@{oracle},baseline")
+        cycles = {
+            key["config"].get("walk_backend"): result.cycles
+            for key, result in ResultStore(tmp_path / "store").iter_entries()
+        }
+        # Unlimited walk parallelism must beat 32 hardware walkers.
+        assert cycles.keys() == {"oracle", None}
+        assert cycles["oracle"] < cycles[None]

@@ -7,6 +7,11 @@ canonical artifact bytes, not on any parsed subset.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -289,3 +294,102 @@ class TestRunExplore:
         artifact = run_tiny(tmp_path)
         golden_path = GOLDEN_DIR / "explore_tiny.json"
         assert artifact_json(artifact) == golden_path.read_text(encoding="utf-8")
+
+
+# ----------------------------------------------------------------------
+# `repro explore` end to end, on a space whose answer is planted
+# ----------------------------------------------------------------------
+REPO = Path(__file__).resolve().parent.parent
+
+#: The oracle walk backend models unlimited walk concurrency, so it is
+#: strictly faster than any hardware walker count.
+PLANTED_SPACE = {
+    "version": 1,
+    "base": "baseline",
+    "dimensions": [
+        {"kind": "categorical", "path": "walk_backend", "values": [None, "oracle"]},
+        {"kind": "pow2", "path": "ptw.num_walkers", "low": 16, "high": 32},
+    ],
+}
+
+
+def explore_argv(workdir: Path, sub: str) -> list[str]:
+    """``repro explore`` over the planted space, writing under ``workdir/sub``."""
+    (workdir / sub).mkdir(exist_ok=True)
+    return [
+        sys.executable, "-m", "repro", "explore",
+        "--space", str(workdir / "space.json"),
+        "--benchmarks", "gups",
+        "--scale", "0.05",
+        "--rungs", "0.5:0.5:3000,1",
+        "--store", str(workdir / sub / "store"),
+        "--out", str(workdir / sub / "explore.json"),
+        "--state", str(workdir / sub / "state.json"),
+    ]
+
+
+def explore_env() -> dict:
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        ),
+        REPRO_PLUGINS=str(REPO / "examples" / "plugins" / "toy_backend.py"),
+    )
+
+
+def explore_cli(workdir: Path, sub: str) -> str:
+    """Run the search to completion; returns the artifact's bytes."""
+    proc = subprocess.run(
+        explore_argv(workdir, sub),
+        env=explore_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return (workdir / sub / "explore.json").read_text(encoding="utf-8")
+
+
+class TestPlantedOptimum:
+    @pytest.fixture(scope="class")
+    def planted(self, tmp_path_factory):
+        """``(workdir, artifact bytes)`` of one uninterrupted search."""
+        workdir = tmp_path_factory.mktemp("planted")
+        (workdir / "space.json").write_text(json.dumps(PLANTED_SPACE))
+        return workdir, explore_cli(workdir, "reference")
+
+    def test_oracle_owns_every_front_point_and_the_knee(self, planted):
+        artifact = json.loads(planted[1])
+        assignments = {c["id"]: c["assignment"] for c in artifact["candidates"]}
+        front = {point["candidate"] for point in artifact["pareto_front"]}
+        assert front
+        for candidate in front:
+            assert assignments[candidate].get("walk_backend") == "oracle"
+        assert artifact["knee"]["candidate"] in front
+
+    def test_search_spends_less_than_the_exhaustive_grid(self, planted):
+        budget = json.loads(planted[1])["budget"]
+        assert budget["spent_cycles"] < budget["exhaustive_estimate_cycles"]
+
+    def test_sigkilled_search_resumes_to_identical_bytes(self, planted):
+        workdir, reference = planted
+        state = workdir / "killed" / "state.json"
+        victim = subprocess.Popen(
+            explore_argv(workdir, "killed"),
+            env=explore_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not state.exists() and victim.poll() is None:
+                assert time.monotonic() < deadline, "no rung was ever saved"
+                time.sleep(0.05)
+        finally:
+            victim.kill()
+            victim.wait(timeout=30)
+        # Killed mid-ladder: after its first rung, before the artifact.
+        assert victim.returncode == -signal.SIGKILL
+        assert len(json.loads(state.read_text(encoding="utf-8"))["rungs"]) == 1
+        assert explore_cli(workdir, "killed") == reference

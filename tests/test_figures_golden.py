@@ -62,6 +62,16 @@ def test_every_figure_matches_golden_and_reruns_from_memo(fresh_runner):
     assert fresh_runner().cache_info()["simulations"] == simulations
 
 
+@pytest.mark.parametrize("name", ["fig03_access_patterns", "fig04_microbench"])
+def test_figure_without_scale_runs_at_repro_scale(name, monkeypatch):
+    """Figures that build their own workloads read ``REPRO_SCALE`` too."""
+    from repro.harness import experiments
+
+    experiment = getattr(experiments, name)
+    monkeypatch.setenv("REPRO_SCALE", str(SCALE))
+    assert experiment().render() == experiment(scale=SCALE).render()
+
+
 if __name__ == "__main__":
     if "--regen" in sys.argv:
         os.environ.pop("REPRO_STORE", None)

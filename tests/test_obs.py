@@ -351,9 +351,9 @@ class CountingNullTrace(NullTraceRecorder):
 
 
 class TestHookGuards:
-    """The disabled-mode cost model of ``tools/obs_smoke.py`` charges
-    ``HOOKS_PER_EVENT = 16`` guarded hook sites per engine event; this
-    counts the guards an untraced run actually evaluates."""
+    """The disabled-mode cost model of ``smoke/test_obs_overhead.py``
+    charges ``HOOKS_PER_EVENT = 16`` guarded hook sites per engine event;
+    this counts the guards an untraced run actually evaluates."""
 
     @pytest.mark.parametrize(
         "config",

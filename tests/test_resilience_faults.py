@@ -48,29 +48,36 @@ class TestFaultPlan:
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
 
+#: Chaos runs cover the hardware walkers and SoftWalker's PW warps.
+CHAOS_CONFIGS = (baseline_config, softwalker_config)
+
+
 class TestFaultInjector:
     def test_chaos_run_completes_with_all_kinds_and_no_violations(self):
-        config = baseline_config()
-        sim = make_sim(config)
-        checker = InvariantChecker(sim, every=500).attach()
-        injector = FaultInjector(sim, default_chaos_plan(seed=7)).arm()
-        checker.add_holder(injector)
-        result = sim.run()  # raises InvariantViolation on any breakage
-        assert result.complete
-        counters = result.stats.counters
-        for kind in FAULT_KINDS:
-            assert counters.get(f"chaos.injected.{kind}") == 1, kind
-        assert checker.audits > 0
+        for make_config in CHAOS_CONFIGS:
+            name = make_config.__name__
+            sim = make_sim(make_config())
+            checker = InvariantChecker(sim, every=500).attach()
+            injector = FaultInjector(sim, default_chaos_plan(seed=7)).arm()
+            checker.add_holder(injector)
+            result = sim.run()  # raises InvariantViolation on any breakage
+            assert result.complete, name
+            counters = result.stats.counters
+            for kind in FAULT_KINDS:
+                assert counters.get(f"chaos.injected.{kind}") == 1, (name, kind)
+            assert counters.get("faults.recorded") > 0, name
+            assert checker.audits > 0, name
 
     def test_chaos_run_is_deterministic(self):
-        config = baseline_config()
+        for make_config in CHAOS_CONFIGS:
+            config = make_config()
 
-        def chaos_fingerprint():
-            sim = make_sim(config)
-            FaultInjector(sim, default_chaos_plan(seed=11)).arm()
-            return sim.run().fingerprint()
+            def chaos_fingerprint():
+                sim = make_sim(config)
+                FaultInjector(sim, default_chaos_plan(seed=11)).arm()
+                return sim.run().fingerprint()
 
-        assert chaos_fingerprint() == chaos_fingerprint()
+            assert chaos_fingerprint() == chaos_fingerprint(), make_config.__name__
 
     def test_invalidate_pte_drives_far_fault_path(self):
         config = baseline_config()

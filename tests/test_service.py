@@ -20,16 +20,21 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from repro.config import baseline_config
+from repro.config import baseline_config, softwalker_config
 from repro.service import Backpressure, JobSpec, ServiceClient, ServiceError
 
 #: Scale small enough that one gups run takes about a second.
 TINY = 0.05
 #: Scale big enough that a run is reliably still in flight seconds in.
 LONG = 4.0
+
+ORACLE_PLUGIN = (
+    Path(__file__).resolve().parent.parent / "examples" / "plugins" / "toy_backend.py"
+)
 
 
 @contextmanager
@@ -316,6 +321,45 @@ class TestDrainResume:
             process.terminate()
             assert process.wait(timeout=30) == 0
         assert not state_path.exists()
+
+
+class TestInlineConfigs:
+    def test_inline_submission_attaches_to_the_named_variant(self, tmp_path):
+        with daemon(tmp_path) as (_process, client):
+            named = client.submit(
+                JobSpec(benchmark="dc", config="softwalker", scale=TINY, seed=7),
+                wait=True,
+            )
+            inline = ServiceClient(client.socket_path, client_name="inline")
+            again = inline.submit(
+                JobSpec(
+                    benchmark="dc", config=softwalker_config(), scale=TINY, seed=7
+                ),
+                wait=True,
+            )
+            assert again["job"] == named["job"]
+            assert again["digest"] == named["digest"]
+            assert client.stats()["simulations"] == 1
+
+    def test_plugin_backend_inline_config_runs(self, tmp_path):
+        oracle = {**baseline_config().to_dict(), "walk_backend": "oracle"}
+        with daemon(
+            tmp_path, env_extra={"REPRO_PLUGINS": str(ORACLE_PLUGIN)}
+        ) as (_process, client):
+            # Raw frame: this process has not loaded the plugin, so it
+            # cannot build a GPUConfig naming the oracle backend.
+            ack = client._roundtrip(
+                {
+                    "op": "submit",
+                    "benchmark": "dc",
+                    "config": oracle,
+                    "scale": TINY,
+                    "seed": 7,
+                }
+            )
+            final = client.subscribe(ack["job"])
+            assert final["state"] == "done"
+            assert final["digest"]
 
 
 class TestStreaming:

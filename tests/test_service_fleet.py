@@ -12,7 +12,9 @@ TCP.  The acceptance properties of the fleet PR live here:
   exactly one persisted store entry;
 * a poison job (crashes every host that touches it) is dead-lettered
   after the attempt budget instead of crash-looping the fleet forever;
-* a drain sends polling workers home and they exit cleanly.
+* a drain sends polling workers home and they exit cleanly;
+* the ``serve``/``submit --wait``/``jobs --stats`` CLI round trips work
+  over the unix socket and over TCP.
 """
 
 import os
@@ -61,30 +63,22 @@ def _env(tmp_path, extra=None) -> dict:
 
 
 @contextmanager
-def scheduler(tmp_path, port, *args, env_extra=None):
-    """A ``repro serve --tcp`` subprocess with no local worker slots."""
+def serve(tmp_path, *args, address=None, env_extra=None):
+    """A ``repro serve`` subprocess; yields (process, client).
+
+    The client connects to ``address``, the ``--tcp`` address when the
+    arguments give one, else to the unix socket under ``tmp_path``.
+    """
     process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--tcp",
-            f"127.0.0.1:{port}",
-            "--max-inflight",
-            "0",
-            "--lease-ttl",
-            LEASE_TTL,
-            "--drain-grace",
-            "0.5",
-            *args,
-        ],
+        [sys.executable, "-m", "repro", "serve", "--drain-grace", "0.5", *args],
         env=_env(tmp_path, env_extra),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
-    client = ServiceClient(f"127.0.0.1:{port}", client_name="pytest-fleet")
+    client = ServiceClient(
+        address or str(tmp_path / "svc.sock"), client_name="pytest-fleet"
+    )
     try:
         client.wait_until_up(15.0)
         yield process, client
@@ -97,6 +91,20 @@ def scheduler(tmp_path, port, *args, env_extra=None):
                 process.kill()
                 process.wait(timeout=5)
         process.stdout.close()
+
+
+def scheduler(tmp_path, port, *args, env_extra=None):
+    """A ``repro serve --tcp`` subprocess with no local worker slots."""
+    address = f"127.0.0.1:{port}"
+    return serve(
+        tmp_path,
+        "--tcp", address,
+        "--max-inflight", "0",
+        "--lease-ttl", LEASE_TTL,
+        *args,
+        address=address,
+        env_extra=env_extra,
+    )
 
 
 @contextmanager
@@ -253,5 +261,65 @@ class TestFleetExecution:
                 what="worker registration",
             )
             client.drain()
+            assert process.wait(timeout=30) == 0
+            assert host.wait(timeout=30) == 0
+
+
+def repro_cli(tmp_path, *args, socket=None) -> str:
+    """One ``repro`` command against the service; returns its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=_env(tmp_path, {"REPRO_SOCKET": socket} if socket else None),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def table_value(text: str, row: str) -> str:
+    """The value column of ``row`` in a two-column CLI table."""
+    for line in text.splitlines():
+        if line.startswith(row + "  "):
+            return line[len(row):].strip()
+    raise AssertionError(f"no {row!r} row in:\n{text}")
+
+
+class TestCLIRoundTrips:
+    def test_submit_and_jobs_over_unix_socket_and_tcp(self, tmp_path):
+        submit = ("submit", "gups", "--scale", str(TINY), "--wait")
+
+        # Unix socket, local worker hosts: the repeat is served by
+        # dedupe or the store, never by a second simulation.
+        local = tmp_path / "local"
+        local.mkdir()
+        with serve(local) as (process, _client):
+            first = repro_cli(local, *submit)
+            second = repro_cli(local, *submit)
+            assert table_value(second, "fingerprint") == table_value(
+                first, "fingerprint"
+            )
+            assert "done" in repro_cli(local, "jobs")
+            stats = repro_cli(local, "jobs", "--stats")
+            assert table_value(stats, "simulations run") == "1"
+            process.terminate()
+            assert process.wait(timeout=30) == 0
+
+        # TCP, no local slots: a remote worker host runs the job.
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        port = free_port()
+        address = f"127.0.0.1:{port}"
+        with ExitStack() as stack:
+            process, _client = stack.enter_context(scheduler(fleet, port))
+            host = stack.enter_context(worker(fleet, port))
+            frame = repro_cli(fleet, *submit, socket=address)
+            assert table_value(frame, "fingerprint") == table_value(
+                first, "fingerprint"
+            )
+            stats = repro_cli(fleet, "jobs", "--stats", socket=address)
+            assert table_value(stats, "fleet workers") == "1/1 connected"
+            process.terminate()
             assert process.wait(timeout=30) == 0
             assert host.wait(timeout=30) == 0
