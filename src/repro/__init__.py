@@ -36,7 +36,6 @@ _EXPORTS = {
     "softwalker_config": "repro.config",
     "GPUSimulator": "repro.gpu.gpu",
     "SimulationResult": "repro.gpu.gpu",
-    "SimulationTruncated": "repro.gpu.gpu",
     "MetricsRegistry": "repro.obs",
     "MetricsSampler": "repro.obs",
     "Observability": "repro.obs",
@@ -56,6 +55,7 @@ _EXPORTS = {
     "SupervisedReport": "repro.harness.supervised",
     "SupervisionPolicy": "repro.harness.supervised",
     "run_supervised": "repro.harness.supervised",
+    "simulate": "repro.harness.runner",
     "FaultInjector": "repro.resilience",
     "FaultPlan": "repro.resilience",
     "FaultSpec": "repro.resilience",

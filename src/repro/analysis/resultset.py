@@ -336,16 +336,8 @@ class ResultSet:
         else:
             pairs = results
         for key, result in pairs:
-            if hasattr(key, "config") and hasattr(key, "benchmark"):  # SweepPoint
-                cell_key = CellKey(
-                    config=config_label(key.config, labels),
-                    benchmark=key.benchmark,
-                    scale=key.scale,
-                    footprint_scale=key.footprint_scale,
-                )
-                resultset._cell(cell_key, key.config.to_dict()).add(
-                    result, seed=key.seed
-                )
+            if hasattr(key, "store_key"):  # SweepPoint
+                resultset._ingest_store_key(key.store_key(), result, labels)
             elif isinstance(key, tuple) and len(key) == 2:  # run_matrix
                 config_name, benchmark = key
                 cell_key = CellKey(config=str(config_name), benchmark=benchmark)
@@ -369,9 +361,9 @@ class ResultSet:
             cell.config = config_dict
         return cell
 
-    #: The canonical SweepPoint store-key fields; anything beyond them
-    #: (e.g. the explore driver's ``max_events`` budget) changes what
-    #: was simulated, so it becomes part of the cell identity below.
+    #: The unbudgeted SweepPoint store-key fields; anything beyond them
+    #: (e.g. a point's ``max_events`` budget) changes what was
+    #: simulated, so it becomes part of the cell identity below.
     _POINT_KEY_FIELDS = ("config", "benchmark", "scale", "footprint_scale", "seed")
 
     def _ingest_store_key(

@@ -5,7 +5,8 @@ Commands:
 * ``list`` — the Table 4 benchmark catalog.
 * ``configs`` — the named-configuration registry with descriptions.
 * ``run`` — simulate one benchmark under one configuration, the only
-  single-simulation command.  It always drives ``run_supervised``, and
+  single-simulation command.  It always runs through
+  ``repro.harness.runner.simulate`` (so ``run_supervised``), and
   any of four instruments ride the same run: ``--trace`` (request
   lifecycle as Chrome trace JSON), ``--metrics`` (sampled time-series
   gauges), ``--profile`` (host self time under ``cProfile``) and
@@ -615,9 +616,8 @@ def cmd_run(
     import cProfile
     import pstats
 
-    from repro.gpu.gpu import GPUSimulator
-    from repro.harness.runner import build_workload
-    from repro.harness.supervised import SupervisionPolicy, run_supervised
+    from repro.harness.runner import simulate
+    from repro.harness.supervised import SupervisionPolicy
     from repro.resilience import InvariantViolation
 
     for flag, value in (
@@ -639,16 +639,19 @@ def cmd_run(
         metrics=MetricsRegistry() if metrics else NULL_METRICS,
         sample_interval=interval,
     )
-
-    def make_sim() -> GPUSimulator:
-        workload = build_workload(benchmark, gpu_config, scale=scale, seed=seed)
-        return GPUSimulator(gpu_config, workload, obs=obs)
-
     policy = SupervisionPolicy(audit_every=audit_every if plan is not None else 0)
     profiler = cProfile.Profile() if profile else contextlib.nullcontext()
     try:
         with profiler:
-            report = run_supervised(make_sim, policy=policy, plan=plan)
+            report = simulate(
+                gpu_config,
+                benchmark,
+                scale=scale,
+                seed=seed,
+                obs=obs,
+                policy=policy,
+                plan=plan,
+            )
     except InvariantViolation as violation:
         print(f"INVARIANT VIOLATION\n{violation}", file=sys.stderr)
         return 1

@@ -2,11 +2,12 @@
 
 The driver climbs a ladder of *rungs* of escalating fidelity.  Early
 rungs run every surviving candidate cheaply — at a reduced trace scale
-and, optionally, under a truncated event budget (the supervised
-runner's :class:`~repro.gpu.gpu.SimulationTruncated` degrade path, so a
-partial result still carries everything it measured).  Each rung ranks
-candidates by the geomean over benchmarks of their median-over-seeds
-metric and promotes the top ``keep`` fraction, plus any near-tie that
+and, optionally, under an event budget (the rung's ``max_events`` rides
+on each :class:`~repro.harness.pool.SweepPoint`, and the supervised
+runner degrades a cut run to a partial result that still carries
+everything it measured).  Each rung ranks candidates by the geomean
+over benchmarks of their median-over-seeds metric and promotes the top
+``keep`` fraction, plus any near-tie that
 :func:`repro.analysis.stat_tests.relative_verdict` refuses to call a
 regression against the cutoff.  Only the finalists reach the full-
 fidelity last rung, whose scores feed the Pareto front.
@@ -21,14 +22,13 @@ Reproducibility invariants (the acceptance bar of this subsystem):
   against the space and options).  A restart replays completed rungs
   from state, re-enters the interrupted rung, and — because every run
   is deduped through the :class:`~repro.harness.store.ResultStore` —
-  re-executes only what never finished.  Truncated-rung results are
-  stored under a key augmented with ``max_events``, so a partial-
-  fidelity entry can never be mistaken for a full-fidelity one.
+  re-executes only what never finished.  A budgeted point's store key
+  carries its ``max_events``, so a partial-fidelity entry can never be
+  mistaken for a full-fidelity one.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -47,7 +47,7 @@ from repro.explore.pareto import (
     pareto_front,
 )
 from repro.explore.space import Candidate, SearchSpace, seeded_sample
-from repro.harness.pool import SweepPoint, run_sweep
+from repro.harness.pool import SweepPoint
 from repro.harness.runner import Runner, default_runner, default_scale
 
 #: Version stamped into the explore artifact and the state file.
@@ -229,40 +229,6 @@ def select_survivors(
 
 
 # ----------------------------------------------------------------------
-# Truncated-rung execution
-# ----------------------------------------------------------------------
-def _truncated_store_key(point: SweepPoint, max_events: int) -> dict:
-    """The point's store key *augmented* with its event budget.
-
-    Keeping ``max_events`` in the key means a truncated rung can never
-    collide with (or be served from) a full-fidelity entry for the same
-    point — and vice versa.  ``ResultSet`` surfaces the extra key field
-    in the cell label, so partial-fidelity entries stay visibly
-    separate in ``repro report`` too.
-    """
-    key = point.store_key()
-    key["max_events"] = max_events
-    return key
-
-
-def _execute_truncated(point: SweepPoint, max_events: int) -> dict:
-    """Worker body for a budgeted rung: supervised run, degrade to partial.
-
-    Module-level (and driven through :func:`functools.partial`) so the
-    fork pool can pickle it.
-    """
-    from repro.harness.pool import run_point_supervised
-    from repro.harness.supervised import SupervisionPolicy
-
-    policy = SupervisionPolicy(
-        slice_events=min(20_000, max_events),
-        max_events=max_events,
-    )
-    report = run_point_supervised(point, policy=policy)
-    return report.result.to_dict()
-
-
-# ----------------------------------------------------------------------
 # State persistence
 # ----------------------------------------------------------------------
 def _fingerprint(space: SearchSpace, options: ExploreOptions) -> str:
@@ -371,6 +337,7 @@ def run_explore(
                 benchmark=benchmark,
                 scale=rung_scale,
                 seed=seed,
+                max_events=rung.max_events,
             )
             for candidate in active
             for benchmark in options.benchmarks
@@ -386,7 +353,7 @@ def run_explore(
                 else ""
             )
         )
-        results = _run_rung(runner, points, rung, jobs=jobs, progress=progress)
+        results = runner.sweep(points, jobs=jobs, progress=progress)
 
         scores: dict[str, float] = {}
         per_benchmark: dict[str, dict[str, float]] = {}
@@ -450,40 +417,6 @@ def run_explore(
 
     return _assemble_artifact(
         space, options, candidates, skipped, completed, fingerprint
-    )
-
-
-def _run_rung(
-    runner: Runner,
-    points: Sequence[SweepPoint],
-    rung: Rung,
-    *,
-    jobs: int | None,
-    progress,
-):
-    """Full-fidelity rungs ride the runner; budgeted rungs go supervised."""
-    if rung.max_events is None:
-        return runner.sweep(points, jobs=jobs, progress=progress)
-
-    store = runner.store
-    max_events = rung.max_events
-
-    def lookup(point: SweepPoint):
-        if store is None:
-            return None
-        return store.load(_truncated_store_key(point, max_events))
-
-    def publish(point: SweepPoint, result) -> None:
-        if store is not None:
-            store.store(_truncated_store_key(point, max_events), result)
-
-    return run_sweep(
-        points,
-        jobs=jobs if jobs is not None else runner.jobs,
-        lookup=lookup,
-        publish=publish,
-        progress=progress,
-        execute=functools.partial(_execute_truncated, max_events=max_events),
     )
 
 

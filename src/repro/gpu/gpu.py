@@ -15,7 +15,6 @@ the ``repro.arch`` registries) needs no changes here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.arch.machine import MachineBuilder, MachineSpec
@@ -23,10 +22,6 @@ from repro.config import GPUConfig
 from repro.obs import NULL_OBS, MetricsSampler, Observability
 from repro.sim.stats import StatsRegistry
 from repro.workloads.base import TraceWorkload
-
-
-class SimulationTruncated(RuntimeError):
-    """The ``max_events`` safety valve fired before the workload finished."""
 
 
 @dataclass
@@ -48,7 +43,7 @@ class SimulationResult:
     #: execution gave up before every warp finished).
     complete: bool = True
     #: Host-side performance metadata (wall seconds, events/sec, peak
-    #: RSS — see :func:`repro.harness.runner.perf_metadata`), attached
+    #: RSS — see :func:`repro.harness.supervised.perf_metadata`), attached
     #: by the harness after the run.  Deliberately excluded from
     #: :meth:`fingerprint` — two bit-identical simulations on hosts of
     #: different speeds must still compare equal — and omitted from
@@ -297,8 +292,7 @@ class GPUSimulator:
         """Run one bounded slice; returns True while real work remains.
 
         The supervised runner drives the simulation in slices so it can
-        audit and check its watchdog between them without
-        ever raising :class:`SimulationTruncated` mid-flight.
+        check its watchdog and event budget between them.
         """
         self.start()
         self.engine.run(max_events=max_events)
@@ -326,30 +320,15 @@ class GPUSimulator:
                 warp.sm = warp.engine = warp.translation = warp.memory = None
         self.obs.metrics.release()
 
-    def run(self, *, max_events: int | None = None) -> SimulationResult:
+    def run(self) -> SimulationResult:
+        """Run to completion; raises if the queue drains with warps left."""
         self.start()
-        self.engine.run(max_events=max_events)
+        self.engine.run()
         remaining = self.warps_remaining
         if remaining:
-            if self.engine.truncated:
-                raise SimulationTruncated(
-                    f"max_events={max_events} fired with "
-                    f"{remaining} warps unfinished and "
-                    f"{self.engine.real_pending} events still pending; "
-                    f"raise max_events or shrink the workload"
-                )
             raise RuntimeError(
                 f"simulation drained with {remaining} warps unfinished "
                 f"(event starvation — likely a wiring bug)"
-            )
-        if self.engine.truncated:
-            # All warps finished but the valve still cut residual events
-            # (e.g. in-flight prefetches); results are usable but inexact.
-            warnings.warn(
-                f"max_events={max_events} truncated {self.engine.real_pending} "
-                f"residual events after the last warp finished",
-                RuntimeWarning,
-                stacklevel=2,
             )
         return self._build_result(complete=True)
 

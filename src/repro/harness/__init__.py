@@ -22,8 +22,8 @@ _EXPORTS = {
     "make_point": "repro.harness.pool",
     "matrix_points": "repro.harness.pool",
     "pool_context": "repro.harness.pool",
-    "run_point_supervised": "repro.harness.pool",
     "run_sweep": "repro.harness.pool",
+    "simulate": "repro.harness.runner",
     "speedups": "repro.harness.runner",
     "SupervisedReport": "repro.harness.supervised",
     "SupervisionPolicy": "repro.harness.supervised",

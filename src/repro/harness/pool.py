@@ -1,7 +1,8 @@
 """Parallel sweep engine: independent simulation points across processes.
 
 A sweep matrix is a list of :class:`SweepPoint`s — (config, benchmark,
-scale, footprint scale, seed) tuples.  Points are independent by
+scale, footprint scale, seed) tuples, each with an optional event
+budget.  Points are independent by
 construction (the trace is deterministic in the benchmark name and
 seed), so :func:`run_sweep` deduplicates them, resolves what it can from
 the caller's caches, and executes the remainder either in-process or
@@ -62,16 +63,26 @@ class SweepPoint:
     scale: float
     footprint_scale: float = 1.0
     seed: int | None = None
+    #: Event budget of the run (None = run to completion).  A budgeted
+    #: run may end ``complete=False``, so it is a different point.
+    max_events: int | None = None
 
     def store_key(self) -> dict:
-        """JSON-safe key for the persistent result store."""
-        return {
+        """JSON-safe key for the persistent result store.
+
+        ``max_events`` joins the key only when set, so a partial result
+        can never be served as (or shadow) a full-fidelity one.
+        """
+        key = {
             "config": config_fingerprint(self.config),
             "benchmark": self.benchmark,
             "scale": self.scale,
             "footprint_scale": self.footprint_scale,
             "seed": self.seed,
         }
+        if self.max_events is not None:
+            key["max_events"] = self.max_events
+        return key
 
     def label(self) -> str:
         parts = [self.benchmark, f"x{self.scale:g}"]
@@ -79,6 +90,8 @@ class SweepPoint:
             parts.append(f"fp{self.footprint_scale:g}")
         if self.seed is not None:
             parts.append(f"seed{self.seed}")
+        if self.max_events is not None:
+            parts.append(f"max{self.max_events}")
         return "/".join(parts)
 
     # ------------------------------------------------------------------
@@ -89,7 +102,7 @@ class SweepPoint:
         return self.store_key()
 
     #: The serialized field set; ``from_dict`` rejects anything else.
-    FIELDS = ("config", "benchmark", "scale", "footprint_scale", "seed")
+    FIELDS = ("config", "benchmark", "scale", "footprint_scale", "seed", "max_events")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepPoint":
@@ -113,6 +126,9 @@ class SweepPoint:
             scale=float(data["scale"]),
             footprint_scale=float(data.get("footprint_scale", 1.0)),
             seed=None if data.get("seed") is None else int(data["seed"]),
+            max_events=(
+                None if data.get("max_events") is None else int(data["max_events"])
+            ),
         )
 
 
@@ -172,60 +188,18 @@ def _execute_point(point: SweepPoint) -> dict:
     pickled SimulationResult) keeps the wire format identical to the
     persistent store's and exercises the same round-trip guarantee.
     """
-    from repro.harness.runner import default_runner
+    from repro.harness.runner import simulate
+    from repro.harness.supervised import SupervisionPolicy
 
-    result = default_runner().run(
+    report = simulate(
         point.config,
         point.benchmark,
         scale=point.scale,
         footprint_scale=point.footprint_scale,
         seed=point.seed,
+        policy=SupervisionPolicy(max_events=point.max_events),
     )
-    return result.to_dict()
-
-
-def run_point_supervised(
-    point: SweepPoint,
-    *,
-    policy=None,
-    heartbeat=None,
-    sample_interval: int | None = None,
-):
-    """Execute one point under supervised slicing — the service hook.
-
-    Unlike :func:`_execute_point` (one monolithic ``run()`` per worker),
-    this drives the simulation through
-    :func:`~repro.harness.supervised.run_supervised`, so the caller gets
-    one attempt under a wall-clock watchdog and an event budget, a
-    partial result (``complete=False``) when either ends the run, and a
-    per-slice ``heartbeat(sim)`` callback.  With ``sample_interval``
-    set, the run carries a sampling :class:`~repro.obs.Observability`
-    bundle, so the heartbeat can read live component gauges off
-    ``sim.obs.metrics``.
-
-    Returns the :class:`~repro.harness.supervised.SupervisedReport`.
-    """
-    from repro.gpu.gpu import GPUSimulator
-    from repro.harness.runner import build_workload
-    from repro.harness.supervised import run_supervised
-    from repro.obs import Observability
-
-    def make_sim() -> GPUSimulator:
-        obs = (
-            Observability.sampling(sample_interval)
-            if sample_interval
-            else None
-        )
-        workload = build_workload(
-            point.benchmark,
-            point.config,
-            scale=point.scale,
-            footprint_scale=point.footprint_scale,
-            seed=point.seed,
-        )
-        return GPUSimulator(point.config, workload, obs=obs)
-
-    return run_supervised(make_sim, policy=policy, heartbeat=heartbeat)
+    return report.result.to_dict()
 
 
 def pool_context():
@@ -250,7 +224,6 @@ def run_sweep(
     lookup: Callable[[SweepPoint], SimulationResult | None] | None = None,
     publish: Callable[[SweepPoint, SimulationResult], None] | None = None,
     progress: ProgressFn | None = None,
-    execute: Callable[[SweepPoint], dict] | None = None,
 ) -> dict[SweepPoint, SimulationResult]:
     """Execute a sweep matrix; returns {point: result} for every point.
 
@@ -261,19 +234,11 @@ def run_sweep(
     the returned mapping (and of ``publish`` calls) follows first-seen
     point order either way, so serial and parallel sweeps are
     indistinguishable to the caller.
-
-    ``execute`` swaps the worker body: it takes a point and returns a
-    ``SimulationResult.to_dict`` payload.  The explore driver uses this
-    to run truncated-budget rungs through the supervised runner; the
-    callable must be picklable (a module-level function or a
-    ``functools.partial`` of one) so the process pool can ship it.
     """
     if jobs is None:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if execute is None:
-        execute = _execute_point
 
     ordered = dedupe_points(points)
     total = len(ordered)
@@ -301,13 +266,13 @@ def run_sweep(
 
     if len(pending) <= 1 or jobs == 1:
         for point in pending:
-            finish(point, SimulationResult.from_dict(execute(point)))
+            finish(point, SimulationResult.from_dict(_execute_point(point)))
     else:
         workers = min(jobs, len(pending))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=pool_context()
         ) as pool:
-            futures = [(p, pool.submit(execute, p)) for p in pending]
+            futures = [(p, pool.submit(_execute_point, p)) for p in pending]
             for point, future in futures:
                 finish(point, SimulationResult.from_dict(future.result()))
 

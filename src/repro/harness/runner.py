@@ -4,7 +4,9 @@ The trace for a given benchmark is deterministic in its name, so every
 configuration of a sweep replays the identical workload — speedups are
 cycles ratios over the same work.
 
-The one front door is :class:`Runner`: it owns the trace scale, the
+Every run is built in one place, :func:`simulate`, which drives the
+machine with :func:`~repro.harness.supervised.run_supervised`.  The
+front door over it is :class:`Runner`: it owns the trace scale, the
 parallel worker count, the two-tier result cache (an in-memory memo over
 the persistent on-disk :class:`~repro.harness.store.ResultStore`), and
 per-run observability.
@@ -18,18 +20,16 @@ Environment knobs (all read by the default instance):
 * ``REPRO_STORE`` (directory) enables the persistent result store, so
   repeated figure/benchmark invocations warm-start from disk.
 * ``REPRO_TRACE`` (directory) turns on full observability for every
-  run, writing one Chrome trace + metrics JSON pair per run into the
-  directory (filenames claimed atomically, so parallel workers never
-  overwrite each other's traces).
+  run not given its own ``obs``, writing one Chrome trace + metrics
+  JSON pair per run into the directory (filenames claimed atomically,
+  so parallel workers never overwrite each other's traces).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
-import time
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
 
 # The machine's components are built through function-local imports
 # (the arch registry's factories, ``MachineBuilder.build``).  Import
@@ -47,46 +47,20 @@ from repro.harness.pool import (
     run_sweep,
 )
 from repro.harness.store import ResultStore, default_store_path
+from repro.harness.supervised import (
+    SupervisedReport,
+    SupervisionPolicy,
+    run_supervised,
+)
 from repro.obs import Observability
 from repro.workloads.base import TraceWorkload, WorkloadSpec
 from repro.workloads.catalog import get_spec
 
+if TYPE_CHECKING:
+    from repro.resilience.faults import FaultPlan
+
 _SCALE_ENV = "REPRO_SCALE"
 _TRACE_ENV = "REPRO_TRACE"
-
-
-def peak_rss_kb() -> int:
-    """Peak resident set size of this process in KiB (0 if unknown).
-
-    Monotone over the process lifetime: the value is the RSS high-water
-    mark so far, not the peak of the last run alone.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-unix
-        return 0
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB; macOS reports bytes.
-    if sys.platform == "darwin":  # pragma: no cover - linux CI
-        rss //= 1024
-    return int(rss)
-
-
-def perf_metadata(*, wall_seconds: float, events: int, cycles: int) -> dict:
-    """The ``SimulationResult.perf`` payload for one finished run.
-
-    Host-side only — deliberately excluded from result fingerprints, so
-    two bit-identical simulations on hosts of different speeds still
-    compare equal.
-    """
-    wall = max(0.0, float(wall_seconds))
-    return {
-        "wall_seconds": wall,
-        "events": int(events),
-        "events_per_sec": (events / wall) if wall > 0 else 0.0,
-        "cycles_per_sec": (cycles / wall) if wall > 0 else 0.0,
-        "peak_rss_kb": peak_rss_kb(),
-    }
 
 
 def default_scale() -> float:
@@ -135,23 +109,9 @@ def build_workload(
     )
 
 
-def _env_observability() -> Observability | None:
-    """Build a per-run observability bundle when ``REPRO_TRACE`` is set.
-
-    The env value names a directory; each run writes
-    ``<abbr>-<n>.trace.json`` / ``<abbr>-<n>.metrics.json`` into it.
-    """
-    target = os.environ.get(_TRACE_ENV)
-    if not target:
-        return None
-    os.makedirs(target, exist_ok=True)
-    return Observability.full()
-
-
-def _export_env_trace(obs: Observability, benchmark_abbr: str) -> None:
-    target = os.environ.get(_TRACE_ENV)
-    if not target:
-        return
+def _export_env_trace(obs: Observability, target: str, benchmark_abbr: str) -> None:
+    """Write one run's ``<abbr>-<n>.trace.json`` / ``.metrics.json``
+    pair into the ``REPRO_TRACE`` directory ``target``."""
     # Claim the next free slot with O_EXCL atomic creation: a plain
     # exists() probe races under parallel sweep workers (two processes
     # both see "-3 free" and one silently overwrites the other).
@@ -167,6 +127,49 @@ def _export_env_trace(obs: Observability, benchmark_abbr: str) -> None:
     with handle:
         json.dump(obs.trace.chrome_trace(), handle)
     obs.metrics.write_json(stem + ".metrics.json")
+
+
+def simulate(
+    config: GPUConfig | Mapping,
+    benchmark: str | WorkloadSpec,
+    *,
+    scale: float | None = None,
+    footprint_scale: float = 1.0,
+    seed: int | None = None,
+    obs: Observability | None = None,
+    policy: SupervisionPolicy | None = None,
+    plan: FaultPlan | None = None,
+    heartbeat: Callable[[GPUSimulator], None] | None = None,
+) -> SupervisedReport:
+    """Build one simulation point and drive it with :func:`run_supervised`.
+
+    The one place a run is built: :meth:`Runner.run`, the sweep worker,
+    the service's job worker and ``repro run`` all come through here.
+    A run given no ``obs`` of its own takes the ``REPRO_TRACE`` bundle
+    when that is set.  ``policy``, ``plan`` and ``heartbeat`` pass
+    through to :func:`run_supervised`.
+    """
+    config = coerce_config(config)
+    workload = build_workload(
+        benchmark,
+        config,
+        scale=scale,
+        footprint_scale=footprint_scale,
+        seed=seed,
+    )
+    trace_dir = os.environ.get(_TRACE_ENV) if obs is None else None
+    if trace_dir:
+        os.makedirs(trace_dir, exist_ok=True)
+        obs = Observability.full()
+    report = run_supervised(
+        GPUSimulator(config, workload, obs=obs),
+        policy=policy,
+        plan=plan,
+        heartbeat=heartbeat,
+    )
+    if trace_dir:
+        _export_env_trace(obs, trace_dir, workload.spec.abbr)
+    return report
 
 
 class Runner:
@@ -258,37 +261,17 @@ class Runner:
 
         ``config`` may be a built :class:`~repro.config.GPUConfig` or an
         inline config dict.  Always executes (no cache tiers); use
-        :meth:`sweep` or :meth:`run_matrix` for memoised paths.
+        :meth:`sweep` or :meth:`run_matrix` for memoised paths.  This is
+        :func:`simulate`'s result under the default supervision policy.
         """
-        config = coerce_config(config)
-        workload = build_workload(
-            benchmark,
+        return simulate(
             config,
+            benchmark,
             scale=self._effective_scale(scale),
             footprint_scale=footprint_scale,
             seed=seed,
-        )
-        env_obs = None
-        if obs is None:
-            env_obs = _env_observability()
-            obs = env_obs
-        sim = GPUSimulator(config, workload, obs=obs)
-        started = time.perf_counter()
-        result = sim.run()
-        wall = time.perf_counter() - started
-        # Host-side throughput rides along (fingerprint-excluded), so
-        # the ResultStore accumulates a perf trajectory passively.
-        result.perf = perf_metadata(
-            wall_seconds=wall,
-            events=sim.engine.events_processed,
-            cycles=result.cycles,
-        )
-        if env_obs is not None:
-            _export_env_trace(env_obs, workload.spec.abbr)
-        # Reference counting frees the machine when this returns, so
-        # back-to-back runs hold one machine at a time.
-        sim.release()
-        return result
+            obs=obs,
+        ).result
 
     def sweep(
         self,

@@ -55,7 +55,7 @@ def fingerprint_digest(result: SimulationResult) -> str:
     """Stable hex digest of a result's fingerprint.
 
     Two results with equal digests ran bit-identically — the currency
-    the sweep smoke and the parallel-vs-serial tests compare in.
+    ``tests/test_pool.py``'s parallel-vs-serial sweep tests compare in.
     """
     return hashlib.sha256(canonical_key(result.fingerprint()).encode()).hexdigest()
 

@@ -1,8 +1,8 @@
 """Supervised simulation runs: watchdog, event budget, degrade.
 
-``run_supervised`` drives a simulator in bounded event slices instead of
-one monolithic ``run()`` call, which buys three properties a long
-unattended experiment needs:
+``run_supervised`` drives a built simulator in bounded event slices
+instead of one monolithic ``run()`` call, which buys three properties a
+long unattended experiment needs:
 
 * a **wall-clock watchdog** — a hung or pathologically slow run is cut
   off between slices, not discovered the next morning;
@@ -12,6 +12,11 @@ unattended experiment needs:
   run, the caller gets a partial
   :class:`~repro.gpu.gpu.SimulationResult` (``complete=False``) holding
   everything the run did measure, rather than an exception and nothing.
+
+Every simulation the harness, the service and the CLI run goes through
+here (:func:`repro.harness.runner.simulate` builds the machine and
+hands it over), so ``result.perf`` means the same on every path: its
+``wall_seconds`` are the event loop's, the build excluded.
 
 There is exactly one attempt.  A simulation is bit-deterministic, so a
 run that overran its limit would overrun it again; the only retry worth
@@ -26,14 +31,49 @@ callback raises.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.gpu.gpu import GPUSimulator, SimulationResult
-from repro.harness.runner import perf_metadata
-from repro.resilience.faults import FaultInjector, FaultPlan
-from repro.resilience.invariants import InvariantChecker
+
+if TYPE_CHECKING:
+    from repro.resilience.faults import FaultPlan
+
+
+def peak_rss_kb() -> int:
+    """Peak resident set size of this process in KiB (0 if unknown).
+
+    Monotone over the process lifetime: the value is the RSS high-water
+    mark so far, not the peak of the last run alone.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-unix
+        return 0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB; macOS reports bytes.
+    if sys.platform == "darwin":  # pragma: no cover - linux CI
+        rss //= 1024
+    return int(rss)
+
+
+def perf_metadata(*, wall_seconds: float, events: int, cycles: int) -> dict:
+    """The ``SimulationResult.perf`` payload for one finished run.
+
+    Host-side only — deliberately excluded from result fingerprints, so
+    two bit-identical simulations on hosts of different speeds still
+    compare equal.
+    """
+    wall = max(0.0, float(wall_seconds))
+    return {
+        "wall_seconds": wall,
+        "events": int(events),
+        "events_per_sec": (events / wall) if wall > 0 else 0.0,
+        "cycles_per_sec": (cycles / wall) if wall > 0 else 0.0,
+        "peak_rss_kb": peak_rss_kb(),
+    }
 
 
 @dataclass(frozen=True)
@@ -68,25 +108,23 @@ class SupervisedReport:
     audits: int = 0
     #: Faults injected (0 when no plan was armed).
     faults_injected: int = 0
-    #: Wall-clock seconds the run took, simulator build included.
-    wall_seconds: float = 0.0
 
 
 def run_supervised(
-    make_sim: Callable[[], GPUSimulator],
+    sim: GPUSimulator,
     *,
     policy: SupervisionPolicy | None = None,
     plan: FaultPlan | None = None,
-    clock: Callable[[], float] = time.monotonic,
+    clock: Callable[[], float] = time.perf_counter,
     heartbeat: Callable[[GPUSimulator], None] | None = None,
 ) -> SupervisedReport:
-    """Drive ``make_sim()`` to completion under a supervision policy.
+    """Drive the built simulator ``sim`` to completion under a policy.
 
     Args:
-        make_sim: builds the simulator to drive.
+        sim: the simulator to drive; released before this returns.
         policy: supervision knobs; defaults to
             :class:`SupervisionPolicy()`.
-        plan: optional fault plan, armed on the fresh simulator.
+        plan: optional fault plan, armed on ``sim`` before it starts.
         clock: injectable time source so tests can fake the watchdog.
         heartbeat: called with the live simulator after every completed
             slice — the hook the service daemon uses to stream progress
@@ -94,10 +132,21 @@ def run_supervised(
             while a job runs.
     """
     policy = policy if policy is not None else SupervisionPolicy()
+    # Imported here: a plain run never loads the resilience package.
+    checker = None
+    if policy.audit_every:
+        from repro.resilience.invariants import InvariantChecker
+
+        checker = InvariantChecker(sim, every=policy.audit_every).attach()
+    if plan is not None and len(plan):
+        from repro.resilience.faults import FaultInjector
+
+        injector = FaultInjector(sim, plan).arm()
+        if checker is not None:
+            checker.add_holder(injector)
     started = clock()
-    sim = _prepare(make_sim(), policy, plan)
     deadline = (
-        clock() + policy.wall_clock_limit
+        started + policy.wall_clock_limit
         if policy.wall_clock_limit is not None
         else None
     )
@@ -105,16 +154,17 @@ def run_supervised(
     # A drained queue needs run() to validate and build the final
     # result; a cut-short run keeps whatever it measured.
     result = sim.run() if failure is None else sim.partial_result()
+    # Host-side throughput rides along (fingerprint-excluded), so the
+    # ResultStore accumulates a perf trajectory passively.
+    result.perf = perf_metadata(
+        wall_seconds=clock() - started,
+        events=sim.engine.events_processed,
+        cycles=result.cycles,
+    )
     counters = sim.stats.counters
-    # As in Runner.run: reference counting frees the machine on return.
+    # Reference counting frees the machine once the caller drops it, so
+    # back-to-back runs hold one machine at a time.
     sim.release()
-    wall = max(0.0, clock() - started)
-    if result.perf is None:
-        result.perf = perf_metadata(
-            wall_seconds=wall,
-            events=sim.engine.events_processed,
-            cycles=result.cycles,
-        )
     return SupervisedReport(
         result=result,
         degraded=not result.complete,
@@ -125,21 +175,7 @@ def run_supervised(
             for name, value in counters.as_dict().items()
             if name.startswith("chaos.injected.")
         ),
-        wall_seconds=wall,
     )
-
-
-def _prepare(
-    sim: GPUSimulator, policy: SupervisionPolicy, plan: FaultPlan | None
-) -> GPUSimulator:
-    checker = None
-    if policy.audit_every:
-        checker = InvariantChecker(sim, every=policy.audit_every).attach()
-    if plan is not None and len(plan):
-        injector = FaultInjector(sim, plan).arm()
-        if checker is not None:
-            checker.add_holder(injector)
-    return sim
 
 
 def _drive(

@@ -3,7 +3,7 @@
 ``chrome://tracing`` and Perfetto silently drop malformed events, which
 turns exporter bugs into "my spans vanished" mysteries.  This validator
 enforces the subset of the trace-event format the recorder emits, so
-tests and the CI smoke job fail loudly instead:
+tests (``tests/test_obs.py``, ``tests/test_cli.py``) fail loudly instead:
 
 * top level: an object with a ``traceEvents`` list;
 * every event: ``ph``/``pid``/``tid``/``ts`` present and well-typed;

@@ -131,7 +131,8 @@ class FaultPlan:
 def default_chaos_plan(
     *, seed: int = 0, start: int = 1_000, spacing: int = 4_000
 ) -> FaultPlan:
-    """One of every fault kind, evenly spaced — the chaos-smoke diet."""
+    """One of every fault kind, evenly spaced — the plan
+    ``tests/test_resilience_faults.py`` runs end to end."""
     specs = []
     for index, kind in enumerate(FAULT_KINDS):
         time = start + index * spacing

@@ -16,7 +16,7 @@ and the worker hosts (:mod:`repro.service.worker`) that execute jobs:
   ``worker_poll`` *long poll* that :meth:`Scheduler.poll` holds until a
   job becomes eligible or the hold elapses.  Each host forks
   :func:`_job_worker` per job, driven by
-  :func:`~repro.harness.pool.run_point_supervised`, so the wall-clock
+  :func:`~repro.harness.runner.simulate`, so the wall-clock
   timeout and graceful degradation come from the supervised runner
   rather than being reimplemented here.  A job that overruns
   ``job_timeout`` ends once, with its partial result; it is never
@@ -54,9 +54,10 @@ from typing import Any, Callable
 
 from repro.config import DEFAULT_CONFIGS, ConfigRegistry, ServiceConfig
 from repro.gpu.gpu import SimulationResult
-from repro.harness.pool import run_point_supervised
+from repro.harness.runner import simulate
 from repro.harness.store import ResultStore
 from repro.harness.supervised import SupervisionPolicy
+from repro.obs import Observability
 from repro.service.lease import LeaseManager, describe_leases
 from repro.service.protocol import JobSpec, ProtocolError
 from repro.service.queue import AdmissionRefused, Job, JobQueue
@@ -75,8 +76,9 @@ HEARTBEAT_MIN_INTERVAL = 0.05
 HARD_KILL_SLACK = 10.0
 
 #: Chaos hook: a worker whose job carries this seed exits hard before
-#: simulating — the "poison job" fault the fleet tests and smoke use to
-#: prove crash-requeue and dead-lettering without patching any code.
+#: simulating — the "poison job" fault ``tests/test_service_fleet.py``
+#: uses to prove crash-requeue and dead-lettering without patching any
+#: code.
 CHAOS_EXIT_ENV = "REPRO_CHAOS_EXIT_SEED"
 
 
@@ -127,11 +129,17 @@ def _job_worker(spec_payload: dict, policy_payload: dict, sample_interval: int, 
                 }
             )
 
-        report = run_point_supervised(
-            point,
+        # A sampling bundle lets the heartbeat read live gauges.
+        obs = Observability.sampling(sample_interval) if sample_interval else None
+        report = simulate(
+            point.config,
+            point.benchmark,
+            scale=point.scale,
+            footprint_scale=point.footprint_scale,
+            seed=point.seed,
+            obs=obs,
             policy=policy,
             heartbeat=heartbeat,
-            sample_interval=sample_interval or None,
         )
         conn.send(
             {

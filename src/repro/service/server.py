@@ -52,6 +52,7 @@ from repro.service.protocol import (
     NOT_FOUND,
     PROTOCOL_VERSION,
     TOO_MANY_JOBS,
+    WORKER_OPS,
     JobSpec,
     ProtocolError,
     decode_frame,
@@ -65,8 +66,6 @@ from repro.service.scheduler import HARD_KILL_SLACK, Scheduler
 from repro.service.worker import run_worker
 
 logger = logging.getLogger(__name__)
-
-WORKER_OPS = ("worker_register", "worker_poll", "worker_heartbeat", "worker_done")
 
 
 class ServiceServer:

@@ -242,14 +242,14 @@ class TestResilienceCommands:
         assert main(["run", "gups", "--chaos", "--audit-every", "0"]) == 2
 
     def test_invariant_violation_exits_one(self, monkeypatch, capsys):
-        import repro.harness.supervised as supervised
+        import repro.harness.runner as runner
         from repro.resilience import InvariantViolation
 
         def violated(*_args, **_kwargs):
             raise InvariantViolation(["planted"], {"engine": {"now": 5}})
 
-        # cmd_run imports run_supervised when it runs, from its module.
-        monkeypatch.setattr(supervised, "run_supervised", violated)
+        # cmd_run imports simulate when it runs, from its module.
+        monkeypatch.setattr(runner, "simulate", violated)
         assert main(["run", "gups", "--chaos"]) == 1
         assert "INVARIANT VIOLATION" in capsys.readouterr().err
 

@@ -19,7 +19,7 @@ from repro.arch.registry import DISTRIBUTOR_POLICIES, PAGE_TABLE_KINDS, PWB_POLI
 from repro.config import GPUConfig, baseline_config, softwalker_config
 from repro.gpu.gpu import GPUSimulator
 from repro.harness.runner import build_workload
-from repro.resilience import InvariantChecker
+from repro.harness.supervised import SupervisionPolicy, run_supervised
 
 SEED = 20
 DRAWS = 60
@@ -104,8 +104,10 @@ def test_accepted_config_runs_clean(name, data, changes):
         config = GPUConfig.from_dict(data)
     except ValueError:
         return
-    sim = GPUSimulator(config, build_workload("gups", config, scale=0.01))
-    InvariantChecker(sim, every=500).attach()
-    result = sim.run(max_events=MAX_EVENTS)
+    report = run_supervised(
+        GPUSimulator(config, build_workload("gups", config, scale=0.01)),
+        policy=SupervisionPolicy(max_events=MAX_EVENTS, audit_every=500),
+    )
+    result = report.result
     assert result.complete, (name, changes)
     assert result.instructions > 0, (name, changes)

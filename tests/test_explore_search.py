@@ -6,6 +6,7 @@ bit-identical resume after an interrupted search — are asserted on the
 canonical artifact bytes, not on any parsed subset.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -197,7 +198,6 @@ class TestRunExplore:
     def test_truncated_rung_results_are_partial_and_separately_keyed(
         self, tmp_path
     ):
-        from repro.explore.search import _truncated_store_key
         from repro.harness.pool import make_point
 
         run_tiny(tmp_path)
@@ -207,7 +207,8 @@ class TestRunExplore:
             "gups",
             scale=TINY_SCALE * 0.5,
         )
-        truncated = store.load(_truncated_store_key(point, 4000))
+        budgeted = dataclasses.replace(point, max_events=4000)
+        truncated = store.load(budgeted.store_key())
         assert truncated is not None
         assert truncated.complete is False
         # The same point WITHOUT the budget key is absent: a partial

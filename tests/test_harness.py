@@ -10,9 +10,9 @@ from repro.harness.runner import (
     clear_cache,
     default_runner,
     default_scale,
-    perf_metadata,
     speedups,
 )
+from repro.harness.supervised import perf_metadata
 
 TINY = 0.125
 

@@ -142,12 +142,12 @@ def test_daemon_preloads_the_whole_job():
         "import sys\n"
         "import repro.service.server\n"
         "from repro.config import DEFAULT_CONFIGS\n"
-        "from repro.harness.pool import make_point, run_point_supervised\n"
+        "from repro.harness.runner import simulate\n"
+        "from repro.obs import Observability\n"
         "before = set(sys.modules)\n"
-        "point = make_point(\n"
-        "    DEFAULT_CONFIGS.get('softwalker').derive(num_sms=4), 'gups', scale=0.01\n"
-        ")\n"
-        "assert run_point_supervised(point, sample_interval=500).result.complete\n"
+        "config = DEFAULT_CONFIGS.get('softwalker').derive(num_sms=4)\n"
+        "obs = Observability.sampling(500)\n"
+        "assert simulate(config, 'gups', scale=0.01, obs=obs).result.complete\n"
         "added = sorted(set(sys.modules) - before)\n"
         "print('ADDED', [name for name in added if name.startswith('repro')])\n"
     )

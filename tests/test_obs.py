@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import baseline_config, softwalker_config
-from repro.gpu.gpu import GPUSimulator, SimulationTruncated
+from repro.gpu.gpu import GPUSimulator
 from repro.harness.runner import build_workload
 from repro.obs import (
     NULL_OBS,
@@ -369,23 +369,3 @@ class TestHookGuards:
         assert result.fingerprint() == _run(config).fingerprint()
         assert trace.reads > 0
         assert trace.reads / events <= 16
-
-
-# ----------------------------------------------------------------------
-# Truncation surfacing (satellite: the silent max_events valve)
-# ----------------------------------------------------------------------
-class TestTruncation:
-    def test_truncated_run_raises_with_diagnosis(self):
-        config = baseline_config()
-        workload = build_workload("gups", config, scale=TINY)
-        simulator = GPUSimulator(config, workload)
-        with pytest.raises(SimulationTruncated, match="max_events"):
-            simulator.run(max_events=500)
-        assert simulator.engine.truncated
-        assert not simulator.engine.exhausted
-
-    def test_generous_valve_does_not_raise(self):
-        config = baseline_config()
-        workload = build_workload("gups", config, scale=TINY)
-        result = GPUSimulator(config, workload).run(max_events=10_000_000)
-        assert result.cycles > 0

@@ -141,6 +141,25 @@ class TestResultSetConstruction:
         (cell,) = resultset.cells()
         assert cell.key.config == "baseline" and cell.replicates[5].cycles == 123
 
+    def test_budgeted_point_is_its_own_cell_as_in_the_store(self, tmp_path):
+        import dataclasses
+
+        from repro.harness.pool import SweepPoint
+
+        full = SweepPoint(baseline_config(), "gups", 0.1, seed=5)
+        budgeted = dataclasses.replace(full, max_events=4000)
+        results = {full: make_result(123, seed=5), budgeted: make_result(40, seed=5)}
+        in_memory = ResultSet.from_results(results)
+        store = ResultStore(tmp_path / "store")
+        for point, result in results.items():
+            store.store(point.store_key(), result)
+        from_disk = ResultSet.from_store(store)
+
+        keys = [cell.key for cell in in_memory.cells()]
+        assert len(keys) == 2
+        assert keys == [cell.key for cell in from_disk.cells()]
+        assert {key.config for key in keys} == {"baseline", "baseline[max_events=4000]"}
+
     def test_from_results_accepts_run_matrix_mapping(self):
         resultset = ResultSet.from_results(
             {("base", "gups"): make_result(10), ("soft", "gups"): make_result(5)}

@@ -11,11 +11,8 @@ from repro.resilience import InvariantViolation, default_chaos_plan
 SCALE = 0.05
 
 
-def sim_factory(config):
-    def make_sim():
-        return GPUSimulator(config, build_workload("gups", config, scale=SCALE))
-
-    return make_sim
+def build_sim(config):
+    return GPUSimulator(config, build_workload("gups", config, scale=SCALE))
 
 
 def fake_clock(seconds_per_tick):
@@ -31,9 +28,9 @@ def fake_clock(seconds_per_tick):
 class TestHappyPath:
     def test_supervised_matches_plain_run(self):
         config = baseline_config()
-        plain = sim_factory(config)().run().fingerprint()
+        plain = build_sim(config).run().fingerprint()
         report = run_supervised(
-            sim_factory(config), policy=SupervisionPolicy(slice_events=1_000)
+            build_sim(config), policy=SupervisionPolicy(slice_events=1_000)
         )
         assert not report.degraded
         assert report.failures == ()
@@ -43,7 +40,7 @@ class TestHappyPath:
     def test_chaos_plan_and_audits_ride_along(self):
         config = baseline_config()
         report = run_supervised(
-            sim_factory(config),
+            build_sim(config),
             policy=SupervisionPolicy(slice_events=2_000, audit_every=500),
             plan=default_chaos_plan(seed=7),
         )
@@ -57,7 +54,7 @@ class TestHeartbeat:
         config = baseline_config()
         beats = []
         run_supervised(
-            sim_factory(config),
+            build_sim(config),
             policy=SupervisionPolicy(slice_events=1_000),
             heartbeat=lambda sim: beats.append(sim.engine.events_processed),
         )
@@ -76,7 +73,7 @@ class TestHeartbeat:
 
         with pytest.raises(RuntimeError, match="lease went stale"):
             run_supervised(
-                sim_factory(config),
+                build_sim(config),
                 policy=SupervisionPolicy(slice_events=1_000),
                 heartbeat=abandon,
             )
@@ -88,18 +85,11 @@ class TestWatchdog:
         """A simulation is deterministic, so a run that overran its wall
         clock is never re-run: it ends once, with its partial result."""
         config = baseline_config()
-        built = []
-
-        def make_sim():
-            built.append(1)
-            return sim_factory(config)()
-
         report = run_supervised(
-            make_sim,
+            build_sim(config),
             policy=SupervisionPolicy(slice_events=500, wall_clock_limit=1.0),
             clock=fake_clock(10.0),  # every slice blows the 1s budget
         )
-        assert len(built) == 1
         assert report.degraded
         assert not report.result.complete
         assert len(report.failures) == 1
@@ -110,7 +100,7 @@ class TestBudget:
     def test_event_budget_degrades_to_partial_result(self):
         config = baseline_config()
         report = run_supervised(
-            sim_factory(config),
+            build_sim(config),
             policy=SupervisionPolicy(slice_events=500, max_events=2_000),
         )
         assert report.degraded
@@ -120,22 +110,28 @@ class TestBudget:
         assert len(report.failures) == 1
         assert "event budget" in report.failures[0]
 
+    def test_generous_budget_does_not_cut(self):
+        config = baseline_config()
+        plain = build_sim(config).run().fingerprint()
+        report = run_supervised(
+            build_sim(config),
+            policy=SupervisionPolicy(max_events=10_000_000),
+        )
+        assert not report.degraded
+        assert report.result.complete
+        assert report.result.fingerprint() == plain
+
 
 class TestInvariantPropagation:
     def test_violations_are_never_degraded_away(self):
         config = baseline_config()
 
-        def broken_sim():
-            sim = GPUSimulator(
-                config, build_workload("gups", config, scale=SCALE)
-            )
-            # Sabotage: plant an orphaned MSHR entry no walk will own.
-            sim.translation.l2_mshr._entries[0xBAD] = ["stranded"]
-            return sim
-
+        sim = build_sim(config)
+        # Sabotage: plant an orphaned MSHR entry no walk will own.
+        sim.translation.l2_mshr._entries[0xBAD] = ["stranded"]
         with pytest.raises(InvariantViolation):
             run_supervised(
-                broken_sim,
+                sim,
                 policy=SupervisionPolicy(slice_events=1_000, audit_every=200),
             )
 

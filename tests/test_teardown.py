@@ -111,12 +111,9 @@ def test_sampled_run_is_freed_without_the_collector(monkeypatch):
 def test_supervised_run_is_freed_without_the_collector(chaos):
     config = softwalker_config().derive(num_sms=4)
 
-    def make_sim():
-        return Recording(config, build_workload("gups", config, scale=0.02))
-
     def job():
         return run_supervised(
-            make_sim,
+            Recording(config, build_workload("gups", config, scale=0.02)),
             policy=SupervisionPolicy(audit_every=500 if chaos else 0),
             plan=default_chaos_plan(seed=0) if chaos else None,
         )
@@ -135,12 +132,9 @@ def test_cut_short_run_is_freed_without_the_collector(name, max_events):
     point back into the machine until ``release()`` drops them."""
     config = CONFIGS[name].derive(num_sms=4)
 
-    def make_sim():
-        return Recording(config, build_workload("gups", config, scale=0.02))
-
     report, alive = live_after(
         lambda: run_supervised(
-            make_sim,
+            Recording(config, build_workload("gups", config, scale=0.02)),
             policy=SupervisionPolicy(slice_events=100, max_events=max_events),
         )
     )
