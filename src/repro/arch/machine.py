@@ -105,7 +105,6 @@ class Machine:
     memory: Any
     sms: list
     pwc: Any
-    pte_port: Any
     backend: Any
     fault_buffer: Any
     fault_handler: Any
@@ -189,7 +188,6 @@ class MachineBuilder:
             memory=memory,
             sms=sms,
             pwc=pwc,
-            pte_port=pte_port,
             backend=backend,
             fault_buffer=fault_buffer,
             fault_handler=fault_handler,

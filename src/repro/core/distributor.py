@@ -208,10 +208,6 @@ class RequestDistributor:
     def counter(self, sm: int) -> int:
         return self._counters[sm]
 
-    @property
-    def overflow_depth(self) -> int:
-        return len(self._overflow)
-
     def overflow_requests(self) -> list[WalkRequest]:
         """Requests parked in the global overflow queue (audit support)."""
         return list(self._overflow)

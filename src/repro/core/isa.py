@@ -10,8 +10,9 @@ hardware walkers:
 * ``FFB``   — log an invalid PTE into the Fault Buffer for UVM handling.
 
 :class:`PageWalkProgram` renders the Figure 14 loop into a concrete
-instruction sequence for a walk of a given depth; the timing model uses
-its counts, and tests assert its structure.
+instruction sequence for a walk of a given depth.  The timing model
+charges its prologue length; tests check the loop's structure against
+the radix walker.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class Instruction:
     opcode: Opcode
     #: Page-table level the instruction operates on (0 = outside loop).
     level: int = 0
-
-    @property
-    def is_memory(self) -> bool:
-        return self.opcode in (Opcode.LDS, Opcode.LDPT)
 
 
 class PageWalkProgram:
@@ -121,11 +118,3 @@ class PageWalkProgram:
             if faulted:
                 break
         return tuple(trace)
-
-    @classmethod
-    def instruction_counts(cls, start_level: int) -> dict[Opcode, int]:
-        """Static mix of a fault-free walk from ``start_level``."""
-        counts: dict[Opcode, int] = {}
-        for inst in cls.for_walk(start_level):
-            counts[inst.opcode] = counts.get(inst.opcode, 0) + 1
-        return counts

@@ -91,14 +91,6 @@ class SoftPWB:
     def occupied(self) -> int:
         return self.capacity - len(self._free)
 
-    @property
-    def has_space(self) -> bool:
-        return bool(self._free)
-
     def requests(self) -> list[WalkRequest]:
         """Every buffered request (valid or processing), slot order."""
         return [request for request in self._slots if request is not None]
-
-    def bitmap_bits(self) -> int:
-        """Storage the status bitmap costs (2 bits per slot, Section 5.2)."""
-        return 2 * self.capacity

@@ -45,17 +45,6 @@ class FaultBuffer:
         self.stats.counters.add("faults.recorded")
         return record
 
-    @property
-    def records(self) -> tuple[FaultRecord, ...]:
-        """Undrained records as an immutable view.
-
-        Hot-path callers (metrics gauges, invariant audits) poll this
-        every few thousand cycles; records are frozen dataclasses, so a
-        tuple of the live list is safe to hand out and the buffer is
-        never copied entry-by-entry into a fresh mutable list.
-        """
-        return tuple(self._records)
-
     def drain(self) -> list[FaultRecord]:
         """Hand the accumulated records to the driver and clear them.
 

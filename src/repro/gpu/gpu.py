@@ -191,10 +191,6 @@ class SimulationResult:
         )
 
     @property
-    def l2_tlb_hit_rate(self) -> float:
-        return self.stats.counters.ratio("l2tlb.hits", "l2tlb.lookups")
-
-    @property
     def mshr_failures(self) -> int:
         return self.stats.counters.get("l2tlb.mshr_failures")
 
@@ -237,14 +233,12 @@ class GPUSimulator:
         machine = MachineBuilder(MachineSpec(config=config)).build(
             workload, obs=self.obs
         )
-        self.machine = machine
         self.engine = machine.engine
         self.stats = machine.stats
         self.space = machine.space
         self.memory = machine.memory
         self.sms = machine.sms
         self.pwc = machine.pwc
-        self._pte_port = machine.pte_port
         self.backend = machine.backend
         self.fault_buffer = machine.fault_buffer
         self.fault_handler = machine.fault_handler

@@ -25,7 +25,6 @@ class SM:
         self.pw_issued = 0
         #: Integral of warp-cycles spent blocked on memory (Figure 8).
         self.memory_wait = 0
-        self.active_warps = 0
         #: The ``warp.mem_spread`` histogram, fetched by the first warp
         #: that records into it (fetching creates it, and an empty
         #: histogram enters the fingerprint).
@@ -69,12 +68,3 @@ class SM:
     def port_busy_until(self) -> int:
         """Idleness probe for the stall-aware distributor policy."""
         return self._port_free
-
-    def issued_total(self) -> int:
-        return self.user_issued + self.pw_issued
-
-    def issued_fraction(self, elapsed: int) -> float:
-        """Fraction of scheduler cycles that issued an instruction."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.issued_total() / elapsed)

@@ -122,7 +122,6 @@ class Warp:
         self.finished_at: int | None = None
 
     def start(self) -> None:
-        self.sm.active_warps += 1
         self.engine.schedule(0, self._advance)
 
     # ------------------------------------------------------------------
@@ -209,4 +208,3 @@ class Warp:
 
     def _finish(self, now: int) -> None:
         self.finished_at = now
-        self.sm.active_warps -= 1

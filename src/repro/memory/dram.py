@@ -37,9 +37,6 @@ class DRAM:
         self._latency = config.latency
         self._counts = stats.counters.live()
 
-    def channel_of(self, address: int) -> int:
-        return (address // CHANNEL_INTERLEAVE_BYTES) % self._channels
-
     def access(self, address: int, now: int) -> int:
         """Issue one sector read at ``now``; returns its completion time."""
         channel = (address // CHANNEL_INTERLEAVE_BYTES) % self._channels

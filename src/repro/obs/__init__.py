@@ -74,11 +74,6 @@ class Observability:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def tracing(cls) -> "Observability":
-        """Trace events only."""
-        return cls(trace=TraceRecorder())
-
-    @classmethod
     def sampling(cls, interval: int = DEFAULT_SAMPLE_INTERVAL) -> "Observability":
         """Metrics time series only."""
         return cls(metrics=MetricsRegistry(), sample_interval=interval)

@@ -80,16 +80,6 @@ class AddressLayout:
         shift = RADIX_BITS_PER_LEVEL * (level - 1)
         return (vpn >> shift) & ((1 << self.level_bits(level)) - 1)
 
-    def table_tag(self, vpn: int, level: int) -> int:
-        """VPN bits above ``level``: identifies which table node serves it.
-
-        Two VPNs with the same tag at level *k* share the level-*k* table
-        node; this is the key the Page Walk Cache indexes on.
-        """
-        self._check_level(level)
-        shift = RADIX_BITS_PER_LEVEL * level
-        return vpn >> shift
-
     def max_vpn(self) -> int:
         return (1 << self.vpn_bits) - 1
 

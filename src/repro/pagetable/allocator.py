@@ -62,10 +62,6 @@ class FrameAllocator:
         return self._first + index
 
     @property
-    def allocated(self) -> int:
-        return self._next
-
-    @property
     def capacity(self) -> int:
         return self._num
 

@@ -141,7 +141,3 @@ class HashedPageTable:
     @property
     def mapped_pages(self) -> int:
         return self._mapped
-
-    @property
-    def load_factor(self) -> float:
-        return self._mapped / self.num_slots

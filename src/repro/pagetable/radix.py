@@ -80,7 +80,6 @@ class RadixPageTable:
         self._allocator = pt_allocator
         self._frame_cursor: int | None = None
         self._frame_used = 0
-        self._node_count = 0
         self._mapped_pages = 0
         self._root = self._new_node()
 
@@ -94,7 +93,6 @@ class RadixPageTable:
             self._frame_used = 0
         base = self._frame_cursor + self._frame_used
         self._frame_used += NODE_BYTES
-        self._node_count += 1
         return _Node(base)
 
     def map(self, vpn: int, pfn: int) -> None:
@@ -215,10 +213,6 @@ class RadixPageTable:
     @property
     def mapped_pages(self) -> int:
         return self._mapped_pages
-
-    @property
-    def node_count(self) -> int:
-        return self._node_count
 
     @property
     def root_base(self) -> int:

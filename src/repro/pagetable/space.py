@@ -62,11 +62,6 @@ class AddressSpace:
             self.hashed.map(vpn, pfn)
         return pfn
 
-    def map_range(self, first_vpn: int, num_pages: int) -> None:
-        """Eagerly map a contiguous virtual range (driver-style prefill)."""
-        for vpn in range(first_vpn, first_vpn + num_pages):
-            self.ensure_mapped(vpn)
-
     def unmap(self, vpn: int) -> bool:
         """Invalidate ``vpn`` everywhere (radix + hashed mirror).
 
@@ -88,7 +83,3 @@ class AddressSpace:
     @property
     def mapped_pages(self) -> int:
         return self.radix.mapped_pages
-
-    @property
-    def footprint_bytes(self) -> int:
-        return self.radix.mapped_pages * self.config.page_size

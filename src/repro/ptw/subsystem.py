@@ -133,10 +133,6 @@ class HardwareWalkBackend:
         return self._free_walkers > 0
 
     @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    @property
     def busy_walkers(self) -> int:
         return len(self._busy)
 

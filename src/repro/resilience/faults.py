@@ -301,9 +301,3 @@ class FaultInjector:
     def live_requests(self) -> list[WalkRequest]:
         """Walks the injector is deliberately holding (delayed delivery)."""
         return list(self._delayed)
-
-    @property
-    def injected(self) -> int:
-        """Total faults fired so far."""
-        counters = self.sim.stats.counters
-        return sum(counters.get(f"chaos.injected.{kind}") for kind in FAULT_KINDS)

@@ -85,10 +85,6 @@ class InvariantChecker:
         self.sim.engine.attach_audit(self.every, self.check)
         return self
 
-    def detach(self) -> None:
-        if self.sim.engine.auditing:
-            self.sim.engine.detach_audit()
-
     # ------------------------------------------------------------------
     # The audit
     # ------------------------------------------------------------------

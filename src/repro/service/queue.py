@@ -361,18 +361,6 @@ class JobQueue:
                 return job
         return None
 
-    def next_eligible_at(self, now: float | None = None) -> float | None:
-        """Earliest future ``not_before`` among queued jobs, or None
-        when the queue is empty / something is already eligible."""
-        now = time.time() if now is None else now
-        soonest: float | None = None
-        for job in self:
-            if job.not_before <= now:
-                return None
-            if soonest is None or job.not_before < soonest:
-                soonest = job.not_before
-        return soonest
-
     # ------------------------------------------------------------------
     # Persistence (drain / resume)
     # ------------------------------------------------------------------

@@ -5,8 +5,11 @@ schedule callbacks at absolute or relative times measured in GPU core
 cycles; the engine pops events in (time, insertion-order) order so that
 simulations are fully deterministic and reproducible.
 
-The engine is intentionally minimal: a binary heap of events plus a clock.
-All higher-level timing behaviour (queueing, pipelining, bandwidth) is
+The engine is intentionally minimal: a binary heap of events, a clock
+and one dispatch loop, ``run``.  The simulator calls it once to drain
+the queue, or repeatedly with ``max_events`` to run in slices; a slice
+that stops with ``real_pending > 0`` was cut, not drained.  All
+higher-level timing behaviour (queueing, pipelining, bandwidth) is
 expressed by the components themselves.
 
 Two observability affordances live here because only the event loop can
@@ -29,8 +32,8 @@ import heapq
 from typing import Any, Callable
 
 
-#: Stands in for "no limit" in ``run``: a bound no event count or cycle
-#: reaches, so the loop tests one int per event instead of None first.
+#: Stands in for "no limit" in ``run``: a bound no event count reaches,
+#: so the loop tests one int per event instead of None first.
 _UNBOUNDED = 1 << 63
 
 
@@ -53,9 +56,6 @@ class Engine:
         self._seq: int = 0
         self._events_processed: int = 0
         self._daemons_pending: int = 0
-        #: True when the last ``run`` stopped at ``max_events`` with real
-        #: work still queued (the safety valve fired).
-        self.truncated: bool = False
         #: Audit hook state; None when no auditor is attached.
         self._audit: Callable[[], None] | None = None
         self._audit_every: int = 0
@@ -101,38 +101,31 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
+    def run(self, max_events: int | None = None) -> int:
         """Drain the event queue.
 
         Args:
-            until: stop once the clock would pass this cycle (events at
-                exactly ``until`` still execute).
-            max_events: safety valve against runaway simulations.  When
-                it fires with real work still queued, ``truncated`` is
-                set so callers can distinguish "finished" from "gave up".
+            max_events: process at most this many events, then return
+                with the rest still queued.  The caller resumes with
+                another ``run``; ``real_pending`` tells a cut slice
+                from a drained queue.
 
         Returns:
             The final simulation time.
         """
-        self.truncated = False
         queue = self._queue
         heappop = heapq.heappop
         stop_after = _UNBOUNDED if max_events is None else max_events
-        horizon = _UNBOUNDED if until is None else until
         processed = 0
         while queue:
             if processed >= stop_after:
                 # Checked at loop top so ``max_events=0`` processes
                 # nothing and the tally can never leak across runs.
-                self.truncated = self.real_pending > 0
                 break
             if self._daemons_pending == len(queue):
                 # Only housekeeping left: drop it without moving the clock.
                 queue.clear()
                 self._daemons_pending = 0
-                break
-            if queue[0][0] > horizon:
-                self.now = until
                 break
             when, _seq, callback, args, daemon = heappop(queue)
             if daemon:
@@ -151,18 +144,6 @@ class Engine:
                     self._audit_countdown = self._audit_every
                     audit()
         return self.now
-
-    def step(self) -> bool:
-        """Execute a single event.  Returns False when the queue is empty."""
-        if not self._queue:
-            return False
-        when, _seq, callback, args, daemon = heapq.heappop(self._queue)
-        if daemon:
-            self._daemons_pending -= 1
-        self.now = when
-        callback(*args)
-        self._events_processed += 1
-        return True
 
     # ------------------------------------------------------------------
     # Auditing
@@ -193,10 +174,6 @@ class Engine:
         self._queue.clear()
         self._daemons_pending = 0
 
-    @property
-    def auditing(self) -> bool:
-        return self._audit is not None
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -211,17 +188,6 @@ class Engine:
         return len(self._queue) - self._daemons_pending
 
     @property
-    def exhausted(self) -> bool:
-        """True when no real work remains (the run drained naturally)."""
-        return self.real_pending == 0
-
-    @property
     def events_processed(self) -> int:
         """Total number of events executed since construction."""
         return self._events_processed
-
-    def peek_time(self) -> int | None:
-        """Time of the next event, or None when the queue is empty."""
-        if not self._queue:
-            return None
-        return self._queue[0][0]

@@ -13,7 +13,7 @@ Three building blocks cover everything the paper reports:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class Counter:
@@ -32,8 +32,7 @@ class Counter:
         times per run hoist this mapping and precompute their counter
         names, so each event costs one dict ``+= 1`` instead of a method
         call plus an f-string.  The mapping is a ``defaultdict(int)``
-        and the reference stays valid across :meth:`reset` (which clears
-        in place, never rebinds).
+        and is never rebound, so the reference stays valid.
         """
         return self._counts
 
@@ -42,9 +41,6 @@ class Counter:
 
     def as_dict(self) -> dict[str, int]:
         return dict(self._counts)
-
-    def reset(self) -> None:
-        self._counts.clear()
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` counts, 0.0 when the denominator is 0."""
@@ -72,7 +68,7 @@ class Counter:
 class Histogram:
     """Integer-valued histogram with summary statistics.
 
-    Recording is one bucket add; the count, total and extremes are
+    Recording is one bucket add; the count, total and maximum are
     derived from the buckets when read.
     """
 
@@ -99,10 +95,6 @@ class Histogram:
     def maximum(self) -> int:
         return max(self._buckets) if self._buckets else 0
 
-    @property
-    def minimum(self) -> int:
-        return min(self._buckets) if self._buckets else 0
-
     def percentile(self, fraction: float) -> int:
         """Value at the given cumulative fraction (0 < fraction <= 1)."""
         if not 0.0 < fraction <= 1.0:
@@ -117,30 +109,6 @@ class Histogram:
             if running >= target:
                 return value
         return self.maximum
-
-    def percentiles(self, fractions: Iterable[float]) -> dict[float, int]:
-        """Values at several cumulative fractions in one bucket pass."""
-        ordered = sorted(fractions)
-        if not ordered:
-            return {}
-        if ordered[0] <= 0.0 or ordered[-1] > 1.0:
-            raise ValueError("fractions must be in (0, 1]")
-        out: dict[float, int] = {}
-        count = self.count
-        if count == 0:
-            return {fraction: 0 for fraction in ordered}
-        running = 0
-        cursor = 0
-        for value in sorted(self._buckets):
-            running += self._buckets[value]
-            while cursor < len(ordered) and running >= ordered[cursor] * count:
-                out[ordered[cursor]] = value
-                cursor += 1
-            if cursor == len(ordered):
-                break
-        for fraction in ordered[cursor:]:
-            out[fraction] = self.maximum
-        return out
 
     @property
     def median(self) -> int:
@@ -197,9 +165,6 @@ class LatencyTracker:
     def mean_total(self) -> float:
         return self.total / self._count if self._count else 0.0
 
-    def component_total(self, name: str) -> int:
-        return self._component_totals.get(name, 0)
-
     def component_mean(self, name: str) -> float:
         if self._count == 0:
             return 0.0
@@ -223,15 +188,6 @@ class LatencyTracker:
             return {name: 0.0 for name in self._component_totals}
         return {
             name: value / total for name, value in self._component_totals.items()
-        }
-
-    def mean_components(self) -> dict[str, float]:
-        """Per-request mean of every component (cycles)."""
-        if self._count == 0:
-            return {name: 0.0 for name in self._component_totals}
-        return {
-            name: value / self._count
-            for name, value in self._component_totals.items()
         }
 
     def components(self) -> dict[str, int]:

@@ -142,13 +142,3 @@ class CoalescedTLB(TLB):
         if mask == 0:
             self._evict_slot(slot)
         return True
-
-    def coverage(self) -> int:
-        """Total pages currently translatable (reach, in pages)."""
-        pend = self._pend
-        masks = self._waiters
-        return sum(
-            masks[slot].bit_count()
-            for slot in self._map.values()
-            if not pend[slot]
-        )

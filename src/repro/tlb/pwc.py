@@ -56,9 +56,9 @@ class PageWalkCache:
         self._base: list[int] = [0] * entries
         self._key_of: list[tuple[int, int] | None] = [None] * entries
         self._rank = [-1] * entries
-        #: ``(level, shift)`` per probed level, deepest first:
-        #: the table tag is ``vpn >> shift`` (``AddressLayout.table_tag``
-        #: without its level check).
+        #: ``(level, shift)`` per probed level, deepest first.  The
+        #: table tag is ``vpn >> shift``, the VPN bits above ``level``:
+        #: two VPNs with the same tag share the level-``level`` node.
         self._probe_levels = [
             (level, RADIX_BITS_PER_LEVEL * level)
             for level in range(min_level, layout.levels)

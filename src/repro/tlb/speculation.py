@@ -67,8 +67,3 @@ class ContiguityPredictor:
 
     def record_outcome(self, correct: bool) -> None:
         self._counts[self._c_correct if correct else self._c_wrong] += 1
-
-    def accuracy(self) -> float:
-        correct = self.stats.counters.get(self._c_correct)
-        total = correct + self.stats.counters.get(self._c_wrong)
-        return correct / total if total else 0.0

@@ -254,6 +254,3 @@ class TLB:
 
     def occupancy(self) -> int:
         return len(self._map)
-
-    def valid_entries(self) -> int:
-        return len(self._map) - self.pending_entries

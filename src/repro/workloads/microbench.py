@@ -54,7 +54,3 @@ class MicrobenchWorkload(TraceWorkload):
                 for warp_index, trace in enumerate(sm_traces)
                 if warp_index * num_sms + sm_id < self.concurrency
             ]
-
-    @property
-    def active_warps(self) -> int:
-        return sum(len(sm_programs) for sm_programs in self.programs)

@@ -5,6 +5,7 @@ MachineSpec resolution/serialization, MachineBuilder assembly, and
 inline configs and a plugin backend through ``repro sweep``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -238,6 +239,59 @@ class TestMachineBuilder:
 # ----------------------------------------------------------------------
 # Layering contract (tools/check_layering.py, also run in CI)
 # ----------------------------------------------------------------------
+#: Public members that nothing in ``src/repro`` reads, each kept for the
+#: reader named here.
+READER_ALLOWLIST = {
+    "ResultSet.filter": "stable repro.analysis API",
+    "RegressionReport.regressions": "stable repro.analysis API",
+    "ServiceClient.wait_until_up": "public client API",
+    "sweep_resultset": "documented in docs/analysis.md; ROADMAP item 3 uses it",
+    "ExperimentTable.row_for": "benchmarks/ reads it",
+    "ComponentRegistry.decorator": "plugin API of examples/plugins/ and docs/architecture.md",
+    "reset_plugins_loaded": "test seam for the plugin loader's once-per-process state",
+    "FaultPlan.to_json": "the documented writer of the --chaos @plan.json format",
+    "DRAM.busy_until": "observation point of the DRAM differential test; "
+    "no other member reads a channel's state without an access",
+    "PageWalkProgram.for_walk": "the Figure 14 walk program; the ISA and validation "
+    "tests check its structure against the radix walker",
+}
+
+
+def unread_public_members(src: Path) -> list[str]:
+    """Public module-level functions, methods and properties in ``src``
+    whose name is never loaded there, as a name or an attribute, and
+    never appears there as a whole string constant (which covers
+    ``getattr`` dispatch and name tables)."""
+    defined: list[tuple[str, str, int]] = []
+    reads: set[str] = set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = path.relative_to(src.parent)
+        for node in tree.body:
+            if isinstance(node, functions):
+                defined.append((node.name, str(where), node.lineno))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, functions):
+                        defined.append(
+                            (f"{node.name}.{item.name}", str(where), item.lineno)
+                        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    return [
+        f"{where}:{line}: {qualname}"
+        for qualname, where, line in defined
+        if not qualname.rpartition(".")[2].startswith("_")
+        and qualname.rpartition(".")[2] not in reads
+    ]
+
+
 class TestLayeringContract:
     def test_layer_dag_is_clean(self):
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -247,6 +301,17 @@ class TestLayeringContract:
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_every_public_member_has_a_reader(self):
+        """A member only tests read is deleted with its tests; one kept
+        for a reader outside ``src/repro`` says why in the allowlist."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        unread = unread_public_members(src)
+        offenders = [e for e in unread if e.rpartition(": ")[2] not in READER_ALLOWLIST]
+        assert not offenders, "no reader in src/repro:\n" + "\n".join(offenders)
+        # An entry whose member is gone or has gained a reader goes too.
+        stale = set(READER_ALLOWLIST) - {e.rpartition(": ")[2] for e in unread}
+        assert not stale, f"allowlisted but read or gone: {sorted(stale)}"
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,6 @@ class TestCoalescing:
         for vpn in range(4):
             assert tlb.lookup(vpn) == 100 + vpn
         assert tlb.occupancy() == 1
-        assert tlb.coverage() == 4
 
     def test_refill_with_another_base_drops_the_stale_pages(self):
         # 238 and 239 share a block but are not contiguous: each fill
@@ -46,7 +45,6 @@ class TestCoalescing:
         tlb.fill(239, 0)
         assert tlb.lookup(238) is None
         assert tlb.lookup(239) == 0
-        assert tlb.coverage() == 1
 
     def test_non_contiguous_neighbours_excluded(self):
         mapping = {0: 100, 1: 777, 2: 102, 3: 888}

@@ -89,11 +89,11 @@ class TestOverflow:
         for vpn in range(3):
             dist.submit(req(vpn))
         assert len(sent) == 2
-        assert dist.overflow_depth == 1
+        assert [r.vpn for r in dist.overflow_requests()] == [2]
         dist.complete(1)  # frees a slot; overflow drains
         assert len(sent) == 3
         assert sent[-1] == (1, 2)
-        assert dist.overflow_depth == 0
+        assert dist.overflow_requests() == []
 
     def test_counter_underflow_guarded(self):
         dist, _ = make_distributor()

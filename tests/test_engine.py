@@ -62,24 +62,30 @@ def test_events_scheduled_during_execution_run():
 
 
 def test_run_until_stops_clock_at_bound():
+    """A probe event at cycle 20 sees the clock at 20, the earlier event
+    fired and the later one still queued."""
     engine = Engine()
     seen = []
+    probed = []
     engine.schedule(10, seen.append, 1)
     engine.schedule(50, seen.append, 2)
-    engine.run(until=20)
-    assert seen == [1]
-    assert engine.now == 20
-    assert engine.pending_events == 1
+    engine.schedule_at(
+        20, lambda: probed.append((engine.now, list(seen), engine.pending_events))
+    )
     engine.run()
+    assert probed == [(20, [1], 1)]
     assert seen == [1, 2]
 
 
 def test_run_until_includes_boundary_events():
+    """A probe at cycle 20 sees an event scheduled earlier at 20 fired."""
     engine = Engine()
     seen = []
+    probed = []
     engine.schedule(20, seen.append, "edge")
-    engine.run(until=20)
-    assert seen == ["edge"]
+    engine.schedule_at(20, lambda: probed.append(list(seen)))
+    engine.run()
+    assert probed == [["edge"]]
 
 
 def test_max_events_safety_valve():
@@ -94,24 +100,21 @@ def test_max_events_safety_valve():
 
 
 def test_step_executes_one_event():
+    """A one-event slice is a single step."""
     engine = Engine()
     seen = []
     engine.schedule(3, seen.append, "a")
     engine.schedule(5, seen.append, "b")
-    assert engine.step() is True
-    assert seen == ["a"]
-    assert engine.step() is True
-    assert engine.step() is False
-
-
-def test_peek_time():
-    engine = Engine()
-    assert engine.peek_time() is None
-    engine.schedule(42, lambda: None)
-    assert engine.peek_time() == 42
+    engine.run(max_events=1)
+    assert seen == ["a"] and engine.now == 3
+    engine.run(max_events=1)
+    assert seen == ["a", "b"] and engine.now == 5
+    engine.run(max_events=1)
+    assert engine.events_processed == 2
 
 
 def test_max_events_sets_truncated_flag():
+    """A run cut by ``max_events`` is truncated: real work stays queued."""
     engine = Engine()
 
     def forever():
@@ -119,17 +122,13 @@ def test_max_events_sets_truncated_flag():
 
     engine.schedule(0, forever)
     engine.run(max_events=100)
-    assert engine.truncated
     assert engine.real_pending > 0
-    assert not engine.exhausted
 
 
 def test_natural_drain_clears_truncated_flag():
     engine = Engine()
     engine.schedule(5, lambda: None)
     engine.run(max_events=100)
-    assert not engine.truncated
-    assert engine.exhausted
     assert engine.real_pending == 0
 
 
@@ -174,12 +173,12 @@ def test_truncated_flag_resets_across_consecutive_runs():
 
     engine.schedule(0, forever)
     engine.run(max_events=10)
-    assert engine.truncated
+    assert engine.real_pending > 0
     # Stop rescheduling so the next run can drain naturally.
-    engine._queue.clear()
+    engine.clear()
     engine.schedule(1, lambda: None)
     engine.run()
-    assert not engine.truncated
+    assert engine.real_pending == 0
 
 
 def test_max_events_tally_does_not_leak_across_runs():
@@ -201,10 +200,10 @@ def test_max_events_zero_processes_nothing():
     engine.schedule(1, seen.append, "x")
     engine.run(max_events=0)
     assert seen == []
-    assert engine.truncated
+    assert engine.real_pending == 1
     engine.run()
     assert seen == ["x"]
-    assert not engine.truncated
+    assert engine.real_pending == 0
 
 
 def test_audit_hook_fires_every_n_events():
@@ -227,11 +226,9 @@ def test_detach_audit_stops_callbacks():
     engine = Engine()
     audits = []
     engine.attach_audit(1, lambda: audits.append(engine.now))
-    assert engine.auditing
     engine.schedule(1, lambda: None)
     engine.run()
     engine.detach_audit()
-    assert not engine.auditing
     engine.schedule(1, lambda: None)
     engine.run()
     assert len(audits) == 1
@@ -259,8 +256,9 @@ def test_audit_exception_leaves_engine_resumable():
 
 @pytest.mark.parametrize("config_name", ["baseline", "softwalker"])
 def test_single_stepping_matches_run(config_name):
-    """Stepping a whole simulation to the end lands on the same clock,
-    event count and fingerprint as one ``run()``."""
+    """Driving a whole simulation in one-event ``advance`` slices, the
+    sliced path supervised runs take, lands on the same clock, event
+    count and fingerprint as one ``run()``."""
     config = DEFAULT_CONFIGS.get(config_name)
 
     def make_sim():
@@ -272,10 +270,9 @@ def test_single_stepping_matches_run(config_name):
     ref_result = reference.run()
 
     stepped = make_sim()
-    stepped.start()
+    while stepped.advance(max_events=1):
+        pass
     engine = stepped.engine
-    while engine.real_pending:
-        engine.step()
     assert engine.now == reference.engine.now
     assert engine.events_processed == reference.engine.events_processed
     assert stepped.partial_result().fingerprint() == ref_result.fingerprint()

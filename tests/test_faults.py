@@ -16,18 +16,11 @@ class TestFaultBuffer:
         buffer.record(vpn=5, level=1, time=100)
         buffer.record(vpn=6, level=2, time=200)
         assert len(buffer) == 2
-        assert buffer.records[0].vpn == 5
         assert buffer.stats.counters.get("faults.recorded") == 2
-
-    def test_records_is_an_immutable_view(self):
-        buffer = FaultBuffer(StatsRegistry())
-        buffer.record(vpn=1, level=1, time=0)
-        view = buffer.records
-        assert isinstance(view, tuple)
-        buffer.record(vpn=2, level=1, time=1)
-        # The earlier view is a snapshot; fresh reads see the new entry.
-        assert len(view) == 1
-        assert len(buffer.records) == 2
+        assert [(r.vpn, r.level, r.time) for r in buffer.drain()] == [
+            (5, 1, 100),
+            (6, 2, 200),
+        ]
 
     def test_drain_hands_over_batch_and_clears(self):
         buffer = FaultBuffer(StatsRegistry())
@@ -36,9 +29,8 @@ class TestFaultBuffer:
         batch = buffer.drain()
         assert [record.vpn for record in batch] == [1, 2]
         assert len(buffer) == 0
-        assert buffer.records == ()
         buffer.record(vpn=3, level=1, time=9)
-        assert [record.vpn for record in buffer.records] == [3]
+        assert len(buffer) == 1
         assert buffer.total_recorded == 3
         assert [record.vpn for record in buffer.drain()] == [3]
         assert buffer.drain() == []  # idempotent when empty
@@ -154,12 +146,14 @@ class TestEndToEndDemandPaging:
         second = WalkRequest(vpn=2, enqueue_time=0, start_level=4, node_base=0)
         handler.handle(first)
         engine.schedule(50, handler.handle, second)
-        engine.run(until=60)
-        assert handler.in_flight == 2
-        assert handler.pending_requests() == [first, second]
-        engine.run(until=120)
-        assert handler.pending_requests() == [second]
+        probed = []
+        for cycle in (60, 120):
+            engine.schedule_at(
+                cycle,
+                lambda: probed.append((handler.in_flight, handler.pending_requests())),
+            )
         engine.run()
+        assert probed == [(2, [first, second]), (1, [second])]
         assert handler.in_flight == 0
 
     def test_faults_serviced_under_softwalker(self):

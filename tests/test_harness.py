@@ -202,10 +202,10 @@ class TestEnvTraceExport:
         assert loaded["samples_taken"] > 0
 
     def test_explicit_obs_wins_over_env(self, monkeypatch, tmp_path):
-        from repro.obs import Observability
+        from repro.obs import Observability, TraceRecorder
 
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
-        obs = Observability.tracing()
+        obs = Observability(trace=TraceRecorder())
         Runner().run(baseline_config(), "gups", scale=TINY, obs=obs)
         assert obs.trace.num_events > 0
         assert list(tmp_path.iterdir()) == []  # no files: caller owns export

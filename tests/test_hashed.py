@@ -45,12 +45,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             HashedPageTable(layout, FrameAllocator(0, 64), num_slots=1000)
 
-    def test_load_factor(self):
-        hpt = make_hpt(num_slots=1 << 4)
-        for vpn in range(4):
-            hpt.map(vpn, vpn)
-        assert hpt.load_factor == pytest.approx(4 / 16)
-
 
 class TestProbeBehaviour:
     def test_low_load_lookups_take_one_access(self):

@@ -46,10 +46,13 @@ class TestDRAM:
         assert a == b == 100
 
     def test_channel_mapping_interleaves_lines(self):
-        dram = DRAM(DRAMConfig(channels=16), StatsRegistry())
-        assert dram.channel_of(0) == 0
-        assert dram.channel_of(CHANNEL_INTERLEAVE_BYTES) == 1
-        assert dram.channel_of(16 * CHANNEL_INTERLEAVE_BYTES) == 0
+        dram = DRAM(
+            DRAMConfig(channels=16, latency=100, cycles_per_access=4), StatsRegistry()
+        )
+        assert dram.access(0, now=0) == 100
+        assert dram.access(CHANNEL_INTERLEAVE_BYTES, now=0) == 100  # channel 1
+        # Line 16 wraps around to channel 0 and queues behind line 0.
+        assert dram.access(16 * CHANNEL_INTERLEAVE_BYTES, now=0) == 104
 
 
 class TestSectoredCache:

@@ -47,7 +47,7 @@ class TestFrameAllocator:
     def test_remaining_tracks_allocations(self):
         alloc = FrameAllocator(0, 5)
         alloc.allocate()
-        assert alloc.allocated == 1 and alloc.remaining == 4 and alloc.capacity == 5
+        assert alloc.remaining == 4 and alloc.capacity == 5
 
 
 class TestPhysicalMemoryMap:
@@ -121,9 +121,9 @@ class TestRadixPageTable:
     def test_shared_intermediate_nodes(self):
         table = make_table()
         table.map(0x1000, 1)
-        nodes_before = table.node_count
         table.map(0x1001, 2)  # same leaf table
-        assert table.node_count == nodes_before
+        for level in range(1, table.layout.levels + 1):
+            assert table.node_base(0x1001, level) == table.node_base(0x1000, level)
 
     def test_node_base_matches_walk(self):
         table = make_table()
@@ -135,10 +135,18 @@ class TestRadixPageTable:
 
     def test_nodes_fit_in_page_table_region(self):
         table = make_table()
-        for vpn in range(0, 1 << 12, 7):
+        vpns = range(0, 1 << 12, 7)
+        for vpn in vpns:
             table.map(vpn, vpn + 1)
+        nodes = {
+            table.node_base(vpn, level)
+            for vpn in vpns
+            for level in range(1, table.layout.levels + 1)
+        }
+        allocator = table._allocator
+        frames = allocator.capacity - allocator.remaining
         # Nodes are 4KB and sub-allocated inside 64KB frames.
-        assert table.node_count * NODE_BYTES <= (table._allocator.allocated) * 64 * 1024
+        assert len(nodes) * NODE_BYTES <= frames * 64 * 1024
 
     @given(pairs=st.dictionaries(
         st.integers(min_value=0, max_value=(1 << 33) - 1),
@@ -177,17 +185,12 @@ class TestAddressSpace:
         for vpn in range(20):
             assert space.hashed.lookup(vpn).pfn == space.translate(vpn)
 
-    def test_map_range(self):
-        space = AddressSpace(PageTableConfig())
-        space.map_range(100, 10)
-        assert space.mapped_pages == 10
-        assert space.footprint_bytes == 10 * 64 * 1024
-
     def test_non_fault_error_propagates_before_allocating(self):
         space = AddressSpace(PageTableConfig(), with_hashed_table=True)
         with pytest.raises(TypeError):
             space.ensure_mapped("7")  # type: ignore[arg-type]
-        assert space.memory.data_region.allocated == 0
+        region = space.memory.data_region
+        assert region.remaining == region.capacity
         assert space.mapped_pages == 0
 
     def test_map_fresh_matches_ensure_mapped(self):

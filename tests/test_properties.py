@@ -150,7 +150,7 @@ class TestSimulatorInvariants:
         assert counters.get("walks.launched") == counters.get("walks.completed")
         # Latency components are sane.
         tracker = result.stats.latency("walk")
-        assert tracker.component_total("queueing") >= 0
+        assert tracker.components().get("queueing", 0) >= 0
         if counters.get("walks.completed"):
             assert tracker.count == counters.get("walks.completed")
         # Issue accounting never exceeds physical issue slots.

@@ -34,7 +34,7 @@ class TestCleanRuns:
         checker = InvariantChecker(sim, every=100).attach()
         sim.advance(max_events=500)
         audits_before = checker.audits
-        checker.detach()
+        sim.engine.detach_audit()
         sim.run()
         assert checker.audits == audits_before
 

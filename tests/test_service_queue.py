@@ -221,16 +221,6 @@ class TestJobQueue:
         queue.push(make_job("healthy", client="b"))
         assert queue.pop(now=1000.0).id == "healthy"
 
-    def test_next_eligible_at(self):
-        queue = JobQueue(max_depth=10)
-        assert queue.next_eligible_at(now=1000.0) is None  # empty
-        job = make_job("later")
-        job.not_before = 1500.0
-        queue.push(job)
-        assert queue.next_eligible_at(now=1000.0) == 1500.0
-        queue.push(make_job("now"))
-        assert queue.next_eligible_at(now=1000.0) is None  # one is ready
-
     def test_zero_inflight_slots_allowed(self):
         """``max_inflight=0`` is the remote-only scheduler (no local
         worker hosts): admission still works."""

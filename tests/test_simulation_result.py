@@ -87,7 +87,7 @@ class TestCounterViews:
         result.stats.counters.add("l2tlb.lookups", 10)
         result.stats.counters.add("l2tlb.hits", 3)
         result.stats.counters.add("l2tlb.mshr_failures", 7)
-        assert result.l2_tlb_hit_rate == pytest.approx(0.3)
+        assert result.stats.counters.ratio("l2tlb.hits", "l2tlb.lookups") == pytest.approx(0.3)
         assert result.mshr_failures == 7
 
     def test_mean_memory_latency(self):

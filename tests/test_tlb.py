@@ -98,7 +98,7 @@ class TestPendingEntries:
         tlb.fill(2, 2)
         assert tlb.allocate_pending(4, waiter="w")
         # One of the valid translations was sacrificed.
-        assert tlb.valid_entries() == 1
+        assert [tlb.lookup(vpn) is not None for vpn in (0, 2)].count(True) == 1
 
     def test_set_full_of_pending_rejects_allocation(self):
         tlb = make_tlb(entries=4, associativity=2)  # 2 sets x 2 ways

@@ -128,7 +128,6 @@ class SoftPWBMachine(RuleBasedStateMachine):
             assert self.real.count(state) == model.states.count(state)
         invalid = model.states.count(SlotState.INVALID)
         assert self.real.occupied == len(model.states) - invalid
-        assert self.real.has_space == (invalid > 0)
         real_requests = self.real.requests()
         model_requests = [r for r in model.slots if r is not None]
         assert len(real_requests) == len(model_requests)

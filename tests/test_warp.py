@@ -80,7 +80,6 @@ def run_warp(instructions, translation=None, memory=None):
     warp.start()
     engine.run()
     assert warp.finished_at is not None, "warp must complete"
-    assert sm.active_warps == 0
     return warp, sm, translation, memory, engine
 
 
@@ -129,14 +128,24 @@ class TestWarpExecution:
         program = compile_trace([("m", (0, 512)), ("c", 1)], PAGE_SIZE_64K // 128)
         warp = Warp(0, sm, engine, translation, memory, PAGE_SIZE_64K, program)
         warp.start()
-        engine.run(until=499)
+        probed = []
+        engine.schedule_at(
+            499,
+            lambda: probed.append(
+                (list(memory.accesses), list(translation.requests), sm.user_issued)
+            ),
+        )
+        engine.run()
         issue_done = 1  # the memory instruction issues at cycle 0
         # The hit page read its line at the L1 TLB lookup's end, and
         # nothing else happened before the miss returned.
-        assert memory.accesses == [(0, 1000 << 16, issue_done + translation.l1_latency)]
-        assert translation.requests == [(0, 0, issue_done), (0, 1, issue_done)]
-        assert sm.user_issued == 1
-        engine.run()
+        assert probed == [
+            (
+                [(0, 1000 << 16, issue_done + translation.l1_latency)],
+                [(0, 0, issue_done), (0, 1, issue_done)],
+                1,
+            )
+        ]
         assert memory.accesses[1] == (0, 1001 << 16, issue_done + 500)
         # The trailing compute issues only after the miss's data lands.
         assert engine.now == issue_done + 500 + 40 + 1
@@ -209,7 +218,6 @@ class ReferenceWarp:
         self.finished_at = None
 
     def start(self):
-        self.sm.active_warps += 1
         self.engine.schedule(0, self._advance)
 
     def _advance(self):
@@ -223,7 +231,6 @@ class ReferenceWarp:
             return
         if self._ip >= len(self.instructions):
             self.finished_at = now
-            self.sm.active_warps -= 1
             return
         vlines = self.instructions[self._ip][1]
         self._ip += 1
@@ -325,7 +332,7 @@ def _simulate(warp_factory, traces, page_size):
         "accesses": memory.accesses,
         "finished": [w.finished_at for w in warps],
         "now": engine.now,
-        "issued": (sm.user_issued, sm.memory_wait, sm.active_warps),
+        "issued": (sm.user_issued, sm.memory_wait),
         "spread": (spread.count, spread.total, spread.maximum),
     }
 
@@ -359,7 +366,9 @@ class TestSMIssueAccounting:
         sm = SM(0, StatsRegistry())
         sm.issue(10, when=0)
         assert sm.issue(1, when=100) == 101
-        assert sm.issued_fraction(101) == 11 / 101
+        # 11 instructions issued over 101 cycles: the gap stayed idle.
+        assert sm.user_issued == 11
+        assert sm.port_busy_until() == 101
 
     def test_priority_issue_starts_immediately(self):
         sm = SM(0, StatsRegistry())

@@ -274,7 +274,7 @@ class TestMicrobench:
         config = baseline_config()
         for concurrency in (1, 46, 100):
             workload = MicrobenchWorkload(config, concurrency)
-            assert workload.active_warps == concurrency
+            assert sum(map(len, workload.programs)) == concurrency
 
     def test_single_lane_accesses(self):
         workload = MicrobenchWorkload(baseline_config(), 4)
