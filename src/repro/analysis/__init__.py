@@ -31,8 +31,6 @@ _EXPORTS = {
     "softwalker_relative_area": "repro.analysis.area",
     "softwalker_storage_bits": "repro.analysis.area",
     # Formatting
-    "format_breakdown": "repro.analysis.report",
-    "format_series": "repro.analysis.report",
     "format_table": "repro.analysis.report",
     "geomean": "repro.analysis.report",
     "markdown_table": "repro.analysis.render",
@@ -68,7 +66,6 @@ _EXPORTS = {
     "relative_verdict": "repro.analysis.stat_tests",
     # Rendering
     "render_markdown": "repro.analysis.render",
-    "render_markdown_diff": "repro.analysis.render",
     "render_html": "repro.analysis.render",
 }
 

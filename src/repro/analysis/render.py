@@ -220,11 +220,6 @@ def _diff_markdown_parts(report: RegressionReport) -> list[str]:
     return parts
 
 
-def render_markdown_diff(report: RegressionReport) -> str:
-    """Standalone markdown for a snapshot diff."""
-    return "\n".join(["# Snapshot diff", ""] + _diff_markdown_parts(report)).rstrip() + "\n"
-
-
 # ----------------------------------------------------------------------
 # HTML
 # ----------------------------------------------------------------------

@@ -46,27 +46,3 @@ def format_table(
     for row in cells:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
     return "\n".join(lines)
-
-
-def format_series(
-    x_label: str,
-    y_label: str,
-    points: Sequence[tuple],
-    *,
-    title: str | None = None,
-) -> str:
-    """Render an x/y sweep (one figure line) as a two-column table."""
-    return format_table([x_label, y_label], points, title=title)
-
-
-def format_breakdown(
-    label: str, components: dict[str, float], *, title: str | None = None
-) -> str:
-    """Render a stacked-bar style breakdown as component: value lines."""
-    total = sum(components.values())
-    lines = [title] if title else []
-    lines.append(f"{label} (total {total:,.1f}):")
-    for name, value in components.items():
-        share = value / total if total else 0.0
-        lines.append(f"  {name:<14} {value:>12,.1f}  ({share:6.1%})")
-    return "\n".join(lines)

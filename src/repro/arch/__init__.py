@@ -33,7 +33,6 @@ _MACHINE_EXPORTS = (
     "MachineBuilder",
     "MachineSpec",
     "TraversalPlan",
-    "build_machine",
 )
 
 __all__ = [

@@ -157,7 +157,7 @@ class MachineBuilder:
             stats,
             min_level=config.ptw.pwc_min_level,
         )
-        pte_port = PteMemoryPort(memory, config.fixed_pt_level_latency)
+        pte_port = PteMemoryPort(memory.l2, config.fixed_pt_level_latency)
         context = BackendContext(
             engine=engine,
             config=config,
@@ -216,7 +216,7 @@ class MachineBuilder:
                         machine.sms[sm_id],
                         machine.engine,
                         machine.translation,
-                        machine.memory,
+                        machine.memory.l1s[sm_id],
                         page_size,
                         program,
                     )
@@ -227,8 +227,3 @@ class MachineBuilder:
                     sum(1 for _compute, vpns, _offsets in program if vpns is not None),
                 )
         return warps
-
-
-def build_machine(config: GPUConfig, workload, *, obs=None) -> Machine:
-    """One-call convenience: spec + builder in one step."""
-    return MachineBuilder(MachineSpec(config=config)).build(workload, obs=obs)

@@ -145,12 +145,21 @@ class SoftWalkerController:
             )
         # Each dependent instruction block issues with PW-warp priority
         # and completes ``instruction_cycles`` after its last issue; the
-        # blocks' spans add up to the walk's execution latency.
-        issue = self.sm.issue_priority
+        # blocks' spans add up to the walk's execution latency.  This is
+        # SM.issue_priority folded into locals: a block of n > 0
+        # instructions issued at ``when`` ends at ``when + n`` and moves
+        # the port cursor to ``max(cursor, when) + n``.  PTE reads never
+        # touch the SM, so the cursor and issue count are written once.
+        sm = self.sm
+        port_free = sm._port_free
         block_cycles = self.config.instruction_cycles
         per_level = self.config.instructions_per_level
+        level_cycles = max(per_level, 0) + block_cycles
         read = self.pte_port.read
-        t = issue(len(PageWalkProgram.PROLOGUE), now) + block_cycles
+        prologue = len(PageWalkProgram.PROLOGUE)
+        port_free = (port_free if port_free > now else now) + prologue
+        pw_issued = prologue
+        t = now + prologue + block_cycles
         execution = t - now
 
         vpn = request.vpn
@@ -162,17 +171,21 @@ class SoftWalkerController:
         fault_level = 0
         leaf_pte_address: int | None = None
         for level, pte_address, value, is_leaf, valid in steps:
-            issued = issue(per_level, t) + block_cycles
-            execution += issued - t
+            if per_level > 0:
+                port_free = (port_free if port_free > t else t) + per_level
+                pw_issued += per_level
+            issued = t + level_cycles
+            execution += level_cycles
             t = read(pte_address, issued)  # LDPT
             access_cycles += t - issued
             if is_leaf:
                 leaf_pte_address = pte_address
             if not valid:
                 # FFB: one more instruction to log the fault.
-                issued = issue(1, t) + block_cycles
-                execution += issued - t
-                t = issued
+                port_free = (port_free if port_free > t else t) + 1
+                pw_issued += 1
+                execution += 1 + block_cycles
+                t += 1 + block_cycles
                 faulted = True
                 fault_level = level
                 break
@@ -182,6 +195,8 @@ class SoftWalkerController:
                 pwc.fill(vpn, level - 1, value)
         if not faulted:
             outcome_pfn = value
+        sm._port_free = port_free
+        sm.pw_issued += pw_issued
 
         request.execution += execution
         request.access += access_cycles

@@ -4,7 +4,7 @@ from repro.gpu.faults import FaultBuffer, FaultRecord, UVMFaultHandler
 from repro.gpu.gpu import GPUSimulator, SimulationResult
 from repro.gpu.sm import SM
 from repro.gpu.translation import TranslationService
-from repro.gpu.warp import LINE_BYTES, Warp, coalesce_lines, compile_trace, group_by_page
+from repro.gpu.warp import LINE_BYTES, Warp, compile_trace, group_by_page
 
 __all__ = [
     "FaultBuffer",
@@ -16,7 +16,6 @@ __all__ = [
     "TranslationService",
     "LINE_BYTES",
     "Warp",
-    "coalesce_lines",
     "compile_trace",
     "group_by_page",
 ]

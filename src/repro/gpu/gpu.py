@@ -311,7 +311,7 @@ class GPUSimulator:
         self.engine.clear()
         for warp in self._warps:
             if warp.finished_at is None:
-                warp.sm = warp.engine = warp.translation = warp.memory = None
+                warp.sm = warp.engine = warp.translation = warp.l1d = None
         self.obs.metrics.release()
 
     def run(self) -> SimulationResult:

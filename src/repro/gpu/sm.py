@@ -25,9 +25,9 @@ class SM:
         self.pw_issued = 0
         #: Integral of warp-cycles spent blocked on memory (Figure 8).
         self.memory_wait = 0
-        #: The ``warp.mem_spread`` histogram, fetched by the first warp
-        #: that records into it (fetching creates it, and an empty
-        #: histogram enters the fingerprint).
+        #: The live buckets of the ``warp.mem_spread`` histogram, fetched
+        #: by the first warp that records into it (fetching creates it,
+        #: and an empty histogram enters the fingerprint).
         self.mem_spread = None
 
     # ------------------------------------------------------------------

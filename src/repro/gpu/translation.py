@@ -125,9 +125,14 @@ class TranslationService:
         self._l2_latency = config.l2_tlb.latency
         # Hot-path counters: the raw mapping, bumped by literal name.
         self._counts = stats.counters.live()
+        # An L1 MSHR failure is a refused allocation or a refused merge.
+        stats.counters.declare_total(
+            "l1tlb.mshr_failures", ("l1tlb.mshr.full", "l1tlb.mshr.merge_full")
+        )
         # Statistics handles, fetched on first use: fetching one creates
         # it, and an empty histogram or tracker enters the fingerprint.
-        self._backpressure_hist = None
+        #: The live buckets of the ``l2tlb.backpressure_depth`` histogram.
+        self._backpressure_buckets = None
         self._walk_latency = None
         #: (sm_id, vpn) pairs refused an L2 tracking slot, waiting for one.
         self._backpressure: deque[tuple[int, int]] = deque()
@@ -231,7 +236,6 @@ class TranslationService:
             counts["l1tlb.mshr.merge_full"] += 1
         # The L1 MSHR file throttles per-SM outstanding translations;
         # the access replays once a response frees an entry.
-        counts["l1tlb.mshr_failures"] += 1
         trace = self._trace
         if trace.enabled:
             trace.instant(f"sm{sm_id}", "l1tlb.mshr_full", now, vpn=vpn)
@@ -356,12 +360,12 @@ class TranslationService:
         counts["l2tlb.mshr_failures"] += 1
         backpressure = self._backpressure
         backpressure.append((sm_id, vpn))
-        histogram = self._backpressure_hist
-        if histogram is None:
-            histogram = self._backpressure_hist = self.stats.histogram(
+        buckets = self._backpressure_buckets
+        if buckets is None:
+            buckets = self._backpressure_buckets = self.stats.histogram(
                 "l2tlb.backpressure_depth"
-            )
-        histogram.record(len(backpressure))
+            ).live()
+        buckets[len(backpressure)] += 1
         if trace.enabled:
             trace.instant("l2tlb", "l2tlb.mshr_failure", now, sm=sm_id, vpn=vpn)
             trace.counter("l2tlb", "l2tlb.backpressure", now, depth=len(backpressure))

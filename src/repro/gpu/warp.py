@@ -39,11 +39,6 @@ Instruction = tuple  # ("c", cycles) | ("m", (vline, ...))
 Program = list
 
 
-def coalesce_lines(virtual_addresses: Iterable[int]) -> tuple[int, ...]:
-    """Coalesce per-lane byte addresses into unique virtual lines."""
-    return tuple(sorted({va >> LINE_SHIFT for va in virtual_addresses}))
-
-
 def group_by_page(vlines: Sequence[int], lines_per_page: int) -> dict[int, list[int]]:
     """Split coalesced lines by virtual page; keys are VPNs."""
     groups: dict[int, list[int]] = {}
@@ -86,7 +81,7 @@ class Warp:
         "sm",
         "engine",
         "translation",
-        "memory",
+        "l1d",
         "page_shift",
         "program",
         "_ip",
@@ -103,7 +98,7 @@ class Warp:
         sm,
         engine,
         translation,
-        memory,
+        l1d,
         page_size: int,
         program: Program,
     ) -> None:
@@ -111,7 +106,10 @@ class Warp:
         self.sm = sm
         self.engine = engine
         self.translation = translation
-        self.memory = memory
+        #: The SM's L1 data cache: ``access_page(base, offsets, now)``
+        #: reads one translated page's lines and returns the latest
+        #: completion cycle.
+        self.l1d = l1d
         self.page_shift = page_size.bit_length() - 1
         self.program = program
         self._ip = 0
@@ -168,9 +166,7 @@ class Warp:
                     sm_id, vpn, issue_done, partial(on_translated, page_offsets)
                 )
                 continue
-            done = self.memory.data_access_page(
-                sm_id, pfn << self.page_shift, page_offsets, hit_at
-            )
+            done = self.l1d.access_page(pfn << self.page_shift, page_offsets, hit_at)
             if done > self._mem_done:
                 self._mem_done = done
             if done > issue_done and (self._mem_first is None or done < self._mem_first):
@@ -179,11 +175,7 @@ class Warp:
         self._page_done(issue_done)
 
     def _on_translated(self, offsets: tuple[int, ...], time: int, pfn: int) -> None:
-        self._page_done(
-            self.memory.data_access_page(
-                self.sm.sm_id, pfn << self.page_shift, offsets, time
-            )
-        )
+        self._page_done(self.l1d.access_page(pfn << self.page_shift, offsets, time))
 
     def _page_done(self, done: int) -> None:
         if done > self._mem_done:
@@ -202,8 +194,10 @@ class Warp:
                 # slowest lane regardless of how early the first returned.
                 spread = sm.mem_spread
                 if spread is None:
-                    spread = sm.mem_spread = sm.stats.histogram("warp.mem_spread")
-                spread.record(self._mem_done - self._mem_first)
+                    spread = sm.mem_spread = sm.stats.histogram(
+                        "warp.mem_spread"
+                    ).live()
+                spread[self._mem_done - self._mem_first] += 1
             self.engine.schedule_at(max(self.engine.now, self._mem_done), self._advance)
 
     def _finish(self, now: int) -> None:

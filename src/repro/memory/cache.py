@@ -31,7 +31,7 @@ way`` rather than per-line objects:
 
 Hits, merges and misses are visible only through the counters, bumped
 through the raw :meth:`~repro.sim.stats.Counter.live` mapping under
-precomputed names.
+precomputed names; ``accesses`` is their declared total.
 """
 
 from __future__ import annotations
@@ -86,6 +86,11 @@ class SectoredCache:
         self._c_misses = f"{name}.misses"
         self._c_mshr_full = f"{name}.mshr_full"
         self._c_evictions = f"{name}.evictions"
+        # Every access ends as exactly one of these outcomes.
+        stats.counters.declare_total(
+            self._c_accesses,
+            (self._c_hits, self._c_merges, self._c_misses, self._c_sector_misses),
+        )
 
     def access(self, address: int, now: int) -> int:
         """Read one sector; returns the cycle its data is available.
@@ -99,17 +104,15 @@ class SectoredCache:
         sector = (address % self._line_bytes) // self._sector_bytes
         self._tick += 1
         lookup_done = now + self._latency
-        counts = self._counts
-        counts[self._c_accesses] += 1
         slot = self._slot_of.get(line_addr)
         if slot is not None:
             self._rank[slot] = self._tick
             done = self._ready[slot * self._sectors + sector]
             if done >= 0:
                 if done > lookup_done:
-                    counts[self._c_merges] += 1
+                    self._counts[self._c_merges] += 1
                     return done
-                counts[self._c_hits] += 1
+                self._counts[self._c_hits] += 1
                 return lookup_done
         return self._miss(address, line_addr, sector, slot, lookup_done)
 
@@ -159,8 +162,6 @@ class SectoredCache:
         # Only counters that moved are touched: a zero entry would still
         # appear in the run's fingerprint.
         counts = self._counts
-        if offsets:
-            counts[self._c_accesses] += len(offsets)
         if hits:
             counts[self._c_hits] += hits
         if merges:

@@ -3,10 +3,16 @@
 Two access paths matter to the paper:
 
 * **Data accesses** from user warps go through their SM's L1D, then the
-  shared L2, then DRAM.
+  shared L2, then DRAM.  Each warp holds its SM's L1D (``l1s[sm_id]``)
+  and reads it directly.
 * **PTE accesses** from page walkers (hardware or PW Warps) go straight
   to the L2 — PTEs are cached only in L2, following footnote 2 of the
-  paper ("the page walk traffic does not affect the L1D cache").
+  paper ("the page walk traffic does not affect the L1D cache").  The
+  walkers' :class:`~repro.ptw.walker.PteMemoryPort` reads ``l2``.
+
+Neither path has a frame here: the per-path counts are declared totals
+of the caches' own counters.  Every L1D access is a data access, and
+every L2 access that is not an L1D miss is a PTE read.
 """
 
 from __future__ import annotations
@@ -29,25 +35,13 @@ class MemorySystem:
             SectoredCache(config.l1d, self.l2, stats, name="l1d")
             for _ in range(config.num_sms)
         ]
-        self._counts = stats.counters.live()
-
-    def data_access_page(
-        self, sm_id: int, frame_base: int, offsets: tuple[int, ...], now: int
-    ) -> int:
-        """One user-warp memory instruction's loads to one translated page.
-
-        Reads ``frame_base | offset`` through SM ``sm_id``'s L1D for each
-        byte offset, in order, all at ``now``; returns the latest
-        completion cycle (``now`` at the earliest).  Counts one data
-        access per offset.
-        """
-        self._counts["mem.data_accesses"] += len(offsets)
-        return self.l1s[sm_id].access_page(frame_base, offsets, now)
-
-    def pte_access(self, address: int, now: int) -> int:
-        """A page-walker PTE read (L2 + DRAM only); returns completion cycle."""
-        self._counts["mem.pte_accesses"] += 1
-        return self.l2.access(address, now)
+        counters = stats.counters
+        counters.declare_total("mem.data_accesses", ("l1d.accesses",))
+        counters.declare_total(
+            "mem.pte_accesses",
+            ("l2d.accesses",),
+            minus=("l1d.misses", "l1d.sector_misses"),
+        )
 
     def register_metrics(self, metrics) -> None:
         """Expose memory-side pressure as sampled gauges."""

@@ -103,9 +103,10 @@ class HardwareWalkBackend:
         self.stats = stats
         self._trace = stats.obs.trace
         self._counts = stats.counters.live()
-        #: Walk-depth histogram, fetched on first use: fetching creates
-        #: it, and an empty histogram enters the fingerprint.
-        self._levels_hist = None
+        #: Live buckets of the walk-depth histogram, fetched on first
+        #: use: fetching creates it, and an empty histogram enters the
+        #: fingerprint.
+        self._levels_buckets = None
         # A partial, not a bound method: ``self`` must not hold itself.
         self._traverse = traversal or partial(execute_walk, page_table, pte_port, pwc)
         self.on_complete: CompletionCallback | None = None
@@ -255,10 +256,10 @@ class HardwareWalkBackend:
         request.faulted = outcome.faulted
         request.fault_level = outcome.fault_level
         self._counts["ptw.walks"] += 1
-        levels = self._levels_hist
+        levels = self._levels_buckets
         if levels is None:
-            levels = self._levels_hist = self.stats.histogram("ptw.levels")
-        levels.record(outcome.levels_accessed)
+            levels = self._levels_buckets = self.stats.histogram("ptw.levels").live()
+        levels[outcome.levels_accessed] += 1
         if self._trace.enabled:
             self._trace.instant(
                 "pwb",

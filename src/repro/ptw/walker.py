@@ -37,14 +37,16 @@ class WalkOutcome(NamedTuple):
 
 
 class PteMemoryPort:
-    """Where walkers read PTEs from: L2 cache/DRAM or a fixed latency."""
+    """Where walkers read PTEs from: the L2 cache (then DRAM) or a fixed
+    latency.  ``l2`` is anything with ``access(address, now)`` returning
+    the completion cycle."""
 
-    def __init__(self, memory, fixed_level_latency: int | None = None) -> None:
+    def __init__(self, l2, fixed_level_latency: int | None = None) -> None:
         self._fixed = fixed_level_latency
         if fixed_level_latency is None:
-            # Priced by the memory system: ``read`` is its PTE access
+            # Priced by the memory system: ``read`` is the L2 access
             # itself, with no frame of the port's own per PTE.
-            self.read = memory.pte_access
+            self.read = l2.access
 
     def read(self, address: int, now: int) -> int:
         """Issue one PTE read at ``now``; returns its completion cycle."""

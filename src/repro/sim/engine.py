@@ -16,14 +16,21 @@ Two observability affordances live here because only the event loop can
 provide them:
 
 * **Daemon events** (``schedule_daemon``) — housekeeping callbacks such
-  as the metrics sampler.  They fire interleaved with real work but are
-  dropped once only daemons remain, so instrumentation can never extend
-  a simulation's final cycle count.
+  as the metrics sampler.  They wait in a heap of their own, beside the
+  heap of real events, and share its insertion counter: the loop pops
+  the daemon head instead of the real head only when its ``(time,
+  seq)`` is the smaller, so the two heaps dispatch in exactly the order
+  one merged heap would.  When the real heap empties the daemons are
+  dropped, so instrumentation can never extend a simulation's final
+  cycle count, and a run without daemons pays one empty-list test per
+  event for them.
 * **Audit hook** (``attach_audit``) — a callback invoked every N
   processed events, used by the resilience layer's invariant checker.
   Unlike daemons it is event-indexed rather than time-indexed, so audits
-  track simulation *progress* even when the clock jumps.  Detached, it
-  costs one attribute load per event.
+  track simulation *progress* even when the clock jumps.  The loop
+  compares the event count with one threshold, the nearer of the next
+  audit and the end of the ``max_events`` slice, so an unaudited run
+  pays nothing more for the hook.
 """
 
 from __future__ import annotations
@@ -31,10 +38,12 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
-
-#: Stands in for "no limit" in ``run``: a bound no event count reaches,
-#: so the loop tests one int per event instead of None first.
+#: Stands in for "no limit": an event count no run reaches, so the loop
+#: compares one int per event instead of testing for None first.
 _UNBOUNDED = 1 << 63
+
+#: One queued event: ``(when, seq, callback, args)``.
+Event = tuple[int, int, Callable[..., None], tuple[Any, ...]]
 
 
 class SimulationError(RuntimeError):
@@ -50,16 +59,20 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._queue: list[
-            tuple[int, int, Callable[..., None], tuple[Any, ...], bool]
-        ] = []
+        #: Real events; the run is over when this heap is empty.
+        self._queue: list[Event] = []
+        #: Daemon events, ordered against ``_queue`` by the shared ``_seq``.
+        self._daemons: list[Event] = []
         self._seq: int = 0
         self._events_processed: int = 0
-        self._daemons_pending: int = 0
-        #: Audit hook state; None when no auditor is attached.
+        #: Audit hook state; ``_audit`` is None when no auditor is
+        #: attached, and ``_audit_due`` is then ``_UNBOUNDED``.
         self._audit: Callable[[], None] | None = None
         self._audit_every: int = 0
-        self._audit_countdown: int = 0
+        self._audit_due: int = _UNBOUNDED
+        #: The event count at which ``run`` leaves its fast path: the
+        #: nearer of ``_audit_due`` and the slice's end.
+        self._due: int = _UNBOUNDED
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -68,7 +81,8 @@ class Engine:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        self.schedule_at(self.now + int(delay), callback, *args)
+        heapq.heappush(self._queue, (self.now + int(delay), self._seq, callback, args))
+        self._seq += 1
 
     def schedule_at(self, when: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute cycle ``when``."""
@@ -76,7 +90,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at cycle {when}, current cycle is {self.now}"
             )
-        heapq.heappush(self._queue, (when, self._seq, callback, args, False))
+        heapq.heappush(self._queue, (when, self._seq, callback, args))
         self._seq += 1
 
     def schedule_daemon(
@@ -86,17 +100,16 @@ class Engine:
 
         Daemon events fire like ordinary events while real work remains,
         but ``run`` discards them once they are all that is left — the
-        clock never advances for a daemon alone.  Daemon callbacks must
-        only observe state (schedule more daemons at most), never drive
-        the simulation.
+        clock never advances for a daemon alone.  Daemon callbacks
+        observe state and schedule more daemons; one that schedules real
+        work (fault injection) keeps the run going.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         heapq.heappush(
-            self._queue, (self.now + int(delay), self._seq, callback, args, True)
+            self._daemons, (self.now + int(delay), self._seq, callback, args)
         )
         self._seq += 1
-        self._daemons_pending += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -114,35 +127,38 @@ class Engine:
             The final simulation time.
         """
         queue = self._queue
+        daemons = self._daemons
         heappop = heapq.heappop
-        stop_after = _UNBOUNDED if max_events is None else max_events
-        processed = 0
+        count = self._events_processed
+        stop_at = _UNBOUNDED if max_events is None else count + max_events
+        if count >= stop_at:
+            # ``max_events <= 0`` processes nothing.
+            return self.now
+        self._due = min(stop_at, self._audit_due)
         while queue:
-            if processed >= stop_after:
-                # Checked at loop top so ``max_events=0`` processes
-                # nothing and the tally can never leak across runs.
-                break
-            if self._daemons_pending == len(queue):
-                # Only housekeeping left: drop it without moving the clock.
-                queue.clear()
-                self._daemons_pending = 0
-                break
-            when, _seq, callback, args, daemon = heappop(queue)
-            if daemon:
-                self._daemons_pending -= 1
+            if daemons and daemons[0] < queue[0]:
+                when, _seq, callback, args = heappop(daemons)
+            else:
+                when, _seq, callback, args = heappop(queue)
             self.now = when
             callback(*args)
-            processed += 1
-            self._events_processed += 1
-            audit = self._audit
-            if audit is not None:
-                self._audit_countdown -= 1
-                if self._audit_countdown <= 0:
+            count += 1
+            # Stored per event: the audit hook, daemons and a supervisor
+            # handling an exception all read the exact count.
+            self._events_processed = count
+            if count >= self._due:
+                if count >= self._audit_due:
                     # Reset before the call so an auditor that raises
                     # (and is caught by a supervisor that resumes the
                     # run) does not re-fire on the very next event.
-                    self._audit_countdown = self._audit_every
-                    audit()
+                    self._audit_due = count + self._audit_every
+                    self._audit()
+                if count >= stop_at:
+                    return self.now
+                # Also refreshes a threshold an attach or detach moved.
+                self._due = min(stop_at, self._audit_due)
+        # Only housekeeping left: drop it without moving the clock.
+        daemons.clear()
         return self.now
 
     # ------------------------------------------------------------------
@@ -161,18 +177,20 @@ class Engine:
             raise SimulationError(f"audit interval must be >= 1, got {every}")
         self._audit = callback
         self._audit_every = every
-        self._audit_countdown = every
+        self._audit_due = self._events_processed + every
+        # Attached mid-run, the running loop must see the new threshold.
+        self._due = min(self._due, self._audit_due)
 
     def detach_audit(self) -> None:
         """Remove the audit hook (restores zero-cost event dispatch)."""
         self._audit = None
         self._audit_every = 0
-        self._audit_countdown = 0
+        self._audit_due = _UNBOUNDED
 
     def clear(self) -> None:
         """Drop every pending event, daemons included (the run is over)."""
         self._queue.clear()
-        self._daemons_pending = 0
+        self._daemons.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -180,12 +198,12 @@ class Engine:
     @property
     def pending_events(self) -> int:
         """Number of events waiting in the queue (daemons included)."""
-        return len(self._queue)
+        return len(self._queue) + len(self._daemons)
 
     @property
     def real_pending(self) -> int:
         """Pending events that represent actual simulated work."""
-        return len(self._queue) - self._daemons_pending
+        return len(self._queue)
 
     @property
     def events_processed(self) -> int:

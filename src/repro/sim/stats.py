@@ -3,7 +3,8 @@
 Three building blocks cover everything the paper reports:
 
 * :class:`Counter` — named monotonically increasing event counts
-  (TLB hits/misses, MSHR failures, issued instructions, ...).
+  (TLB hits/misses, MSHR failures, issued instructions, ...), and
+  totals declared as sums of them (TLB lookups = hits + misses).
 * :class:`Histogram` — value distributions (walk levels, queue depths).
 * :class:`LatencyTracker` — per-request latency accumulation split into
   named components, used for the queueing-delay vs page-table-access
@@ -17,10 +18,18 @@ from typing import Mapping
 
 
 class Counter:
-    """A bag of named integer counters."""
+    """A bag of named integer counters.
+
+    Most counters are bumped.  A *declared total* is not: its owner
+    names the counters it is the sum of (:meth:`declare_total`), and
+    every read sums them.  A total is absent from :meth:`as_dict` while
+    it is zero, as a bumped counter that never moved is.
+    """
 
     def __init__(self) -> None:
         self._counts: dict[str, int] = defaultdict(int)
+        #: Declared total -> (parts added, parts subtracted).
+        self._totals: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
         self._counts[name] += amount
@@ -32,15 +41,40 @@ class Counter:
         times per run hoist this mapping and precompute their counter
         names, so each event costs one dict ``+= 1`` instead of a method
         call plus an f-string.  The mapping is a ``defaultdict(int)``
-        and is never rebound, so the reference stays valid.
+        and is never rebound, so the reference stays valid.  It holds
+        bumped counters only: read a declared total through :meth:`get`.
         """
         return self._counts
 
+    def declare_total(
+        self, name: str, parts: tuple[str, ...], minus: tuple[str, ...] = ()
+    ) -> None:
+        """Make ``name`` the sum of ``parts`` less the sum of ``minus``.
+
+        Parts may be declared totals themselves.  Components with
+        several instances under one name (per-SM L1s) each declare the
+        same total; a different definition is refused.
+        """
+        if name in self._counts:
+            raise ValueError(f"counter {name!r} is bumped; it cannot be a total")
+        definition = (tuple(parts), tuple(minus))
+        if self._totals.setdefault(name, definition) != definition:
+            raise ValueError(f"counter {name!r} is already declared otherwise")
+
     def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
+        total = self._totals.get(name)
+        if total is None:
+            return self._counts.get(name, 0)
+        parts, minus = total
+        return sum(map(self.get, parts)) - sum(map(self.get, minus))
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
+        counts = dict(self._counts)
+        for name in self._totals:
+            value = self.get(name)
+            if value:
+                counts[name] = value
+        return counts
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` counts, 0.0 when the denominator is 0."""
@@ -55,13 +89,15 @@ class Counter:
 
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> "Counter":
+        """A counter holding every value of ``data``, totals included,
+        as plain counts: a stored result is no longer summed."""
         counter = cls()
         for name, value in data.items():
             counter._counts[name] = int(value)
         return counter
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        items = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        items = ", ".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
         return f"Counter({items})"
 
 
@@ -77,6 +113,15 @@ class Histogram:
 
     def record(self, value: int, weight: int = 1) -> None:
         self._buckets[value] += weight
+
+    def live(self) -> dict[int, int]:
+        """The mutable value -> weight mapping itself (hot-path accessor).
+
+        Like :meth:`Counter.live`: a component recording once per walk
+        or per memory instruction hoists this ``defaultdict(int)`` and
+        records with one ``buckets[value] += 1``.
+        """
+        return self._buckets
 
     @property
     def count(self) -> int:

@@ -68,7 +68,6 @@ class CoalescedTLB(TLB):
     def lookup(self, vpn: int) -> int | None:
         self._tick += 1
         counts = self._counts
-        counts[self._c_lookups] += 1
         slot = self._map.get(_BLOCK_KEY_BASE + vpn // self.span)
         offset = vpn % self.span
         if (

@@ -70,6 +70,9 @@ class PageWalkCache:
         self._c_root_fallbacks = f"{name}.root_fallbacks"
         self._c_evictions = f"{name}.evictions"
         self._c_fills = f"{name}.fills"
+        stats.counters.declare_total(
+            self._c_probes, (self._c_hits, self._c_root_fallbacks)
+        )
 
     def probe(self, vpn: int) -> tuple[int, int]:
         """Deepest cached node for ``vpn``: returns ``(level, node_base)``.
@@ -78,16 +81,14 @@ class PageWalkCache:
         fallback is ``(root_level, root_base)``.
         """
         self._tick += 1
-        counts = self._counts
-        counts[self._c_probes] += 1
         way_of = self._way_of
         for level, shift in self._probe_levels:
             way = way_of.get((level, vpn >> shift))
             if way is not None:
                 self._rank[way] = self._tick
-                counts[self._c_hits] += 1
+                self._counts[self._c_hits] += 1
                 return level, self._base[way]
-        counts[self._c_root_fallbacks] += 1
+        self._counts[self._c_root_fallbacks] += 1
         return self.layout.levels, self.root_base
 
     def fill(self, vpn: int, level: int, node_base: int) -> None:

@@ -83,6 +83,7 @@ class TLB:
         self._c_lookups = f"{name}.lookups"
         self._c_misses = f"{name}.misses"
         self._c_hits = f"{name}.hits"
+        stats.counters.declare_total(self._c_lookups, (self._c_hits, self._c_misses))
         self._c_pending_resolved = f"{name}.pending_resolved"
         self._c_fill_dropped = f"{name}.fill_dropped"
         self._c_pending_allocated = f"{name}.pending_allocated"
@@ -95,14 +96,12 @@ class TLB:
     def lookup(self, vpn: int) -> int | None:
         """Return the PFN on hit, None on miss.  Pending entries miss."""
         self._tick += 1
-        counts = self._counts
-        counts[self._c_lookups] += 1
         slot = self._map.get(vpn)
         if slot is None or self._pend[slot]:
-            counts[self._c_misses] += 1
+            self._counts[self._c_misses] += 1
             return None
         self._rank[slot] = self._tick
-        counts[self._c_hits] += 1
+        self._counts[self._c_hits] += 1
         return self._pfn[slot]
 
     def probe_pending(self, vpn: int) -> list[Any] | None:
@@ -155,18 +154,20 @@ class TLB:
         """Repurpose a victim way as an MSHR slot for ``vpn``.
 
         Returns False when every way of the set is already a pending
-        slot (the per-set bottleneck that limits spmv in Section 6.3).
+        slot (the per-set bottleneck that limits spmv in Section 6.3),
+        which the set's pending count answers before any way is touched.
         """
         self._tick += 1
         slot = self._map.get(vpn)
         if slot is not None and self._pend[slot]:
             raise ValueError(f"vpn {vpn:#x} already pending; merge instead")
+        if self._set_pending[vpn % self._num_sets] == self._ways:
+            return False
         if slot is not None:
             # A valid entry exists; caller should have hit.  Replace it.
             self._evict_slot(slot)
+        # A way is free or valid, so the claim cannot be refused.
         slot = self._claim(vpn, 0)
-        if slot is None:
-            return False
         self._pend[slot] = 1
         self._rank[slot] = PENDING_RANK
         self._waiters[slot] = [waiter]

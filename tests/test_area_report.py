@@ -11,7 +11,7 @@ from repro.analysis.area import (
     softwalker_relative_area,
     softwalker_storage_bits,
 )
-from repro.analysis.report import format_breakdown, format_series, format_table, geomean
+from repro.analysis.report import format_table, geomean
 from repro.config import softwalker_config
 
 
@@ -89,16 +89,3 @@ class TestFormatting:
         assert "a" in lines[1] and "bb" in lines[1]
         assert "0.0010" in text  # small floats keep precision
         assert "xyz" in text
-
-    def test_format_series(self):
-        text = format_series("x", "y", [(1, 2.0), (2, 4.0)])
-        assert "x" in text and "4.00" in text
-
-    def test_format_breakdown_shares(self):
-        text = format_breakdown("walk", {"queueing": 90.0, "access": 10.0})
-        assert "90.0%" in text
-        assert "(total 100.0)" in text
-
-    def test_format_breakdown_empty_total(self):
-        text = format_breakdown("walk", {"queueing": 0.0})
-        assert "0.0%" in text

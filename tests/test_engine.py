@@ -1,6 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
+import heapq
+import itertools
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.config import DEFAULT_CONFIGS
 from repro.gpu.gpu import GPUSimulator
@@ -276,3 +282,161 @@ def test_single_stepping_matches_run(config_name):
     assert engine.now == reference.engine.now
     assert engine.events_processed == reference.engine.events_processed
     assert stepped.partial_result().fingerprint() == ref_result.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# Reference model: one heap of real and daemon events
+# ----------------------------------------------------------------------
+class OneHeapEngine:
+    """The engine's contract in its plainest form: every event, daemon
+    or not, in one ``(time, seq)`` heap; daemons are dropped once no
+    real event is left; the audit hook counts events down."""
+
+    def __init__(self):
+        self.now = 0
+        self.heap = []
+        self.seq = 0
+        self.events_processed = 0
+        self.audit = None
+        self.audit_every = 0
+        self.countdown = 0
+
+    def _push(self, when, daemon, callback, args):
+        heapq.heappush(self.heap, (when, self.seq, daemon, callback, args))
+        self.seq += 1
+
+    def schedule(self, delay, callback, *args):
+        self._push(self.now + delay, False, callback, args)
+
+    def schedule_daemon(self, delay, callback, *args):
+        self._push(self.now + delay, True, callback, args)
+
+    def attach_audit(self, every, callback):
+        self.audit, self.audit_every, self.countdown = callback, every, every
+
+    def detach_audit(self):
+        self.audit, self.audit_every, self.countdown = None, 0, 0
+
+    def run(self, max_events=None):
+        processed = 0
+        while self.heap:
+            if max_events is not None and processed >= max_events:
+                break
+            if all(daemon for _, _, daemon, _, _ in self.heap):
+                self.heap.clear()
+                break
+            when, _, _, callback, args = heapq.heappop(self.heap)
+            self.now = when
+            callback(*args)
+            processed += 1
+            self.events_processed += 1
+            if self.audit is not None:
+                self.countdown -= 1
+                if self.countdown <= 0:
+                    self.countdown = self.audit_every
+                    self.audit()
+        return self.now
+
+    @property
+    def pending_events(self):
+        return len(self.heap)
+
+    @property
+    def real_pending(self):
+        return sum(1 for _, _, daemon, _, _ in self.heap if not daemon)
+
+
+#: An event: ``(kind, delay, children)``; firing it schedules each child
+#: ``delay`` cycles later.  Small delays make same-cycle ties common.
+_leaf = st.tuples(st.sampled_from(["real", "daemon"]), st.integers(0, 4), st.just(()))
+event_specs = st.recursive(
+    _leaf,
+    lambda inner: st.tuples(
+        st.sampled_from(["real", "daemon"]),
+        st.integers(0, 4),
+        st.lists(inner, max_size=3).map(tuple),
+    ),
+    max_leaves=8,
+)
+
+
+class Side:
+    """One engine under test, with the log its callbacks write."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.log = []
+        self._ids = itertools.count()
+
+    def schedule(self, spec):
+        kind, delay, _children = spec
+        schedule = self.engine.schedule if kind == "real" else self.engine.schedule_daemon
+        schedule(delay, self._fire, next(self._ids), spec)
+
+    def _fire(self, event_id, spec):
+        engine = self.engine
+        self.log.append(("fire", event_id, engine.now, engine.events_processed))
+        for child in spec[2]:
+            self.schedule(child)
+
+    def audit(self):
+        engine = self.engine
+        self.log.append(
+            (
+                "audit",
+                engine.events_processed,
+                engine.now,
+                engine.pending_events,
+                engine.real_pending,
+            )
+        )
+
+    def state(self):
+        engine = self.engine
+        return (
+            self.log,
+            engine.now,
+            engine.pending_events,
+            engine.real_pending,
+            engine.events_processed,
+        )
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """``Engine`` and :class:`OneHeapEngine` through the same schedules,
+    slices and audit hooks: same dispatch order, clock and counts."""
+
+    def __init__(self):
+        super().__init__()
+        self.sides = (Side(Engine()), Side(OneHeapEngine()))
+
+    @rule(spec=event_specs)
+    def schedule(self, spec):
+        for side in self.sides:
+            side.schedule(spec)
+
+    @rule(max_events=st.one_of(st.none(), st.integers(0, 6)))
+    def run(self, max_events):
+        for side in self.sides:
+            side.engine.run(max_events=max_events)
+
+    @rule(every=st.integers(1, 4))
+    def attach_audit(self, every):
+        for side in self.sides:
+            side.engine.attach_audit(every, side.audit)
+
+    @rule()
+    def detach_audit(self):
+        for side in self.sides:
+            side.engine.detach_audit()
+
+    @invariant()
+    def same_state(self):
+        real, reference = self.sides
+        assert real.state() == reference.state()
+
+
+TestEngineAgainstOneHeap = EngineMachine.TestCase
+TestEngineAgainstOneHeap.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)

@@ -7,6 +7,7 @@ from repro.memory.cache import SectoredCache
 from repro.memory.dram import CHANNEL_INTERLEAVE_BYTES, DRAM
 from repro.memory.hierarchy import MemorySystem
 from repro.pagetable.address import AddressLayout
+from repro.ptw.walker import PteMemoryPort
 from repro.sim.stats import StatsRegistry
 from repro.tlb.pwc import PageWalkCache
 from repro.tlb.tlb import TLB
@@ -185,19 +186,23 @@ class TestMemorySystem:
     def test_pte_accesses_skip_l1(self):
         stats_conf = GPUConfig(num_sms=2)
         system = MemorySystem(stats_conf, StatsRegistry())
-        system.pte_access(0x1234, now=0)
+        PteMemoryPort(system.l2).read(0x1234, now=0)
         assert system.stats.counters.get("l2d.accesses") == 1
         assert system.stats.counters.get("l1d.accesses") == 0
+        assert system.stats.counters.get("mem.pte_accesses") == 1
 
     def test_data_accesses_go_through_l1(self):
         system = MemorySystem(GPUConfig(num_sms=2), StatsRegistry())
-        system.data_access_page(0, 0x10000, (0x80, 0x100, 0x80), now=0)
+        system.l1s[0].access_page(0x10000, (0x80, 0x100, 0x80), now=0)
         assert system.stats.counters.get("l1d.accesses") == 3
         assert system.stats.counters.get("mem.data_accesses") == 3
+        # The two L1 misses reached the L2, and neither was a PTE read.
+        assert system.stats.counters.get("l2d.accesses") == 2
+        assert system.stats.counters.get("mem.pte_accesses") == 0
 
     def test_l1_miss_falls_through_to_l2(self):
         system = MemorySystem(GPUConfig(num_sms=2), StatsRegistry())
-        done = system.data_access_page(0, 0x40000, (0,), now=0)
+        done = system.l1s[0].access_page(0x40000, (0,), now=0)
         # L1 lookup + L2 lookup + DRAM
         config = GPUConfig()
         expected = config.l1d.latency + config.l2d.latency + config.dram.latency
@@ -205,8 +210,8 @@ class TestMemorySystem:
 
     def test_l1s_are_private_per_sm(self):
         system = MemorySystem(GPUConfig(num_sms=2), StatsRegistry())
-        t = system.data_access_page(0, 0x40000, (0,), now=0)
+        t = system.l1s[0].access_page(0x40000, (0,), now=0)
         # Second SM misses its own L1 but hits the shared L2.
-        t2 = system.data_access_page(1, 0x40000, (0,), now=t)
+        t2 = system.l1s[1].access_page(0x40000, (0,), now=t)
         config = GPUConfig()
         assert t2 == t + config.l1d.latency + config.l2d.latency

@@ -340,7 +340,7 @@ class MemorySystemMachine(RuleBasedStateMachine):
         now = self._now(data)
         self.model_mem["mem.data_accesses"] += 1
         expected = self.model_l1s[sm].access(address, now)
-        assert self.real.data_access_page(sm, address, (0,), now) == expected
+        assert self.real.l1s[sm].access_page(address, (0,), now) == expected
 
     @rule(data=st.data(), frame=frames, offsets=page_offsets)
     def data_access_page(self, data, frame, offsets):
@@ -350,13 +350,13 @@ class MemorySystemMachine(RuleBasedStateMachine):
         for offset in offsets:
             self.model_mem["mem.data_accesses"] += 1
             expected = max(expected, self.model_l1s[sm].access(frame | offset, now))
-        assert self.real.data_access_page(sm, frame, offsets, now) == expected
+        assert self.real.l1s[sm].access_page(frame, offsets, now) == expected
 
     @rule(data=st.data(), address=addresses)
     def pte_access(self, data, address):
         now = self._now(data)
         self.model_mem["mem.pte_accesses"] += 1
-        assert self.real.pte_access(address, now) == self.model_l2.access(address, now)
+        assert self.real.l2.access(address, now) == self.model_l2.access(address, now)
 
     @invariant()
     def same_state(self):

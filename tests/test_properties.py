@@ -26,7 +26,7 @@ class FixedMemory:
     def __init__(self, latency=80):
         self.latency = latency
 
-    def pte_access(self, address, now):
+    def access(self, address, now):
         return now + self.latency
 
 

@@ -20,7 +20,7 @@ class FixedMemory:
     def __init__(self, latency=100):
         self.latency = latency
 
-    def pte_access(self, address, now):
+    def access(self, address, now):
         return now + self.latency
 
 

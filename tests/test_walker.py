@@ -15,13 +15,13 @@ from repro.tlb.pwc import PageWalkCache
 
 
 class FixedMemory:
-    """Memory stub: constant-latency PTE reads, records addresses."""
+    """L2 stub: constant-latency PTE reads, records addresses."""
 
     def __init__(self, latency=100):
         self.latency = latency
         self.addresses = []
 
-    def pte_access(self, address, now):
+    def access(self, address, now):
         self.addresses.append(address)
         return now + self.latency
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.config import PAGE_SIZE_2M, PAGE_SIZE_64K
 from repro.gpu.sm import SM
-from repro.gpu.warp import Warp, coalesce_lines, compile_trace, group_by_page
+from repro.gpu.warp import Warp, compile_trace, group_by_page
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 
@@ -44,26 +44,24 @@ class InstantTranslation:
 
 
 class InstantMemory:
+    """L1D stub: fixed latency, logs ``(address, now)`` per line read."""
+
     def __init__(self, latency=40):
         self.latency = latency
         self.accesses = []
 
-    def data_access(self, sm_id, address, now):
-        self.accesses.append((sm_id, address, now))
+    def access(self, address, now):
+        self.accesses.append((address, now))
         return now + self.latency
 
-    def data_access_page(self, sm_id, frame_base, offsets, now):
+    def access_page(self, base, offsets, now):
         done = now
         for offset in offsets:
-            done = max(done, self.data_access(sm_id, frame_base | offset, now))
+            done = max(done, self.access(base | offset, now))
         return done
 
 
 class TestCoalescing:
-    def test_coalesce_lines_dedups_lanes(self):
-        addresses = [0, 4, 64, 127, 128, 200]
-        assert coalesce_lines(addresses) == (0, 1)
-
     def test_group_by_page(self):
         # 512 lines per 64KB page.
         groups = group_by_page([0, 511, 512, 1024], 512)
@@ -99,7 +97,7 @@ class TestWarpExecution:
         _, _, _, memory, _ = run_warp([("m", (513,))])
         # vpn 1 -> pfn 1001; line 513 is line 1 within the page.
         expected = (1001 << 16) | (1 << 7)
-        assert memory.accesses[0][1] == expected
+        assert memory.accesses[0][0] == expected
 
     def test_warp_blocks_until_all_lanes_complete(self):
         class SlowPage(InstantTranslation):
@@ -141,12 +139,12 @@ class TestWarpExecution:
         # nothing else happened before the miss returned.
         assert probed == [
             (
-                [(0, 1000 << 16, issue_done + translation.l1_latency)],
+                [(1000 << 16, issue_done + translation.l1_latency)],
                 [(0, 0, issue_done), (0, 1, issue_done)],
                 1,
             )
         ]
-        assert memory.accesses[1] == (0, 1001 << 16, issue_done + 500)
+        assert memory.accesses[1] == (1001 << 16, issue_done + 500)
         # The trailing compute issues only after the miss's data lands.
         assert engine.now == issue_done + 500 + 40 + 1
         assert sm.user_issued == 2
@@ -204,7 +202,7 @@ class TestCompileTrace:
 # ----------------------------------------------------------------------
 class ReferenceWarp:
     """Line-space warp: regroups every memory instruction by page and
-    makes one ``data_access`` per line (the pre-compilation model)."""
+    makes one L1D ``access`` per line (the pre-compilation model)."""
 
     def __init__(self, sm, engine, translation, memory, page_size, instructions):
         self.sm = sm
@@ -250,7 +248,7 @@ class ReferenceWarp:
         frame_base = pfn << self.page_shift
         for vline in lines:
             address = frame_base | ((vline & (self.lines_per_page - 1)) << 7)
-            done = max(done, self.memory.data_access(self.sm.sm_id, address, time))
+            done = max(done, self.memory.access(address, time))
         self._page_done(done)
 
     def _page_done(self, done):
@@ -298,8 +296,8 @@ class UnevenTranslation(InstantTranslation):
 
 
 class UnevenMemory(InstantMemory):
-    def data_access(self, sm_id, address, now):
-        self.accesses.append((sm_id, address, now))
+    def access(self, address, now):
+        self.accesses.append((address, now))
         return now + 30 + (address >> 7) % 11 * 9
 
 
