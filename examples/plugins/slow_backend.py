@@ -34,7 +34,6 @@ simulation, slower host" snapshot for the regression gate behind
 import os
 import time
 
-from repro.arch.machine import MachineSpec
 from repro.arch.registry import WALK_BACKENDS
 
 #: Host seconds slept per submitted walk (simulated time unaffected).
@@ -82,7 +81,7 @@ def build_molasses_backend(ctx):
     removed and builds it through the registry, so the wrapper composes
     with hardware, softwalker, and hybrid alike.
     """
-    inner_name = MachineSpec(config=ctx.config.derive(walk_backend=None)).backend_name
+    inner_name = ctx.config.derive(walk_backend=None).backend_name
     return _SleepyBackend(WALK_BACKENDS.create(inner_name, ctx))
 
 

@@ -43,32 +43,20 @@ class OracleWalkBackend:
     def __init__(self, ctx):
         self.engine = ctx.engine
         self.stats = ctx.stats
-        self._plan = ctx.traversal_plan()
-        self._page_table = ctx.space.radix
-        self._pte_port = ctx.pte_port
+        # The configured page table's walk (radix or hashed); a partial
+        # or closure, never a bound method of a machine component.
+        self._traverse = ctx.traverse
         self.on_complete = None
         self._live = {}
         self._next_id = 0
 
     def submit(self, request):
-        from repro.ptw.walker import execute_walk
-
         self.stats.counters.add("oracle.submitted")
         # enqueue_time marks the end of the L2 TLB lookup, which can lie
         # a few cycles ahead of the submit call — never walk before the
         # request is actually ready (queueing must stay non-negative).
         begin = max(self.engine.now, request.enqueue_time)
-        if self._plan.traversal is not None:
-            outcome = self._plan.traversal(request.vpn, request.start_level, begin)
-        else:
-            outcome = execute_walk(
-                self._page_table,
-                self._pte_port,
-                self._plan.pwc,
-                request.vpn,
-                request.start_level,
-                begin,
-            )
+        outcome = self._traverse(request.vpn, request.start_level, begin)
         request.queueing = begin - request.enqueue_time
         request.access = outcome.finish_time - begin
         request.faulted = outcome.faulted

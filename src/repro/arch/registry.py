@@ -1,17 +1,17 @@
-"""String-keyed component registries: the machine's extension points.
+"""The walk-backend registry: the machine's one extension point.
 
-Every interchangeable piece of the simulated machine — walk backends,
-PWB dequeue policies, Request Distributor policies, page-table kinds —
-is resolved by *name* through
-a :class:`ComponentRegistry` here instead of an if/else chain at the
-assembly site.  Config validation delegates to the same registries, so
-the set of legal names in a :class:`~repro.config.GPUConfig` and the
-set of buildable components can never drift apart, and registering a
-new component makes it selectable everywhere at once (CLI, sweeps, the
-service daemon).
+Who walks the page table — hardware PTWs, PW warps, the hybrid, or a
+plugin — is the one piece of machine structure the paper varies, so it
+is resolved by *name* through :data:`WALK_BACKENDS`, a
+:class:`ComponentRegistry`.  Config validation checks a
+``walk_backend`` name against the same registry, so registering a
+backend makes it selectable everywhere at once (CLI, sweeps, the
+service daemon).  Every other swept choice (PWB order, distributor
+policy, page-table kind) is a plain value of a config field, with its
+legal names spelled once in :mod:`repro.config`.
 
 This module sits at the very bottom of the layer DAG: it imports
-nothing from the rest of ``repro``.  Built-in components are seeded
+nothing from the rest of ``repro``.  The built-in backends are seeded
 with *lazy* factories (the implementation module is imported on first
 build), which is what lets ``repro.config`` validate names at import
 time without dragging the whole machine model in.
@@ -26,7 +26,7 @@ External code hooks in two ways, without patching repro:
   the same way.
 
 Plugins load lazily: on the first lookup (or validation) that misses,
-the registries pull plugins in and retry before erroring, so a plugin
+the registry pulls plugins in and retries before erroring, so a plugin
 name is usable anywhere a built-in name is — including inside config
 dicts arriving over the service socket.
 """
@@ -38,6 +38,7 @@ import importlib
 import importlib.util
 import os
 import sys
+from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterator, TypeVar
 
 PLUGINS_ENV = "REPRO_PLUGINS"
@@ -164,44 +165,42 @@ class ComponentRegistry(Generic[T]):
 
 
 # ----------------------------------------------------------------------
-# The machine's registries
+# Walk backends
 # ----------------------------------------------------------------------
 
-#: Walk backends: ``factory(ctx: repro.arch.machine.BackendContext)``
-#: returning an object with ``submit``/``on_complete``/``live_requests``
-#: /``register_metrics`` (see docs/architecture.md for the contract).
+@dataclass
+class BackendContext:
+    """Everything a walk-backend factory may wire against.
+
+    :class:`~repro.gpu.gpu.GPUSimulator` builds one per machine and
+    passes it to the :data:`WALK_BACKENDS` factory its config names;
+    plugins get the same view of the machine the built-in backends do.
+    ``traverse`` is the configured page table's ``(vpn, start_level,
+    begin) -> WalkOutcome`` walk: the radix pointer chase through
+    ``pte_port`` and ``pwc``, or an FS-HPT hashed probe.
+    """
+
+    engine: Any
+    config: Any
+    sms: list
+    space: Any
+    pte_port: Any
+    pwc: Any
+    stats: Any
+    traverse: Callable[[int, int, int], Any]
+
+
+#: Walk backends: ``factory(ctx: BackendContext)`` returning an object
+#: with ``submit``/``on_complete``/``live_requests``/``register_metrics``
+#: (see docs/architecture.md for the contract).
 WALK_BACKENDS: ComponentRegistry = ComponentRegistry("walk backend")
 
-#: PWB dequeue policies: ``factory()`` returning a
-#: :class:`~repro.ptw.subsystem.PwbPolicy`.
-PWB_POLICIES: ComponentRegistry = ComponentRegistry("PWB policy")
 
-#: Request Distributor core-selection policies: ``factory(seed=...)``
-#: returning a :class:`~repro.core.distributor.SelectionPolicy`.
-DISTRIBUTOR_POLICIES: ComponentRegistry = ComponentRegistry("distributor policy")
-
-#: Page-table kinds: ``factory(ctx)`` returning a
-#: :class:`~repro.arch.machine.TraversalPlan` (how hardware walkers
-#: traverse the table, and whether the PWC applies).
-PAGE_TABLE_KINDS: ComponentRegistry = ComponentRegistry("page table kind")
-
-# ----------------------------------------------------------------------
-# Built-in components (lazy factories: implementations import on build)
-# ----------------------------------------------------------------------
-
+# Built-in backends: lazy factories, implementations import on build.
 def _build_hardware_backend(ctx):
     from repro.ptw.subsystem import HardwareWalkBackend
 
-    plan = ctx.traversal_plan()
-    return HardwareWalkBackend(
-        ctx.engine,
-        ctx.config.ptw,
-        ctx.space.radix,
-        ctx.pte_port,
-        plan.pwc,
-        ctx.stats,
-        traversal=plan.traversal,
-    )
+    return HardwareWalkBackend(ctx.engine, ctx.config.ptw, ctx.traverse, ctx.stats)
 
 
 def _build_softwalker_backend(ctx):
@@ -221,8 +220,6 @@ def _build_softwalker_backend(ctx):
 def _build_hybrid_backend(ctx):
     from repro.core.backend import HybridBackend
 
-    if ctx.config.ptw.num_walkers == 0:
-        raise ValueError("hybrid mode needs hardware walkers")
     # Composed through the registry, so replacing either half swaps it
     # inside the hybrid too.
     return HybridBackend(
@@ -234,71 +231,6 @@ def _build_hybrid_backend(ctx):
 WALK_BACKENDS.register("hardware", _build_hardware_backend)
 WALK_BACKENDS.register("softwalker", _build_softwalker_backend)
 WALK_BACKENDS.register("hybrid", _build_hybrid_backend)
-
-
-def _build_fcfs_policy():
-    from repro.ptw.subsystem import FcfsPwbPolicy
-
-    return FcfsPwbPolicy()
-
-
-def _build_sm_batch_policy():
-    from repro.ptw.subsystem import SmBatchPwbPolicy
-
-    return SmBatchPwbPolicy()
-
-
-PWB_POLICIES.register("fcfs", _build_fcfs_policy)
-PWB_POLICIES.register("sm_batch", _build_sm_batch_policy)
-
-
-def _build_round_robin(**kwargs):
-    from repro.core.distributor import RoundRobinSelection
-
-    return RoundRobinSelection()
-
-
-def _build_random(*, seed: int = 97, **kwargs):
-    from repro.core.distributor import RandomSelection
-
-    return RandomSelection(seed=seed)
-
-
-def _build_stall_aware(**kwargs):
-    from repro.core.distributor import StallAwareSelection
-
-    return StallAwareSelection()
-
-
-DISTRIBUTOR_POLICIES.register("round_robin", _build_round_robin)
-DISTRIBUTOR_POLICIES.register("random", _build_random)
-DISTRIBUTOR_POLICIES.register("stall_aware", _build_stall_aware)
-
-
-def _build_radix_plan(ctx):
-    from repro.arch.machine import TraversalPlan
-
-    return TraversalPlan(traversal=None, pwc=ctx.pwc)
-
-
-def _build_hashed_plan(ctx):
-    from repro.arch.machine import TraversalPlan
-    from repro.ptw.hashed_backend import make_hashed_traversal
-
-    if ctx.space.hashed is None:
-        raise ValueError("hashed page table requested but not built")
-    # Hashed walks are single probes; the PWC caches radix interior
-    # nodes and does not apply.
-    return TraversalPlan(
-        traversal=make_hashed_traversal(ctx.space.hashed, ctx.pte_port),
-        pwc=None,
-    )
-
-
-PAGE_TABLE_KINDS.register("radix", _build_radix_plan)
-PAGE_TABLE_KINDS.register("hashed", _build_hashed_plan)
-
-
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +261,8 @@ def _import_path(path: str):
 def load_plugins(*, reload: bool = False) -> bool:
     """Import every ``REPRO_PLUGINS`` module / entry point, once.
 
-    Returns True if this call actually loaded anything (the registries
-    use that to decide whether a retry is worthwhile).  Idempotent;
+    Returns True if this call actually loaded anything (the registry
+    uses that to decide whether a retry is worthwhile).  Idempotent;
     ``reload=True`` forces a re-scan (tests use it after mutating the
     environment).  A plugin that fails to import raises — a silently
     dropped plugin is far worse than a loud startup error.

@@ -16,13 +16,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, ClassVar, Iterator, Mapping
 
-from repro.arch.registry import (
-    DISTRIBUTOR_POLICIES,
-    PAGE_TABLE_KINDS,
-    PWB_POLICIES,
-    WALK_BACKENDS,
-    load_plugins,
-)
+from repro.arch.registry import WALK_BACKENDS, load_plugins
 
 KB = 1024
 MB = 1024 * 1024
@@ -63,6 +57,12 @@ def _dataclass_from_dict(cls, data: Mapping) -> Any:
             hints.append(f"{name!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
         raise ValueError(f"unknown {cls.__name__} field(s): {', '.join(hints)}")
     return cls(**data)
+
+
+def _check_name(kind: str, name: str, legal: tuple[str, ...]) -> None:
+    """Refuse a ``name`` outside the ``legal`` values of one kind."""
+    if name not in legal:
+        raise ValueError(f"unknown {kind} {name!r}; legal: {', '.join(legal)}")
 
 
 class SerializableConfig:
@@ -187,6 +187,27 @@ class PageTableConfig(SerializableConfig):
         return PHYSICAL_ADDRESS_BITS - self.offset_bits
 
 
+class PageTableKind:
+    """Page tables the hardware walkers traverse."""
+
+    RADIX = "radix"
+    #: The FS-HPT baseline's fixed-size hashed table (ref [32]).
+    HASHED = "hashed"
+
+    ALL = (RADIX, HASHED)
+
+
+class PwbPolicy:
+    """PWB dequeue orders: which queued walk a freed walker takes."""
+
+    FCFS = "fcfs"
+    #: Warp-aware page-walk scheduling (ref [85]): drain walks of one
+    #: requester together to shrink intra-warp completion spread.
+    SM_BATCH = "sm_batch"
+
+    ALL = (FCFS, SM_BATCH)
+
+
 @dataclass(frozen=True)
 class PTWConfig(SerializableConfig):
     """Hardware page-walk subsystem: walkers, PWB, and page walk cache."""
@@ -201,12 +222,10 @@ class PTWConfig(SerializableConfig):
     #: Neighborhood-aware coalescing (NHA baseline): merge pending walks
     #: whose final-level PTEs share one cache sector.
     nha_coalescing: bool = False
-    #: "radix" (default) or "hashed" (the FS-HPT baseline).
-    page_table_kind: str = "radix"
-    #: PWB dequeue order: "fcfs", or "sm_batch" — the warp-aware
-    #: page-walk scheduling baseline (ref [85]) that drains walks of one
-    #: requester together to shrink intra-warp completion spread.
-    pwb_policy: str = "fcfs"
+    #: One of :attr:`PageTableKind.ALL`.
+    page_table_kind: str = PageTableKind.RADIX
+    #: PWB dequeue order, one of :attr:`PwbPolicy.ALL`.
+    pwb_policy: str = PwbPolicy.FCFS
 
     def __post_init__(self) -> None:
         if self.num_walkers < 0:
@@ -219,16 +238,12 @@ class PTWConfig(SerializableConfig):
             raise ValueError("PWC size cannot be negative")
         if self.pwc_min_level < 1:
             raise ValueError("min_level must be >= 1")
-        PAGE_TABLE_KINDS.validate(self.page_table_kind)
-        PWB_POLICIES.validate(self.pwb_policy)
+        _check_name("page table kind", self.page_table_kind, PageTableKind.ALL)
+        _check_name("PWB policy", self.pwb_policy, PwbPolicy.ALL)
 
 
 class DistributorPolicy:
-    """Request Distributor policies evaluated in Figure 26.
-
-    The built-in trio; the authoritative catalogue (including plugin
-    policies) is :data:`repro.arch.registry.DISTRIBUTOR_POLICIES`.
-    """
+    """Request Distributor policies evaluated in Figure 26."""
 
     ROUND_ROBIN = "round_robin"
     RANDOM = "random"
@@ -261,7 +276,13 @@ class SoftWalkerConfig(SerializableConfig):
     simt_lockstep: bool = False
 
     def __post_init__(self) -> None:
-        DISTRIBUTOR_POLICIES.validate(self.distributor_policy)
+        _check_name(
+            "distributor policy", self.distributor_policy, DistributorPolicy.ALL
+        )
+        if self.instruction_cycles < 0:
+            raise ValueError("instruction_cycles cannot be negative")
+        if self.instructions_per_level < 0:
+            raise ValueError("instructions_per_level cannot be negative")
         if self.enabled and self.pw_threads_per_sm < 1:
             raise ValueError("PW warp needs at least one thread")
         if self.softpwb_entries < self.pw_threads_per_sm:
@@ -515,7 +536,7 @@ def nha_config() -> GPUConfig:
 
 def fshpt_config() -> GPUConfig:
     """Baseline with a Fixed-Size Hashed Page Table (ref [32])."""
-    return baseline_config().with_ptw(page_table_kind="hashed")
+    return baseline_config().with_ptw(page_table_kind=PageTableKind.HASHED)
 
 
 def avatar_config() -> GPUConfig:

@@ -2,7 +2,8 @@
 
 A *backend* is whatever resolves walk requests for the L2 TLB
 controller: it exposes ``submit(request)`` and fires ``on_complete``
-with the finished request.  Backends are resolved by name through
+with the finished request.  :class:`~repro.gpu.gpu.GPUSimulator` builds
+the one its config names through
 :data:`repro.arch.registry.WALK_BACKENDS` — ``"hardware"`` builds
 :class:`~repro.ptw.subsystem.HardwareWalkBackend`, ``"softwalker"``
 and ``"hybrid"`` build the classes here, and plugins may register

@@ -154,7 +154,7 @@ class SoftWalkerController:
         port_free = sm._port_free
         block_cycles = self.config.instruction_cycles
         per_level = self.config.instructions_per_level
-        level_cycles = max(per_level, 0) + block_cycles
+        level_cycles = per_level + block_cycles
         read = self.pte_port.read
         prologue = len(PageWalkProgram.PROLOGUE)
         port_free = (port_free if port_free > now else now) + prologue

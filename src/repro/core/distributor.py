@@ -4,10 +4,9 @@ Lives beside the L2 TLB.  A per-core counter tracks how many requests
 are outstanding at each SM so walks are only dispatched to cores whose
 PW Warp has room (counter < SoftPWB capacity); when every core is full,
 requests wait in a global overflow queue and drain as FL2T completions
-decrement the counters.  Selection policies are
-:class:`SelectionPolicy` objects resolved by name through
-:data:`repro.arch.registry.DISTRIBUTOR_POLICIES` — the paper compares
-the built-in three in Figure 26 and adopts round-robin.
+decrement the counters.  ``SoftWalkerConfig.distributor_policy``
+names the :class:`SelectionPolicy` that picks the core; the paper
+compares the three in Figure 26 and adopts round-robin.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Callable
 
-from repro.arch.registry import DISTRIBUTOR_POLICIES
 from repro.config import DistributorPolicy
 from repro.ptw.request import WalkRequest
 from repro.sim.engine import Engine
@@ -37,7 +35,6 @@ class SelectionPolicy:
     the distributor's idleness probe wired.
     """
 
-    name = "?"
     requires_idleness = False
 
     def select(self, available: list[int], distributor: "RequestDistributor") -> int:
@@ -46,8 +43,6 @@ class SelectionPolicy:
 
 class RoundRobinSelection(SelectionPolicy):
     """First available core at or after a rotating cursor (the default)."""
-
-    name = DistributorPolicy.ROUND_ROBIN
 
     def __init__(self) -> None:
         self._cursor = 0
@@ -64,10 +59,8 @@ class RoundRobinSelection(SelectionPolicy):
 class RandomSelection(SelectionPolicy):
     """Uniform choice among available cores, seeded for determinism."""
 
-    name = DistributorPolicy.RANDOM
-
-    def __init__(self, *, seed: int = 97) -> None:
-        self._rng = random.Random(seed)
+    def __init__(self) -> None:
+        self._rng = random.Random(97)
 
     def select(self, available: list[int], distributor: "RequestDistributor") -> int:
         return self._rng.choice(available)
@@ -76,7 +69,6 @@ class RandomSelection(SelectionPolicy):
 class StallAwareSelection(SelectionPolicy):
     """Prefer the most idle core, judged by the wired idleness probe."""
 
-    name = DistributorPolicy.STALL_AWARE
     requires_idleness = True
 
     def select(self, available: list[int], distributor: "RequestDistributor") -> int:
@@ -85,8 +77,16 @@ class StallAwareSelection(SelectionPolicy):
         return min(available, key=probe)
 
 
+#: The selection policy class of each distributor policy name.
+SELECTION_POLICIES = {
+    DistributorPolicy.ROUND_ROBIN: RoundRobinSelection,
+    DistributorPolicy.RANDOM: RandomSelection,
+    DistributorPolicy.STALL_AWARE: StallAwareSelection,
+}
+
+
 class RequestDistributor:
-    """Per-core counters plus a pluggable core-selection policy."""
+    """Per-core counters plus the named core-selection policy."""
 
     def __init__(
         self,
@@ -94,25 +94,22 @@ class RequestDistributor:
         capacity_per_sm: int,
         stats: StatsRegistry,
         *,
-        policy: str | SelectionPolicy = DistributorPolicy.ROUND_ROBIN,
+        policy: str = DistributorPolicy.ROUND_ROBIN,
         idleness: Callable[[int], int] | None = None,
-        seed: int = 97,
         engine: Engine | None = None,
     ) -> None:
-        if isinstance(policy, str):
-            try:
-                policy = DISTRIBUTOR_POLICIES.create(policy, seed=seed)
-            except KeyError as miss:
-                raise ValueError(str(miss)) from None
-        if policy.requires_idleness and idleness is None:
+        if policy not in SELECTION_POLICIES:
+            raise ValueError(
+                f"unknown distributor policy {policy!r}; "
+                f"legal: {', '.join(DistributorPolicy.ALL)}"
+            )
+        selection = SELECTION_POLICIES[policy]()
+        if selection.requires_idleness and idleness is None:
             raise ValueError("stall-aware policy needs an idleness probe")
         self.num_sms = num_sms
         self.capacity = capacity_per_sm
         self.stats = stats
-        #: The live policy object; ``policy`` stays the name string for
-        #: introspection and anything that compared it historically.
-        self.selection = policy
-        self.policy = policy.name
+        self.selection = selection
         self.idleness = idleness
         self._trace = stats.obs.trace
         self._counts = stats.counters.live()

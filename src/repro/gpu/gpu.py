@@ -1,26 +1,36 @@
 """Full-GPU façade: one configured machine executing one workload.
 
-``GPUSimulator(config, workload)`` fronts the machine of Figure 2/10 —
+``GPUSimulator(config, workload)`` wires the machine of Figure 2/10 —
 SMs, warps, per-SM L1 TLBs, shared L2 TLB with MSHRs (plus In-TLB MSHR
 when SoftWalker is on), Page Walk Cache, the configured walk backend
 (hardware PTWs, SoftWalker, or hybrid), the L2 data cache and DRAM —
 runs the workload to completion, and returns a
 :class:`SimulationResult` with everything the paper's figures report.
 
-Assembly itself lives in :class:`repro.arch.machine.MachineBuilder`:
-the simulator hands its config to the builder and adopts the wired
-:class:`~repro.arch.machine.Machine`, so swapping any component (via
-the ``repro.arch`` registries) needs no changes here.
+The walk backend is the one component resolved by name, through
+:data:`repro.arch.registry.WALK_BACKENDS`, so a plugin swaps it in with
+no change here; every other component is built directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
-from repro.arch.machine import MachineBuilder, MachineSpec
-from repro.config import GPUConfig
+from repro.arch.registry import WALK_BACKENDS, BackendContext
+from repro.config import GPUConfig, PageTableKind
+from repro.gpu.faults import FaultBuffer, UVMFaultHandler
+from repro.gpu.sm import SM
+from repro.gpu.translation import TranslationService
+from repro.gpu.warp import Warp
 from repro.obs import NULL_OBS, MetricsSampler, Observability
+from repro.pagetable.space import AddressSpace
+from repro.ptw.hashed_backend import make_hashed_traversal
+from repro.ptw.walker import PteMemoryPort, WalkOutcome, execute_walk
+from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
+from repro.tlb.pwc import PageWalkCache
 from repro.workloads.base import TraceWorkload
 
 
@@ -217,6 +227,25 @@ class SimulationResult:
         return self.memory_wait_cycles / insts
 
 
+def _traversal(
+    config: GPUConfig,
+    space: AddressSpace,
+    pte_port: PteMemoryPort,
+    pwc: PageWalkCache,
+) -> Callable[[int, int, int], WalkOutcome]:
+    """The configured page table's ``(vpn, start_level, begin) ->
+    WalkOutcome`` walk, for the hardware walkers."""
+    if config.ptw.page_table_kind == PageTableKind.HASHED:
+        if space.hashed is None:
+            raise ValueError("hashed page table requested but not built")
+        # Hashed walks are single probes; the PWC caches radix interior
+        # nodes and does not apply.
+        return make_hashed_traversal(space.hashed, pte_port)
+    # A partial, not a bound method, so the walkers hold no reference
+    # back to the simulator.
+    return partial(execute_walk, space.radix, pte_port, pwc)
+
+
 class GPUSimulator:
     """One configured GPU executing one workload."""
 
@@ -227,26 +256,87 @@ class GPUSimulator:
         *,
         obs: Observability | None = None,
     ) -> None:
+        # Local: the memory layer is not one this module imports at
+        # load time.
+        from repro.memory.hierarchy import MemorySystem
+
+        if workload.config.page_table != config.page_table:
+            raise ValueError("workload was generated for a different page-table setup")
+        # Refuses a backend that needs hardware walkers the config lacks;
+        # ``from_dict`` checks this too, but not a config built in code.
+        config.check_walkers()
         self.config = config
         self.workload = workload
         self.obs = obs if obs is not None else NULL_OBS
-        machine = MachineBuilder(MachineSpec(config=config)).build(
-            workload, obs=self.obs
+        # Construction order is part of the determinism contract (engine,
+        # stats, memory, SMs, PWC, PTE port, backend, fault path,
+        # translation, warps): do not reorder without re-pinning the
+        # golden fingerprints.
+        self.engine = engine = Engine()
+        self.stats = stats = StatsRegistry(self.obs)
+        self.space = space = workload.space
+        self.memory = memory = MemorySystem(config, stats)
+        self.sms = sms = [SM(i, stats) for i in range(config.num_sms)]
+        self.pwc = pwc = PageWalkCache(
+            config.ptw.pwc_entries,
+            space.layout,
+            space.radix.root_base,
+            stats,
+            min_level=config.ptw.pwc_min_level,
         )
-        self.engine = machine.engine
-        self.stats = machine.stats
-        self.space = machine.space
-        self.memory = machine.memory
-        self.sms = machine.sms
-        self.pwc = machine.pwc
-        self.backend = machine.backend
-        self.fault_buffer = machine.fault_buffer
-        self.fault_handler = machine.fault_handler
-        self.translation = machine.translation
-        self._warps = machine.warps
+        pte_port = PteMemoryPort(memory.l2, config.fixed_pt_level_latency)
+        self.backend = backend = WALK_BACKENDS.create(
+            config.backend_name,
+            BackendContext(
+                engine=engine,
+                config=config,
+                sms=sms,
+                space=space,
+                pte_port=pte_port,
+                pwc=pwc,
+                stats=stats,
+                traverse=_traversal(config, space, pte_port, pwc),
+            ),
+        )
+        self.fault_buffer = FaultBuffer(stats)
+        self.fault_handler = UVMFaultHandler(
+            engine, space, self.fault_buffer, backend.submit
+        )
+        self.translation = TranslationService(
+            engine,
+            config,
+            space,
+            pwc,
+            backend,
+            stats,
+            fault_handler=self.fault_handler,
+        )
+        self._warps = self._build_warps()
         self._started = False
         if self.obs.metrics.enabled:
             self._register_metrics()
+
+    def _build_warps(self) -> list[Warp]:
+        page_size = self.config.page_table.page_size
+        warps = []
+        for sm_id, sm_programs in enumerate(self.workload.programs):
+            for program in sm_programs:
+                warps.append(
+                    Warp(
+                        len(warps),
+                        self.sms[sm_id],
+                        self.engine,
+                        self.translation,
+                        self.memory.l1s[sm_id],
+                        page_size,
+                        program,
+                    )
+                )
+                self.stats.counters.add(
+                    "gpu.mem_instructions",
+                    sum(1 for _compute, vpns, _offsets in program if vpns is not None),
+                )
+        return warps
 
     def _register_metrics(self) -> None:
         """Wire every component's gauges into the sampled registry."""

@@ -31,13 +31,13 @@ import json
 import os
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
 
-# The machine's components are built through function-local imports
-# (the arch registry's factories, ``MachineBuilder.build``).  Import
-# every built-in one here, so a process, and each sweep or service
-# worker it forks, pays for them once, before its first job.
+# Two parts of the machine are built through function-local imports:
+# the walk backends (the arch registry's lazy factories) and the memory
+# system (``GPUSimulator.__init__``).  Import them here, so a process,
+# and each sweep or service worker it forks, pays for them once, before
+# its first job.
 import repro.core.backend  # noqa: F401
 import repro.memory.hierarchy  # noqa: F401
-import repro.ptw.hashed_backend  # noqa: F401
 from repro.config import GPUConfig
 from repro.gpu.gpu import GPUSimulator, SimulationResult
 from repro.harness.pool import (

@@ -2,9 +2,10 @@
 
 The baseline GPU resolves L2 TLB misses here: requests buffer in the
 Page Walk Buffer until one of the ``num_walkers`` hardware walkers is
-free, then traverse the radix table through the memory system.  The
-time a request spends buffered is the *queueing delay* the whole paper
-revolves around; it is recorded separately from traversal time.
+free, then traverse the page table (radix, or FS-HPT's hashed table)
+through the memory system.  The time a request spends buffered is the
+*queueing delay* the whole paper revolves around; it is recorded
+separately from traversal time.
 
 Optionally models:
 
@@ -12,22 +13,20 @@ Optionally models:
   area/performance trade-off sweep).
 * **NHA coalescing** (ref [86]) — pending walks whose final-level PTEs
   fall in the same cache sector merge into a single traversal.
+* **PWB dequeue order** — ``PTWConfig.pwb_policy`` picks the
+  :class:`DequeuePolicy` class a freed walker consults.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Callable
 
-from repro.arch.registry import PWB_POLICIES
-from repro.config import PTWConfig
-from repro.pagetable.radix import RadixPageTable
+from repro.config import PTWConfig, PwbPolicy
 from repro.ptw.request import WalkRequest
-from repro.ptw.walker import PteMemoryPort, WalkOutcome, execute_walk
+from repro.ptw.walker import WalkOutcome
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
-from repro.tlb.pwc import PageWalkCache
 
 #: PTEs covered by one coalescing unit (32B sector / 8B PTE).
 NHA_SPAN_PTES = 4
@@ -35,38 +34,33 @@ NHA_SPAN_PTES = 4
 CompletionCallback = Callable[[WalkRequest, WalkOutcome], None]
 
 
-class PwbPolicy:
+class DequeuePolicy:
     """PWB dequeue order: which queued walk a freed walker picks up.
 
-    Resolved by name through :data:`repro.arch.registry.PWB_POLICIES`.
-    ``dequeue`` receives the backend and must remove and return one
-    request from ``backend._queue`` (guaranteed non-empty).
+    One class per :attr:`repro.config.PwbPolicy.ALL` name (see
+    :data:`DEQUEUE_POLICIES`).  ``dequeue`` receives the backend and
+    must remove and return one request from ``backend._queue``
+    (guaranteed non-empty).
     """
-
-    name = "?"
 
     def dequeue(self, backend: "HardwareWalkBackend") -> WalkRequest:
         raise NotImplementedError
 
 
-class FcfsPwbPolicy(PwbPolicy):
+class FcfsPwbPolicy(DequeuePolicy):
     """Drain the PWB strictly in arrival order (the default)."""
-
-    name = "fcfs"
 
     def dequeue(self, backend: "HardwareWalkBackend") -> WalkRequest:
         return backend._queue.popleft()
 
 
-class SmBatchPwbPolicy(PwbPolicy):
+class SmBatchPwbPolicy(DequeuePolicy):
     """Warp-aware page-walk scheduling (ref [85]).
 
     Prefers a walk from the same SM as the one just finished, shrinking
     the gap between the first and last completed walks of one warp
     instruction.
     """
-
-    name = "sm_batch"
 
     def dequeue(self, backend: "HardwareWalkBackend") -> WalkRequest:
         queue = backend._queue
@@ -82,24 +76,32 @@ class SmBatchPwbPolicy(PwbPolicy):
         return queue.popleft()
 
 
+#: The dequeue policy class of each PWB policy name.
+DEQUEUE_POLICIES = {
+    PwbPolicy.FCFS: FcfsPwbPolicy,
+    PwbPolicy.SM_BATCH: SmBatchPwbPolicy,
+}
+
+
 class HardwareWalkBackend:
-    """Fixed pool of hardware page table walkers fed by a PWB."""
+    """Fixed pool of hardware page table walkers fed by a PWB.
+
+    ``traverse`` is the page table's ``(vpn, start_level, begin) ->
+    WalkOutcome`` walk: a partial of
+    :func:`~repro.ptw.walker.execute_walk` for the radix table, or the
+    FS-HPT hashed probe.  It must not be a bound method of a component
+    that holds this backend.
+    """
 
     def __init__(
         self,
         engine: Engine,
         config: PTWConfig,
-        page_table: RadixPageTable,
-        pte_port: PteMemoryPort,
-        pwc: PageWalkCache | None,
+        traverse: Callable[[int, int, int], WalkOutcome],
         stats: StatsRegistry,
-        traversal: Callable[[int, int, int], WalkOutcome] | None = None,
     ) -> None:
         self.engine = engine
         self.config = config
-        self.page_table = page_table
-        self.pte_port = pte_port
-        self.pwc = pwc
         self.stats = stats
         self._trace = stats.obs.trace
         self._counts = stats.counters.live()
@@ -107,8 +109,7 @@ class HardwareWalkBackend:
         #: use: fetching creates it, and an empty histogram enters the
         #: fingerprint.
         self._levels_buckets = None
-        # A partial, not a bound method: ``self`` must not hold itself.
-        self._traverse = traversal or partial(execute_walk, page_table, pte_port, pwc)
+        self._traverse = traverse
         self.on_complete: CompletionCallback | None = None
         self._queue: deque[WalkRequest] = deque()
         self._free_walkers = config.num_walkers
@@ -124,7 +125,7 @@ class HardwareWalkBackend:
         self._port_used = 0
         self._last_sm = -1
         self._nha_pending: dict[int, WalkRequest] = {}
-        self._pwb_policy = PWB_POLICIES.create(config.pwb_policy)
+        self._pwb_policy = DEQUEUE_POLICIES[config.pwb_policy]()
 
     # ------------------------------------------------------------------
     # Submission

@@ -24,7 +24,7 @@ def tiny_spec(**overrides):
 
 class TestPWBScheduling:
     def test_policy_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'priority'; legal: fcfs, sm_batch"):
             PTWConfig(pwb_policy="priority")
 
     def test_sm_batch_policy_runs_and_batches(self):

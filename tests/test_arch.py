@@ -1,8 +1,9 @@
 """Tests for the pluggable architecture layer (``repro.arch``).
 
-Covers the component registries, plugin loading via ``REPRO_PLUGINS``,
-MachineSpec resolution/serialization, MachineBuilder assembly, and
-inline configs and a plugin backend through ``repro sweep``.
+Covers the walk-backend registry, plugin loading via ``REPRO_PLUGINS``,
+backend resolution and machine assembly in ``GPUSimulator``, every
+legal name of the config's value-typed component choices, and inline
+configs and a plugin backend through ``repro sweep``.
 """
 
 import ast
@@ -16,18 +17,21 @@ from pathlib import Path
 import pytest
 
 from repro.arch import (
-    DISTRIBUTOR_POLICIES,
-    PAGE_TABLE_KINDS,
     PLUGINS_ENV,
-    PWB_POLICIES,
     WALK_BACKENDS,
     ComponentRegistry,
-    MachineBuilder,
-    MachineSpec,
     UnknownComponentError,
 )
 from repro.arch.registry import reset_plugins_loaded
-from repro.config import GPUConfig, baseline_config, softwalker_config
+from repro.config import (
+    DistributorPolicy,
+    GPUConfig,
+    PageTableKind,
+    PwbPolicy,
+    baseline_config,
+    softwalker_config,
+)
+from repro.gpu.gpu import GPUSimulator
 from repro.harness.runner import build_workload
 from repro.harness.store import ResultStore
 from repro.workloads.base import WorkloadSpec
@@ -88,18 +92,6 @@ class TestComponentRegistry:
             registry.validate("bad")
 
 
-class TestBuiltinRegistries:
-    def test_builtin_names(self):
-        assert set(WALK_BACKENDS) == {"hardware", "softwalker", "hybrid"}
-        assert set(PWB_POLICIES) == {"fcfs", "sm_batch"}
-        assert set(DISTRIBUTOR_POLICIES) == {
-            "round_robin",
-            "random",
-            "stall_aware",
-        }
-        assert set(PAGE_TABLE_KINDS) == {"radix", "hashed"}
-
-
 # ----------------------------------------------------------------------
 # Plugin loading (REPRO_PLUGINS)
 # ----------------------------------------------------------------------
@@ -133,7 +125,7 @@ class TestPluginLoading:
 
     def test_walk_backend_field_accepts_plugin_name(self, plugin_env):
         config = baseline_config().derive(walk_backend="test_toy")
-        assert MachineSpec(config=config).backend_name == "test_toy"
+        assert config.backend_name == "test_toy"
         # And it survives the wire format.
         assert GPUConfig.from_dict(config.to_dict()) == config
 
@@ -150,36 +142,19 @@ class TestPluginLoading:
 
 
 # ----------------------------------------------------------------------
-# MachineSpec
+# Machine assembly (GPUSimulator)
 # ----------------------------------------------------------------------
-class TestMachineSpec:
+class TestBackendName:
     def test_backend_name_derivation(self):
-        assert MachineSpec(config=baseline_config()).backend_name == "hardware"
-        assert MachineSpec(config=softwalker_config()).backend_name == "softwalker"
-        assert (
-            MachineSpec(config=softwalker_config(hybrid=True)).backend_name
-            == "hybrid"
-        )
+        assert baseline_config().backend_name == "hardware"
+        assert softwalker_config().backend_name == "softwalker"
+        assert softwalker_config(hybrid=True).backend_name == "hybrid"
 
     def test_explicit_backend_wins(self):
         config = baseline_config().derive(walk_backend="softwalker")
-        assert MachineSpec(config=config).backend_name == "softwalker"
-
-    def test_unbuildable_spec_is_rejected(self):
-        config = baseline_config().with_ptw(num_walkers=0)
-        with pytest.raises(ValueError, match="no walk backend"):
-            MachineSpec(config=config).backend_name
-
-    def test_dict_round_trip(self):
-        spec = MachineSpec(config=softwalker_config(hybrid=True))
-        assert MachineSpec.from_dict(spec.to_dict()) == spec
-        # A bare config dict (no "config" wrapper) is also accepted.
-        assert MachineSpec.from_dict(spec.config.to_dict()) == spec
+        assert config.backend_name == "softwalker"
 
 
-# ----------------------------------------------------------------------
-# MachineBuilder assembly
-# ----------------------------------------------------------------------
 def tiny_workload(config):
     spec = WorkloadSpec(
         name="arch_tiny",
@@ -194,7 +169,7 @@ def tiny_workload(config):
     return build_workload(spec, config, scale=1.0, seed=3)
 
 
-class TestMachineBuilder:
+class TestAssembly:
     @pytest.mark.parametrize(
         "config,backend_cls",
         [
@@ -205,34 +180,76 @@ class TestMachineBuilder:
         ids=["hardware", "softwalker", "hybrid"],
     )
     def test_builds_the_configured_backend(self, config, backend_cls):
-        machine = MachineBuilder(config).build(tiny_workload(config))
-        assert type(machine.backend).__name__ == backend_cls
-        assert machine.config == config
-        assert len(machine.sms) == config.num_sms
-        assert machine.warps  # assembled and ready to start
+        sim = GPUSimulator(config, tiny_workload(config))
+        assert type(sim.backend).__name__ == backend_cls
+        assert len(sim.sms) == config.num_sms
+        assert sim._warps  # assembled and ready to start
 
-    def test_builder_accepts_bare_config(self):
-        config = baseline_config().derive(num_sms=2)
-        builder = MachineBuilder(config)
-        assert builder.spec == MachineSpec(config=config)
+    @pytest.mark.parametrize(
+        "config,refusal",
+        [
+            (baseline_config().with_ptw(num_walkers=0), "no walk backend"),
+            (
+                softwalker_config(hybrid=True).with_ptw(num_walkers=0),
+                "hybrid mode needs hardware walkers",
+            ),
+        ],
+        ids=["hardware", "hybrid"],
+    )
+    def test_walkerless_config_built_in_code_is_refused(self, config, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            GPUSimulator(config, tiny_workload(config))
 
     def test_workload_config_mismatch_rejected(self):
         config = baseline_config()
         workload = tiny_workload(config)
         other = config.with_page_size(2 * 1024 * 1024)
         with pytest.raises(ValueError, match="different page-table"):
-            MachineBuilder(other).build(workload)
+            GPUSimulator(other, workload)
 
     def test_built_machines_run_identically(self):
         config = softwalker_config().derive(num_sms=2)
 
         def run_once():
-            from repro.gpu.gpu import GPUSimulator
-
             return GPUSimulator(config, tiny_workload(config)).run()
 
         first, second = run_once(), run_once()
         assert first.fingerprint() == second.fingerprint()
+
+
+#: Every legal name of each value-typed component choice, on a base
+#: config whose backend reads it.
+LEGAL_NAMES = [
+    *(
+        pytest.param(
+            baseline_config().with_ptw(page_table_kind=name),
+            id=f"page_table_kind={name}",
+        )
+        for name in PageTableKind.ALL
+    ),
+    *(
+        pytest.param(
+            baseline_config().with_ptw(pwb_policy=name), id=f"pwb_policy={name}"
+        )
+        for name in PwbPolicy.ALL
+    ),
+    *(
+        pytest.param(
+            softwalker_config(distributor_policy=name),
+            id=f"distributor_policy={name}",
+        )
+        for name in DistributorPolicy.ALL
+    ),
+]
+
+
+@pytest.mark.parametrize("config", LEGAL_NAMES)
+def test_every_legal_name_builds_and_runs(config):
+    """A legal name with no class behind it fails here, not mid-sweep."""
+    config = config.derive(num_sms=4)
+    workload = build_workload("gups", config, scale=0.01)
+    result = GPUSimulator(config, workload).run()
+    assert result.complete and result.walks_completed > 0
 
 
 # ----------------------------------------------------------------------

@@ -144,12 +144,22 @@ class TestValidation:
             PageTableConfig(page_size=3000)
 
     def test_ptw_kind_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'btree'; legal: radix, hashed"):
             PTWConfig(page_table_kind="btree")
 
     def test_softwalker_policy_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="'lottery'; legal: round_robin, random, stall_aware"
+        ):
             SoftWalkerConfig(distributor_policy="lottery")
+
+    @pytest.mark.parametrize("field", ["instruction_cycles", "instructions_per_level"])
+    def test_negative_pw_instruction_cost_refused(self, field):
+        # A negative cost once passed here and then raised a negative
+        # latency component mid-run; 0 is legal and runs.
+        with pytest.raises(ValueError, match=f"{field} cannot be negative"):
+            SoftWalkerConfig(**{field: -20})
+        assert SoftWalkerConfig(**{field: 0})
 
     def test_softpwb_must_cover_threads(self):
         with pytest.raises(ValueError):

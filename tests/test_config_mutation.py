@@ -15,8 +15,14 @@ import random
 
 import pytest
 
-from repro.arch.registry import DISTRIBUTOR_POLICIES, PAGE_TABLE_KINDS, PWB_POLICIES
-from repro.config import GPUConfig, baseline_config, softwalker_config
+from repro.config import (
+    DistributorPolicy,
+    GPUConfig,
+    PageTableKind,
+    PwbPolicy,
+    baseline_config,
+    softwalker_config,
+)
 from repro.gpu.gpu import GPUSimulator
 from repro.harness.runner import build_workload
 from repro.harness.supervised import SupervisionPolicy, run_supervised
@@ -27,11 +33,11 @@ DRAWS = 60
 #: a runaway config hits it.
 MAX_EVENTS = 3_000_000
 
-#: Registered names a string leaf may take, besides an unknown one.
+#: Legal names a string leaf may take, besides an unknown one.
 NAMES = {
-    "page_table_kind": PAGE_TABLE_KINDS.names(),
-    "pwb_policy": PWB_POLICIES.names(),
-    "distributor_policy": DISTRIBUTOR_POLICIES.names(),
+    "page_table_kind": PageTableKind.ALL,
+    "pwb_policy": PwbPolicy.ALL,
+    "distributor_policy": DistributorPolicy.ALL,
 }
 
 BASES = {
@@ -84,6 +90,16 @@ def draws() -> list[tuple[str, dict, list]]:
 
 
 DRAWN = draws()
+
+
+def test_name_order_keeps_the_draws():
+    """``rng.choice`` picks by position, so reordering a kind's legal
+    names would silently draw a different set of configs."""
+    assert NAMES == {
+        "page_table_kind": ("radix", "hashed"),
+        "pwb_policy": ("fcfs", "sm_batch"),
+        "distributor_policy": ("round_robin", "random", "stall_aware"),
+    }
 
 
 def test_draws_cover_both_outcomes():

@@ -7,10 +7,10 @@ per translation-path variant the headline cases never reach (Avatar
 speculation, NHA merged walks, SoftWalker without In-TLB MSHRs, and a
 coalesced L2 TLB under lockstep PW warps), against stored golden
 files.  The machine is deterministic in its inputs, so any
-drift here means a refactor changed simulated behavior — the
-registry-driven assembly (``repro.arch``) is contractually
-event-for-event identical to the hand-wired construction these goldens
-were recorded under.
+drift here means a refactor changed simulated behavior — the assembly
+in ``GPUSimulator.__init__`` (with the walk backend resolved through
+``repro.arch``) is contractually event-for-event identical to the
+construction these goldens were recorded under.
 
 Regenerate (only when behavior is *intentionally* changed)::
 

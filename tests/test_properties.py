@@ -1,5 +1,7 @@
 """Property-based tests on whole-pipeline invariants (hypothesis)."""
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,7 @@ from repro.gpu.translation import TranslationService
 from repro.harness.runner import build_workload
 from repro.pagetable.space import AddressSpace
 from repro.ptw.subsystem import HardwareWalkBackend
-from repro.ptw.walker import PteMemoryPort
+from repro.ptw.walker import PteMemoryPort, execute_walk
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 from repro.tlb.pwc import PageWalkCache
@@ -36,9 +38,8 @@ def make_service(config, space):
     pwc = PageWalkCache(
         config.ptw.pwc_entries, space.layout, space.radix.root_base, stats
     )
-    backend = HardwareWalkBackend(
-        engine, config.ptw, space.radix, PteMemoryPort(FixedMemory()), pwc, stats
-    )
+    traverse = partial(execute_walk, space.radix, PteMemoryPort(FixedMemory()), pwc)
+    backend = HardwareWalkBackend(engine, config.ptw, traverse, stats)
     service = TranslationService(engine, config, space, pwc, backend, stats)
     return engine, service, stats
 

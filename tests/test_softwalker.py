@@ -1,5 +1,7 @@
 """Unit tests for the SoftWalker controller and backends."""
 
+from functools import partial
+
 import pytest
 
 from repro.config import GPUConfig, SoftWalkerConfig, baseline_config
@@ -11,7 +13,7 @@ from repro.pagetable.allocator import FrameAllocator
 from repro.pagetable.radix import RadixPageTable
 from repro.ptw.request import WalkRequest
 from repro.ptw.subsystem import HardwareWalkBackend
-from repro.ptw.walker import PteMemoryPort
+from repro.ptw.walker import PteMemoryPort, execute_walk
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsRegistry
 
@@ -166,8 +168,9 @@ class TestHybridBackend:
         config = baseline_config().with_softwalker(enabled=True, hybrid=True)
         table = make_table(256)
         port = PteMemoryPort(FixedMemory())
+        traverse = partial(execute_walk, table, port, None)
         hardware = HardwareWalkBackend(
-            engine, PTWConfig(num_walkers=num_walkers), table, port, None, stats
+            engine, PTWConfig(num_walkers=num_walkers), traverse, stats
         )
         sms = [SM(i, stats) for i in range(config.num_sms)]
         software = SoftWalkerBackend(engine, config, sms, table, port, None, stats)

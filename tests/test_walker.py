@@ -1,5 +1,7 @@
 """Unit tests for the walk executor and the hardware walk subsystem."""
 
+from functools import partial
+
 import pytest
 
 from repro.config import PTWConfig, PageTableConfig
@@ -95,9 +97,8 @@ def make_backend(num_walkers=2, mappings=None, nha=False, ports=1, pwb_entries=8
         pwb_ports=ports,
         nha_coalescing=nha,
     )
-    backend = HardwareWalkBackend(
-        engine, config, table, PteMemoryPort(memory), None, stats
-    )
+    traverse = partial(execute_walk, table, PteMemoryPort(memory), None)
+    backend = HardwareWalkBackend(engine, config, traverse, stats)
     done = []
     backend.on_complete = lambda req, outcome: done.append((req, outcome))
     return engine, backend, done, stats

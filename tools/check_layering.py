@@ -16,11 +16,8 @@ Hard rules, beyond the per-package allow-list:
 * ``repro/arch/registry.py`` imports nothing from ``repro`` at module
   level, so plugins can import it with zero machinery behind it (its
   built-in factories import implementations lazily, at create() time).
-* ``repro.arch`` as a whole sees only ``repro.config`` at import time.
-  In particular it must not import ``repro.sim`` at module level:
-  ``MachineBuilder.build`` constructs the event engine through a
-  function-local import, so importing the specs never pulls in the
-  simulation kernel.
+  The rest of ``repro.arch`` (its ``__init__``) imports only the
+  registry, so its allow-list is empty.
 * ``repro/service/client.py`` and ``repro/service/protocol.py`` (the
   client side of the service) import only ``repro.config`` and each
   other at module level, so a process that only talks to the daemon
@@ -44,8 +41,8 @@ ALLOWED: dict[str, set[str]] = {
     # Foundation: no internal imports at all.
     "sim": set(),
     "obs": set(),
-    # Architecture layer: registries (stdlib-only) + machine specs.
-    "arch": {"config"},
+    # Walk-backend registry and plugin loading (stdlib-only).
+    "arch": set(),
     "config": {"arch"},
     # Model layers.
     "pagetable": {"config"},
@@ -101,13 +98,6 @@ ALLOWED: dict[str, set[str]] = {
 #: an accidental allow-list edit).
 TOP_LAYERS = {"harness", "explore", "service", "cli"}
 MODEL_LAYERS = set(ALLOWED) - TOP_LAYERS - {"__init__", "__main__"}
-
-#: Edges that may only be taken by function-local imports: the
-#: importing package reaches these targets inside the function that
-#: needs them (``MachineBuilder.build`` constructing the engine for
-#: arch -> sim), never at module level.  Defense in depth against
-#: someone "fixing" the allow-list instead of keeping the import local.
-LOCAL_IMPORT_ONLY: dict[str, set[str]] = {"arch": {"sim"}}
 
 #: The service's client side and the only modules it may import at
 #: module level (``JobSpec`` reaches the sweep engine function-locally).
@@ -209,12 +199,6 @@ def check(root: str) -> tuple[list[str], dict[str, set[str]]]:
                     violations.append(
                         f"{rel}:{lineno}: model layer {package!r} reaches up "
                         f"into orchestration layer repro.{target}"
-                    )
-                if target in LOCAL_IMPORT_ONLY.get(package, ()):
-                    violations.append(
-                        f"{rel}:{lineno}: layer {package!r} must import "
-                        f"repro.{target} inside the function that needs it "
-                        f"(e.g. MachineBuilder.build), not at module level"
                     )
     return violations, graph
 
